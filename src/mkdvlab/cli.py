@@ -471,8 +471,6 @@ def verify_record_count(cfg: RunConfig) -> int:
 # spectrum
 
 def _spectrum_point(task: dict) -> tuple:
-    import scipy.linalg
-
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
     n = task["n"] or 1024
@@ -505,7 +503,7 @@ def _spectrum_point(task: dict) -> tuple:
                         tol["form"]))
     recs.append(_record("form_lambda_beta", tag, abs(qb + target) / target,
                         tol["form"]))
-    lhs1, lhs2, b0_resid = spc.b0_relations(p, 0.0, w)
+    lhs1, lhs2, b0_resid = spc.b0_relations(p, 0.0, opr, dirs)
     b0_want = 1.0 / (4.0 * b * (a**2 + b**2))
     recs.append(_record("b0_mass", tag, abs(lhs1 - b0_want) / b0_want,
                         tol["b0"]))
@@ -517,22 +515,18 @@ def _spectrum_point(task: dict) -> tuple:
     recs.append(_record("wronskian", tag,
                         spc.wronskian_check(p, 0.37, xs).normalized,
                         tol["wronskian"]))
-    vecs = scipy.linalg.eigh(opr.matrix, subset_by_index=[0, 0])[1]
-    nu0 = spc.coercivity(opr, dirs, vecs[:, 0])
+    nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
     recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},
                         max(0.0, -nu0), tol["coercivity"]))
     w2 = spc.spectral_window(p, 0.0, n_points=n // 2)
     opr2 = spc.build_operator(p, 0.0, w2)
-    vecs2 = scipy.linalg.eigh(opr2.matrix, subset_by_index=[0, 0])[1]
-    nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2), vecs2[:, 0])
+    nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
+                           spc.spectrum(opr2).lowest_vector)
     recs.append(_record("coercivity_spread", {**tag, "nu0_half": nu0_2},
                         abs(nu0 - nu0_2), tol["spread"]))
     artifact = (f"spectrum_a{a:g}_b{b:g}.json",
                 dump_json(summary.to_json_dict()))
     return tuple(recs), (artifact,)
-
-
-SPECTRUM_RECORDS_PER_POINT = 12
 
 
 def cmd_spectrum(cfg: RunConfig) -> SuiteReport:

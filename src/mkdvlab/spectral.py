@@ -7,12 +7,14 @@ The operator
            + 10 B^2 z_xx + 20 B B_x z_x
            + [10 B_x^2 + 20 B B_xx + 30 B^4 - 12(b^2-a^2) B^2] z
 
-is realized with dense Fourier-collocation derivative matrices on a periodic
-window, symmetrized, and diagonalized.  The expected picture: one simple
-negative eigenvalue, a two-dimensional kernel spanned by the translation
-directions, and discrete continuum starting at the minimum of the symbol
-k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
-k^2 = a^2 - b^2 otherwise.
+is realized by Fourier collocation on a periodic window and symmetrized; the
+derivative and H^2 Gram matrices are circulants of the inverse FFT of their
+symbols.  Only the bottom of the spectrum is computed.  The expected picture:
+one simple negative eigenvalue, a two-dimensional kernel spanned by the
+translation directions, and discrete continuum starting at the minimum of the
+symbol k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
+k^2 = a^2 - b^2 otherwise.  Coercivity is computed on the orthogonal
+complement of its constraints, reached by Householder reflectors.
 
 Parameter derivatives (the scaling directions) are taken with an imaginary
 step of 1e-150, which is exact to machine precision; no difference-quotient
@@ -28,40 +30,35 @@ import scipy.linalg
 
 from . import closed_forms as cf
 from .functionals import (SampledField, Window, require_window,
-                          sample_breather)
+                          sample_breather, spectral_derivative)
 from .identities import ResidualReport
 
 _CSTEP = 1e-150
 
 
+def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
+    """Circulant matrix of a Fourier multiplier.  Its column is made exactly
+    odd or even (c[k] against c[-k mod n]): FFT rounding alone breaks the
+    parity at eps*k^m, which would dominate the recorded asymmetry."""
+    c = np.fft.ifft(symbol).real
+    mirror = np.roll(c[::-1], 1)
+    c = (c - mirror) / 2.0 if odd else (c + mirror) / 2.0
+    return scipy.linalg.circulant(c)
+
+
 def derivative_matrix(w: Window, m: int) -> np.ndarray:
     """Dense m-th derivative by Fourier collocation; Nyquist zeroed for odd m
-    so the matrix maps real vectors to real vectors.
-
-    The FFT-built matrix is (anti)symmetric only to eps*k^m rounding, which
-    would dominate the recorded operator asymmetry; the exact parity is
-    restored explicitly."""
-    n = w.n_points
+    so the matrix maps real vectors to real vectors."""
     mult = (1j * w.wavenumbers()) ** m
     if m % 2 == 1:
-        mult[n // 2] = 0.0
-    F = np.fft.fft(np.eye(n), axis=0)
-    D = np.fft.ifft(mult[:, None] * F, axis=0).real
-    if m % 2 == 0:
-        D = (D + D.T) / 2.0
-    else:
-        D = (D - D.T) / 2.0
-    return np.ascontiguousarray(D)
+        mult[w.n_points // 2] = 0.0
+    return _circulant(mult, odd=m % 2 == 1)
 
 
 def sobolev_gram(w: Window) -> np.ndarray:
     """Gram matrix G with h * z^T G z = the squared H^2 norm used throughout
     (Fourier weight (1+k^2)^2)."""
-    n = w.n_points
-    weight = (1.0 + w.wavenumbers() ** 2) ** 2
-    F = np.fft.fft(np.eye(n), axis=0)
-    G = (F.conj().T * weight) @ F / n
-    return np.ascontiguousarray(G.real)
+    return _circulant((1.0 + w.wavenumbers() ** 2) ** 2, odd=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +72,6 @@ class DiscreteOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
-
-
-def _fourier_deriv(w: Window, z: np.ndarray, m: int) -> np.ndarray:
-    mult = (1j * w.wavenumbers()) ** m
-    if m % 2 == 1:
-        mult[w.n_points // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(z)).real
 
 
 def _asymmetry_on_smooth_probes(w: Window, mu: float, c2: np.ndarray,
@@ -102,8 +92,8 @@ def _asymmetry_on_smooth_probes(w: Window, mu: float, c2: np.ndarray,
               np.cos(2 * k1 * x), np.sin(3 * k1 * x)]
 
     def apply(z):
-        return (_fourier_deriv(w, z, 4) + (c2 - mu) * _fourier_deriv(w, z, 2)
-                + c1 * _fourier_deriv(w, z, 1) + c0 * z)
+        d1, d2, d4 = (spectral_derivative(z, w, m) for m in (1, 2, 4))
+        return d4 + (c2 - mu) * d2 + c1 * d1 + c0 * z
 
     images = [apply(z) for z in probes]
     worst = 0.0
@@ -154,9 +144,8 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     raw = (D4 - mu * D2
            + (10.0 * B**2)[:, None] * D2
            + (20.0 * B * B1)[:, None] * D1)
-    idx = np.arange(w.n_points)
     diag0 = (a2 + b2) ** 2 + potential
-    raw[idx, idx] += diag0
+    raw[np.diag_indices_from(raw)] += diag0
     asymmetry = _asymmetry_on_smooth_probes(w, mu, 10.0 * B**2,
                                             20.0 * B * B1, diag0)
     matrix = (raw + raw.T) / 2.0
@@ -181,6 +170,7 @@ class SpectrumSummary:
     negative_eigenvalues: tuple
     kernel_eigenvalues: tuple
     kernel_vectors: np.ndarray
+    lowest_vector: np.ndarray
     continuum_edge_estimate: float
     lambda0_sq: float
     kernel_tol: float
@@ -201,15 +191,22 @@ class SpectrumSummary:
 
 
 def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
-    vals, vecs = scipy.linalg.eigh(opr.matrix)
+    """Classify the k lowest eigenpairs, k doubling from 8 until the largest
+    clears the kernel tolerance (it is the continuum edge) or k reaches n."""
     tol = kernel_tolerance(opr.alpha, opr.beta)
-    neg = np.sort(vals[vals < -tol])
+    n, k = opr.window.n_points, 8  # n is a power of two >= 256
+    while True:
+        vals, vecs = scipy.linalg.eigh(opr.matrix, subset_by_index=[0, k - 1])
+        if vals[-1] > tol or k == n:
+            break
+        k *= 2
+    neg = vals[vals < -tol]
     kmask = np.abs(vals) <= tol
     above = vals[vals > tol]
-    edge = float(above.min()) if above.size else float("inf")
-    lambda0_sq = float(-neg.min()) if neg.size else 0.0
-    return SpectrumSummary(tuple(neg), tuple(np.sort(vals[kmask])),
-                           vecs[:, kmask], edge, lambda0_sq, tol)
+    edge = float(above[0]) if above.size else float("inf")
+    lambda0_sq = float(-neg[0]) if neg.size else 0.0
+    return SpectrumSummary(tuple(neg), tuple(vals[kmask]), vecs[:, kmask],
+                           vecs[:, 0], edge, lambda0_sq, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +237,10 @@ def directions(p: cf.BreatherParams, t: float, w: Window) -> DirectionVectors:
                             SampledField(w, b0))
 
 
-def b0_relations(p: cf.BreatherParams, t: float,
-                 w: Window) -> tuple[float, float, float]:
+def b0_relations(p: cf.BreatherParams, t: float, opr: DiscreteOperator,
+                 dirs: DirectionVectors) -> tuple[float, float, float]:
     """(int B0 B, (1/2) int B0 L[B0], ||L[B0] + B||_2 / ||B||_2)."""
-    opr = build_operator(p, t, w)
-    dirs = directions(p, t, w)
+    w = opr.window
     B = sample_breather(p, t, w, m=0).values
     LB0 = opr.apply(dirs.B0.values)
     lhs1 = float(w.quad(dirs.B0.values * B))
@@ -296,11 +292,21 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
     C = np.stack([vec, dirs.B1.values, dirs.B2.values])
     if np.linalg.matrix_rank(C) < 3:
         raise ValueError("orthogonality constraints are rank-deficient")
-    Z = scipy.linalg.null_space(C)
-    A = Z.T @ opr.matrix @ Z
-    G = Z.T @ sobolev_gram(opr.window) @ Z
+    (qr, tau), _ = scipy.linalg.qr(C.T, mode="raw")
+    A = _reflect(qr, tau, opr.matrix)[3:, 3:]
+    G = _reflect(qr, tau, sobolev_gram(opr.window))[3:, 3:]
     val = scipy.linalg.eigh(A, G, subset_by_index=[0, 0], eigvals_only=True)
     return float(val[0])
+
+
+def _reflect(qr: np.ndarray, tau: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Q^T M Q, for Q held as Householder reflectors (qr, tau) in LAPACK
+    layout; Q's leading columns span the constraints."""
+    for side, trans in (("L", "T"), ("R", "N")):
+        M, _, err = scipy.linalg.lapack.dormqr(side, trans, qr, tau, M, len(M))
+        if err != 0:
+            raise RuntimeError(f"dormqr failed with info={err}")
+    return M
 
 
 def dump_matrix(opr: DiscreteOperator, path) -> None:

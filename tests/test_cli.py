@@ -188,3 +188,35 @@ def test_report_structure(tmp_path):
     ids = [r["id"] for r in report["records"]]
     assert len(ids) == len(set(ids))  # record ids are unique
     assert os.path.getsize(out / "records.csv") > 0
+
+
+def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
+                                                             monkeypatch):
+    # one operator at n and one at n/2; eigh: bottom-k spectrum and
+    # coercivity at each of the two sizes.  The default window is
+    # under-resolved at n=512, so some budgets fail: only the work is checked.
+    import scipy.linalg
+
+    from mkdvlab import spectral as spc
+
+    counts = {"build": 0, "eigh": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    monkeypatch.setattr(spc, "build_operator",
+                        counting("build", spc.build_operator))
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        counting("eigh", scipy.linalg.eigh))
+    cfgp = write_cfg(tmp_path / "s.txt",
+                     "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    run_main(["spectrum", "--config", cfgp, "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["records"]) == 11
+    assert counts == {"build": 2, "eigh": 4}

@@ -53,6 +53,32 @@ def test_derivative_matrix_exact_parity():
         assert np.array_equal(D, D.T)
 
 
+def _fft_multiplier_matrix(w, symbol):
+    # dense multiplier built column by column from FFTs of the identity
+    F = np.fft.fft(np.eye(w.n_points), axis=0)
+    return np.fft.ifft(symbol[:, None] * F, axis=0).real
+
+
+@pytest.mark.parametrize("n,half", [(256, 7.0), (512, 21.0)])
+def test_circulant_assembly_matches_fft_oracle(n, half):
+    w = Window(0.3, half, n)
+    eps = np.finfo(float).eps
+    kmax = np.pi * n / w.length
+    k = w.wavenumbers()
+    for m in (1, 2, 4):
+        mult = (1j * k) ** m
+        if m % 2 == 1:
+            mult[n // 2] = 0.0
+        ref = _fft_multiplier_matrix(w, mult)
+        err = np.max(np.abs(sp.derivative_matrix(w, m) - ref))
+        assert err <= 50.0 * eps * kmax**m
+    ref = _fft_multiplier_matrix(w, (1.0 + k**2) ** 2)
+    err = np.max(np.abs(sp.sobolev_gram(w) - ref))
+    assert err <= eps * (1.0 + kmax**2) ** 2
+    G = sp.sobolev_gram(w)
+    assert np.array_equal(G, G.T)
+
+
 def test_sobolev_gram_matches_norm():
     w = Window(0.0, 12.0, 256)
     x = w.grid()
@@ -174,6 +200,60 @@ def test_eigenvalues_stable_under_grid_doubling():
     assert drift <= 1e-8
 
 
+def test_bottom_k_spectrum_matches_full_eigh():
+    _, opr = _default()
+    summ = sp.spectrum(opr)
+    vals, vecs = _eigensystem()
+    tol = summ.kernel_tol
+    scale = 50.0 * np.finfo(float).eps * np.max(np.abs(vals))
+    neg = vals[vals < -tol]
+    ker = vals[np.abs(vals) <= tol]
+    assert len(summ.negative_eigenvalues) == len(neg) == 1
+    assert len(summ.kernel_eigenvalues) == len(ker) == 2
+    assert np.max(np.abs(np.array(summ.negative_eigenvalues) - neg)) <= scale
+    assert np.max(np.abs(np.array(summ.kernel_eigenvalues) - ker)) <= scale
+    assert abs(summ.continuum_edge_estimate - vals[vals > tol].min()) <= scale
+    v, ref = summ.lowest_vector, vecs[:, 0]
+    assert min(np.linalg.norm(v - ref), np.linalg.norm(v + ref)) <= 1e-8
+
+
+def test_bottom_k_grows_past_many_negative_eigenvalues(monkeypatch):
+    # 20 eigenvalues below -tol, a kernel pair, then the continuum: the
+    # subset grows 8 -> 16 -> 32 before an eigenvalue clears the tolerance
+    n = 256
+    diag = np.concatenate([-np.arange(20, 0, -1.0), [0.0, 1e-9],
+                           np.arange(1.0, n - 21.0)])
+    order = np.random.default_rng(2).permutation(n)
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), np.diag(diag[order]),
+                              1.0, 1.0, 0.0, 0.0)
+    sizes = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(kwargs["subset_by_index"][1] + 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    summ = sp.spectrum(opr)
+    assert sizes == [8, 16, 32]
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+    close(summ.negative_eigenvalues, -np.arange(20, 0, -1.0))
+    close(summ.kernel_eigenvalues, [0.0, 1e-9])
+    close(summ.continuum_edge_estimate, 1.0)
+    close(summ.lambda0_sq, 20.0)
+    close(abs(summ.lowest_vector[np.argsort(order)[0]]), 1.0)
+
+
+def test_bottom_k_stops_at_full_size():
+    # every eigenvalue is inside the kernel tolerance: the subset reaches n
+    n = 256
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), np.zeros((n, n)),
+                              1.0, 1.0, 0.0, 0.0)
+    summ = sp.spectrum(opr)
+    assert summ.kernel_dimension == n
+    assert summ.continuum_edge_estimate == float("inf")
+
+
 def test_summary_json_dict():
     _, opr = _default()
     d = sp.spectrum(opr).to_json_dict()
@@ -234,7 +314,8 @@ def test_scaling_direction_quadratic_forms(alpha, beta):
 @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (1.2, 0.8)])
 def test_b0_relations(alpha, beta):
     p, opr = _default(alpha, beta)
-    lhs1, lhs2, residual = sp.b0_relations(p, 0.0, opr.window)
+    dirs = sp.directions(p, 0.0, opr.window)
+    lhs1, lhs2, residual = sp.b0_relations(p, 0.0, opr, dirs)
     target = 1.0 / (4.0 * beta * (alpha**2 + beta**2))
     print(f"({alpha},{beta}): int B0 B = {lhs1:.10f} (target {target:.10f}), "
           f"(1/2) int B0 L B0 = {lhs2:.10f}, |L B0 + B| rel = {residual:.3e}")
