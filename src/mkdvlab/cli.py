@@ -27,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from . import __version__
 from . import closed_forms as cf
 from . import identities as ide
 from . import spectral as spc
-from .evolution import (EvolutionConfig, breather_fidelity_config, evolve,
-                        functional_drifts, soliton_speed_run,
-                        stability_experiment, stability_run_config)
+from .evolution import (breather_fidelity_config, evolve, functional_drifts,
+                        soliton_speed_run, stability_experiment,
+                        stability_run_config)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, sample_breather,
@@ -547,16 +547,6 @@ def cmd_spectrum(cfg: RunConfig) -> SuiteReport:
 # --------------------------------------------------------------------------
 # evolve
 
-def _with_dt(cfg_run: EvolutionConfig, dt: float | None) -> EvolutionConfig:
-    if dt is None:
-        return cfg_run
-    return EvolutionConfig(order=cfg_run.order, window=cfg_run.window,
-                           dt=dt, t_end=cfg_run.t_end,
-                           dealias_pad=cfg_run.dealias_pad,
-                           filter=cfg_run.filter,
-                           frame_speed=cfg_run.frame_speed)
-
-
 def _trajectory_artifacts(prefix: str, traj) -> list:
     arts = []
     rows = []
@@ -592,7 +582,8 @@ def measure_soliton_speed(order: int, dt: float | None = None
     correlation peak.
     """
     sp_, scfg = soliton_speed_run(order)
-    scfg = _with_dt(scfg, dt)
+    if dt is not None:
+        scfg = replace(scfg, dt=dt)
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
     traj = evolve(s0, scfg, monitors=(), snapshot_every=10**9)
     a0, aT = traj[0].field.values, traj[-1].field.values
@@ -616,7 +607,9 @@ def _evolve_point(task: dict) -> tuple:
     recs, arts = [], []
 
     p = cf.BreatherParams(order, 1.0, 1.0)
-    cfg_run = _with_dt(breather_fidelity_config(order), task["dt"])
+    cfg_run = breather_fidelity_config(order)
+    if task["dt"] is not None:
+        cfg_run = replace(cfg_run, dt=task["dt"])
     u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
     traj = evolve(u0, cfg_run, monitors=("M", "E", f"E{order}"))
     last = traj[-1]
@@ -658,8 +651,9 @@ def _stability_point(task: dict) -> tuple:
     order, shape, eta = task["order"], task["shape"], task["eta"]
     tol = task["tol"]
     p = cf.BreatherParams(order, 1.0, 1.0)
-    cfg_run = _with_dt(stability_run_config(order, t_end=task["t_end"]),
-                       task["dt"])
+    cfg_run = stability_run_config(order, t_end=task["t_end"])
+    if task["dt"] is not None:
+        cfg_run = replace(cfg_run, dt=task["dt"])
     rng = np.random.default_rng(task["seed"])
     report = stability_experiment(p, eta, shape, cfg_run, rng=rng)
     tag = {"order": order, "shape": shape, "eta": eta,

@@ -21,6 +21,7 @@ contested delta_9 exponent empirically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,15 +295,54 @@ def flux_terms(order: int):
     return FLUX_TERMS[order]
 
 
-def eval_flux_terms(terms, d):
-    """Evaluate a term list on d = [u, u_x, u_xx, ...] (scalars or arrays)."""
-    total = 0.0
+@functools.lru_cache(maxsize=None)
+def _horner_plan(terms):
+    """Group a term list by its power of u, highest power first.
+
+    Returns (groups, tail): each group is (gap, const, products), where gap
+    is the drop in power from the previous group, const the summed
+    coefficient of the terms that are a pure power of u, and products the
+    (coefficient, other factor orders) of the rest; tail is the lowest power.
+    """
+    by_power = {}
     for coef, orders in terms:
-        prod = coef
-        for o in orders:
-            prod = prod * d[o]
-        total = total + prod
-    return total
+        others = tuple(o for o in orders if o != 0)
+        by_power.setdefault(len(orders) - len(others), []).append((coef, others))
+    powers = sorted(by_power, reverse=True)
+    groups = []
+    for prev, p in zip(powers[:1] + powers, powers):
+        const = sum(c for c, others in by_power[p] if not others)
+        products = tuple((c, others) for c, others in by_power[p] if others)
+        groups.append((prev - p, const, products))
+    return tuple(groups), (powers[-1] if powers else 0)
+
+
+def eval_flux_terms(terms, d):
+    """Evaluate a term list on d = [u, u_x, u_xx, ...] (scalars or arrays of
+    one shape, real or complex; a stacked 2-D array of rows works as is).
+
+    The list is evaluated in Horner form, as a polynomial in u whose
+    coefficients are products of the other factors, with the grouping cached
+    per `terms` tuple.  Intermediates are updated in place; the inputs are
+    never written.
+    """
+    groups, tail = _horner_plan(terms)
+    d = np.asarray(d)
+    u = d[0]
+    acc = 0.0
+    for gap, const, products in groups:
+        for _ in range(gap):
+            acc *= u
+        if const:
+            acc += const
+        for coef, others in products:
+            prod = coef * d[others[0]]
+            for o in others[1:]:
+                prod *= d[o]
+            acc += prod
+    for _ in range(tail):
+        acc *= u
+    return acc
 
 
 def flux(order: int, jet: Jet):

@@ -7,6 +7,11 @@ zero-padded grid and advanced with the ETDRK4 scheme.  The phi-function
 coefficients are evaluated by contour averaging over a unit circle around
 each z = dt * symbol; the mean is kept complex since the symbol is imaginary.
 
+Each ETDRK4 stage costs two real transforms: one batched irfft lifts u and
+its derivatives to the padded grid, the flux is evaluated there in Horner
+form (closed_forms.eval_flux_terms), and one rfft brings it back.  The
+stepper notes below give the lift and its Nyquist convention.
+
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
 dispersive, and snapshot windows ride along so grid positions are always
@@ -70,7 +75,6 @@ class EvolutionConfig:
     dt: float
     t_end: float
     dealias_pad: int
-    filter: float | None = None
     frame_speed: float = 0.0
 
     def __post_init__(self):
@@ -98,23 +102,48 @@ class EvolutionConfig:
                        center=self.window.center + self.frame_speed * t)
 
 
-# Stepper notes.  The integrating factor removes the stiff linear phase
-# exactly, but the scheme is not unconditionally stable: wherever
-# dt * k**order passes a multiple of 2*pi, the map for that mode aliases to
-# near-identity and any time-dependent coefficient (a structure moving
-# through the grid) pumps it parametrically.  The growth rate is small per
-# step but the step count is huge, so affected runs die at t ~ 0.01-0.05.
-# Remedies that do not work: spectral filtering (the pumped band sits at low
-# k, well inside any sensible filter), Krasny-style clipping (the seed is
-# above threshold), and switching to Lawson or Krogstad variants (same
-# family, same tongues).  What works: pick dt so the first resonant
-# wavenumber (2*pi/dt)**(1/order) lands where the profile has no spectral
-# weight, or move to a frame where the profile is static so there is no
-# pump at all.  The shipped run configurations were chosen by measuring the
-# growth rate of the linearized flow around the breather as a function of
-# dt and keeping configurations with a negative rate.
+# Stepper notes.
+#
+# Nonlinear term.  Each ETDRK4 stage lifts vhat to the padded grid with one
+# multiply by the per-config table lift_mult[j] = pad * (i k)^j (rows j = 0
+# .. max_deriv), written into a persistent zero-tailed buffer, and one batched
+# irfft along the last axis returns u, u_x, ... as rows.  The flux is then
+# evaluated by cf.eval_flux_terms (Horner form in u), transformed back with
+# one rfft, truncated to the coarse bins and multiplied by -i k / pad: two
+# transforms per stage, eight per step.  Padding by ceil((p+1)/2) keeps the
+# degree-p products of the order-p flux free of aliasing.
+#
+# Nyquist convention.  The coarse Nyquist bin k_N = n/2 is an interior bin of
+# the padded grid, where the real transform counts it twice (+k_N and -k_N),
+# so its lift column is halved: cos(k_N x) lifts to the symmetric
+# band-limited interpolant of amplitude 1, not 2.  With pad = 1 the bin stays
+# the grid's own Nyquist bin and is not halved.  The linear symbol and the
+# output multiplier are zero there, so the Nyquist mode never changes.
+#
+# Stability.  The integrating factor removes the stiff linear phase exactly,
+# but the scheme is not unconditionally stable: wherever dt * k**order
+# passes a multiple of 2*pi, the map for that mode aliases to near-identity
+# and any time-dependent coefficient (a structure moving through the grid)
+# pumps it parametrically.  The growth rate is small per step but the step
+# count is huge, so affected runs die at t ~ 0.01-0.05.  Spectral filtering
+# does not help (the pumped band sits at low k, well inside any sensible
+# filter), nor do Krasny-style clipping or the Lawson and Krogstad variants
+# (same family, same tongues).  The shipped configurations pick dt so the
+# first resonant wavenumber (2*pi/dt)**(1/order) lands where the profile has
+# no spectral weight, or move to a frame where the profile is static.  That
+# is not enough everywhere: the order-7 runs, the order-9 soliton run and
+# the full-horizon order-5 stability run still blow up, static soliton
+# frames included, so the stiff variable-coefficient terms such as
+# 14 u^2 u_4x, stepped explicitly, are a likely further cause.
+@dataclass(frozen=True)
+class _Stepper:
+    lift: object        # vhat -> rows u, u_x, ... on the padded grid
+    nonlinear: object   # vhat -> Fourier coefficients of -d/dx f(u)
+    advance: object     # vhat -> vhat one dt later
+
+
 @functools.lru_cache(maxsize=8)
-def _stepper(cfg: EvolutionConfig):
+def _stepper(cfg: EvolutionConfig) -> _Stepper:
     w, order, dt = cfg.window, cfg.order, cfg.dt
     n = w.n_points
     kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=w.spacing)
@@ -128,49 +157,46 @@ def _stepper(cfg: EvolutionConfig):
     Q = dt * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
     f1 = dt * np.mean((-4.0 - z + np.exp(z) * (4.0 - 3.0 * z + z**2)) / z**3,
                       axis=1)
-    f2 = dt * np.mean((2.0 + z + np.exp(z) * (-2.0 + z)) / z**3, axis=1)
+    # f2 carries the scheme's factor 2 on (Na + Nb)
+    f2 = 2.0 * dt * np.mean((2.0 + z + np.exp(z) * (-2.0 + z)) / z**3, axis=1)
     f3 = dt * np.mean((-4.0 - 3.0 * z - z**2 + np.exp(z) * (4.0 - z)) / z**3,
                       axis=1)
 
     pad = cfg.dealias_pad
-    np_pts = pad * n
-    # padded grid covers the same length with pad times the points
-    kp = 2.0 * np.pi * np.fft.rfftfreq(np_pts, d=w.length / np_pts)
+    n_pad = pad * n
+    nb = n // 2 + 1
     terms = cf.flux_terms(order)
     max_deriv = max(max(orders) for _, orders in terms)
-    mults = [(1j * kp) ** j for j in range(1, max_deriv + 1)]
-    deriv_mult = -1j * kr
-    deriv_mult[-1] = 0.0
+    # the padded grid covers the same length, so its first nb wavenumbers
+    # are kr
+    lift_mult = pad * (1j * kr) ** np.arange(max_deriv + 1)[:, None]
+    if pad > 1:
+        lift_mult[:, -1] *= 0.5  # Nyquist convention, see the notes
+    buf = np.zeros((max_deriv + 1, n_pad // 2 + 1), dtype=complex)
+    head = buf[:, :nb]  # the tail stays zero
+    out_mult = -1j * kr / pad
+    out_mult[-1] = 0.0
+
+    def lift(vhat):
+        np.multiply(lift_mult, vhat, out=head)
+        return np.fft.irfft(buf, n=n_pad, axis=-1)
 
     def nonlinear(vhat):
-        padded = np.zeros(np_pts // 2 + 1, dtype=complex)
-        padded[: n // 2 + 1] = vhat * pad
-        d = [np.fft.irfft(padded, n=np_pts)]
-        for j in range(max_deriv):
-            d.append(np.fft.irfft(padded * mults[j], n=np_pts))
-        fvals = cf.eval_flux_terms(terms, d)
-        fhat = np.fft.rfft(fvals)[: n // 2 + 1] / pad
-        return deriv_mult * fhat
-
-    smoother = None
-    if cfg.filter:
-        kmax = float(kr[-1])
-        smoother = np.exp(-cfg.filter * (kr / kmax) ** 36)
+        fvals = cf.eval_flux_terms(terms, lift(vhat))
+        return out_mult * np.fft.rfft(fvals)[:nb]
 
     def advance(vhat):
+        Ev = E2 * vhat
         Nv = nonlinear(vhat)
-        a = E2 * vhat + Q * Nv
+        a = Ev + Q * Nv
         Na = nonlinear(a)
-        b = E2 * vhat + Q * Na
+        b = Ev + Q * Na
         Nb = nonlinear(b)
         c = E2 * a + Q * (2.0 * Nb - Nv)
         Nc = nonlinear(c)
-        out = E * vhat + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-        if smoother is not None:
-            out = out * smoother
-        return out
+        return E * vhat + f1 * Nv + f2 * (Na + Nb) + f3 * Nc
 
-    return advance
+    return _Stepper(lift, nonlinear, advance)
 
 
 def _tail_fraction(vhat: np.ndarray) -> float:
@@ -179,22 +205,6 @@ def _tail_fraction(vhat: np.ndarray) -> float:
         return 0.0
     cut = (7 * (vhat.size - 1)) // 8
     return float(np.max(np.abs(vhat[cut:]))) / peak
-
-
-def step(state: SampledField, cfg: EvolutionConfig) -> SampledField:
-    """Advance one dt; raises BlowUpError on non-finite modes.
-
-    The returned field lives on the input window translated by
-    dt * frame_speed, so repeated stepping keeps physical positions.
-    """
-    advance = _stepper(cfg)
-    vhat = advance(np.fft.rfft(state.values))
-    if not np.all(np.isfinite(vhat)):
-        raise BlowUpError("non-finite Fourier mode after one step")
-    w = state.window
-    if cfg.frame_speed != 0.0:
-        w = replace(w, center=w.center + cfg.frame_speed * cfg.dt)
-    return SampledField(w, np.fft.irfft(vhat, n=w.n_points))
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,7 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     """
     if u0.window != cfg.window:
         raise ValueError("initial field window differs from config window")
-    advance = _stepper(cfg)
+    advance = _stepper(cfg).advance
     n_steps = int(round(cfg.t_end / cfg.dt))
     if snapshot_every is None:
         snapshot_every = max(1, n_steps // 50)
@@ -272,9 +282,8 @@ def _h2_weight(w: Window) -> np.ndarray:
     return (1.0 + w.wavenumbers() ** 2) ** 2
 
 
-def _h2_inner(w: Window, weight, a, b) -> float:
-    ah = np.fft.fft(a)
-    bh = np.fft.fft(b)
+def _h2_inner(w: Window, weight, ah, bh) -> float:
+    """H^2 inner product of two real fields from their full FFTs."""
     return float(np.real(np.vdot(ah, weight * bh))) * w.length / w.n_points**2
 
 
@@ -303,20 +312,22 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     x1, x2 = float(seed[0]), float(seed[1])
 
     def objective(a1, a2):
+        # one FFT each of the residual and the two phase derivatives serves
+        # the objective, the gradient and the Gauss-Newton matrix
         b, d1, d2 = _template(p, t, x, a1, a2)
-        r = u.values - b
-        return 0.5 * _h2_inner(w, weight, r, r), r, d1, d2
+        rh, d1h, d2h = (np.fft.fft(v) for v in (u.values - b, d1, d2))
+        return 0.5 * _h2_inner(w, weight, rh, rh), rh, d1h, d2h
 
-    phi, r, d1, d2 = objective(x1, x2)
+    phi, rh, d1h, d2h = objective(x1, x2)
     for _ in range(max_iter):
-        g = np.array([-_h2_inner(w, weight, d1, r),
-                      -_h2_inner(w, weight, d2, r)])
+        g = np.array([-_h2_inner(w, weight, d1h, rh),
+                      -_h2_inner(w, weight, d2h, rh)])
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-10:
             return x1, x2, math.sqrt(max(2.0 * phi, 0.0))
-        M = np.array([[_h2_inner(w, weight, d1, d1),
-                       _h2_inner(w, weight, d1, d2)],
-                      [0.0, _h2_inner(w, weight, d2, d2)]])
+        M = np.array([[_h2_inner(w, weight, d1h, d1h),
+                       _h2_inner(w, weight, d1h, d2h)],
+                      [0.0, _h2_inner(w, weight, d2h, d2h)]])
         M[1, 0] = M[0, 1]
         delta = np.linalg.solve(M, -g)
         if gnorm < 1e-6:
@@ -337,7 +348,7 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
             else:
                 raise FitError(f"line search stalled at gradient {gnorm:.3e}")
         x1, x2 = x1 + s * delta[0], x2 + s * delta[1]
-        phi, r, d1, d2 = trial
+        phi, rh, d1h, d2h = trial
     raise FitError(f"no convergence in {max_iter} iterations; "
                    f"gradient {gnorm:.3e}")
 
