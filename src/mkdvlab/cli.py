@@ -573,9 +573,10 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
     return arts
 
 
-def measure_soliton_speed(order: int, dt: float | None = None
-                          ) -> tuple[float, float, float]:
-    """(v_measured, v_law, error in grid cells) for the reference run.
+def measure_soliton_speed(order: int, dt: float | None = None) -> tuple:
+    """(v_measured, v_law, error in grid cells, soliton, run config) for the
+    reference run, dt overridden when given; the config returned is the one
+    that ran.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
@@ -597,7 +598,7 @@ def measure_soliton_speed(order: int, dt: float | None = None
     v_meas = scfg.frame_speed + shift * scfg.window.spacing / scfg.t_end
     v_law = cf.soliton_speed(order, sp_.c)
     cells = abs(v_meas - v_law) * scfg.t_end / scfg.window.spacing
-    return v_meas, v_law, cells
+    return v_meas, v_law, cells, sp_, scfg
 
 
 def _evolve_point(task: dict) -> tuple:
@@ -623,8 +624,7 @@ def _evolve_point(task: dict) -> tuple:
         recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
     arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
 
-    v_meas, v_law, cells = measure_soliton_speed(order, task["dt"])
-    sp_, scfg = soliton_speed_run(order)
+    v_meas, v_law, cells, sp_, scfg = measure_soliton_speed(order, task["dt"])
     recs.append(_record("soliton_speed",
                         {**tag, "c": sp_.c, "v_measured": v_meas,
                          "v_law": v_law, "dt": scfg.dt},

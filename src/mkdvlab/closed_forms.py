@@ -248,6 +248,32 @@ def b_tilde(p: BreatherParams, t: float, x):
     return 2.0 * np.arctan((p.beta / p.alpha) * np.sin(p.alpha * y1) / np.cosh(p.beta * y2))
 
 
+def breather_phase_derivatives(order, alpha, beta, x1, x2, t, x):
+    """(B, dB/dx1, dB/dx2) on the grid x, in closed form.
+
+    With S, C = sin, cos(alpha y1) and sh, ch = sinh, cosh(beta y2), the
+    breather is B = 2N/D where N = beta C ch - (beta^2/alpha) S sh and
+    D = (beta/alpha)^2 S^2 + ch^2; the phases enter only through y1 and y2,
+    so the quotient rule gives dB/dx_i = 2 (N_i D - N D_i) / D^2.
+    """
+    vel = velocities(order, alpha, beta)
+    x = np.asarray(x)
+    ay1 = alpha * (x + vel.delta * t + x1)
+    by2 = beta * (x + vel.gamma * t + x2)
+    s, c = np.sin(ay1), np.cos(ay1)
+    sh, ch = np.sinh(by2), np.cosh(by2)
+    r = beta / alpha
+    num = beta * (c * ch - r * s * sh)
+    den = r * r * s * s + ch * ch
+    num1 = -beta * (alpha * s * ch + beta * c * sh)
+    num2 = beta * beta * (c * sh - r * s * ch)
+    den1 = 2.0 * beta * r * s * c
+    den2 = 2.0 * beta * ch * sh
+    scale = 2.0 / (den * den)
+    return (2.0 * num / den, scale * (num1 * den - num * den1),
+            scale * (num2 * den - num * den2))
+
+
 def partial_mass(p: BreatherParams, t: float, x):
     """Cumulative mass (1/2) int_{-inf}^x B^2 = beta + (1/2) d/dx log(G^2+F^2)."""
     G, F, *_ = _breather_core(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 2)

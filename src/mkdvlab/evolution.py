@@ -25,7 +25,9 @@ stability budget that led to the shipped run configurations.
 The module also carries the modulation machinery for the orbital-stability
 experiment: a two-parameter Gauss-Newton fit of the translation phases in the
 H^2 norm, and a driver that evolves a perturbed breather and tracks the
-fitted phases and the modulated distance over the run.
+fitted phases and the modulated distance over the run.  The fit's template,
+the breather and its derivatives in x1 and x2, comes in closed form
+(closed_forms.breather_phase_derivatives), with no jets and no complex step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .functionals import (SampledField, TailWarning, Window, functional,
                           sobolev_norm)
 from .spectral import directions
 
-_CSTEP = 1e-150
 _CONTOUR_POINTS = 64
 _RESOLUTION_TAIL = 1e-10
 
@@ -287,24 +288,15 @@ def _h2_inner(w: Window, weight, ah, bh) -> float:
     return float(np.real(np.vdot(ah, weight * bh))) * w.length / w.n_points**2
 
 
-def _template(p: cf.BreatherParams, t: float, x, x1: float, x2: float):
-    """Breather values and phase derivatives at shifted phases."""
-    ih = 1j * _CSTEP
-    b = cf.breather_jet_raw(p.order, p.alpha, p.beta, x1, x2, t, x, 0).value
-    d1 = cf.breather_jet_raw(p.order, p.alpha, p.beta, x1 + ih, x2, t, x,
-                             0).value.imag / _CSTEP
-    d2 = cf.breather_jet_raw(p.order, p.alpha, p.beta, x1, x2 + ih, t, x,
-                             0).value.imag / _CSTEP
-    return b, d1, d2
-
-
 def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
                    seed: tuple = (0.0, 0.0), max_iter: int = 50):
     """Minimize ||u - B(t; x1, x2)||_H2 over the translation phases.
 
     Gauss-Newton from the seed with backtracking; returns (x1, x2, distance)
     once the gradient norm drops below 1e-10, else raises FitError.  The
-    scaling parameters stay fixed: only the two phases are modulated.
+    scaling parameters stay fixed: only the two phases are modulated.  Each
+    objective evaluation takes B and both phase derivatives from one
+    closed-form pass (cf.breather_phase_derivatives).
     """
     w = u.window
     x = w.grid()
@@ -314,7 +306,8 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     def objective(a1, a2):
         # one FFT each of the residual and the two phase derivatives serves
         # the objective, the gradient and the Gauss-Newton matrix
-        b, d1, d2 = _template(p, t, x, a1, a2)
+        b, d1, d2 = cf.breather_phase_derivatives(p.order, p.alpha, p.beta,
+                                                  a1, a2, t, x)
         rh, d1h, d2h = (np.fft.fft(v) for v in (u.values - b, d1, d2))
         return 0.5 * _h2_inner(w, weight, rh, rh), rh, d1h, d2h
 

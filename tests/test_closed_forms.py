@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mkdvlab import closed_forms as cf
+from mkdvlab.functionals import Window
+from mkdvlab.spectral import directions
 
 np.random.seed(17)
 
@@ -264,3 +266,34 @@ def test_parameter_validation():
     p = cf.BreatherParams(order=5, alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):
         cf.breather_jet(p, 0.0, 0.0, m=10)
+
+
+# --------------------------------------------------------------------------
+# closed-form breather and phase derivatives, against the jets
+
+
+# both sides of alpha = beta, and the diagonal itself
+PHASE_PARAMS = [(1.0, 1.0), (0.6, 1.4), (1.5, 0.7), (0.8, 1.1), (1.3, 0.9)]
+
+
+@pytest.mark.parametrize("order", cf.ORDERS)
+@pytest.mark.parametrize("alpha,beta", PHASE_PARAMS)
+def test_breather_phase_derivatives_match_jets(order, alpha, beta):
+    # the window the stability runs use, at nonzero time and phases
+    w = Window(0.0, 30.0, 1024)
+    x, t = w.grid(), 0.013
+    p = cf.BreatherParams(order, alpha, beta, x1=0.37, x2=-0.52)
+    B, d1, d2 = cf.breather_phase_derivatives(order, alpha, beta, p.x1, p.x2,
+                                              t, x)
+    jet = cf.breather_jet_raw(order, alpha, beta, p.x1, p.x2, t, x, 1)
+    dirs = directions(p, t, w)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    assert close(B, jet.value)
+    # complex-step jets in x1 and x2
+    assert close(d1, dirs.B1.values)
+    assert close(d2, dirs.B2.values)
+    # both phases ride on x, so their derivatives add up to d/dx
+    assert close(d1 + d2, jet.dx[0])

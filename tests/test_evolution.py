@@ -238,6 +238,77 @@ def test_fit_modulation_reports_distance_of_perturbation():
     assert 0.0 < dist <= sobolev_norm(SampledField(w, bump), 2)
 
 
+def test_fit_modulation_makes_no_jet_calls(monkeypatch):
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    u = sample_breather(replace(p, x1=0.3, x2=-0.2), 0.1,
+                        Window(0.0, 30.0, N_SMALL), m=0)
+    calls = []
+    original = cf.breather_jet_raw
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "breather_jet_raw", counting)
+    cf.breather_jet(p, 0.0, 0.0, m=0)  # the wrapper sees module calls
+    assert len(calls) == 1
+    x1, x2, _ = ev.fit_modulation(u, p, 0.1)
+    assert len(calls) == 1
+    assert (x1, x2) == pytest.approx((0.3, -0.2), abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# evolve and stability suite points
+
+
+def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
+    runs = []
+    fidelity, soliton = cli.breather_fidelity_config, cli.soliton_speed_run
+
+    def short_fidelity(order, n_points=1024):
+        return replace(fidelity(order, n_points), t_end=2e-5)
+
+    def short_soliton(order, n_points=1024):
+        runs.append(order)
+        sp, cfg = soliton(order, n_points)
+        return sp, replace(cfg, t_end=2e-5)
+
+    monkeypatch.setattr(cli, "breather_fidelity_config", short_fidelity)
+    monkeypatch.setattr(cli, "soliton_speed_run", short_soliton)
+    tol = cli.build_config("evolve", {}, ".").tolerances
+    recs, _ = cli._evolve_point({"order": 5, "dt": 1e-6, "tol": tol})
+    tagged = {r["id"].split("[")[0]: r for r in recs if "dt" in r["params"]}
+    assert sorted(tagged) == ["breather_h2", "soliton_speed"]
+    for r in tagged.values():
+        assert r["params"]["dt"] == 1e-6
+        assert "dt=1e-06" in r["id"]
+    assert runs == [5]  # one soliton run per evolve point
+
+
+def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    cfgp = tmp_path / "c.txt"
+    cfgp.write_text("orders = 5\nshapes = B1, LambdaBeta\neta = 0.01\n"
+                    "t_end = 0.002\n", encoding="utf-8")
+    outs, codes = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        codes.append(cli.main(["stability", "--config", str(cfgp), "--out",
+                               str(out)]))
+        outs.append(out)
+    records = json.loads((outs[0] / "report.json").read_text())["records"]
+    assert [r["id"] for r in records] == [
+        f"{kind}[order=5,shape={shape},eta=0.01,dt=2e-05]"
+        for shape in ("B1", "LambdaBeta")
+        for kind in ("sup_distance", "max_phase_speed")]
+    for r in records:
+        assert r["pass"] == (r["measured"] <= r["budget"])
+    assert codes == [0 if all(r["pass"] for r in records) else 1] * 2
+    assert ((outs[0] / "report.json").read_bytes()
+            == (outs[1] / "report.json").read_bytes())
+
+
 # --------------------------------------------------------------------------
 # full-horizon suite
 

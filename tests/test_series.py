@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkdvlab.series import Series, sin_cos, sinh_cosh
 
@@ -90,3 +92,69 @@ def test_complex_base_points():
     _, ch = sinh_cosh(x)
     # imaginary part / h is d/dx cosh = sinh
     assert abs(ch.c[0].imag / h - np.sinh(0.6)) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# properties on random jets
+
+COEF = st.floats(-2.0, 2.0, allow_nan=False)
+# fixed example sequence, so a tier-1 run never depends on the draw
+PROPERTY = settings(deadline=None, derandomize=True)
+
+
+@st.composite
+def jets(draw, order, complex_=False, lead_min=0.0):
+    """Random Series with `order` coefficients over 3 base points; the
+    leading coefficient stays at least lead_min away from zero."""
+    shape = (order, 3)
+    re = np.array(draw(st.lists(COEF, min_size=order * 3, max_size=order * 3)))
+    c = re.reshape(shape)
+    if complex_:
+        im = draw(st.lists(COEF, min_size=order * 3, max_size=order * 3))
+        c = c + 1j * np.array(im).reshape(shape)
+    if lead_min:
+        lead = c[0]
+        c[0] = np.where(np.abs(lead) < lead_min, lead + 2.0 * lead_min, lead)
+    return Series(c)
+
+
+@st.composite
+def jet_pairs(draw):
+    order = draw(st.integers(2, 6))
+    complex_ = draw(st.booleans())
+    return (draw(jets(order, complex_)),
+            draw(jets(order, complex_, lead_min=0.5)))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(jet_pairs())
+def test_product_then_quotient_roundtrips(pair):
+    a, b = pair
+    q = (a * b) / b
+    assert np.allclose(q.c, a.c, rtol=1e-9, atol=1e-9)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(2, 6).flatmap(
+    lambda k: st.booleans().flatmap(lambda cx: jets(k, cx))))
+def test_pythagorean_identities_coefficientwise(f):
+    one = np.zeros_like(f.c)
+    one[0] = 1.0
+    s, c = sin_cos(f)
+    sh, ch = sinh_cosh(f)
+    # relative to the squares, which reach e^4 for complex arguments
+    for first, second in ((s * s, c * c), (ch * ch, -(sh * sh))):
+        scale = np.max(np.abs(first.c)) + np.max(np.abs(second.c))
+        assert np.allclose((first + second).c, one, rtol=0.0,
+                           atol=1e-13 * scale)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.integers(2, 6), st.lists(COEF, min_size=3, max_size=3),
+       st.booleans())
+def test_derivative_of_variable_is_one(order, x0, complex_):
+    x0 = np.array(x0) * (1.0 + 1j if complex_ else 1.0)
+    d = Series.variable(x0, order).deriv()
+    want = np.zeros((order - 1, 3))
+    want[0] = 1.0
+    assert np.array_equal(d.c, want)
