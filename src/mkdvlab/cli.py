@@ -45,8 +45,6 @@ from .functionals import (SampledField, Window, closed_form_energy,
 
 COMMANDS = ("verify", "spectrum", "evolve", "stability")
 
-_ALL_ORDERS = (3, 5, 7, 9, 11)
-
 
 class ConfigError(ValueError):
     """Bad config file, bad key, or unusable output directory."""
@@ -212,9 +210,9 @@ class RunConfig:
         for name in ("orders", "alphas", "betas"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must be non-empty")
-        bad = [o for o in self.orders if o not in _ALL_ORDERS]
+        bad = [o for o in self.orders if o not in cf.ORDERS]
         if bad:
-            raise ConfigError(f"orders must lie in {_ALL_ORDERS}, got {bad}")
+            raise ConfigError(f"orders must lie in {cf.ORDERS}, got {bad}")
         for key, val in self.tolerances.items():
             # zero is allowed: an impossible budget is the documented way
             # to force every check to fail (exercises the exit-1 path)
@@ -518,7 +516,7 @@ def _spectrum_point(task: dict) -> tuple:
     nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
     recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},
                         max(0.0, -nu0), tol["coercivity"]))
-    w2 = spc.spectral_window(p, 0.0, n_points=n // 2)
+    w2 = replace(w, n_points=n // 2)
     opr2 = spc.build_operator(p, 0.0, w2)
     nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
                            spc.spectrum(opr2).lowest_vector)

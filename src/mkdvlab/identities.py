@@ -220,18 +220,19 @@ _LEMMA21_5TH = (
     (-10.0, (0, 0, 1, 1)),
 )
 
-# as printed; see FIRSTMKDV_VARIANTS for the adjudicated corrections
+# the derived reading, which passes; FIRSTMKDV_VARIANTS restores the
+# printed term and coefficient at indices 5 and 9
 _LEMMA21_7TH = (
     (1.0, (3, 3)),
     (2.0, (0, "bt")),
     (-2.0, ("mt",)),
     (5.0, (0,) * 8),
     (2.0, (1, 5)),
-    (-2.0, (2, 2, 4)),
+    (-2.0, (2, 4)),
     (28.0, (0, 0, 1, 3)),
     (-14.0, (0, 0, 2, 2)),
     (56.0, (0, 1, 1, 2)),
-    (7.0, (1, 1, 1, 1)),
+    (21.0, (1, 1, 1, 1)),
     (70.0, (0, 0, 0, 0, 1, 1)),
 )
 
@@ -473,13 +474,14 @@ DELTA9_VARIANTS = (
     IdentityVariant("evolution_delta", ((3, (84.0, 2, 6)),), "resolved-a2b6"),
 )
 
-# 7th-order product identity: the printed term -2 B_xx^2 B_4x (index 5) and
-# the printed coefficient 7 B_x^4 (index 9)
+# 7th-order product identity, against the derived default -2 B_xx B_4x
+# (index 5) and 21 B_x^4 (index 9): the printed reading has the term
+# -2 B_xx^2 B_4x and the coefficient 7; the degree fix keeps only the 7
 FIRSTMKDV_VARIANTS = (
-    IdentityVariant("lemma21_7th", (), "printed"),
-    IdentityVariant("lemma21_7th", ((5, -2.0, (2, 4)),), "degree-fixed"),
-    IdentityVariant("lemma21_7th", ((5, -2.0, (2, 4)), (9, 21.0, (1, 1, 1, 1))),
-                    "derived"),
+    IdentityVariant("lemma21_7th",
+                    ((5, -2.0, (2, 2, 4)), (9, 7.0, (1, 1, 1, 1))), "printed"),
+    IdentityVariant("lemma21_7th", ((9, 7.0, (1, 1, 1, 1)),), "degree-fixed"),
+    IdentityVariant("lemma21_7th", (), "derived"),
 )
 
 _CANONICAL = {

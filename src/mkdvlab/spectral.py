@@ -16,6 +16,17 @@ symbol k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
 k^2 = a^2 - b^2 otherwise.  Coercivity is computed on the orthogonal
 complement of its constraints, reached by Householder reflectors.
 
+Dense solves run per parity block.  At t = 0 with x1 = x2 = 0 the breather
+is even about the centre of its default window, so the matrix commutes with
+the grid reflection j -> -j mod n and splits into an even block of size
+n/2+1 and an odd block of size n/2-1; solving each on its own is a quarter
+of the dense work.  The symmetry is detected from the assembled matrix, to
+a few ulps of its largest entry.  Without it (in general for t != 0, for an
+off-centre window or a hand-built matrix) the whole space is the one block.
+The negative direction is even and the translation directions are odd, so
+the coercivity constraints split as well; constraints that do not split by
+parity send coercivity to the whole space.
+
 Parameter derivatives (the scaling directions) are taken with an imaginary
 step of 1e-150, which is exact to machine precision; no difference-quotient
 tuning is involved.
@@ -24,6 +35,7 @@ tuning is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +73,66 @@ def sobolev_gram(w: Window) -> np.ndarray:
     return _circulant((1.0 + w.wavenumbers() ** 2) ** 2, odd=False)
 
 
+_SQRT_HALF = np.sqrt(0.5)
+
+
+@dataclass(frozen=True)
+class ParityBlock:
+    """An invariant subspace of the grid reflection j -> -j mod n, with
+    orthonormal basis Q:
+
+        sign +1 (even): e_0, (e_j + e_{n-j})/sqrt(2) for 0 < j < n/2, e_{n/2}
+        sign -1 (odd):  (e_j - e_{n-j})/sqrt(2) for 0 < j < n/2
+        sign  0:        the whole space, Q = I
+
+    Q is never formed: `restrict` (Q^T v, along axis 0), `extend` (Q V) and
+    `fold` (Q^T M Q) work on slices of their argument, a few passes over it.
+    """
+    n: int
+    sign: int
+
+    @property
+    def size(self) -> int:
+        return self.n // 2 + self.sign if self.sign else self.n
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        if not self.sign:
+            return v
+        h = self.n // 2
+        pairs = (v[1:h] + self.sign * v[:h:-1]) * _SQRT_HALF
+        if self.sign < 0:
+            return pairs
+        return np.concatenate([v[:1], pairs, v[h:h + 1]])
+
+    def extend(self, V: np.ndarray) -> np.ndarray:
+        if not self.sign:
+            return V
+        h = self.n // 2
+        out = np.zeros((self.n,) + V.shape[1:])
+        if self.sign > 0:
+            out[0], out[h] = V[0], V[-1]
+            V = V[1:-1]
+        out[1:h] = V * _SQRT_HALF
+        out[:h:-1] = self.sign * out[1:h]
+        return out
+
+    def fold(self, M: np.ndarray) -> np.ndarray:
+        return self.restrict(self.restrict(M).T).T
+
+
+def _parity_blocks(M: np.ndarray) -> tuple:
+    """The even and odd blocks when the symmetric matrix M commutes with
+    the grid reflection, to 64 ulps of its largest entry, else the whole
+    space.  Dropping an even-odd coupling that small moves no eigenvalue by
+    more than the dense solver's own backward error (Weyl)."""
+    n = len(M)
+    reflected = np.roll(M[::-1, ::-1], 1, axis=(0, 1))  # M[-i, -j]
+    defect = np.max(np.abs(reflected - M))
+    if defect <= 64.0 * np.finfo(float).eps * np.max(np.abs(M)):
+        return ParityBlock(n, 1), ParityBlock(n, -1)
+    return (ParityBlock(n, 0),)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     window: Window
@@ -72,6 +144,13 @@ class DiscreteOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(block, Q^T A Q) for each block of `_parity_blocks`, folded once
+        and shared by `spectrum` and `coercivity`."""
+        return tuple((b, b.fold(self.matrix))
+                     for b in _parity_blocks(self.matrix))
 
 
 def _asymmetry_on_smooth_probes(w: Window, mu: float, c2: np.ndarray,
@@ -191,15 +270,28 @@ class SpectrumSummary:
 
 
 def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
-    """Classify the k lowest eigenpairs, k doubling from 8 until the largest
-    clears the kernel tolerance (it is the continuum edge) or k reaches n."""
+    """Classify the bottom of the spectrum, block by block (`opr.blocks`).
+
+    In each block the k lowest eigenpairs are computed, k doubling from 8
+    until the largest clears the kernel tolerance (it is that block's
+    continuum edge) or k reaches the block size.  The blocks' eigenpairs
+    are merged in ascending order (stable), the vectors extended back to
+    the full grid."""
     tol = kernel_tolerance(opr.alpha, opr.beta)
-    n, k = opr.window.n_points, 8  # n is a power of two >= 256
-    while True:
-        vals, vecs = scipy.linalg.eigh(opr.matrix, subset_by_index=[0, k - 1])
-        if vals[-1] > tol or k == n:
-            break
-        k *= 2
+    vals, vecs = [], []
+    for block, A in opr.blocks:
+        m = block.size
+        k = min(8, m)
+        while True:
+            bvals, bvecs = scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
+            if bvals[-1] > tol or k == m:
+                break
+            k = min(2 * k, m)
+        vals.append(bvals)
+        vecs.append(block.extend(bvecs))
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], np.hstack(vecs)[:, order]
     neg = vals[vals < -tol]
     kmask = np.abs(vals) <= tol
     above = vals[vals > tol]
@@ -286,17 +378,41 @@ def wronskian_check(p: cf.BreatherParams, t: float,
 def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
                negative_eigvec) -> float:
     """Minimum of z^T A z / ||z||_H2^2 over the subspace L2-orthogonal to the
-    negative direction and the two kernel directions."""
+    negative direction and the two kernel directions.
+
+    The three constraints are normalized and restricted to each parity
+    block of `opr.blocks`; each block keeps the singular directions of its
+    restriction above 1e-8.  When those ranks add up to 3 the constraints
+    split by parity, and the minimum is taken block by block on the folded
+    A and Gram matrix; otherwise the whole space is the one block."""
     vec = np.asarray(getattr(negative_eigvec, "values", negative_eigvec),
                      dtype=float)
     C = np.stack([vec, dirs.B1.values, dirs.B2.values])
-    if np.linalg.matrix_rank(C) < 3:
-        raise ValueError("orthogonality constraints are rank-deficient")
-    (qr, tau), _ = scipy.linalg.qr(C.T, mode="raw")
-    A = _reflect(qr, tau, opr.matrix)[3:, 3:]
-    G = _reflect(qr, tau, sobolev_gram(opr.window))[3:, 3:]
-    val = scipy.linalg.eigh(A, G, subset_by_index=[0, 0], eigvals_only=True)
-    return float(val[0])
+    C /= np.maximum(np.linalg.norm(C, axis=1), np.finfo(float).tiny)[:, None]
+    blocks = opr.blocks
+    bases = [_row_basis(block.restrict(C.T).T) for block, _ in blocks]
+    if sum(len(Y) for Y in bases) != 3:
+        blocks = ((ParityBlock(len(opr.matrix), 0), opr.matrix),)
+        bases = [_row_basis(C)]
+        if len(bases[0]) < 3:
+            raise ValueError("orthogonality constraints are rank-deficient")
+    G = sobolev_gram(opr.window)
+    nu0 = []
+    for (block, A), Y in zip(blocks, bases):
+        Gb, r = block.fold(G), len(Y)
+        if r:  # a block may hold no constraint
+            (qr, tau), _ = scipy.linalg.qr(Y.T, mode="raw")
+            A, Gb = (_reflect(qr, tau, M)[r:, r:] for M in (A, Gb))
+        nu0.append(scipy.linalg.eigh(A, Gb, subset_by_index=[0, 0],
+                                     eigvals_only=True)[0])
+    return float(min(nu0))
+
+
+def _row_basis(C: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of C (unit-norm rows), dropping
+    singular values at or below 1e-8."""
+    _, s, vt = np.linalg.svd(C, full_matrices=False)
+    return vt[s > 1e-8]
 
 
 def _reflect(qr: np.ndarray, tau: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -308,22 +424,3 @@ def _reflect(qr: np.ndarray, tau: np.ndarray, M: np.ndarray) -> np.ndarray:
             raise RuntimeError(f"dormqr failed with info={err}")
     return M
 
-
-def dump_matrix(opr: DiscreteOperator, path) -> None:
-    """Flat binary: int64 header (n, n, 1), then row-major float64 entries."""
-    n = opr.window.n_points
-    with open(path, "wb") as fh:
-        fh.write(np.array([n, n, 1], dtype=np.int64).tobytes())
-        fh.write(np.ascontiguousarray(opr.matrix, dtype=np.float64).tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(24), dtype=np.int64)
-        if header.size != 3 or header[0] != header[1] or header[2] != 1:
-            raise ValueError(f"bad matrix header {header!r}")
-        n = int(header[0])
-        data = np.frombuffer(fh.read(8 * n * n), dtype=np.float64)
-        if data.size != n * n:
-            raise ValueError("truncated matrix payload")
-    return data.reshape(n, n)

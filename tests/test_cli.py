@@ -190,11 +190,8 @@ def test_report_structure(tmp_path):
     assert os.path.getsize(out / "records.csv") > 0
 
 
-def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
-                                                             monkeypatch):
-    # one operator at n and one at n/2; eigh: bottom-k spectrum and
-    # coercivity at each of the two sizes.  The default window is
-    # under-resolved at n=512, so some budgets fail: only the work is checked.
+def _count_spectrum_work(tmp_path, monkeypatch, config):
+    """Run one spectrum point; (build_operator calls, eigh calls, report)."""
     import scipy.linalg
 
     from mkdvlab import spectral as spc
@@ -212,11 +209,62 @@ def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
                         counting("build", spc.build_operator))
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counting("eigh", scipy.linalg.eigh))
-    cfgp = write_cfg(tmp_path / "s.txt",
-                     "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
+    cfgp = write_cfg(tmp_path / "s.txt", config)
     out = tmp_path / "o"
     out.mkdir()
     run_main(["spectrum", "--config", cfgp, "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
+    return counts["build"], counts["eigh"], report
+
+
+def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
+                                                             monkeypatch):
+    # one operator at n and one at n/2; four solves: bottom-k spectrum and
+    # coercivity at each of the two sizes.  The breather is centred, so
+    # each solve is one eigh per parity block.  The default window is
+    # under-resolved at n=512, so some budgets fail: only the work is checked.
+    builds, eighs, report = _count_spectrum_work(
+        tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     assert len(report["records"]) == 11
-    assert counts == {"build": 2, "eigh": 4}
+    assert (builds, eighs) == (2, 8)
+
+
+def test_off_centre_spectrum_point_solves_the_whole_space(tmp_path,
+                                                          monkeypatch):
+    # off the breather's centre the operator has no parity symmetry: the
+    # same four solves, one eigh each
+    builds, eighs, report = _count_spectrum_work(
+        tmp_path, monkeypatch,
+        "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\nwindow_center = 0.37\n")
+    assert len(report["records"]) == 11
+    assert (builds, eighs) == (2, 4)
+
+
+def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
+                                                          monkeypatch):
+    from mkdvlab import closed_forms as cf
+    from mkdvlab import spectral as spc
+    from mkdvlab.functionals import Window
+
+    _, _, report = _count_spectrum_work(
+        tmp_path, monkeypatch,
+        "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\nwindow_half_width = 25\n")
+    spread, = [r for r in report["records"]
+               if r["id"].startswith("coercivity_spread")]
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    w2 = Window(0.0, 25.0, 256)
+    opr2 = spc.build_operator(p, 0.0, w2)
+    want = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
+                          spc.spectrum(opr2).lowest_vector)
+    assert spread["params"]["nu0_half"] == want
+
+
+def test_verify_order7_point_passes(tmp_path):
+    # the 7th-order product identity in its derived reading
+    cfgp = write_cfg(tmp_path / "c.txt",
+                     SMALL_VERIFY.replace("orders = 5", "orders = 7"))
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_main(["verify", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert any(r["id"].startswith("lemma21_7th") for r in report["records"])

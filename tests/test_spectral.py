@@ -419,27 +419,160 @@ def test_coercivity_refinement_and_time_independence():
 
 
 # --------------------------------------------------------------------------
-# matrix dump format
+# parity blocks
 
-def test_dump_load_roundtrip(tmp_path):
-    _, opr = _default()
-    path = tmp_path / "operator.bin"
-    sp.dump_matrix(opr, path)
-    M = sp.load_matrix(path)
-    assert np.array_equal(M, opr.matrix)
-
-
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(np.array([4, 5, 1], dtype=np.int64).tobytes()
-                     + np.zeros(20).tobytes())
-    with pytest.raises(ValueError, match="header"):
-        sp.load_matrix(path)
+def _dense_parity_basis(n, sign):
+    # oracle: the block basis as an explicit n x m matrix
+    h = n // 2
+    cols = [np.eye(n)[0]] if sign > 0 else []
+    for j in range(1, h):
+        q = np.zeros(n)
+        q[j], q[n - j] = np.sqrt(0.5), sign * np.sqrt(0.5)
+        cols.append(q)
+    if sign > 0:
+        cols.append(np.eye(n)[h])
+    return np.stack(cols, axis=1)
 
 
-def test_load_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "short.bin"
-    path.write_bytes(np.array([8, 8, 1], dtype=np.int64).tobytes()
-                     + np.zeros(10).tobytes())
-    with pytest.raises(ValueError, match="truncated"):
-        sp.load_matrix(path)
+@pytest.mark.parametrize("n", [8, 256])
+def test_parity_block_bases_match_dense_oracle(n):
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(n, n))
+    v = rng.normal(size=n)
+    Qe, Qo = _dense_parity_basis(n, 1), _dense_parity_basis(n, -1)
+    Q = np.hstack([Qe, Qo])
+    assert Qe.shape == (n, n // 2 + 1) and Qo.shape == (n, n // 2 - 1)
+    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-15
+    # the even block is fixed by the reflection, the odd block negated
+    refl = -np.arange(n) % n
+    assert np.array_equal(Qe[refl], Qe) and np.array_equal(Qo[refl], -Qo)
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-14)
+    for sign, Qb in ((1, Qe), (-1, Qo)):
+        block = sp.ParityBlock(n, sign)
+        assert block.size == Qb.shape[1]
+        V = rng.normal(size=(block.size, 3))
+        close(block.restrict(v), Qb.T @ v)
+        close(block.restrict(M), Qb.T @ M)
+        close(block.extend(V), Qb @ V)
+        close(block.extend(V[:, 0]), Qb @ V[:, 0])
+        close(block.fold(M), Qb.T @ M @ Qb)
+    whole = sp.ParityBlock(n, 0)
+    assert whole.size == n
+    for f in (whole.restrict, whole.extend, whole.fold):
+        assert np.array_equal(f(M), M)
+
+
+def test_spectrum_merges_the_blocks_in_ascending_order():
+    # the odd block holds the lowest eigenvalue and the continuum edge, so
+    # the classification must come from the merged, sorted eigenpairs
+    n = 256
+    rng = np.random.default_rng(5)
+    Qe, Qo = _dense_parity_basis(n, 1), _dense_parity_basis(n, -1)
+    de = np.concatenate([[-1.0], 5.0 + np.arange(n // 2)])
+    do = np.concatenate([[-3.0, 0.0, 2.0], 7.0 + np.arange(n // 2 - 4)])
+    Re, _ = np.linalg.qr(rng.normal(size=(len(de), len(de))))
+    Ro, _ = np.linalg.qr(rng.normal(size=(len(do), len(do))))
+    Ve, Vo = Qe @ Re, Qo @ Ro
+    M = Ve @ np.diag(de) @ Ve.T + Vo @ np.diag(do) @ Vo.T
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), (M + M.T) / 2.0,
+                              1.0, 1.0, 0.0, 0.0)
+    assert [b.sign for b, _ in opr.blocks] == [1, -1]
+    summ = sp.spectrum(opr)
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+    close(summ.negative_eigenvalues, [-3.0, -1.0])
+    close(summ.kernel_eigenvalues, [0.0])
+    close(summ.continuum_edge_estimate, 2.0)
+    close(abs(summ.lowest_vector @ Vo[:, 0]), 1.0)
+
+
+def test_parity_blocks_detected_from_the_matrix():
+    # (alpha, beta) = (1, 1) would not do for t != 0: there delta = gamma,
+    # and the breather moves rigidly, even about the window centre
+    p = cf.BreatherParams(5, 1.2, 0.8)
+    w = sp.spectral_window(p, 0.0, 512)
+    signs = {name: tuple(b.sign for b, _ in opr.blocks)
+             for name, opr in (
+                 ("centred", sp.build_operator(p, 0.0, w)),
+                 ("t=0.45", sp.build_operator(p, 0.45)),
+                 ("off-centre", sp.build_operator(
+                     p, 0.0, Window(0.37, w.half_width, 512))),
+                 ("zero", sp.DiscreteOperator(w, np.zeros((512, 512)),
+                                              1.0, 1.0, 0.0, 0.0)))}
+    assert signs == {"centred": (1, -1), "t=0.45": (0,),
+                     "off-centre": (0,), "zero": (1, -1)}
+
+
+def _counting_eigh(monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t,center", [(0.45, None), (0.0, 0.37)])
+def test_spectrum_without_symmetry_takes_one_block(t, center, monkeypatch):
+    p = cf.BreatherParams(5, 1.2, 0.8)
+    w = sp.spectral_window(p, t, 512)
+    if center is not None:
+        w = Window(center, w.half_width, 512)
+    opr = sp.build_operator(p, t, w)
+    vals, vecs = scipy.linalg.eigh(opr.matrix)
+    calls = _counting_eigh(monkeypatch)
+    summ = sp.spectrum(opr)
+    assert calls == [512]
+    tol = summ.kernel_tol
+    scale = 50.0 * np.finfo(float).eps * np.max(np.abs(vals))
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=scale)
+    close(summ.negative_eigenvalues, vals[vals < -tol])
+    close(summ.kernel_eigenvalues, vals[np.abs(vals) <= tol])
+    close(summ.continuum_edge_estimate, vals[vals > tol].min())
+    v, ref = summ.lowest_vector, vecs[:, 0]
+    assert min(np.linalg.norm(v - ref), np.linalg.norm(v + ref)) <= 1e-8
+
+
+def _coercivity_oracle(opr, constraints):
+    # whole-space minimum on an explicit orthonormal basis of the complement
+    Z = scipy.linalg.null_space(np.stack(constraints))
+    A = Z.T @ opr.matrix @ Z
+    G = Z.T @ sp.sobolev_gram(opr.window) @ Z
+    return scipy.linalg.eigh(A, G, subset_by_index=[0, 0],
+                             eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 0.8), (1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("first,blocks", [("negative", 2), ("gaussian", 1),
+                                          ("odd", 2)])
+def test_coercivity_blocks_match_whole_space_oracle(alpha, beta, first,
+                                                    blocks, monkeypatch):
+    p = cf.BreatherParams(5, alpha, beta)
+    opr = sp.build_operator(p, 0.0, Window(0.0, 20.0 / beta + 1.0, 512))
+    dirs = sp.directions(p, 0.0, opr.window)
+    x = opr.window.grid()
+    # the first constraint, in place of the negative direction
+    vec = {"negative": sp.spectrum(opr).lowest_vector,
+           # even and odd parts both present: the constraints do not split
+           "gaussian": np.exp(-(x - 1.3) ** 2),
+           # odd like B1 and B2: the even block holds no constraint
+           "odd": x * np.exp(-x ** 2)}[first]
+    want = _coercivity_oracle(opr, [vec, dirs.B1.values, dirs.B2.values])
+    calls = _counting_eigh(monkeypatch)
+    got = sp.coercivity(opr, dirs, vec)
+    print(f"({alpha},{beta}) {first}: nu0 {got:.12f}, oracle {want:.12f}")
+    assert len(calls) == blocks
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.45])
+def test_coercivity_rejects_constraints_in_the_kernel_span(t):
+    p = cf.BreatherParams(5, 1.2, 0.8)
+    opr = sp.build_operator(p, t)
+    dirs = sp.directions(p, t, opr.window)
+    for vec in (dirs.B1.values - 2.0 * dirs.B2.values,
+                np.zeros(opr.window.n_points)):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            sp.coercivity(opr, dirs, vec)
