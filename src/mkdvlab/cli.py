@@ -35,9 +35,10 @@ from . import __version__
 from . import closed_forms as cf
 from . import identities as ide
 from . import spectral as spc
-from .evolution import (breather_fidelity_config, evolve, functional_drifts,
-                        soliton_speed_run, stability_experiment,
-                        stability_run_config)
+from .evolution import (BlowUpError, breather_fidelity_config, evolve,
+                        functional_drifts, soliton_speed_run,
+                        stability_experiment, stability_run_config,
+                        track_modulation)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, sample_breather,
@@ -571,18 +572,13 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
     return arts
 
 
-def measure_soliton_speed(order: int, dt: float | None = None) -> tuple:
-    """(v_measured, v_law, error in grid cells, soliton, run config) for the
-    reference run, dt overridden when given; the config returned is the one
-    that ran.
+def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
+    """(v_measured, v_law, error in grid cells) for a soliton run.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
     correlation peak.
     """
-    sp_, scfg = soliton_speed_run(order)
-    if dt is not None:
-        scfg = replace(scfg, dt=dt)
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
     traj = evolve(s0, scfg, monitors=(), snapshot_every=10**9)
     a0, aT = traj[0].field.values, traj[-1].field.values
@@ -594,9 +590,15 @@ def measure_soliton_speed(order: int, dt: float | None = None) -> tuple:
     if shift > len(corr) / 2:
         shift -= len(corr)
     v_meas = scfg.frame_speed + shift * scfg.window.spacing / scfg.t_end
-    v_law = cf.soliton_speed(order, sp_.c)
+    v_law = cf.soliton_speed(sp_.order, sp_.c)
     cells = abs(v_meas - v_law) * scfg.t_end / scfg.window.spacing
-    return v_meas, v_law, cells, sp_, scfg
+    return v_meas, v_law, cells
+
+
+def _blown_up(rid: str, params: dict, budget: float, err: BlowUpError) -> dict:
+    """The failed record of a check whose run stopped at a blow-up."""
+    return _record(rid, {**params, "t_blowup": err.t, "k_blowup": err.k},
+                   math.inf, budget)
 
 
 def _evolve_point(task: dict) -> tuple:
@@ -609,24 +611,41 @@ def _evolve_point(task: dict) -> tuple:
     cfg_run = breather_fidelity_config(order)
     if task["dt"] is not None:
         cfg_run = replace(cfg_run, dt=task["dt"])
+    h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
+              "frame_speed": cfg_run.frame_speed}
+    monitors = ("M", "E", f"E{order}")
     u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
-    traj = evolve(u0, cfg_run, monitors=("M", "E", f"E{order}"))
-    last = traj[-1]
-    ref = sample_breather(p, last.t, last.field.window, m=0)
-    err = SampledField(last.field.window, last.field.values - ref.values)
-    recs.append(_record("breather_h2",
-                        {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
-                         "frame_speed": cfg_run.frame_speed},
-                        sobolev_norm(err, 2), tol["h2"]))
-    for kind, drift in sorted(functional_drifts(traj).items()):
-        recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
+    try:
+        traj = evolve(u0, cfg_run, monitors=monitors)
+    except BlowUpError as e:
+        traj = e.trajectory
+        recs.append(_blown_up("breather_h2", h2_tag, tol["h2"], e))
+        recs.extend(_blown_up(f"drift_{kind}", tag, tol["drift"], e)
+                    for kind in sorted(monitors))
+    else:
+        last = traj[-1]
+        ref = sample_breather(p, last.t, last.field.window, m=0)
+        err = SampledField(last.field.window, last.field.values - ref.values)
+        recs.append(_record("breather_h2", h2_tag, sobolev_norm(err, 2),
+                            tol["h2"]))
+        for kind, drift in sorted(functional_drifts(traj).items()):
+            recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
     arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
 
-    v_meas, v_law, cells, sp_, scfg = measure_soliton_speed(order, task["dt"])
-    recs.append(_record("soliton_speed",
-                        {**tag, "c": sp_.c, "v_measured": v_meas,
-                         "v_law": v_law, "dt": scfg.dt},
-                        cells, tol["speed_cells"]))
+    sp_, scfg = soliton_speed_run(order)
+    if task["dt"] is not None:
+        scfg = replace(scfg, dt=task["dt"])
+    speed_tag = {**tag, "c": sp_.c, "dt": scfg.dt}
+    try:
+        v_meas, v_law, cells = measure_soliton_speed(sp_, scfg)
+    except BlowUpError as e:
+        recs.append(_blown_up("soliton_speed", speed_tag, tol["speed_cells"],
+                              e))
+    else:
+        recs.append(_record("soliton_speed",
+                            {**speed_tag, "v_measured": v_meas,
+                             "v_law": v_law},
+                            cells, tol["speed_cells"]))
     return tuple(recs), tuple(arts)
 
 
@@ -653,17 +672,25 @@ def _stability_point(task: dict) -> tuple:
     if task["dt"] is not None:
         cfg_run = replace(cfg_run, dt=task["dt"])
     rng = np.random.default_rng(task["seed"])
-    report = stability_experiment(p, eta, shape, cfg_run, rng=rng)
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-    budget = tol["sup_factor"] * eta if eta > 0 else tol["floor"]
-    recs = [_record("sup_distance", tag, report.sup_distance, budget)]
+    checks = [("sup_distance",
+               tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
     if eta > 0:
-        recs.append(_record("max_phase_speed", tag, report.max_phase_speed,
-                            tol["quotient_factor"] * eta))
+        checks.append(("max_phase_speed", tol["quotient_factor"] * eta))
+    try:
+        report = stability_experiment(p, eta, shape, cfg_run, rng=rng)
+    except BlowUpError as e:
+        report = track_modulation(p, e.trajectory, eta, blown_up=True)
+        recs = [_blown_up(rid, tag, budget, e) for rid, budget in checks]
+        summary = {**report.to_json_dict(), "t_blowup": e.t, "k_blowup": e.k}
+    else:
+        recs = [_record(rid, tag, getattr(report, rid), budget)
+                for rid, budget in checks]
+        summary = report.to_json_dict()
     name = f"stability_order{order}_{shape}_eta{eta:g}"
     arts = [
-        (f"{name}.json", dump_json(report.to_json_dict())),
+        (f"{name}.json", dump_json(summary)),
         (f"{name}.csv", dump_csv(
             ("t", "distance", "x1", "x2"),
             zip(report.times, report.distances, report.phases_x1,

@@ -8,8 +8,26 @@ Breathers
 sech solitons Q_c(x - v t), the order-dependent velocity polynomials
 (delta, gamma) and soliton speeds v, the flux polynomials f_{2n+1} that sit
 under the outer d/dx of each hierarchy member, and the breather's partial
-mass.  Spatial derivatives come from truncated Taylor arithmetic (series.py)
-and are exact to rounding; no finite differences, no symbolic expansion.
+mass.
+
+Spatial derivatives are exact to rounding, in closed form; no finite
+differences, no symbolic expansion.  Both phases move with x at unit speed,
+so d/dx acts as a constant matrix M on a small basis of products of
+sin/cos(alpha y1) and sinh/cosh(beta y2): if f = c . basis then its Taylor
+coefficients are c_k . basis with c_k = c_{k-1} M / k, all of them from
+one matrix product.  With S, C = sin, cos(alpha y1), sh, ch = sinh,
+cosh(beta y2) and r = beta/alpha, the breather is B = 2N/D with
+
+    N = beta (C ch - r S sh)                  on (C ch, S sh, S ch, C sh),
+    D = (r^2 + 1)/2 - (r^2/2) cos 2 alpha y1 + (1/2) cosh 2 beta y2
+                                               on (cos, sin 2 alpha y1,
+                                                   cosh, sinh 2 beta y2),
+
+and the rows of B follow from one Taylor-quotient recurrence; the soliton
+sqrt(c)/cosh z is the same quotient on (cosh z, sinh z).  Every coefficient
+is a polynomial in alpha and beta and every basis function is analytic, so
+complex steps in x1, x2, alpha or beta give exact parameter derivatives.
+cosh 2 beta y2 overflows past |beta y2| ~ 354.
 
 The velocity pairs obey
 
@@ -22,11 +40,10 @@ contested delta_9 exponent empirically.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .series import Series, sin_cos, sinh_cosh
 
 ORDERS = (3, 5, 7, 9, 11)
 
@@ -195,45 +212,97 @@ def soliton_speed(order: int, c):
 
 
 # --------------------------------------------------------------------------
+# Taylor jets from constant derivative matrices
+
+
+def _taylor(c0, M, basis, K):
+    """Taylor coefficients 0..K-1 of f = c0 . basis at every base point.
+
+    basis stacks functions whose x-derivative is basis' = M basis, so the
+    coefficient rows obey c_k = c_{k-1} M / k, and all K coefficients come
+    from one product of the (K x b) rows with the (b x points) basis.
+    """
+    rows = [np.asarray(c0)]
+    for k in range(1, K):
+        rows.append(rows[-1] @ M / k)
+    flat = basis.reshape(len(basis), -1)
+    return (np.array(rows) @ flat).reshape((K,) + basis.shape[1:])
+
+
+def _quotient_derivatives(num, den):
+    """[q, q', q'', ...] of q = num/den from the Taylor coefficients of num
+    and den (axis 0)."""
+    q = np.array(num, dtype=np.result_type(num, den))
+    K = len(q)
+    inv = 1.0 / den[0]
+    for k in range(K):
+        q[k] *= inv
+        q[k + 1:] -= q[k] * den[1:K - k]
+    fact = np.array([math.factorial(k) for k in range(K)], dtype=float)
+    return q * fact.reshape((-1,) + (1,) * (q.ndim - 1))
+
+
+# --------------------------------------------------------------------------
 # breather evaluation
 
 
-def _breather_core(order, alpha, beta, x1, x2, t, x, nser, vel=None):
-    """Series of G, F (plus velocities) at base points x, nser coefficients."""
+def _phases(order, alpha, beta, x1, x2, t, x, vel=None):
+    """(S, C, sh, ch, vel): sin, cos(alpha y1), sinh, cosh(beta y2)."""
     if vel is None:
         vel = velocities(order, alpha, beta)
-    y1 = Series.variable(np.asarray(x) + vel.delta * t + x1, nser)
-    y2 = Series.variable(np.asarray(x) + vel.gamma * t + x2, nser)
-    s1, c1 = sin_cos(alpha * y1)
-    sh2, ch2 = sinh_cosh(beta * y2)
-    G = (beta / alpha) * s1
-    F = ch2
-    return G, F, s1, c1, sh2, ch2, vel
+    x = np.asarray(x)
+    ay1 = alpha * (x + vel.delta * t + x1)
+    by2 = beta * (x + vel.gamma * t + x2)
+    return np.sin(ay1), np.cos(ay1), np.sinh(by2), np.cosh(by2), vel
 
 
 def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None) -> Jet:
     """breather_jet with unvalidated scalar parameters; alpha/beta may be complex
     (complex-step parameter derivatives)."""
-    G, F, s1, c1, sh2, ch2, vel = _breather_core(
-        order, alpha, beta, x1, x2, t, x, m + 2, vel)
-    num = 2.0 * (G.deriv() * F - F.deriv() * G)
-    den = G * G + F * F
-    B = num / den.trunc(m + 1)
-    derivs = B.derivatives(m)
-    # Btilde_t = P/N with P, N in the cosh*cos / sinh*sin basis; equivalent to
-    # delta d/dy1 + gamma d/dy2 applied to the antiderivative profile
-    nval = alpha**2 * ch2.c[0] ** 2 + beta**2 * s1.c[0] ** 2
-    pval = 2.0 * (alpha**2 * beta * vel.delta * ch2.c[0] * c1.c[0]
-                  - alpha * beta**2 * vel.gamma * sh2.c[0] * s1.c[0])
-    return Jet(value=derivs[0], dx=derivs[1:], dt_tilde=pval / nval)
+    S, C, sh, ch, vel = _phases(order, alpha, beta, x1, x2, t, x, vel)
+    r = beta / alpha
+    a2, b2 = 2.0 * alpha, 2.0 * beta
+    # numerator 2N on (C ch, S sh, S ch, C sh)
+    num = _taylor((b2, -b2 * r, 0.0, 0.0),
+                  np.array([[0.0, 0.0, -alpha, beta], [0.0, 0.0, beta, alpha],
+                            [alpha, beta, 0.0, 0.0], [beta, -alpha, 0.0, 0.0]]),
+                  np.stack((C * ch, S * sh, S * ch, C * sh)), m + 1)
+    # denominator D on (cos 2a y1, sin 2a y1, cosh 2b y2, sinh 2b y2) plus a
+    # constant that only its value sees.  The value is summed from the
+    # nonnegative r^2 S^2 and ch^2: the cancelling (r^2+1)/2 - (r^2/2) cos
+    # form biases B by about an ulp, and at (alpha, beta) = (0.5, 2) the E9
+    # integral, 2e-6 of the summed size of its terms, then misses its
+    # closed form by 5e-10, not 7e-11
+    den = _taylor((-0.5 * r * r, 0.0, 0.5, 0.0),
+                  np.array([[0.0, -a2, 0.0, 0.0], [a2, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, b2], [0.0, 0.0, b2, 0.0]]),
+                  np.stack((C * C - S * S, 2.0 * S * C, ch * ch + sh * sh,
+                            2.0 * sh * ch)), m + 1)
+    den[0] = r * r * S * S + ch * ch
+    # Btilde_t = pval/nval, delta d/dy1 + gamma d/dy2 applied to the
+    # antiderivative profile
+    nval = alpha**2 * ch * ch + beta**2 * S * S
+    pval = 2.0 * (alpha**2 * beta * vel.delta * ch * C
+                  - alpha * beta**2 * vel.gamma * sh * S)
+    B = _quotient_derivatives(num, den)
+    return Jet(value=B[0], dx=B[1:], dt_tilde=pval / nval)
 
 
 def breather_jet(p: BreatherParams, t: float, x, m: int = 4) -> Jet:
     """B and its x-derivatives to order m (<= 9) plus Btilde_t at (t, x).
 
-    Keep |beta (x + gamma t + x2)| below ~350: the cosh envelope factor
-    overflows beyond that, so evaluation windows should track the core
-    at x = -gamma t - x2.
+    B = 2N/D with N = beta (C ch - r S sh) and
+    D = (r^2 + 1)/2 - (r^2/2) cos 2 alpha y1 + (1/2) cosh 2 beta y2, where
+    r = beta/alpha, S, C = sin, cos(alpha y1) and sh, ch = sinh, cosh(beta y2).
+    Both phases move with x at unit speed, so d/dx is a constant 4x4 matrix
+    on N's basis (C ch, S sh, S ch, C sh) and on D's (cos 2 alpha y1,
+    sin 2 alpha y1, cosh 2 beta y2, sinh 2 beta y2); the derivatives of N
+    and D follow from powers of those matrices and those of B from one
+    Taylor-quotient recurrence.
+
+    Keep |beta (x + gamma t + x2)| below ~354: cosh 2 beta y2 overflows
+    beyond that, so evaluation windows should track the core at
+    x = -gamma t - x2.
     """
     if not 0 <= m <= 9:
         raise ValueError("jet order m must be in 0..9")
@@ -242,10 +311,8 @@ def breather_jet(p: BreatherParams, t: float, x, m: int = 4) -> Jet:
 
 def b_tilde(p: BreatherParams, t: float, x):
     """Antiderivative profile 2 arctan((beta/alpha) sin(alpha y1)/cosh(beta y2))."""
-    vel = p.velocities()
-    y1 = np.asarray(x) + vel.delta * t + p.x1
-    y2 = np.asarray(x) + vel.gamma * t + p.x2
-    return 2.0 * np.arctan((p.beta / p.alpha) * np.sin(p.alpha * y1) / np.cosh(p.beta * y2))
+    S, _, _, ch, _ = _phases(p.order, p.alpha, p.beta, p.x1, p.x2, t, x)
+    return 2.0 * np.arctan((p.beta / p.alpha) * S / ch)
 
 
 def breather_phase_derivatives(order, alpha, beta, x1, x2, t, x):
@@ -256,12 +323,7 @@ def breather_phase_derivatives(order, alpha, beta, x1, x2, t, x):
     D = (beta/alpha)^2 S^2 + ch^2; the phases enter only through y1 and y2,
     so the quotient rule gives dB/dx_i = 2 (N_i D - N D_i) / D^2.
     """
-    vel = velocities(order, alpha, beta)
-    x = np.asarray(x)
-    ay1 = alpha * (x + vel.delta * t + x1)
-    by2 = beta * (x + vel.gamma * t + x2)
-    s, c = np.sin(ay1), np.cos(ay1)
-    sh, ch = np.sinh(by2), np.cosh(by2)
+    s, c, sh, ch, _ = _phases(order, alpha, beta, x1, x2, t, x)
     r = beta / alpha
     num = beta * (c * ch - r * s * sh)
     den = r * r * s * s + ch * ch
@@ -275,20 +337,30 @@ def breather_phase_derivatives(order, alpha, beta, x1, x2, t, x):
 
 
 def partial_mass(p: BreatherParams, t: float, x):
-    """Cumulative mass (1/2) int_{-inf}^x B^2 = beta + (1/2) d/dx log(G^2+F^2)."""
-    G, F, *_ = _breather_core(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 2)
-    D = G * G + F * F
-    return p.beta + 0.5 * D.c[1] / D.c[0]
+    """Cumulative mass (1/2) int_{-inf}^x B^2 = beta + (1/2) D'/D, with
+    D = (beta/alpha)^2 S^2 + ch^2 and D' = (beta^2/alpha) sin 2 alpha y1
+    + beta sinh 2 beta y2."""
+    S, C, sh, ch, _ = _phases(p.order, p.alpha, p.beta, p.x1, p.x2, t, x)
+    r = p.beta / p.alpha
+    D = r * r * S * S + ch * ch
+    D1 = 2.0 * (r * p.beta * S * C + p.beta * sh * ch)
+    return p.beta + 0.5 * D1 / D
 
 
 def partial_mass_t(p: BreatherParams, t: float, x):
-    """Time derivative of the partial mass, (1/2) d/dx d/dt log(G^2 + F^2)."""
-    G, F, s1, c1, sh2, ch2, vel = _breather_core(
-        p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 2)
-    Gt = (p.beta * vel.delta) * c1
-    Ft = (p.beta * vel.gamma) * sh2
-    T = (2.0 * (G * Gt + F * Ft)) / (G * G + F * F)
-    return 0.5 * T.c[1]
+    """Time derivative of the partial mass, (1/2) d/dx d/dt log D = (W'D - WD')/D^2,
+    where W = (G G_t + F F_t) = (beta^2 delta/2 alpha) sin 2 alpha y1
+    + (beta gamma/2) sinh 2 beta y2 lies in D's basis."""
+    S, C, sh, ch, vel = _phases(p.order, p.alpha, p.beta, p.x1, p.x2, t, x)
+    a, b = p.alpha, p.beta
+    r = b / a
+    sin2, cos2 = 2.0 * S * C, C * C - S * S
+    sinh2, cosh2 = 2.0 * sh * ch, ch * ch + sh * sh
+    D = r * r * S * S + ch * ch
+    D1 = r * b * sin2 + b * sinh2
+    W = 0.5 * b * (r * vel.delta * sin2 + vel.gamma * sinh2)
+    W1 = b * b * (vel.delta * cos2 + vel.gamma * cosh2)
+    return (W1 * D - W * D1) / (D * D)
 
 
 # --------------------------------------------------------------------------
@@ -296,13 +368,17 @@ def partial_mass_t(p: BreatherParams, t: float, x):
 
 
 def soliton_jet_raw(order, c, t, x, m) -> Jet:
+    """Q = sqrt(c)/cosh z, z = sqrt(c)(x - v t): the quotient of the constant
+    sqrt(c) by cosh z, whose jet comes from d/dx (cosh, sinh) = sqrt(c) (sinh, cosh)."""
     v = soliton_speed(order, c)
     rc = np.sqrt(c)
-    arg = rc * Series.variable(np.asarray(x) - v * t, m + 1)
-    _, ch = sinh_cosh(arg)
-    Q = rc / ch
-    derivs = Q.derivatives(m)
-    return Jet(value=derivs[0], dx=derivs[1:], dt_tilde=-v * derivs[0])
+    z = rc * (np.asarray(x) - v * t)
+    den = _taylor((1.0, 0.0), np.array([[0.0, rc], [rc, 0.0]]),
+                  np.stack((np.cosh(z), np.sinh(z))), m + 1)
+    num = np.zeros_like(den)
+    num[0] = rc
+    Q = _quotient_derivatives(num, den)
+    return Jet(value=Q[0], dx=Q[1:], dt_tilde=-v * Q[0])
 
 
 def soliton_jet(p: SolitonParams, t: float, x, m: int = 4) -> Jet:

@@ -49,7 +49,19 @@ _RESOLUTION_TAIL = 1e-10
 
 
 class BlowUpError(RuntimeError):
-    """A Fourier mode became non-finite during time stepping."""
+    """A Fourier mode became non-finite during time stepping.
+
+    Carries the time t of the failing step, the index k of the largest rfft
+    mode of the last finite state (wavenumber 2 pi k / length), and the
+    trajectory of snapshots taken before it.  k names the growing mode: the
+    step that overflows turns every mode non-finite at once, so the first
+    non-finite index would read 0.
+    """
+
+    def __init__(self, t: float, k: int, trajectory: list):
+        super().__init__(f"non-finite Fourier mode at t={t:.6g} "
+                         f"(dominant wavenumber index {k})")
+        self.t, self.k, self.trajectory = t, k, trajectory
 
 
 class FitError(RuntimeError):
@@ -251,9 +263,9 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
 
     traj = [snapshot(0, vhat)]
     for i in range(1, n_steps + 1):
-        vhat = advance(vhat)
+        last, vhat = vhat, advance(vhat)
         if not np.all(np.isfinite(vhat)):
-            raise BlowUpError(f"non-finite Fourier mode at t={i * cfg.dt:.6g}")
+            raise BlowUpError(i * cfg.dt, int(np.argmax(np.abs(last))), traj)
         if i % snapshot_every == 0 or i == n_steps:
             if not warned and _tail_fraction(vhat) > _RESOLUTION_TAIL:
                 warnings.warn(
@@ -427,8 +439,7 @@ def stability_experiment(p: cf.BreatherParams, eta: float, perturbation: str,
     """Evolve a perturbed breather and track the modulated H^2 distance.
 
     The perturbation is L2-normalized, scaled to H^2 size eta, and added to
-    the breather at t=0.  Each snapshot is fitted by a phase-modulated
-    breather seeded with the previous phases.
+    the breather at t=0; the snapshots go to track_modulation.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
@@ -444,11 +455,27 @@ def stability_experiment(p: cf.BreatherParams, eta: float, perturbation: str,
 
     monitors = ("M", "E", f"E{p.order}")
     traj = evolve(u0, cfg, monitors=monitors, snapshot_every=snapshot_every)
+    return track_modulation(p, traj, eta)
 
+
+def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
+                     blown_up: bool = False) -> StabilityReport:
+    """Fit each snapshot by a phase-modulated breather seeded with the
+    previous snapshot's phases.
+
+    For a trajectory cut short by a BlowUpError (blown_up=True) the report
+    ends before the first snapshot whose fit fails, since the last ones
+    before a blow-up may be too far from any breather to fit.
+    """
     times, dists, xs1, xs2 = [], [], [], []
     seed = (0.0, 0.0)
     for snap in traj:
-        x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed)
+        try:
+            x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed)
+        except FitError:
+            if not blown_up:
+                raise
+            break
         seed = (x1, x2)
         times.append(snap.t)
         dists.append(dist)
@@ -456,7 +483,7 @@ def stability_experiment(p: cf.BreatherParams, eta: float, perturbation: str,
         xs2.append(x2)
 
     return StabilityReport(tuple(times), tuple(dists), tuple(xs1), tuple(xs2),
-                           functional_drifts(traj), eta)
+                           functional_drifts(traj[:len(times)]), eta)
 
 
 # --------------------------------------------------------------------------

@@ -26,20 +26,6 @@ import numpy as np
 
 from . import closed_forms as cf
 
-IDENTITY_IDS = (
-    "soliton_ode_2nd",
-    "soliton_ode_high",
-    "breather_ode",
-    "evolution_identity",
-    "evolution_delta",
-    "lemma21_5th",
-    "lemma21_7th",
-    "lemma21_9th",
-    "lemma23",
-    "corollary_7th",
-    "corollary_9th",
-)
-
 _SPECIAL_SYMBOLS = ("bt", "mt", "F9")
 
 

@@ -9,6 +9,9 @@ derivative at the base point is k! c[k].
 Complex coefficients are supported throughout; complex-step directional
 derivatives of any quantity built from Series operations are therefore exact
 to rounding.
+
+The package evaluates its jets in closed form; this module stays with the
+tests as an independent oracle for them (test_jet_oracle.py).
 """
 
 from __future__ import annotations

@@ -309,6 +309,91 @@ def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
             == (outs[1] / "report.json").read_bytes())
 
 
+def _blow_up_config(order, t_end=1.0, n_points=1024):
+    # a breather of height 2 on 256 points blows up near t = 0.42 at this dt
+    return small_config(order, dt=1e-2, t_end=t_end)
+
+
+def _run_blowing_up(tmp_path, command, config):
+    cfgp = tmp_path / "c.txt"
+    cfgp.write_text(config, encoding="utf-8")
+    out = tmp_path / "o"
+    out.mkdir()
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        code = cli.main([command, "--config", str(cfgp), "--out", str(out)])
+    return code, out, json.loads((out / "report.json").read_text())
+
+
+def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+
+    def blowing_soliton(order, n_points=1024):
+        # height 4 instead of the default's sqrt(2)
+        return cf.SolitonParams(order, 16.0), _blow_up_config(order)
+
+    monkeypatch.setattr(cli, "breather_fidelity_config", _blow_up_config)
+    monkeypatch.setattr(cli, "soliton_speed_run", blowing_soliton)
+    code, out, report = _run_blowing_up(tmp_path, "evolve", "orders = 5\n")
+    assert code == 1
+    # the usual ids, all failed, each saying when and where
+    assert [r["id"].split("[")[0] for r in report["records"]] == [
+        "breather_h2", "drift_E", "drift_E5", "drift_M", "soliton_speed"]
+    assert report["records"][0]["id"] == "breather_h2[order=5,dt=0.01]"
+    for r in report["records"]:
+        assert not r["pass"] and r["measured"] is None
+        assert 0.0 < r["params"]["t_blowup"] <= 1.0
+        assert 0 <= r["params"]["k_blowup"] <= N_SMALL // 2
+    # the partial trajectory is written, up to the last snapshot before it
+    manifest = json.loads(
+        (out / "evolve_order5" / "manifest.json").read_text())
+    times = [s["t"] for s in manifest["snapshots"]]
+    assert times[0] == 0.0
+    assert times[-1] < report["records"][0]["params"]["t_blowup"]
+
+
+def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "stability_run_config", _blow_up_config)
+    code, out, report = _run_blowing_up(
+        tmp_path, "stability", "orders = 5\nshapes = B1\neta = 0.01\n")
+    assert code == 1
+    ids = [r["id"] for r in report["records"]]
+    assert ids == [f"{kind}[order=5,shape=B1,eta=0.01,dt=0.01]"
+                   for kind in ("sup_distance", "max_phase_speed")]
+    for r in report["records"]:
+        assert not r["pass"] and r["measured"] is None
+        assert 0.0 < r["params"]["t_blowup"] <= 1.0
+    summary = json.loads(
+        (out / "stability_order5_B1_eta0.01.json").read_text())
+    assert summary["t_blowup"] == report["records"][0]["params"]["t_blowup"]
+    assert summary["times"][0] == 0.0
+    assert summary["times"][-1] < summary["t_blowup"]
+    assert len(summary["distances"]) == len(summary["times"])
+
+
+def test_track_modulation_stops_at_a_failed_fit_only_after_a_blow_up(
+        monkeypatch):
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    w = Window(0.0, 30.0, N_SMALL)
+    traj = [ev.Snapshot(t, sample_breather(p, t, w, m=0), {"M": mass})
+            for t, mass in ((0.0, 2.0), (0.01, 2.0), (0.02, 3.0), (0.03, 9.0))]
+    fit = ev.fit_modulation
+
+    def failing_third(u, p_, t, seed=(0.0, 0.0)):
+        if t == 0.02:
+            raise ev.FitError("no convergence")
+        return fit(u, p_, t, seed=seed)
+
+    monkeypatch.setattr(ev, "fit_modulation", failing_third)
+    with pytest.raises(ev.FitError):
+        ev.track_modulation(p, traj, 0.01)
+    report = ev.track_modulation(p, traj, 0.01, blown_up=True)
+    assert report.times == (0.0, 0.01)
+    assert report.sup_distance < 1e-10
+    assert report.drifts == {"M": 0.0}  # over the fitted snapshots only
+
+
 # --------------------------------------------------------------------------
 # full-horizon suite
 

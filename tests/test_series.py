@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkdvlab.series import Series, sin_cos, sinh_cosh
+from series import Series, sin_cos, sinh_cosh
 
 np.random.seed(5)
 

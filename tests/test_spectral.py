@@ -2,6 +2,8 @@
 kernel directions, scaling relations, coercivity."""
 
 import functools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,7 +397,13 @@ def test_kernel_direction_has_zero_quadratic_form():
     assert abs(q) <= 1e-6
 
 
-def test_coercivity_refinement_and_time_independence():
+def _nu0(p, t, w):
+    opr = sp.build_operator(p, t, w)
+    _, vecs = scipy.linalg.eigh(opr.matrix)
+    return sp.coercivity(opr, sp.directions(p, t, w), vecs[:, 0])
+
+
+def test_coercivity_refinement_and_phase_covariance():
     p = cf.BreatherParams(5, 1.0, 1.0)
     nus = {}
     for n in (512, 1024):
@@ -407,15 +415,23 @@ def test_coercivity_refinement_and_time_independence():
     print(f"nu0 at n=512: {nus[512]:.12f}, n=1024: {nus[1024]:.12f}")
     assert abs(nus[512] - nus[1024]) <= 1e-6
 
-    by_t = []
-    for t in (0.0, 0.45):
-        opr = sp.build_operator(p, t)
-        dirs = sp.directions(p, t, opr.window)
-        _, vecs = scipy.linalg.eigh(opr.matrix)
-        by_t.append(sp.coercivity(opr, dirs, vecs[:, 0]))
-    print(f"nu0 over t: {by_t}")
-    assert all(v > 0 for v in by_t)
-    assert abs(by_t[0] - by_t[1]) <= 1e-4 * by_t[0]
+    # B(t; x1, x2) = B(0; x1 + delta t, x2 + gamma t): time enters only
+    # through the phases.  At (1.2, 0.8) delta != gamma, so the internal
+    # phase theta = x1 - x2 moves with t and the profile changes shape.
+    p = cf.BreatherParams(5, 1.2, 0.8, x1=0.3, x2=-0.2)
+    t, v = 0.45, p.velocities()
+    assert abs(v.delta - v.gamma) > 1.0
+    moved = replace(p, x1=p.x1 + v.delta * t, x2=p.x2 + v.gamma * t)
+    w = sp.spectral_window(moved, 0.0, 512)
+    at_t, at_0 = _nu0(p, t, w), _nu0(moved, 0.0, w)
+    print(f"nu0 at t={t}: {at_t:.15f}, at the moved phases: {at_0:.15f}")
+    assert abs(at_t - at_0) <= 1e-9 * at_0
+    # nu0 is pi/alpha-periodic and even in theta: both ends of [0, pi/(2 alpha)]
+    for x1 in (0.0, math.pi / (2.0 * p.alpha)):
+        q = cf.BreatherParams(5, p.alpha, p.beta, x1=x1)
+        nu = _nu0(q, 0.0, sp.spectral_window(q, 0.0, 512))
+        print(f"nu0 at theta={x1:.6f}: {nu:.6f}")
+        assert nu > 0
 
 
 # --------------------------------------------------------------------------
