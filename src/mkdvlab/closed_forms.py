@@ -1,4 +1,5 @@
-"""Exact solutions of the focusing mKdV hierarchy, orders 3 to 11.
+"""Exact solutions of the focusing mKdV hierarchy, orders 3 to 11, and the
+differential polynomials behind them.
 
 Breathers
 
@@ -33,8 +34,17 @@ The velocity pairs obey
 
     (alpha + i beta)^(2n+1) = (-1)^(n+1) (alpha delta_{2n+1} + i beta gamma_{2n+1}),
 
-which fixes every coefficient below; identities.py re-derives the one
-contested delta_9 exponent empirically.
+and VELOCITY_TERMS is that binomial expansion; identities.py re-derives the
+one contested delta_9 exponent empirically.
+
+Differential polynomials are term lists with d/dx, the Euler operator, the
+Frechet derivative and the second variation (Olver, Applications of Lie
+Groups to Differential Equations, sections 4-5).  From the one table of
+densities M, E, E5, E7, E9 come the fluxes of orders 3 to 9 (u_{2n x} +
+f_{2n+1} = +-dE_{2n+1}/du), the breather equation dH/du = 0 for
+H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M, its linearization
+and the second variation of H.  The order-11 flux has no E11 behind it: it
+is transcribed, and checked by its commutator with the mKdV flow.
 """
 
 from __future__ import annotations
@@ -47,97 +57,23 @@ import numpy as np
 
 ORDERS = (3, 5, 7, 9, 11)
 
-# (coefficient, alpha exponent, beta exponent) per monomial, delta then gamma
-VELOCITY_TERMS = {
-    3: (
-        ((1.0, 2, 0), (-3.0, 0, 2)),
-        ((3.0, 2, 0), (-1.0, 0, 2)),
-    ),
-    5: (
-        ((-1.0, 4, 0), (10.0, 2, 2), (-5.0, 0, 4)),
-        ((-5.0, 4, 0), (10.0, 2, 2), (-1.0, 0, 4)),
-    ),
-    7: (
-        ((1.0, 6, 0), (-21.0, 4, 2), (35.0, 2, 4), (-7.0, 0, 6)),
-        ((7.0, 6, 0), (-35.0, 4, 2), (21.0, 2, 4), (-1.0, 0, 6)),
-    ),
-    9: (
-        ((-1.0, 8, 0), (36.0, 6, 2), (-126.0, 4, 4), (84.0, 2, 6), (-9.0, 0, 8)),
-        ((-9.0, 8, 0), (84.0, 6, 2), (-126.0, 4, 4), (36.0, 2, 6), (-1.0, 0, 8)),
-    ),
-    11: (
-        ((1.0, 10, 0), (-55.0, 8, 2), (330.0, 6, 4), (-462.0, 4, 6), (165.0, 2, 8), (-11.0, 0, 10)),
-        ((11.0, 10, 0), (-165.0, 8, 2), (462.0, 6, 4), (-330.0, 4, 6), (55.0, 2, 8), (-1.0, 0, 10)),
-    ),
-}
 
-# flux terms as (coefficient, derivative orders of each factor); 0 = u itself
-FLUX_TERMS = {
-    3: (
-        (2.0, (0, 0, 0)),
-    ),
-    5: (
-        (10.0, (0, 1, 1)),
-        (10.0, (0, 0, 2)),
-        (6.0, (0, 0, 0, 0, 0)),
-    ),
-    7: (
-        (14.0, (0, 0, 4)),
-        (56.0, (0, 1, 3)),
-        (42.0, (0, 2, 2)),
-        (70.0, (1, 1, 2)),
-        (70.0, (0, 0, 0, 0, 2)),
-        (140.0, (0, 0, 0, 1, 1)),
-        (20.0, (0, 0, 0, 0, 0, 0, 0)),
-    ),
-    9: (
-        (18.0, (0, 0, 6)),
-        (108.0, (0, 1, 5)),
-        (228.0, (0, 2, 4)),
-        (210.0, (1, 1, 4)),
-        (126.0, (0, 0, 0, 0, 4)),
-        (138.0, (0, 3, 3)),
-        (756.0, (1, 2, 3)),
-        (1008.0, (0, 0, 0, 1, 3)),
-        (182.0, (2, 2, 2)),
-        (756.0, (0, 0, 0, 2, 2)),
-        (3108.0, (0, 0, 1, 1, 2)),
-        (420.0, (0, 0, 0, 0, 0, 0, 2)),
-        (798.0, (0, 1, 1, 1, 1)),
-        (1260.0, (0, 0, 0, 0, 0, 1, 1)),
-        (70.0, (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-    ),
-    11: (
-        (22.0, (0, 0, 8)),
-        (198.0, (0, 0, 0, 0, 6)),
-        (924.0, (0, 0, 0, 0, 0, 0, 4)),
-        (506.0, (0, 4, 4)),
-        (3036.0, (0, 0, 0, 3, 3)),
-        (2310.0, (0, 0, 0, 0, 0, 0, 0, 0, 2)),
-        (8316.0, (0, 0, 0, 0, 0, 2, 2)),
-        (9372.0, (0, 0, 2, 2, 2)),
-        (9240.0, (0, 0, 0, 0, 0, 0, 0, 1, 1)),
-        (26796.0, (0, 0, 0, 1, 1, 1, 1)),
-        (176.0, (0, 1, 7)),
-        (484.0, (0, 2, 6)),
-        (462.0, (1, 1, 6)),
-        (836.0, (0, 3, 5)),
-        (2376.0, (0, 0, 0, 1, 5)),
-        (5016.0, (0, 0, 0, 2, 4)),
-        (2706.0, (2, 2, 4)),
-        (11220.0, (0, 0, 1, 1, 4)),
-        (3498.0, (2, 3, 3)),
-        (11088.0, (0, 0, 0, 0, 0, 1, 3)),
-        (21120.0, (0, 1, 1, 1, 3)),
-        (54516.0, (0, 0, 0, 0, 1, 1, 2)),
-        (44748.0, (0, 1, 1, 2, 2)),
-        (13398.0, (1, 1, 1, 1, 2)),
-        (2376.0, (1, 2, 5)),
-        (3696.0, (1, 3, 4)),
-        (39336.0, (0, 0, 1, 2, 3)),
-        (252.0, (0,) * 11),
-    ),
-}
+def _velocity_terms(order: int):
+    """(delta, gamma) monomials (coefficient, alpha exponent, beta exponent):
+    in (alpha + i beta)^order the even powers of i beta make alpha delta and
+    the odd ones beta gamma, in ascending powers of beta."""
+    sign = (-1) ** ((order + 1) // 2)
+    terms = ([], [])
+    for j in range(order + 1):
+        coef = float(sign * (-1) ** (j // 2) * math.comb(order, j))
+        if j % 2:
+            terms[1].append((coef, order - j, j - 1))
+        else:
+            terms[0].append((coef, order - j - 1, j))
+    return tuple(terms[0]), tuple(terms[1])
+
+
+VELOCITY_TERMS = {order: _velocity_terms(order) for order in ORDERS}
 
 
 def _check_order(order: int) -> None:
@@ -289,16 +225,8 @@ def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None) -> Jet:
 
 
 def breather_jet(p: BreatherParams, t: float, x, m: int = 4) -> Jet:
-    """B and its x-derivatives to order m (<= 9) plus Btilde_t at (t, x).
-
-    B = 2N/D with N = beta (C ch - r S sh) and
-    D = (r^2 + 1)/2 - (r^2/2) cos 2 alpha y1 + (1/2) cosh 2 beta y2, where
-    r = beta/alpha, S, C = sin, cos(alpha y1) and sh, ch = sinh, cosh(beta y2).
-    Both phases move with x at unit speed, so d/dx is a constant 4x4 matrix
-    on N's basis (C ch, S sh, S ch, C sh) and on D's (cos 2 alpha y1,
-    sin 2 alpha y1, cosh 2 beta y2, sinh 2 beta y2); the derivatives of N
-    and D follow from powers of those matrices and those of B from one
-    Taylor-quotient recurrence.
+    """B and its x-derivatives to order m (<= 9) plus Btilde_t at (t, x),
+    from the constant derivative matrices of the module docstring.
 
     Keep |beta (x + gamma t + x2)| below ~354: cosh 2 beta y2 overflows
     beyond that, so evaluation windows should track the core at
@@ -389,12 +317,158 @@ def soliton_jet(p: SolitonParams, t: float, x, m: int = 4) -> Jet:
 
 
 # --------------------------------------------------------------------------
-# fluxes
+# differential polynomials
+#
+# A term list is a tuple of (coefficient, factor orders): the coefficient
+# times the product of u_{kx} over the orders k (0 for u itself, () for a
+# constant).  The tables hold halves and integers, so the float arithmetic
+# of the derivations is exact.
+
+# conserved densities: mass, energy and the higher energies E_{2n+1}
+DENSITIES = {
+    "M": ((0.5, (0, 0)),),
+    "E": ((0.5, (1, 1)), (-0.5, (0, 0, 0, 0))),
+    "E5": ((0.5, (2, 2)), (-5.0, (0, 0, 1, 1)), (1.0, (0,) * 6)),
+    "E7": ((0.5, (3, 3)), (3.5, (1, 1, 1, 1)), (-7.0, (0, 0, 2, 2)),
+           (35.0, (0, 0, 0, 0, 1, 1)), (-2.5, (0,) * 8)),
+    "E9": ((0.5, (4, 4)), (-9.0, (0, 0, 3, 3)), (20.0, (0, 2, 2, 2)),
+           (51.0, (1, 1, 2, 2)), (63.0, (0, 0, 0, 0, 2, 2)),
+           (-133.0, (0, 0, 1, 1, 1, 1)), (-210.0, (0,) * 6 + (1, 1)),
+           (7.0, (0,) * 10)),
+}
+
+# The order-11 flux has no E11 to derive it from, so it is transcribed;
+# tests/test_differential_polynomials.py checks it by its commutator with
+# the mKdV flow.
+_FLUX_11 = (
+    (22.0, (0, 0, 8)), (198.0, (0, 0, 0, 0, 6)), (924.0, (0,) * 6 + (4,)),
+    (506.0, (0, 4, 4)), (3036.0, (0, 0, 0, 3, 3)), (2310.0, (0,) * 8 + (2,)),
+    (8316.0, (0,) * 5 + (2, 2)), (9372.0, (0, 0, 2, 2, 2)),
+    (9240.0, (0,) * 7 + (1, 1)), (26796.0, (0, 0, 0, 1, 1, 1, 1)),
+    (176.0, (0, 1, 7)), (484.0, (0, 2, 6)), (462.0, (1, 1, 6)),
+    (836.0, (0, 3, 5)), (2376.0, (0, 0, 0, 1, 5)), (5016.0, (0, 0, 0, 2, 4)),
+    (2706.0, (2, 2, 4)), (11220.0, (0, 0, 1, 1, 4)), (3498.0, (2, 3, 3)),
+    (11088.0, (0,) * 5 + (1, 3)), (21120.0, (0, 1, 1, 1, 3)),
+    (54516.0, (0, 0, 0, 0, 1, 1, 2)), (44748.0, (0, 1, 1, 2, 2)),
+    (13398.0, (1, 1, 1, 1, 2)), (2376.0, (1, 2, 5)), (3696.0, (1, 3, 4)),
+    (39336.0, (0, 0, 1, 2, 3)), (252.0, (0,) * 11),
+)
 
 
+def energy_kind(order: int) -> str:
+    return "E" if order == 3 else f"E{order}"
+
+
+def max_order(terms) -> int:
+    """Highest derivative order among the factors; symbols that are not
+    orders (the tags of identities.py) are skipped."""
+    return max((o for _, orders in terms for o in orders if isinstance(o, int)),
+               default=0)
+
+
+def combine(*weighted):
+    """sum_i w_i T_i over (w_i, T_i) pairs, like terms merged and zero terms
+    dropped; highest derivative first, then fewest factors."""
+    acc = {}
+    for w, terms in weighted:
+        for coef, orders in terms:
+            key = tuple(sorted(orders))
+            acc[key] = acc.get(key, 0.0) + w * coef
+    keys = sorted((k for k in acc if acc[k]),
+                  key=lambda k: (-max(k, default=0), len(k), k))
+    return tuple((acc[k], k) for k in keys)
+
+
+def scale(w, terms):
+    """w T, term by term: no merging, so a zero weight keeps every index."""
+    return tuple((w * c, orders) for c, orders in terms)
+
+
+def d_dx(terms):
+    """Total x-derivative: the product rule raises each factor in turn."""
+    return combine((1.0, [(c, o[:i] + (k + 1,) + o[i + 1:])
+                          for c, o in terms for i, k in enumerate(o)]))
+
+
+def partial(terms, k: int):
+    """Partial derivative in u_{kx}."""
+    return combine((1.0, [(o.count(k) * c, o[:o.index(k)] + o[o.index(k) + 1:])
+                          for c, o in terms if k in o]))
+
+
+@functools.lru_cache(maxsize=None)
+def euler(terms):
+    """Variational derivative: the Euler operator sum_k (-d/dx)^k d/du_{kx}."""
+    parts = []
+    for k in range(max_order(terms) + 1):
+        p = partial(terms, k)
+        for _ in range(k):
+            p = d_dx(p)
+        parts.append(((-1.0) ** k, p))
+    return combine(*parts)
+
+
+@functools.lru_cache(maxsize=None)
+def frechet(terms):
+    """Frechet derivative P'[z] = sum_k (dP/du_{kx}) z_{kx}, as
+    (k, coefficient term list) pairs."""
+    return tuple((k, p) for k in range(max_order(terms) + 1)
+                 if (p := partial(terms, k)))
+
+
+@functools.lru_cache(maxsize=None)
+def second_variation(terms):
+    """d^2/ds^2 of the density at u + s z, as ((j, k), coefficient of
+    z_{jx} z_{kx}) pairs over j <= k."""
+    return tuple(((j, k), scale(1.0 if j == k else 2.0, q))
+                 for j, p in frechet(terms) for k, q in frechet(p) if j <= k)
+
+
+@functools.lru_cache(maxsize=None)
 def flux_terms(order: int):
+    """f_order, under the outer d/dx of the order-th flow.  For orders 3 to
+    9, u_{(order-1)x} + f = +-dE_order/du, the sign making the linear term
+    +u_{(order-1)x}; order 11 is transcribed."""
     _check_order(order)
-    return FLUX_TERMS[order]
+    if order == 11:
+        return _FLUX_11
+    var = euler(DENSITIES[energy_kind(order)])
+    lead = (order - 1,)
+    sign = next(c for c, orders in var if orders == lead)
+    return tuple((sign * c, orders) for c, orders in var if orders != lead)
+
+
+def breather_weights(alpha, beta):
+    """(weight, kind) pairs of the breather functional
+    H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M, whose critical
+    points are the breathers of every order."""
+    a2, b2 = alpha**2, beta**2
+    return ((1.0, "E5"), (2.0 * (b2 - a2), "E"), ((a2 + b2) ** 2, "M"))
+
+
+def breather_equation(alpha, beta):
+    """dH/du = 0, the stationary fourth-order breather equation."""
+    return sum((scale(w, euler(DENSITIES[kind]))
+                for w, kind in breather_weights(alpha, beta)), ())
+
+
+def _weighted(alpha, beta, derive):
+    """{key: sum over H's weights of w derive(density)[key]}."""
+    out = {}
+    for w, kind in breather_weights(alpha, beta):
+        for key, terms in derive(DENSITIES[kind]):
+            out[key] = out.get(key, ()) + scale(w, terms)
+    return out
+
+
+def breather_linearization(alpha, beta):
+    """L = (dH/du)' as {k: coefficient of z_{kx}}, functions of u."""
+    return _weighted(alpha, beta, lambda terms: frechet(euler(terms)))
+
+
+def breather_hessian(alpha, beta):
+    """The second variation of H's density, {(j, k): coefficient}."""
+    return _weighted(alpha, beta, second_variation)
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,7 +524,7 @@ def eval_flux_terms(terms, d):
 def flux(order: int, jet: Jet):
     """f_{2n+1} evaluated on a jet (needs derivatives to order 2n-2)."""
     terms = flux_terms(order)
-    need = max(max(orders) for _, orders in terms)
+    need = max_order(terms)
     if len(jet.dx) < need:
         raise ValueError(f"flux of order {order} needs a jet with {need} derivatives, "
                          f"got {len(jet.dx)}")

@@ -179,7 +179,7 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     n_pad = pad * n
     nb = n // 2 + 1
     terms = cf.flux_terms(order)
-    max_deriv = max(max(orders) for _, orders in terms)
+    max_deriv = cf.max_order(terms)
     # the padded grid covers the same length, so its first nb wavenumbers
     # are kr
     lift_mult = pad * (1j * kr) ** np.arange(max_deriv + 1)[:, None]
@@ -291,10 +291,6 @@ def functional_drifts(traj: list[Snapshot]) -> dict:
 # --------------------------------------------------------------------------
 # modulation fit
 
-def _h2_weight(w: Window) -> np.ndarray:
-    return (1.0 + w.wavenumbers() ** 2) ** 2
-
-
 def _h2_inner(w: Window, weight, ah, bh) -> float:
     """H^2 inner product of two real fields from their full FFTs."""
     return float(np.real(np.vdot(ah, weight * bh))) * w.length / w.n_points**2
@@ -312,7 +308,7 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     """
     w = u.window
     x = w.grid()
-    weight = _h2_weight(w)
+    weight = w.sobolev_weight(2)
     x1, x2 = float(seed[0]), float(seed[1])
 
     def objective(a1, a2):

@@ -51,6 +51,10 @@ class Window:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
+    def sobolev_weight(self, s: int = 2) -> np.ndarray:
+        """The H^s Fourier weight (1 + k^2)^s on `wavenumbers`."""
+        return (1.0 + self.wavenumbers() ** 2) ** s
+
     def quad(self, values) -> float:
         """Periodic trapezoid sum; spectrally accurate for decaying smooth data."""
         return self.spacing * float(np.sum(values))
@@ -145,9 +149,6 @@ def sample_soliton(sp: cf.SolitonParams, t: float, w: Window | None = None,
 # --------------------------------------------------------------------------
 # functionals
 
-FUNCTIONAL_KINDS = ("M", "E", "E5", "E7", "E9", "H0", "H5", "H7", "H9", "H")
-
-
 @dataclass(frozen=True)
 class FunctionalValue:
     kind: str
@@ -161,78 +162,63 @@ def _tail_check(f: SampledField) -> None:
                       stacklevel=3)
 
 
+def _integral(f: SampledField, kind: str) -> float:
+    """Quadrature of the density closed_forms.DENSITIES[kind]."""
+    terms = cf.DENSITIES[kind]
+    jet = [f.deriv(k) for k in range(cf.max_order(terms) + 1)]
+    return f.window.quad(cf.eval_flux_terms(terms, jet))
+
+
 def mass(f: SampledField) -> float:
     """M[u] = (1/2) int u^2."""
     _tail_check(f)
-    return f.window.quad(0.5 * f.values**2)
+    return _integral(f, "M")
 
 
 def energy(f: SampledField) -> float:
     """E[u] = (1/2) int (u_x^2 - u^4)."""
     _tail_check(f)
-    u, u1 = f.values, f.deriv(1)
-    return f.window.quad(0.5 * (u1**2 - u**4))
+    return _integral(f, "E")
 
 
 def higher_energy(f: SampledField, kind: str) -> float:
     """E5, E7 or E9; needs derivatives to order 2, 3, 4 respectively."""
-    _tail_check(f)
-    u = f.values
-    u1 = f.deriv(1)
-    u2 = f.deriv(2)
-    if kind == "E5":
-        dens = 0.5 * u2**2 - 5.0 * u**2 * u1**2 + u**6
-    elif kind == "E7":
-        u3 = f.deriv(3)
-        dens = (0.5 * u3**2 + 3.5 * u1**4 - 7.0 * u**2 * u2**2
-                + 35.0 * u**4 * u1**2 - 2.5 * u**8)
-    elif kind == "E9":
-        u3 = f.deriv(3)
-        u4 = f.deriv(4)
-        dens = (0.5 * u4**2 - 9.0 * u**2 * u3**2 + 20.0 * u * u2**3
-                + 51.0 * u1**2 * u2**2 + 63.0 * u**4 * u2**2
-                - 133.0 * u**2 * u1**4 - 210.0 * u**6 * u1**2 + 7.0 * u**10)
-    else:
+    if kind not in ("E5", "E7", "E9"):
         raise ValueError(f"unknown higher energy kind {kind!r}")
-    return f.window.quad(dens)
+    _tail_check(f)
+    return _integral(f, kind)
+
+
+_SOLITON_ORDERS = {"H0": 3, "H5": 5, "H7": 7, "H9": 9}
 
 
 def lyapunov(f: SampledField, alpha: float, beta: float, kind: str) -> float:
     """Lyapunov combinations.
 
-    H0/H5/H7/H9 are the soliton functionals E + cM, E5 - c^2 M, E7 + c^3 M,
-    E9 - c^4 M; they take the single scaling c through the alpha slot and
-    ignore beta.  H is the breather functional
-    E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
+    H0/H5/H7/H9 are the soliton functionals E_{2n+1} + (-1)^(n+1) c^n M, that
+    is E + cM, E5 - c^2 M, E7 + c^3 M and E9 - c^4 M; they take the single
+    scaling c through the alpha slot and ignore beta.  H is the breather
+    functional E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
     """
-    c = alpha
-    if kind == "H0":
-        return energy(f) + c * mass(f)
-    if kind == "H5":
-        return higher_energy(f, "E5") - c**2 * mass(f)
-    if kind == "H7":
-        return higher_energy(f, "E7") + c**3 * mass(f)
-    if kind == "H9":
-        return higher_energy(f, "E9") - c**4 * mass(f)
     if kind == "H":
-        return (higher_energy(f, "E5") + 2.0 * (beta**2 - alpha**2) * energy(f)
-                + (alpha**2 + beta**2) ** 2 * mass(f))
-    raise ValueError(f"unknown Lyapunov kind {kind!r}")
+        weights = cf.breather_weights(alpha, beta)
+    elif kind in _SOLITON_ORDERS:
+        order = _SOLITON_ORDERS[kind]
+        n = (order - 1) // 2
+        weights = ((1.0, cf.energy_kind(order)), ((-1) ** (n + 1) * alpha**n, "M"))
+    else:
+        raise ValueError(f"unknown Lyapunov kind {kind!r}")
+    _tail_check(f)
+    return sum(w * _integral(f, k) for w, k in weights)
 
 
 def functional(f: SampledField, kind: str, alpha: float = 0.0,
                beta: float = 0.0) -> FunctionalValue:
-    if kind == "M":
-        v = mass(f)
-    elif kind == "E":
-        v = energy(f)
-    elif kind in ("E5", "E7", "E9"):
-        v = higher_energy(f, kind)
-    elif kind in ("H0", "H5", "H7", "H9", "H"):
-        v = lyapunov(f, alpha, beta, kind)
-    else:
-        raise ValueError(f"unknown functional kind {kind!r}")
-    return FunctionalValue(kind, v)
+    """M, E, E5, E7, E9 or a Lyapunov combination (see `lyapunov`)."""
+    if kind not in cf.DENSITIES:
+        return FunctionalValue(kind, lyapunov(f, alpha, beta, kind))
+    _tail_check(f)
+    return FunctionalValue(kind, _integral(f, kind))
 
 
 def sobolev_norm(f: SampledField, s: int = 2) -> float:
@@ -240,28 +226,24 @@ def sobolev_norm(f: SampledField, s: int = 2) -> float:
     if s not in (0, 1, 2):
         raise ValueError("s must be 0, 1 or 2")
     w = f.window
-    k = w.wavenumbers()
     uhat = np.fft.fft(f.values) / w.n_points
-    return math.sqrt(w.length * float(np.sum((1.0 + k**2) ** s * np.abs(uhat) ** 2)))
+    return math.sqrt(w.length * float(np.sum(w.sobolev_weight(s)
+                                             * np.abs(uhat) ** 2)))
 
 
 # --------------------------------------------------------------------------
 # closed forms and reductions
 
 def closed_form_energy(kind: str, alpha: float, beta: float) -> float:
-    """Breather values: M = 2b, E = (2/3)b(3a^2-b^2), E5 = -(2/5)b g5,
-    E7 = +(2/7)b g7, E9 = -(2/9)b g9."""
+    """Breather values: M = 2b and E_{2n+1} = (-1)^(n+1) (2b/(2n+1)) g_{2n+1},
+    so E = (2/3)b(3a^2-b^2), E5 = -(2/5)b g5, E7 = +(2/7)b g7, E9 = -(2/9)b g9."""
     if kind == "M":
         return 2.0 * beta
-    if kind == "E":
-        return (2.0 / 3.0) * beta * (3.0 * alpha**2 - beta**2)
-    if kind == "E5":
-        return -(2.0 / 5.0) * beta * cf.velocities(5, alpha, beta).gamma
-    if kind == "E7":
-        return +(2.0 / 7.0) * beta * cf.velocities(7, alpha, beta).gamma
-    if kind == "E9":
-        return -(2.0 / 9.0) * beta * cf.velocities(9, alpha, beta).gamma
-    raise ValueError(f"no breather closed form for kind {kind!r}")
+    order = next((o for o in (3, 5, 7, 9) if cf.energy_kind(o) == kind), None)
+    if order is None:
+        raise ValueError(f"no breather closed form for kind {kind!r}")
+    sign = (-1) ** ((order + 1) // 2)
+    return sign * (2.0 / order) * beta * cf.velocities(order, alpha, beta).gamma
 
 
 # E = s_n/(2n+1) * int (M)_t dx with int (M)_t = 2 beta gamma.  The +1/9
@@ -277,7 +259,7 @@ def energy_reduction(order: int, alpha: float, beta: float, t: float = 0.0,
     p = cf.BreatherParams(order=order, alpha=alpha, beta=beta)
     w = default_window(p, t, n_points=n_points)
     f = sample_breather(p, t, w, m=4)
-    e = higher_energy(f, f"E{order}")
+    e = higher_energy(f, cf.energy_kind(order))
     mt = cf.partial_mass_t(p, t, w.grid())
     return e, REDUCTION_FACTORS[order] * w.quad(mt)
 
@@ -296,8 +278,7 @@ def higher_energy_conjecture(order: int, alpha: float, beta: float) -> tuple[flo
     g_sum = sum((-1) ** j * math.comb(order, 2 * j) * alpha ** (2 * j)
                 * beta ** (2 * (n - j)) for j in range(n + 1))
     conjectured = (-1) ** (n + 1) * (2.0 * beta / order) * g_sum
-    kind = "E" if order == 3 else f"E{order}"
-    return conjectured, closed_form_energy(kind, alpha, beta)
+    return conjectured, closed_form_energy(cf.energy_kind(order), alpha, beta)
 
 
 # --------------------------------------------------------------------------
@@ -307,13 +288,12 @@ def quadratic_form_density(p: cf.BreatherParams, t: float, x: np.ndarray,
                            z: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Integrand of Q[z], the second variation of H at B, in the
     integrated-by-parts layout (equals int z L z after two parts steps)."""
-    j = cf.breather_jet(p, t, x, m=1)
-    B, B1 = j.value, j.dx[0]
-    a, b = p.alpha, p.beta
-    mu2 = 2.0 * (b**2 - a**2)
-    return (z2**2 + mu2 * z1**2 + (a**2 + b**2) ** 2 * z**2
-            - 10.0 * B**2 * z1**2 - 10.0 * B1**2 * z**2 - 40.0 * B * B1 * z * z1
-            + 30.0 * B**4 * z**2 - 12.0 * (b**2 - a**2) * B**2 * z**2)
+    hessian = cf.breather_hessian(p.alpha, p.beta)
+    j = cf.breather_jet(p, t, x, m=max(map(cf.max_order, hessian.values())))
+    B = [j.value, *j.dx]
+    zs = (z, z1, z2)
+    return sum(cf.eval_flux_terms(terms, B) * zs[a] * zs[b]
+               for (a, b), terms in hessian.items())
 
 
 def expansion_remainder(p: cf.BreatherParams, z: SampledField,

@@ -9,7 +9,9 @@ profile), "mt" (time derivative of the partial mass), "F9" (the cumulative
 integral entering the 9th-order product identity).  Reports carry the sup of
 the residual over the sample set together with rel_scale, the sup of the
 largest constituent term, so thresholds are meaningful across parameter
-sweeps.
+sweeps.  The fluxes, the breather equation and Lemma 2.3 come from the
+energy densities of closed_forms; the product identities and corollaries
+are transcribed.
 
 Two printed readings are contested and settled here by variant runs: the
 delta exponent in the 9th-order velocity pair, and one term (plus one
@@ -25,8 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms as cf
-
-_SPECIAL_SYMBOLS = ("bt", "mt", "F9")
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,9 @@ class IdentityVariant:
 def _substitute(terms, subs):
     terms = list(terms)
     for sub in subs:
-        if len(sub) == 2:
-            idx, coeff = sub
-            syms = None
-        elif len(sub) == 3:
-            idx, coeff, syms = sub
-        else:
+        if len(sub) not in (2, 3):
             raise ValueError(f"malformed substitution {sub!r}")
+        idx, coeff, syms = sub if len(sub) == 3 else (*sub, None)
         if not 0 <= idx < len(terms):
             raise ValueError(f"substitution index {idx} out of range")
         old = terms[idx]
@@ -91,9 +87,7 @@ def _substitute(terms, subs):
             syms = old[1]
         else:
             syms = tuple(syms)
-            old_max = max((s for s in old[1] if isinstance(s, int)), default=0)
-            new_max = max((s for s in syms if isinstance(s, int)), default=0)
-            if new_max > old_max:
+            if cf.max_order([(coeff, syms)]) > cf.max_order([old]):
                 raise ValueError("substitution raises the differential order")
             old_special = sorted(s for s in old[1] if not isinstance(s, int))
             new_special = sorted(s for s in syms if not isinstance(s, int))
@@ -119,47 +113,41 @@ def _eval_terms(terms, data):
 # --------------------------------------------------------------------------
 # sampling
 
-def _cheb_nodes(center: float, radius: float, n: int) -> np.ndarray:
-    i = np.arange(n)
-    return center + radius * np.cos(np.pi * (2 * i + 1) / (2 * n))
+def _cheb_samples(core, radius, peak, t, n_cheb, n_peak):
+    """Chebyshev nodes over the decay window + a cluster at the core."""
+    def nodes(r, n):
+        return core + r * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    x = np.sort(np.concatenate([nodes(radius, n_cheb), nodes(peak, n_peak)]))
+    spec = (f"cheb{n_cheb}+peak{n_peak} radius={radius:.6g} "
+            f"core={core:.6g} t={t:.6g}")
+    return x, spec
 
 
 def breather_samples(p: cf.BreatherParams, t: float, n_cheb: int = 256,
                      n_peak: int = 64,
                      radius_factor: float = 1.0) -> tuple[np.ndarray, str]:
-    """Chebyshev nodes over the decay window + a cluster at the core."""
-    v = p.velocities()
-    core = -v.gamma * t - p.x2
     radius = (20.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0) * radius_factor
-    x = np.concatenate([_cheb_nodes(core, radius, n_cheb),
-                        _cheb_nodes(core, 2.0 / p.beta, n_peak)])
-    x.sort()
-    spec = (f"cheb{n_cheb}+peak{n_peak} radius={radius:.6g} "
-            f"core={core:.6g} t={t:.6g}")
-    return x, spec
+    return _cheb_samples(-p.velocities().gamma * t - p.x2, radius,
+                         2.0 / p.beta, t, n_cheb, n_peak)
 
 
 def soliton_samples(sp: cf.SolitonParams, t: float, n_cheb: int = 256,
                     n_peak: int = 64,
                     radius_factor: float = 1.0) -> tuple[np.ndarray, str]:
-    core = sp.speed() * t
     radius = (20.0 / np.sqrt(sp.c) + 2.0) * radius_factor
-    x = np.concatenate([_cheb_nodes(core, radius, n_cheb),
-                        _cheb_nodes(core, 2.0 / np.sqrt(sp.c), n_peak)])
-    x.sort()
-    spec = (f"cheb{n_cheb}+peak{n_peak} radius={radius:.6g} "
-            f"core={core:.6g} t={t:.6g}")
-    return x, spec
+    return _cheb_samples(sp.speed() * t, radius, 2.0 / np.sqrt(sp.c), t,
+                         n_cheb, n_peak)
+
+
+def _jet_data(jet: cf.Jet) -> dict:
+    return {0: jet.value, "bt": jet.dt_tilde,
+            **{k: d for k, d in enumerate(jet.dx, start=1)}}
 
 
 def _breather_data(p: cf.BreatherParams, t: float, x: np.ndarray, m: int,
                    vel: cf.Velocities | None = None) -> dict:
-    jet = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, m,
-                              vel=vel)
-    data = {0: jet.value, "bt": jet.dt_tilde}
-    for k in range(1, m + 1):
-        data[k] = jet.dx[k - 1]
-    return data
+    return _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
+                                         t, x, m, vel=vel))
 
 
 def _breather_params_dict(p: cf.BreatherParams, t: float) -> dict:
@@ -167,34 +155,25 @@ def _breather_params_dict(p: cf.BreatherParams, t: float) -> dict:
             "x1": p.x1, "x2": p.x2, "t": t}
 
 
+def _report(ident, params, spec, terms, data, variant="verbatim"):
+    res, scale = _eval_terms(terms, data)
+    return ResidualReport(ident, params, spec, float(np.max(np.abs(res))),
+                          scale, variant)
+
+
+def _breather_report(ident, p, t, terms, variant, samples, vel=None):
+    """Residual of a term list on the breather at the standard samples."""
+    x, spec = samples if samples is not None else breather_samples(p, t)
+    data = _breather_data(p, t, x, cf.max_order(terms), vel=vel)
+    return _report(ident, _breather_params_dict(p, t), spec, terms, data,
+                   variant)
+
+
 # --------------------------------------------------------------------------
 # identity term lists
 
-def _breather_ode_terms(alpha: float, beta: float):
-    mu2 = 2.0 * (beta**2 - alpha**2)
-    return (
-        (1.0, (4,)),
-        (10.0, (0, 1, 1)),
-        (10.0, (0, 0, 2)),
-        (6.0, (0, 0, 0, 0, 0)),
-        (-mu2, (2,)),
-        (-2.0 * mu2, (0, 0, 0)),
-        ((alpha**2 + beta**2) ** 2, (0,)),
-    )
-
-
 def _evolution_terms(order: int):
     return ((1.0, ("bt",)), (1.0, (order - 1,))) + tuple(cf.flux_terms(order))
-
-
-def _lemma23_terms(alpha: float, beta: float):
-    mu2 = 2.0 * (beta**2 - alpha**2)
-    return (
-        (1.0, ("bt",)),
-        (-((alpha**2 + beta**2) ** 2), (0,)),
-        (mu2, (2,)),
-        (2.0 * mu2, (0, 0, 0)),
-    )
 
 
 _LEMMA21_5TH = (
@@ -283,11 +262,6 @@ def _corollary9_terms(alpha: float, beta: float):
     )
 
 
-def _max_deriv(terms) -> int:
-    return max((s for _, syms in terms for s in syms if isinstance(s, int)),
-               default=0)
-
-
 # --------------------------------------------------------------------------
 # residual operations
 
@@ -296,36 +270,25 @@ def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
     """Second-order profile equation, or the order-matched high ODE."""
     if level == "2nd":
         terms = ((1.0, (2,)), (-p.c, (0,)), (2.0, (0, 0, 0)))
-        ident = "soliton_ode_2nd"
     elif level == "high":
         n = (p.order - 1) // 2
         terms = ((1.0, (p.order - 1,)), (-(p.c**n), (0,))) + tuple(
             cf.flux_terms(p.order))
-        ident = "soliton_ode_high"
     else:
         raise ValueError(f"unknown level {level!r}")
     x, spec = samples if samples is not None else soliton_samples(p, t)
-    m = _max_deriv(terms)
-    jet = cf.soliton_jet_raw(p.order, p.c, t, x, m)
-    data = {0: jet.value, "bt": jet.dt_tilde}
-    for k in range(1, m + 1):
-        data[k] = jet.dx[k - 1]
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport(ident, {"order": p.order, "c": p.c, "t": t,
-                                  "level": level}, spec,
-                          float(np.max(np.abs(res))), scale)
+    jet = cf.soliton_jet_raw(p.order, p.c, t, x, cf.max_order(terms))
+    return _report(f"soliton_ode_{level}",
+                   {"order": p.order, "c": p.c, "t": t, "level": level}, spec,
+                   terms, _jet_data(jet))
 
 
 def breather_ode_residual(p: cf.BreatherParams, t: float,
                           substitutions=(), variant="verbatim",
                           samples=None) -> ResidualReport:
     """Fourth-order stationary equation; holds for every order at fixed t."""
-    terms = _substitute(_breather_ode_terms(p.alpha, p.beta), substitutions)
-    x, spec = samples if samples is not None else breather_samples(p, t)
-    data = _breather_data(p, t, x, _max_deriv(terms))
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport("breather_ode", _breather_params_dict(p, t), spec,
-                          float(np.max(np.abs(res))), scale, variant)
+    terms = _substitute(cf.breather_equation(p.alpha, p.beta), substitutions)
+    return _breather_report("breather_ode", p, t, terms, variant, samples)
 
 
 def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
@@ -333,11 +296,8 @@ def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
                                 vel: cf.Velocities | None = None,
                                 samples=None) -> ResidualReport:
     terms = _substitute(_evolution_terms(p.order), substitutions)
-    x, spec = samples if samples is not None else breather_samples(p, t)
-    data = _breather_data(p, t, x, _max_deriv(terms), vel=vel)
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport("evolution_identity", _breather_params_dict(p, t),
-                          spec, float(np.max(np.abs(res))), scale, variant)
+    return _breather_report("evolution_identity", p, t, terms, variant,
+                            samples, vel)
 
 
 def evolution_delta_residual(p: cf.BreatherParams, t: float = 0.37,
@@ -361,6 +321,19 @@ def evolution_delta_residual(p: cf.BreatherParams, t: float = 0.37,
 
 _LEMMA21_CASES = {"5th": (5, _LEMMA21_5TH), "7th": (7, _LEMMA21_7TH),
                   "9th": (9, _LEMMA21_9TH)}
+_COROLLARY_CASES = {"7th": (7, _corollary7_terms),
+                    "9th": (9, _corollary9_terms)}
+
+
+def _case(cases: dict, case: str, p: cf.BreatherParams):
+    """The entry for `case`, checked against the breather's order."""
+    if case not in cases:
+        raise ValueError(f"case must be one of {tuple(cases)}, got {case!r}")
+    order, entry = cases[case]
+    if p.order != order:
+        raise ValueError(f"case {case} needs an order-{order} breather, "
+                         f"got order {p.order}")
+    return entry
 
 
 def _cumulative_integral(g: np.ndarray, spacing: float) -> np.ndarray:
@@ -388,13 +361,7 @@ def lemma21_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
     """Product identities obtained by multiplying the evolution identity by
     B_x and integrating; the 9th-order case carries a cumulative-integral
     term and is therefore evaluated on a uniform window grid."""
-    if case not in _LEMMA21_CASES:
-        raise ValueError(f"case must be one of {tuple(_LEMMA21_CASES)}")
-    order, base_terms = _LEMMA21_CASES[case]
-    if p.order != order:
-        raise ValueError(f"case {case} needs an order-{order} breather, "
-                         f"got order {p.order}")
-    terms = _substitute(base_terms, substitutions)
+    terms = _substitute(_case(_LEMMA21_CASES, case, p), substitutions)
 
     if case == "9th":
         v = p.velocities()
@@ -403,16 +370,15 @@ def lemma21_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
         h = 2.0 * half / n_grid
         x = core - half + h * np.arange(n_grid)
         spec = f"grid{n_grid} half={half:.6g} core={core:.6g} t={t:.6g}"
-        data = _breather_data(p, t, x, max(_max_deriv(terms), 7))
+        data = _breather_data(p, t, x, max(cf.max_order(terms), 7))
         g = -2.0 * cf.eval_flux_terms(cf.flux_terms(9), [data[k] for k in range(7)]) * data[1]
         data["F9"] = _cumulative_integral(g, h)
     else:
         x, spec = samples if samples is not None else breather_samples(p, t)
-        data = _breather_data(p, t, x, _max_deriv(terms))
+        data = _breather_data(p, t, x, cf.max_order(terms))
     data["mt"] = cf.partial_mass_t(p, t, x)
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport(f"lemma21_{case}", _breather_params_dict(p, t), spec,
-                          float(np.max(np.abs(res))), scale, variant)
+    return _report(f"lemma21_{case}", _breather_params_dict(p, t), spec, terms,
+                   data, variant)
 
 
 def lemma23_residual(p: cf.BreatherParams, t: float,
@@ -421,32 +387,21 @@ def lemma23_residual(p: cf.BreatherParams, t: float,
     """First-order-in-time identity; holds for 5th-order breathers only."""
     if p.order != 5:
         raise ValueError("the identity holds for order-5 breathers only")
-    terms = _substitute(_lemma23_terms(p.alpha, p.beta), substitutions)
-    x, spec = samples if samples is not None else breather_samples(p, t)
-    data = _breather_data(p, t, x, _max_deriv(terms))
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport("lemma23", _breather_params_dict(p, t), spec,
-                          float(np.max(np.abs(res))), scale, variant)
+    # Btilde_t = d(mu E + c M)/du: the breather equation without its E5 part
+    lower = (cf.scale(-w, cf.euler(cf.DENSITIES[kind]))
+             for w, kind in cf.breather_weights(p.alpha, p.beta)
+             if kind != "E5")
+    terms = _substitute(sum(lower, ((1.0, ("bt",)),)), substitutions)
+    return _breather_report("lemma23", p, t, terms, variant, samples)
 
 
 def corollary_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
                        substitutions=(), variant="verbatim",
                        samples=None) -> ResidualReport:
-    if case == "7th":
-        need, builder = 7, _corollary7_terms
-    elif case == "9th":
-        need, builder = 9, _corollary9_terms
-    else:
-        raise ValueError(f"case must be '7th' or '9th', got {case!r}")
-    if p.order != need:
-        raise ValueError(f"case {case} needs an order-{need} breather, "
-                         f"got order {p.order}")
+    builder = _case(_COROLLARY_CASES, case, p)
     terms = _substitute(builder(p.alpha, p.beta), substitutions)
-    x, spec = samples if samples is not None else breather_samples(p, t)
-    data = _breather_data(p, t, x, _max_deriv(terms))
-    res, scale = _eval_terms(terms, data)
-    return ResidualReport(f"corollary_{case}", _breather_params_dict(p, t),
-                          spec, float(np.max(np.abs(res))), scale, variant)
+    return _breather_report(f"corollary_{case}", p, t, terms, variant,
+                            samples)
 
 
 # --------------------------------------------------------------------------
@@ -490,10 +445,7 @@ def run_variants(base: str, variants, p: cf.BreatherParams | None = None,
     if base not in _CANONICAL:
         raise ValueError(f"no variant support for identity {base!r}")
     p0, t0 = _CANONICAL[base]
-    if p is not None:
-        p0 = p
-    if t is not None:
-        t0 = t
+    p0, t0 = (p0 if p is None else p), (t0 if t is None else t)
     if not variants:
         variants = [IdentityVariant(base)]
     reports = []

@@ -1,13 +1,14 @@
 """Discrete spectral analysis of the fourth-order operator obtained by
 linearizing the stationary breather equation.
 
-The operator
+The operator is the Frechet derivative of dH/du, H = E5 + 2(b^2-a^2) E +
+(a^2+b^2)^2 M, at the breather B (closed_forms.breather_linearization):
 
     L[z] = z_4x - 2(b^2-a^2) z_xx + (a^2+b^2)^2 z
            + 10 B^2 z_xx + 20 B B_x z_x
            + [10 B_x^2 + 20 B B_xx + 30 B^4 - 12(b^2-a^2) B^2] z
 
-is realized by Fourier collocation on a periodic window and symmetrized; the
+It is realized by Fourier collocation on a periodic window and symmetrized; the
 derivative and H^2 Gram matrices are circulants of the inverse FFT of their
 symbols.  Only the bottom of the spectrum is computed.  The expected picture:
 one simple negative eigenvalue, a two-dimensional kernel spanned by the
@@ -70,7 +71,7 @@ def derivative_matrix(w: Window, m: int) -> np.ndarray:
 def sobolev_gram(w: Window) -> np.ndarray:
     """Gram matrix G with h * z^T G z = the squared H^2 norm used throughout
     (Fourier weight (1+k^2)^2)."""
-    return _circulant((1.0 + w.wavenumbers() ** 2) ** 2, odd=False)
+    return _circulant(w.sobolev_weight(2), odd=False)
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -153,17 +154,17 @@ class DiscreteOperator:
                      for b in _parity_blocks(self.matrix))
 
 
-def _asymmetry_on_smooth_probes(w: Window, mu: float, c2: np.ndarray,
-                                c1: np.ndarray, c0: np.ndarray) -> float:
+def _asymmetry_on_smooth_probes(w: Window, coeffs: dict) -> float:
     """Worst |z^T A w - w^T A z| / (|z||w|) over smooth periodic probes.
 
     The entrywise difference raw - raw.T concentrates in couplings between
     band-edge Fourier modes: the layout diag(c) D2 + diag(c_x) D1 telescopes
     exactly only inside the resolved band.  Those couplings never act on
     resolved fields and are removed by the symmetrization.  The products are
-    evaluated by applying the same layout through FFTs: forming them from the
-    dense matrix would add rounding noise of order eps * k_max^4, burying the
-    figure the probes are meant to record.
+    evaluated by applying the same layout (coeffs[k] the coefficient of
+    z_{kx}) through FFTs: forming them from the dense matrix would add
+    rounding noise of order eps * k_max^4, burying the figure the probes are
+    meant to record.
     """
     x = w.grid()
     k1 = 2.0 * np.pi / w.length
@@ -171,8 +172,8 @@ def _asymmetry_on_smooth_probes(w: Window, mu: float, c2: np.ndarray,
               np.cos(2 * k1 * x), np.sin(3 * k1 * x)]
 
     def apply(z):
-        d1, d2, d4 = (spectral_derivative(z, w, m) for m in (1, 2, 4))
-        return d4 + (c2 - mu) * d2 + c1 * d1 + c0 * z
+        return sum(c * spectral_derivative(z, w, k) if k else c * z
+                   for k, c in coeffs.items())
 
     images = [apply(z) for z in probes]
     worst = 0.0
@@ -207,26 +208,21 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     if w is None:
         w = spectral_window(p, t, n_points)
     require_window(w, p)
+    terms = cf.breather_linearization(p.alpha, p.beta)
+    m = max(map(cf.max_order, terms.values()))
     if background is None:
-        background = sample_breather(p, t, w, m=2)
-    B = background.values
-    B1 = background.deriv(1)
-    B2 = background.deriv(2)
+        background = sample_breather(p, t, w, m=m)
+    jet = [background.deriv(k) for k in range(m + 1)]
+    coeffs = {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
+              for k, c in terms.items()}
 
-    a2, b2 = p.alpha**2, p.beta**2
-    mu = 2.0 * (b2 - a2)
-    D1 = derivative_matrix(w, 1)
-    D2 = derivative_matrix(w, 2)
-    D4 = derivative_matrix(w, 4)
-    potential = (10.0 * B1**2 + 20.0 * B * B2 + 30.0 * B**4
-                 - 6.0 * mu * B**2)
-    raw = (D4 - mu * D2
-           + (10.0 * B**2)[:, None] * D2
-           + (20.0 * B * B1)[:, None] * D1)
-    diag0 = (a2 + b2) ** 2 + potential
-    raw[np.diag_indices_from(raw)] += diag0
-    asymmetry = _asymmetry_on_smooth_probes(w, mu, 10.0 * B**2,
-                                            20.0 * B * B1, diag0)
+    raw = np.diag(coeffs[0])
+    for k, c in coeffs.items():
+        if k:
+            D = derivative_matrix(w, k)
+            D *= c[:, None]
+            raw += D
+    asymmetry = _asymmetry_on_smooth_probes(w, coeffs)
     matrix = (raw + raw.T) / 2.0
     return DiscreteOperator(w, matrix, p.alpha, p.beta, t, asymmetry)
 
@@ -310,18 +306,19 @@ class DirectionVectors:
     B0: SampledField
 
 
-def _imag_step(order, alpha, beta, x1, x2, t, x):
-    jet = cf.breather_jet_raw(order, alpha, beta, x1, x2, t, x, 0)
-    return jet.value.imag / _CSTEP
+def _imag_step(order, alpha, beta, x1, x2, t, x, m=0):
+    """Rows 0..m of the jet's imaginary part over the step."""
+    jet = cf.breather_jet_raw(order, alpha, beta, x1, x2, t, x, m)
+    return np.vstack((jet.value, jet.dx)).imag / _CSTEP
 
 
 def directions(p: cf.BreatherParams, t: float, w: Window) -> DirectionVectors:
     x = w.grid()
     ih = 1j * _CSTEP
-    b1 = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, x)
-    b2 = _imag_step(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, x)
-    la = _imag_step(p.order, p.alpha + ih, p.beta, p.x1, p.x2, t, x)
-    lb = _imag_step(p.order, p.alpha, p.beta + ih, p.x1, p.x2, t, x)
+    b1 = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, x)[0]
+    b2 = _imag_step(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, x)[0]
+    la = _imag_step(p.order, p.alpha + ih, p.beta, p.x1, p.x2, t, x)[0]
+    lb = _imag_step(p.order, p.alpha, p.beta + ih, p.x1, p.x2, t, x)[0]
     b0 = (p.alpha * lb + p.beta * la) / (
         8.0 * p.alpha * p.beta * (p.alpha**2 + p.beta**2))
     return DirectionVectors(SampledField(w, b1), SampledField(w, b2),
@@ -360,10 +357,8 @@ def wronskian_check(p: cf.BreatherParams, t: float,
     against its closed form."""
     xs = np.asarray(xs, dtype=float)
     ih = 1j * _CSTEP
-    j1 = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, xs, 1)
-    j2 = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, xs, 1)
-    b1, b1x = j1.value.imag / _CSTEP, j1.dx[0].imag / _CSTEP
-    b2, b2x = j2.value.imag / _CSTEP, j2.dx[0].imag / _CSTEP
+    b1, b1x = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, xs, 1)
+    b2, b2x = _imag_step(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, xs, 1)
     det = b1 * b2x - b2 * b1x
     closed = wronskian_closed_form(p, t, xs)
     sup = float(np.max(np.abs(det - closed)))

@@ -1,0 +1,132 @@
+"""The term-list core of closed_forms: d/dx, the Euler operator, the Frechet
+derivative and the second variation, and the tables derived with them.
+
+The commutator test is the check of the transcribed order-11 flux, which
+has no energy to derive it from: every flow of the hierarchy commutes with
+the mKdV flow K_3, and with K_n = -d/dx(u_{(n-1)x} + f_n) the commutator
+K_3'[K_n] - K_n'[K_3] is exactly zero as a differential polynomial.
+"""
+
+import numpy as np
+import pytest
+
+from mkdvlab import closed_forms as cf
+
+
+def _times(a, b):
+    return cf.combine((1.0, [(ca * cb, oa + ob) for ca, oa in a for cb, ob in b]))
+
+
+def _d_dx(terms, k):
+    for _ in range(k):
+        terms = cf.d_dx(terms)
+    return terms
+
+
+def _apply_frechet(P, G):
+    """P'[G] = sum_k (dP/du_{kx}) d^k G/dx^k."""
+    return cf.combine(*((1.0, _times(coef, _d_dx(G, k)))
+                        for k, coef in cf.frechet(P)))
+
+
+def _flow(order, flux):
+    return cf.combine((-1.0, cf.d_dx(((1.0, (order - 1,)),) + flux)))
+
+
+def _commutator(order, flux):
+    K3, Kn = _flow(3, cf.flux_terms(3)), _flow(order, flux)
+    return cf.combine((1.0, _apply_frechet(K3, Kn)),
+                      (-1.0, _apply_frechet(Kn, K3)))
+
+
+@pytest.mark.parametrize("order", [5, 7, 9, 11])
+def test_flows_commute_with_mkdv(order):
+    assert _commutator(order, cf.flux_terms(order)) == ()
+
+
+@pytest.mark.parametrize("index", range(len(cf.flux_terms(11))))
+def test_commutator_sees_every_order11_coefficient(index):
+    flux = list(cf.flux_terms(11))
+    coef, orders = flux[index]
+    flux[index] = (coef + 1.0, orders)
+    left = _commutator(11, tuple(flux))
+    print(f"term {index} {orders}: {len(left)} nonzero terms")
+    assert left
+
+
+@pytest.mark.parametrize("order,sign", [(3, -1.0), (5, 1.0), (7, -1.0),
+                                        (9, 1.0)])
+def test_flux_is_the_variational_derivative(order, sign):
+    # u_{(n-1)x} + f_n = sign dE_n/du
+    lhs = ((1.0, (order - 1,)),) + cf.flux_terms(order)
+    var = cf.euler(cf.DENSITIES[cf.energy_kind(order)])
+    assert cf.combine((1.0, lhs), (-sign, var)) == ()
+
+
+def test_euler_annihilates_total_derivatives():
+    for terms in cf.DENSITIES.values():
+        assert cf.euler(cf.d_dx(terms)) == ()
+
+
+def test_combine_merges_and_orders():
+    terms = cf.combine((1.0, ((1.0, (1, 0)), (2.0, (3,)), (5.0, ()))),
+                       (2.0, ((1.0, (0, 1)), (-2.5, ()))))
+    assert terms == ((2.0, (3,)), (3.0, (0, 1)))
+
+
+def test_breather_linearization_matches_printed_operator():
+    a, b = 1.2, 0.8
+    mu, c = 2.0 * (b**2 - a**2), (a**2 + b**2) ** 2
+    printed = {4: ((1.0, ()),),
+               2: ((10.0, (0, 0)), (-mu, ())),
+               1: ((20.0, (0, 1)),),
+               0: ((10.0, (1, 1)), (20.0, (0, 2)), (30.0, (0, 0, 0, 0)),
+                   (-6.0 * mu, (0, 0)), (c, ()))}
+    got = cf.breather_linearization(a, b)
+    assert set(got) == set(printed)
+    for k, terms in printed.items():
+        assert cf.combine((1.0, got[k]), (-1.0, terms)) == ()
+
+
+def test_breather_hessian_matches_printed_form():
+    a, b = 0.7, 1.3
+    mu, c = 2.0 * (b**2 - a**2), (a**2 + b**2) ** 2
+    printed = {(2, 2): ((1.0, ()),),
+               (1, 1): ((mu, ()), (-10.0, (0, 0))),
+               (0, 1): ((-40.0, (0, 1)),),
+               (0, 0): ((c, ()), (-10.0, (1, 1)), (30.0, (0, 0, 0, 0)),
+                        (-6.0 * mu, (0, 0)))}
+    got = cf.breather_hessian(a, b)
+    assert set(got) == set(printed)
+    for key, terms in printed.items():
+        assert cf.combine((1.0, got[key]), (-1.0, terms)) == ()
+
+
+def test_frechet_matches_complex_step():
+    # P(u + i h z).imag / h = P'[z] to rounding for a polynomial P; the jet
+    # entries are independent variables here, so random rows serve
+    rng = np.random.default_rng(5)
+    h = 1e-150
+    for terms in (cf.euler(cf.DENSITIES["E7"]), cf.DENSITIES["E9"]):
+        u, z = rng.standard_normal((2, cf.max_order(terms) + 1, 32))
+        step = cf.eval_flux_terms(terms, u + 1j * h * z).imag / h
+        lin = sum(cf.eval_flux_terms(coef, u) * z[k]
+                  for k, coef in cf.frechet(terms))
+        assert np.max(np.abs(step - lin)) <= 1e-12 * np.max(np.abs(lin))
+
+
+def test_tables_are_derived_once():
+    assert cf.flux_terms(9) is cf.flux_terms(9)
+    a = cf.frechet(cf.euler(cf.DENSITIES["E5"]))
+    assert cf.frechet(cf.euler(cf.DENSITIES["E5"])) is a
+
+
+def test_velocity_table_is_the_binomial_expansion():
+    # (alpha + i beta)^order = (-1)^(n+1) (alpha delta + i beta gamma),
+    # exactly, at integer parameters
+    for order in cf.ORDERS:
+        n = (order - 1) // 2
+        for a, b in ((1, 2), (3, 1), (2, 5)):
+            z = (a + 1j * b) ** order * (-1) ** (n + 1)
+            v = cf.velocities(order, float(a), float(b))
+            assert (a * v.delta, b * v.gamma) == (z.real, z.imag)
