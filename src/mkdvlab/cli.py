@@ -14,6 +14,8 @@ Four subcommands cover the laboratory's standing experiments:
 Each subcommand expands its sweep into an ordered task list, dispatches the
 tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for a process pool),
 and assembles report.json plus per-run CSV dumps in the output directory.
+A stability task is one order, whose shapes are stepped as one batch, so the
+pool gives stability one task per order, not one per shape.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
 
@@ -37,8 +39,7 @@ from . import identities as ide
 from . import spectral as spc
 from .evolution import (BlowUpError, breather_fidelity_config, evolve,
                         functional_drifts, soliton_speed_run,
-                        stability_experiment, stability_run_config,
-                        track_modulation)
+                        stability_experiment, stability_run_config)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, sample_breather,
@@ -546,13 +547,21 @@ def cmd_spectrum(cfg: RunConfig) -> SuiteReport:
 # --------------------------------------------------------------------------
 # evolve
 
+def _value_csv(values: np.ndarray) -> str:
+    """dump_csv(("value",), [(v,) for v in values]), formatted in one pass."""
+    vals = values.tolist()
+    if np.isfinite(values).all():
+        return "value\n" + ("%.17g\n" * len(vals)) % tuple(vals)
+    return "value\n" + "".join(_fmt_float(v) + "\n" for v in vals)
+
+
 def _trajectory_artifacts(prefix: str, traj) -> list:
     arts = []
     rows = []
     for i, snap in enumerate(traj):
         w = snap.field.window
         arts.append((f"{prefix}/snap_{i:04d}.csv",
-                     dump_csv(("value",), [(v,) for v in snap.field.values])))
+                     _value_csv(snap.field.values)))
         rows.append((i, snap.t, w.center, w.half_width, w.n_points,
                      f"snap_{i:04d}.csv"))
     arts.append((f"{prefix}/snapshots.csv",
@@ -665,45 +674,44 @@ def cmd_evolve(cfg: RunConfig) -> SuiteReport:
 # stability
 
 def _stability_point(task: dict) -> tuple:
-    order, shape, eta = task["order"], task["shape"], task["eta"]
+    """All shapes of one order, stepped as one batch."""
+    order, eta = task["order"], task["eta"]
     tol = task["tol"]
     p = cf.BreatherParams(order, 1.0, 1.0)
     cfg_run = stability_run_config(order, t_end=task["t_end"])
     if task["dt"] is not None:
         cfg_run = replace(cfg_run, dt=task["dt"])
-    rng = np.random.default_rng(task["seed"])
-    tag = {"order": order, "shape": shape, "eta": eta,
-           "t_end": cfg_run.t_end, "dt": cfg_run.dt}
     checks = [("sup_distance",
                tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
     if eta > 0:
         checks.append(("max_phase_speed", tol["quotient_factor"] * eta))
-    try:
-        report = stability_experiment(p, eta, shape, cfg_run, rng=rng)
-    except BlowUpError as e:
-        report = track_modulation(p, e.trajectory, eta, blown_up=True)
-        recs = [_blown_up(rid, tag, budget, e) for rid, budget in checks]
-        summary = {**report.to_json_dict(), "t_blowup": e.t, "k_blowup": e.k}
-    else:
-        recs = [_record(rid, tag, getattr(report, rid), budget)
-                for rid, budget in checks]
-        summary = report.to_json_dict()
-    name = f"stability_order{order}_{shape}_eta{eta:g}"
-    arts = [
-        (f"{name}.json", dump_json(summary)),
-        (f"{name}.csv", dump_csv(
+    reports = stability_experiment(p, eta, task["shapes"], cfg_run,
+                                   seed=task["seed"])
+    recs, arts = [], []
+    for shape, report in zip(task["shapes"], reports):
+        tag = {"order": order, "shape": shape, "eta": eta,
+               "t_end": cfg_run.t_end, "dt": cfg_run.dt}
+        if report.blow_up is not None:
+            recs.extend(_blown_up(rid, tag, budget, report.blow_up)
+                        for rid, budget in checks)
+        else:
+            recs.extend(_record(rid, tag, getattr(report, rid), budget)
+                        for rid, budget in checks)
+        name = f"stability_order{order}_{shape}_eta{eta:g}"
+        arts.append((f"{name}.json", dump_json(report.to_json_dict())))
+        arts.append((f"{name}.csv", dump_csv(
             ("t", "distance", "x1", "x2"),
             zip(report.times, report.distances, report.phases_x1,
-                report.phases_x2))),
-    ]
+                report.phases_x2))))
     return tuple(recs), tuple(arts)
 
 
 def cmd_stability(cfg: RunConfig) -> SuiteReport:
     shapes = cfg.shapes or _DEFAULTS["stability"]["shapes"]
-    tasks = [{"order": o, "shape": s, "eta": cfg.eta, "t_end": cfg.t_end,
-              "dt": cfg.dt, "seed": cfg.seed, "tol": cfg.tolerances}
-             for o in cfg.orders for s in shapes]
+    tasks = [{"order": o, "shapes": shapes, "eta": cfg.eta,
+              "t_end": cfg.t_end, "dt": cfg.dt, "seed": cfg.seed,
+              "tol": cfg.tolerances}
+             for o in cfg.orders]
     results = _dispatch(_stability_point, tasks)
     records, artifacts = [], []
     for recs, arts in results:

@@ -7,10 +7,16 @@ zero-padded grid and advanced with the ETDRK4 scheme.  The phi-function
 coefficients are evaluated by contour averaging over a unit circle around
 each z = dt * symbol; the mean is kept complex since the symbol is imaginary.
 
-Each ETDRK4 stage costs two real transforms: one batched irfft lifts u and
-its derivatives to the padded grid, the flux is evaluated there in Horner
-form (closed_forms.eval_flux_terms), and one rfft brings it back.  The
-stepper notes below give the lift and its Nyquist convention.
+The padded grid is handled in polyphase form: its points are the coarse
+grid shifted by s h / pad for s = 0 .. pad - 1, so each ETDRK4 stage lifts u
+and its derivatives with one n-point irfft over rows shaped (deriv, member,
+phase, n), evaluates the flux there in Horner form
+(closed_forms.eval_flux_terms), and brings it back with one n-point rfft and
+a conjugate-twiddle sum over the phases.  Several fields that share one
+config step together as members of one batch, still at two transform calls
+per stage; a member that turns non-finite leaves the batch with its own
+BlowUpError.  The stepper notes below give the lift and why the coarse
+Nyquist bin needs no halving.
 
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
@@ -117,21 +123,31 @@ class EvolutionConfig:
 
 # Stepper notes.
 #
-# Nonlinear term.  Each ETDRK4 stage lifts vhat to the padded grid with one
-# multiply by the per-config table lift_mult[j] = pad * (i k)^j (rows j = 0
-# .. max_deriv), written into a persistent zero-tailed buffer, and one batched
-# irfft along the last axis returns u, u_x, ... as rows.  The flux is then
-# evaluated by cf.eval_flux_terms (Horner form in u), transformed back with
-# one rfft, truncated to the coarse bins and multiplied by -i k / pad: two
-# transforms per stage, eight per step.  Padding by ceil((p+1)/2) keeps the
-# degree-p products of the order-p flux free of aliasing.
+# Member axis.  The stepper works on a stack of spectra shaped (member, bin):
+# every member shares the config, and every operation below acts on each row
+# on its own, so a member's bits do not depend on what else is in the stack.
+# A single spectrum of shape (bin,) works the same way.
 #
-# Nyquist convention.  The coarse Nyquist bin k_N = n/2 is an interior bin of
-# the padded grid, where the real transform counts it twice (+k_N and -k_N),
-# so its lift column is halved: cos(k_N x) lifts to the symmetric
-# band-limited interpolant of amplitude 1, not 2.  With pad = 1 the bin stays
-# the grid's own Nyquist bin and is not halved.  The linear symbol and the
-# output multiplier are zero there, so the Nyquist mode never changes.
+# Polyphase lift.  The padded grid has pad * n points, and padded point
+# pad * m + s is coarse point m shifted by s h / pad (h the coarse spacing).
+# Its values are therefore those of the coarse grid after the band-limited
+# shift exp(i k s h / pad).  Each ETDRK4 stage multiplies vhat by the
+# per-config table lift_mult[j, s] = (i k)^j exp(i k s h / pad) (rows j = 0
+# .. max_deriv, phases s = 0 .. pad - 1) and makes one n-point irfft of all
+# rows shaped (deriv, member, phase, n).  The flux is evaluated there in
+# Horner form (cf.eval_flux_terms), one n-point rfft of the (member, phase)
+# rows brings it back, and the sum over phases with the conjugate twiddle
+# and -i k / pad (out_mult) gives the first n/2 + 1 bins of the padded rfft.
+# That is two transform calls per stage and eight per step, whatever the
+# number of members.  Padding by ceil((p+1)/2) keeps the degree-p products
+# of the order-p flux free of aliasing.
+#
+# Nyquist convention.  Each phase's n-point irfft counts the coarse Nyquist
+# bin k_N = n/2 once and keeps only its real part, so cos(k_N x) lifts to
+# the symmetric band-limited interpolant of amplitude 1, with no halving of
+# the bin (a pad * n-point transform would see it at +k_N and -k_N).  The
+# linear symbol and the output multiplier are zero there, so the Nyquist
+# mode never changes.
 #
 # Stability.  The integrating factor removes the stiff linear phase exactly,
 # but the scheme is not unconditionally stable: wherever dt * k**order
@@ -150,7 +166,7 @@ class EvolutionConfig:
 # 14 u^2 u_4x, stepped explicitly, are a likely further cause.
 @dataclass(frozen=True)
 class _Stepper:
-    lift: object        # vhat -> rows u, u_x, ... on the padded grid
+    lift: object        # vhat -> rows (deriv, member, phase, n) of u, u_x, ...
     nonlinear: object   # vhat -> Fourier coefficients of -d/dx f(u)
     advance: object     # vhat -> vhat one dt later
 
@@ -176,27 +192,23 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
                       axis=1)
 
     pad = cfg.dealias_pad
-    n_pad = pad * n
-    nb = n // 2 + 1
     terms = cf.flux_terms(order)
-    max_deriv = cf.max_order(terms)
-    # the padded grid covers the same length, so its first nb wavenumbers
-    # are kr
-    lift_mult = pad * (1j * kr) ** np.arange(max_deriv + 1)[:, None]
-    if pad > 1:
-        lift_mult[:, -1] *= 0.5  # Nyquist convention, see the notes
-    buf = np.zeros((max_deriv + 1, n_pad // 2 + 1), dtype=complex)
-    head = buf[:, :nb]  # the tail stays zero
-    out_mult = -1j * kr / pad
-    out_mult[-1] = 0.0
+    n_rows = cf.max_order(terms) + 1
+    # shift[s] = exp(i k s h / pad): coarse grid -> phase s of the padded grid
+    shift = np.exp(1j * kr * (np.arange(pad)[:, None] * (w.spacing / pad)))
+    lift_mult = (1j * kr) ** np.arange(n_rows)[:, None, None] * shift
+    out_mult = -1j * kr * np.conj(shift) / pad
+    out_mult[:, -1] = 0.0
 
     def lift(vhat):
-        np.multiply(lift_mult, vhat, out=head)
-        return np.fft.irfft(buf, n=n_pad, axis=-1)
+        # (..., bin) -> (deriv, ..., phase, n)
+        mult = lift_mult.reshape((n_rows,) + (1,) * (vhat.ndim - 1)
+                                 + lift_mult.shape[1:])
+        return np.fft.irfft(mult * vhat[..., None, :], n=n)
 
     def nonlinear(vhat):
         fvals = cf.eval_flux_terms(terms, lift(vhat))
-        return out_mult * np.fft.rfft(fvals)[:nb]
+        return (out_mult * np.fft.rfft(fvals)).sum(axis=-2)
 
     def advance(vhat):
         Ev = E2 * vhat
@@ -227,53 +239,81 @@ class Snapshot:
     functionals: dict
 
 
-def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
-           snapshot_every: int | None = None) -> list[Snapshot]:
+def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
+           snapshot_every: int | None = None):
     """Run to t_end, returning snapshots with the monitored functionals.
 
-    Snapshots are taken every snapshot_every steps (default: about fifty per
-    run) and always include the initial and final states.  A spectral tail
-    above 1e-10 of the peak triggers a single ResolutionWarning.
+    u0 is one SampledField, or a tuple of fields that are stepped together as
+    one batch, the members of the stepper notes.  Snapshots are taken every
+    snapshot_every steps (default: about fifty per run) and always include
+    the initial and final states.  A spectral tail above 1e-10 of the peak
+    triggers a single ResolutionWarning per member.
+
+    For one field the result is its trajectory, and a non-finite step raises
+    BlowUpError.  For a tuple it is a tuple with one entry per field: its
+    trajectory, or the BlowUpError of a member that turned non-finite.  Such
+    a member leaves the batch and the others keep going; every member's
+    trajectory, or error, is bit for bit that of its solo run.
     """
-    if u0.window != cfg.window:
+    fields = u0 if isinstance(u0, tuple) else (u0,)
+    if any(f.window != cfg.window for f in fields):
         raise ValueError("initial field window differs from config window")
     advance = _stepper(cfg).advance
     n_steps = int(round(cfg.t_end / cfg.dt))
     if snapshot_every is None:
         snapshot_every = max(1, n_steps // 50)
 
-    vhat = np.fft.rfft(u0.values)
-    warned = False
-    if _tail_fraction(vhat) > _RESOLUTION_TAIL:
+    vhat = np.fft.rfft(np.stack([f.values for f in fields]))
+    warned = [_tail_fraction(row) > _RESOLUTION_TAIL for row in vhat]
+    if any(warned):
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
-        warned = True
 
-    def snapshot(i, spec):
+    def snapshots(i, spec):
         t = i * cfg.dt
-        f = SampledField(cfg.window_at(t),
-                         np.fft.irfft(spec, n=cfg.window.n_points))
-        with warnings.catch_warnings():
-            # radiation wrapping around the periodic window is legitimate
-            # here and the trapezoid quadrature stays exact for it; the edge
-            # check guards sampling of decaying profiles, not evolution
-            warnings.simplefilter("ignore", TailWarning)
-            vals = {kind: functional(f, kind).value for kind in monitors}
-        return Snapshot(t, f, vals)
+        w = cfg.window_at(t)
+        out = []
+        for values in np.fft.irfft(spec, n=cfg.window.n_points):
+            f = SampledField(w, values)
+            with warnings.catch_warnings():
+                # radiation wrapping around the periodic window is legitimate
+                # here and the trapezoid quadrature stays exact for it; the
+                # edge check guards sampling of decaying profiles, not
+                # evolution
+                warnings.simplefilter("ignore", TailWarning)
+                vals = {kind: functional(f, kind).value for kind in monitors}
+            out.append(Snapshot(t, f, vals))
+        return out
 
-    traj = [snapshot(0, vhat)]
+    live = list(range(len(fields)))  # member index of each row of vhat
+    trajs = [[snap] for snap in snapshots(0, vhat)]
+    outcomes = list(trajs)
     for i in range(1, n_steps + 1):
         last, vhat = vhat, advance(vhat)
-        if not np.all(np.isfinite(vhat)):
-            raise BlowUpError(i * cfg.dt, int(np.argmax(np.abs(last))), traj)
+        finite = np.isfinite(vhat).all(axis=-1)
+        if not finite.all():
+            for row in np.flatnonzero(~finite):
+                m = live[row]
+                outcomes[m] = BlowUpError(
+                    i * cfg.dt, int(np.argmax(np.abs(last[row]))), trajs[m])
+            live = [m for m, ok in zip(live, finite) if ok]
+            if not live:
+                break
+            vhat = vhat[finite]
         if i % snapshot_every == 0 or i == n_steps:
-            if not warned and _tail_fraction(vhat) > _RESOLUTION_TAIL:
-                warnings.warn(
-                    f"spectral tail above 1e-10 of peak at t={i * cfg.dt:.6g}",
-                    ResolutionWarning, stacklevel=2)
-                warned = True
-            traj.append(snapshot(i, vhat))
-    return traj
+            for m, row in zip(live, vhat):
+                if not warned[m] and _tail_fraction(row) > _RESOLUTION_TAIL:
+                    warnings.warn(
+                        f"spectral tail above 1e-10 of peak at "
+                        f"t={i * cfg.dt:.6g}", ResolutionWarning, stacklevel=2)
+                    warned[m] = True
+            for m, snap in zip(live, snapshots(i, vhat)):
+                trajs[m].append(snap)
+    if isinstance(u0, tuple):
+        return tuple(outcomes)
+    if isinstance(outcomes[0], BlowUpError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def functional_drifts(traj: list[Snapshot]) -> dict:
@@ -368,6 +408,7 @@ class StabilityReport:
     phases_x2: tuple
     drifts: dict
     eta: float
+    blow_up: BlowUpError | None = None  # set when the run stopped early
 
     def __post_init__(self):
         if any(d < 0 for d in self.distances):
@@ -391,7 +432,7 @@ class StabilityReport:
         return worst
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "times": list(self.times),
             "distances": list(self.distances),
             "phases_x1": list(self.phases_x1),
@@ -401,6 +442,9 @@ class StabilityReport:
             "sup_distance": self.sup_distance,
             "max_phase_speed": self.max_phase_speed,
         }
+        if self.blow_up is not None:
+            out.update(t_blowup=self.blow_up.t, k_blowup=self.blow_up.k)
+        return out
 
 
 def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
@@ -428,30 +472,46 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
                      f"choose from {PERTURBATION_SHAPES}")
 
 
-def stability_experiment(p: cf.BreatherParams, eta: float, perturbation: str,
+def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
                          cfg: EvolutionConfig,
                          snapshot_every: int | None = None,
-                         rng: np.random.Generator | None = None) -> StabilityReport:
-    """Evolve a perturbed breather and track the modulated H^2 distance.
+                         seed: int | None = None) -> tuple:
+    """Evolve perturbed breathers as one batch and track the modulated H^2
+    distance of each; returns one StabilityReport per shape.
 
-    The perturbation is L2-normalized, scaled to H^2 size eta, and added to
-    the breather at t=0; the snapshots go to track_modulation.
+    Each perturbation is L2-normalized, scaled to H^2 size eta, and added to
+    the breather at t=0; the shape 'random' draws from a fresh
+    np.random.default_rng(seed), so a member's field does not depend on the
+    other shapes.  The snapshots go to track_modulation; a member that blows
+    up reports its partial trajectory and carries the BlowUpError.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
     w = cfg.window
     base = cf.breather_jet(p, 0.0, w.grid(), m=0).value
-    values = base
-    if eta > 0.0:
-        shape = perturbation_shape(perturbation, p, w, rng=rng)
-        shape = shape / math.sqrt(w.quad(shape**2))
-        shape = shape * (eta / sobolev_norm(SampledField(w, shape), 2))
-        values = base + shape
-    u0 = SampledField(w, values)
+    fields = []
+    for name in shapes:
+        values = base
+        if eta > 0.0:
+            rng = None if seed is None else np.random.default_rng(seed)
+            shape = perturbation_shape(name, p, w, rng=rng)
+            shape = shape / math.sqrt(w.quad(shape**2))
+            shape = shape * (eta / sobolev_norm(SampledField(w, shape), 2))
+            values = base + shape
+        fields.append(SampledField(w, values))
 
     monitors = ("M", "E", f"E{p.order}")
-    traj = evolve(u0, cfg, monitors=monitors, snapshot_every=snapshot_every)
-    return track_modulation(p, traj, eta)
+    outcomes = evolve(tuple(fields), cfg, monitors=monitors,
+                      snapshot_every=snapshot_every)
+    reports = []
+    for out in outcomes:
+        if isinstance(out, BlowUpError):
+            reports.append(replace(
+                track_modulation(p, out.trajectory, eta, blown_up=True),
+                blow_up=out))
+        else:
+            reports.append(track_modulation(p, out, eta))
+    return tuple(reports)
 
 
 def track_modulation(p: cf.BreatherParams, traj: list, eta: float,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from mkdvlab import cli
@@ -105,6 +106,19 @@ def test_csv_writer():
     assert lines[0] == "id,x"
     assert lines[1] == "r1,1.5"
     assert lines[2] == "r2,null"
+
+
+def test_snapshot_value_csv_matches_dump_csv():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(1024) * 10.0 ** rng.integers(-300, 300, 1024)
+    values[:4] = (0.1, -0.0, 5e-324, 1.0)
+    want = cli.dump_csv(("value",), [(v,) for v in values])
+    assert cli._value_csv(values) == want
+    values[7] = float("nan")
+    text = cli._value_csv(values)
+    assert text == cli.dump_csv(("value",), [(v,) for v in values])
+    assert text.split("\n")[8] == "null"
+    assert cli._value_csv(np.array([])) == cli.dump_csv(("value",), [])
 
 
 def test_report_invariant():

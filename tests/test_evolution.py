@@ -131,7 +131,9 @@ def test_pure_nyquist_lifts_to_unit_amplitude(order):
     cfg = small_config(order)
     w, pad = cfg.window, cfg.dealias_pad
     kn = math.pi / w.spacing
-    rows = ev._stepper(cfg).lift(np.fft.rfft((-1.0) ** np.arange(w.n_points)))
+    phases = ev._stepper(cfg).lift(np.fft.rfft((-1.0) ** np.arange(w.n_points)))
+    # (deriv, phase s, coarse m) -> padded point pad * m + s
+    rows = np.swapaxes(phases, -1, -2).reshape(len(phases), -1)
     # phase pi m / pad at padded point m, reduced exactly to one period
     y = np.pi * (np.arange(pad * w.n_points) % (2 * pad)) / pad
     want = [np.cos(y), -kn * np.sin(y), -kn**2 * np.cos(y),
@@ -200,6 +202,79 @@ def test_blow_up_raises():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
         with pytest.raises(ev.BlowUpError, match="non-finite Fourier mode at t="):
             ev.evolve(u0, cfg)
+
+
+def _assert_same_trajectory(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.t == b.t and a.field.window == b.field.window
+        assert np.array_equal(a.field.values, b.field.values)
+        assert a.functionals == b.functionals
+
+
+def test_batch_equals_solo_runs():
+    # order 5, n = 256, 200 steps; the breather and two perturbations of it
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = small_config(5, dt=1e-4, t_end=200 * 1e-4)
+    w = cfg.window
+    x = w.grid()
+    base = sample_breather(p, 0.0, w, m=0).values
+    members = (SampledField(w, base),
+               SampledField(w, base + 1e-2 * np.exp(-x**2)),
+               SampledField(w, base + 1e-2 * np.sin(x) * np.exp(-x**2 / 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        batch = ev.evolve(members, cfg, monitors=("M", "E"))
+        solo = [ev.evolve(u0, cfg, monitors=("M", "E")) for u0 in members]
+    assert isinstance(batch, tuple) and len(batch) == 3
+    for got, want in zip(batch, solo):
+        assert len(want) == 51 and want[-1].t == pytest.approx(0.02)
+        _assert_same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_advance_makes_eight_transforms_whatever_the_batch(members,
+                                                           monkeypatch):
+    cfg = small_config(5)
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    vhat = np.fft.rfft(sample_breather(p, 0.0, cfg.window, m=0).values)
+    stack = np.repeat(vhat[None, :], members, axis=0)
+    advance = ev._stepper(cfg).advance
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    out = advance(stack)
+    assert out.shape == stack.shape
+    assert calls == {"rfft": 4, "irfft": 4}
+
+
+def test_blow_up_stays_with_its_member():
+    # the field of test_blow_up_raises next to a benign breather
+    w = Window(0.0, 30.0, N_SMALL)
+    cfg = small_config(5, dt=1e-3, t_end=0.05, window=w)
+    blowing = SampledField(w, 10.0 * np.exp(-w.grid() ** 2))
+    benign = sample_breather(cf.BreatherParams(5, 0.6, 0.5), 0.0, w, m=0)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        traj, err = ev.evolve((benign, blowing), cfg, monitors=("M",),
+                              snapshot_every=1)
+        with pytest.raises(ev.BlowUpError) as solo_err:
+            ev.evolve(blowing, cfg, monitors=("M",), snapshot_every=1)
+        solo_traj = ev.evolve(benign, cfg, monitors=("M",), snapshot_every=1)
+    assert isinstance(err, ev.BlowUpError)
+    want = solo_err.value
+    assert (err.t, err.k, len(err.trajectory)) == (
+        want.t, want.k, len(want.trajectory))
+    assert 0.0 < err.t < cfg.t_end and len(err.trajectory) >= 2
+    _assert_same_trajectory(err.trajectory, want.trajectory)
+    assert len(traj) == 51
+    _assert_same_trajectory(traj, solo_traj)
 
 
 def test_config_rejections():
@@ -307,6 +382,29 @@ def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
     assert codes == [0 if all(r["pass"] for r in records) else 1] * 2
     assert ((outs[0] / "report.json").read_bytes()
             == (outs[1] / "report.json").read_bytes())
+
+
+def test_stability_batch_equals_single_shape_runs(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    common = "orders = 5\neta = 0.01\nt_end = 0.002\n"
+    runs = {"both": "B1, LambdaBeta", "B1": "B1", "LambdaBeta": "LambdaBeta"}
+    outs = {}
+    for name, shapes in runs.items():
+        cfgp = tmp_path / f"{name}.txt"
+        cfgp.write_text(common + f"shapes = {shapes}\n", encoding="utf-8")
+        out = tmp_path / name
+        out.mkdir()
+        cli.main(["stability", "--config", str(cfgp), "--out", str(out)])
+        outs[name] = out
+    batched = json.loads((outs["both"] / "report.json").read_text())
+    singles = [json.loads((outs[s] / "report.json").read_text())
+               for s in ("B1", "LambdaBeta")]
+    assert batched["records"] == singles[0]["records"] + singles[1]["records"]
+    for shape in ("B1", "LambdaBeta"):
+        for ext in ("json", "csv"):
+            name = f"stability_order5_{shape}_eta0.01.{ext}"
+            assert ((outs["both"] / name).read_bytes()
+                    == (outs[shape] / name).read_bytes())
 
 
 def _blow_up_config(order, t_end=1.0, n_points=1024):
