@@ -11,9 +11,13 @@ Four subcommands cover the laboratory's standing experiments:
                soliton speed law, conservation drifts
     stability  perturbed-breather experiments with modulation tracking
 
-Each subcommand expands its sweep into an ordered task list, dispatches the
-tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for a process pool),
-and assembles report.json plus per-run CSV dumps in the output directory.
+Each subcommand reads only the config keys listed in its table (SUITES):
+a key it does not read, a value outside its domain, an empty sweep list or
+one that repeats a value is a config error.  One driver (run_suite) expands
+the sweep into an ordered task list, dispatches the tasks (sequentially by
+default; set MKDVLAB_WORKERS > 1 for a process pool), and assembles
+report.json, which echoes the keys read, plus per-run CSV dumps in the
+output directory.
 A stability task is one order, whose shapes are stepped as one batch, so the
 pool gives stability one task per order, not one per shape.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
@@ -26,10 +30,11 @@ config error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,16 +42,14 @@ from . import __version__
 from . import closed_forms as cf
 from . import identities as ide
 from . import spectral as spc
-from .evolution import (BlowUpError, breather_fidelity_config, evolve,
+from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, STABILITY_ORDERS,
+                        BlowUpError, breather_fidelity_config, evolve,
                         functional_drifts, soliton_speed_run,
                         stability_experiment, stability_run_config)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, sample_breather,
                           sample_soliton, sobolev_norm)
-
-COMMANDS = ("verify", "spectrum", "evolve", "stability")
-
 
 class ConfigError(ValueError):
     """Bad config file, bad key, or unusable output directory."""
@@ -111,135 +114,60 @@ def dump_csv(header, rows) -> str:
 
 # --------------------------------------------------------------------------
 # configuration
+#
+# Each suite's table (SUITES, below the suite bodies) lists the config keys
+# the suite reads.  build_config parses and checks the values against it,
+# RunConfig.echo writes them back into report.json, and run_suite expands
+# them into tasks; any key outside the table is a ConfigError.
 
-_LIST_KEYS = {
-    "orders": int,
-    "alpha": float,
-    "beta": float,
-    "c": float,
-    "t": float,
-    "shapes": str,
-}
-_SCALAR_KEYS = {
-    "command": str,
-    "window_center": float,
-    "window_half_width": float,
-    "window_n": int,
-    "eta": float,
-    "t_end": float,
-    "dt": float,
-    "seed": int,
-}
+def _real(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not finite")
+    return v
 
-_DEFAULTS = {
-    "verify": {
-        "orders": (3, 5, 7, 9, 11),
-        "alpha": (0.5, 1.0, 2.0),
-        "beta": (0.5, 1.0, 2.0),
-        "c": (0.25, 1.0, 4.0),
-        "t": (0.0, 0.37, 1.1),
-        "tol": {
-            "breather_ode": 1e-8,
-            "soliton_ode": 1e-9,
-            "identity": 1e-7,
-            "energy": 1e-8,
-            "reduction": 1e-7,
-            "unique": 0.5,
-        },
-    },
-    "spectrum": {
-        "orders": (5,),
-        "alpha": (0.5, 1.0, 2.0),
-        "beta": (0.5, 1.0, 2.0),
-        "tol": {
-            "counts": 0.5,
-            "edge": 0.02,
-            "form": 1e-4,
-            "b0": 1e-4,
-            "wronskian": 1e-8,
-            "coercivity": 1e-12,
-            "spread": 1e-5,
-        },
-    },
-    "evolve": {
-        "orders": (5, 7, 9),
-        "alpha": (1.0,),
-        "beta": (1.0,),
-        "tol": {
-            "h2": 1e-5,
-            "drift": 1e-7,
-            "speed_cells": 1.0,
-        },
-    },
-    "stability": {
-        "orders": (5,),
-        "alpha": (1.0,),
-        "beta": (1.0,),
-        "shapes": ("gaussian", "B1", "LambdaBeta"),
-        "eta": 1e-2,
-        "t_end": 5.0,
-        "tol": {
-            "sup_factor": 10.0,
-            "quotient_factor": 10.0,
-            "floor": 1e-5,
-        },
-    },
-}
+
+@dataclass(frozen=True)
+class Key:
+    """One config key a suite reads.
+
+    A tuple default marks a comma-separated list, which must hold at least
+    one value and no value twice.  rule is (predicate, what it asks) and
+    applies to each value.  A list with `each` set gives the suite one task
+    per value, under that name; the others reach every task whole.  `echo`
+    is the key's name in report.json when it differs.
+    """
+
+    cast: object
+    default: object
+    rule: tuple | None = None
+    each: str | None = None
+    echo: str | None = None
+
+
+def _one_of(options: tuple) -> tuple:
+    return (lambda v: v in options), f"be one of {', '.join(map(str, options))}"
+
+
+_POSITIVE = (lambda v: v > 0, "be positive")
+# zero is allowed for a budget: an impossible budget is the documented way to
+# force every check to fail (exercises the exit-1 path)
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+_TOLERANCE = Key(_real, None, _NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    orders: tuple
-    alphas: tuple
-    betas: tuple
-    cs: tuple
-    times: tuple
-    shapes: tuple
-    window_center: float | None
-    window_half_width: float | None
-    window_n: int | None
-    eta: float
-    t_end: float | None
-    dt: float | None
-    seed: int
-    out_dir: str
+    values: dict       # config key -> value, for every key the suite reads
     tolerances: dict
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        for name in ("orders", "alphas", "betas"):
-            if not getattr(self, name):
-                raise ConfigError(f"sweep list {name} must be non-empty")
-        bad = [o for o in self.orders if o not in cf.ORDERS]
-        if bad:
-            raise ConfigError(f"orders must lie in {cf.ORDERS}, got {bad}")
-        for key, val in self.tolerances.items():
-            # zero is allowed: an impossible budget is the documented way
-            # to force every check to fail (exercises the exit-1 path)
-            if not (math.isfinite(val) and val >= 0):
-                raise ConfigError(f"tolerance {key} must be nonnegative")
-        if not 0.0 <= self.eta <= 0.1:
-            raise ConfigError("eta must lie in [0, 0.1]")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end is not None and not self.t_end >= 0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.command == "spectrum" and self.window_n is not None \
-                and self.window_n < 512:
-            # the coercivity spread check runs the half grid, which must
-            # itself satisfy the sampling floor of 256 points
-            raise ConfigError("spectrum needs window_n >= 512")
+    out_dir: str
 
     def echo(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "out_dir":
-                continue  # reports must not depend on where they land
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        out["tolerances"] = dict(self.tolerances)
+        keys = SUITES[self.command].keys
+        out = {keys[k].echo or k: list(v) if isinstance(v, tuple) else v
+               for k, v in self.values.items()}
+        out.update(command=self.command, tolerances=dict(self.tolerances))
         return out
 
 
@@ -265,57 +193,50 @@ def parse_config_file(path: str) -> dict:
     return raw
 
 
-def _convert(key: str, val: str):
+def _convert(command: str, name: str, key: Key, text: str):
+    many = isinstance(key.default, tuple)
     try:
-        if key in _LIST_KEYS:
-            cast = _LIST_KEYS[key]
-            return tuple(cast(s.strip()) for s in val.split(",") if s.strip())
-        if key in _SCALAR_KEYS:
-            return _SCALAR_KEYS[key](val)
-        if key.startswith("tol_"):
-            return float(val)
+        vals = tuple(key.cast(s.strip()) for s in text.split(",")
+                     if s.strip()) if many else (key.cast(text),)
     except ValueError as e:
-        raise ConfigError(f"bad value for {key!r}: {e}") from None
-    raise ConfigError(f"unknown config key {key!r}")
+        raise ConfigError(f"{command}: bad value for {name!r}: {e}") from None
+    if not vals:
+        raise ConfigError(f"{command}: {name} must list at least one value")
+    if len(set(vals)) < len(vals):
+        raise ConfigError(f"{command}: {name} repeats a value: {text}")
+    if key.rule is not None:
+        bad = [v for v in vals if not key.rule[0](v)]
+        if bad:
+            raise ConfigError(f"{command}: {name} must {key.rule[1]}, "
+                              f"got {', '.join(map(str, bad))}")
+    return vals if many else vals[0]
 
 
 def build_config(command: str, raw: dict, out_dir: str,
                  seed_override: int | None = None) -> RunConfig:
-    typed = {k: _convert(k, v) for k, v in raw.items()}
-    if "command" in typed and typed["command"] != command:
-        raise ConfigError(
-            f"config says command = {typed['command']!r}, invoked {command!r}")
-    defaults = _DEFAULTS[command]
-    tol = dict(defaults["tol"])
-    for k, v in typed.items():
-        if k.startswith("tol_"):
-            name = k[4:]
-            if name not in tol:
-                raise ConfigError(f"unknown tolerance {k!r} for {command}")
-            tol[name] = v
-    seed = typed.get("seed", 0)
+    if command not in SUITES:
+        raise ConfigError(f"unknown command {command!r}")
+    suite = SUITES[command]
     if seed_override is not None:
-        seed = seed_override
+        raw = {**raw, "seed": str(seed_override)}
+    values = {k: key.default for k, key in suite.keys.items()}
+    tol = dict(suite.tol)
+    for k, text in raw.items():
+        if k == "command":
+            if text != command:
+                raise ConfigError(
+                    f"config says command = {text!r}, invoked {command!r}")
+        elif k in suite.keys:
+            values[k] = _convert(command, k, suite.keys[k], text)
+        elif k.startswith("tol_") and k[4:] in tol:
+            tol[k[4:]] = _convert(command, k, _TOLERANCE, text)
+        else:
+            reads = ["command", *suite.keys, *(f"tol_{n}" for n in tol)]
+            raise ConfigError(f"{command} does not read config key {k!r}; "
+                              f"it reads {', '.join(reads)}")
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    return RunConfig(
-        command=command,
-        orders=typed.get("orders", defaults["orders"]),
-        alphas=typed.get("alpha", defaults["alpha"]),
-        betas=typed.get("beta", defaults["beta"]),
-        cs=typed.get("c", defaults.get("c", ())),
-        times=typed.get("t", defaults.get("t", (0.0,))),
-        shapes=typed.get("shapes", defaults.get("shapes", ())),
-        window_center=typed.get("window_center"),
-        window_half_width=typed.get("window_half_width"),
-        window_n=typed.get("window_n"),
-        eta=typed.get("eta", defaults.get("eta", 0.0)),
-        t_end=typed.get("t_end", defaults.get("t_end")),
-        dt=typed.get("dt"),
-        seed=seed,
-        out_dir=out_dir,
-        tolerances=tol,
-    )
+    return RunConfig(command, values, tol, out_dir)
 
 
 # --------------------------------------------------------------------------
@@ -381,7 +302,7 @@ def _verify_point(task: dict) -> tuple:
     recs = []
     tag = {"order": order, "alpha": a, "beta": b}
     p = cf.BreatherParams(order, a, b)
-    for t in task["times"]:
+    for t in task["t"]:
         rep = ide.breather_ode_residual(p, t)
         recs.append(_record("breather_ode", {**tag, "t": t}, rep.normalized,
                             tol["breather_ode"]))
@@ -416,7 +337,7 @@ def _verify_point(task: dict) -> tuple:
                             abs(conj + lemma) / max(1.0, abs(lemma)),
                             tol["energy"]))
     if order != 11:
-        for c in task["cs"]:
+        for c in task["c"]:
             sp_ = cf.SolitonParams(order, c)
             for level in ("2nd", "high"):
                 rep = ide.soliton_ode_residual(sp_, level)
@@ -438,50 +359,20 @@ def _adjudication_records(tol: dict) -> list:
     return recs
 
 
-def cmd_verify(cfg: RunConfig) -> SuiteReport:
-    tasks = [{"order": o, "alpha": a, "beta": b, "times": cfg.times,
-              "cs": cfg.cs, "tol": cfg.tolerances}
-             for o in cfg.orders for a in cfg.alphas for b in cfg.betas]
-    results = _dispatch(_verify_point, tasks)
-    records = []
-    for recs, _ in results:
-        records.extend(recs)
-    records.extend(_adjudication_records(cfg.tolerances))
-    return SuiteReport("verify", tuple(records), cfg.echo())
-
-
-def verify_record_count(cfg: RunConfig) -> int:
-    """Records cmd_verify will emit, for counting checks against reports."""
-    total = 2  # adjudications
-    for order in cfg.orders:
-        n = len(cfg.times) + 1 + 2  # breather_ode sweep, evolution, M+E
-        if order in (5, 7, 9):
-            n += 4  # lemma21, E{order}, reduction, conjecture sign
-        if order == 5:
-            n += 1  # lemma23
-        if order in (7, 9):
-            n += 1  # corollary
-        if order != 11:
-            n += 2 * len(cfg.cs)
-        total += n * len(cfg.alphas) * len(cfg.betas)
-    return total
-
-
 # --------------------------------------------------------------------------
 # spectrum
 
 def _spectrum_point(task: dict) -> tuple:
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
-    n = task["n"] or 1024
+    n = task["window_n"] or 1024
     tag = {"alpha": a, "beta": b, "n": n}
     p = cf.BreatherParams(5, a, b)
     w = spc.spectral_window(p, 0.0, n_points=n)
-    if task["center"] is not None or task["half_width"] is not None:
-        w = Window(task["center"] if task["center"] is not None
-                   else w.center,
-                   task["half_width"] if task["half_width"] is not None
-                   else w.half_width, n)
+    center, half_width = task["window_center"], task["window_half_width"]
+    if center is not None or half_width is not None:
+        w = Window(w.center if center is None else center,
+                   w.half_width if half_width is None else half_width, n)
     opr = spc.build_operator(p, 0.0, w)
     summary = spc.spectrum(opr)
     dirs = spc.directions(p, 0.0, w)
@@ -527,21 +418,6 @@ def _spectrum_point(task: dict) -> tuple:
     artifact = (f"spectrum_a{a:g}_b{b:g}.json",
                 dump_json(summary.to_json_dict()))
     return tuple(recs), (artifact,)
-
-
-def cmd_spectrum(cfg: RunConfig) -> SuiteReport:
-    tasks = [{"alpha": a, "beta": b, "n": cfg.window_n,
-              "center": cfg.window_center,
-              "half_width": cfg.window_half_width,
-              "seed": cfg.seed, "tol": cfg.tolerances}
-             for a in cfg.alphas for b in cfg.betas]
-    results = _dispatch(_spectrum_point, tasks)
-    records, artifacts = [], []
-    for recs, arts in results:
-        records.extend(recs)
-        artifacts.extend(arts)
-    _write_artifacts(cfg.out_dir, artifacts)
-    return SuiteReport("spectrum", tuple(records), cfg.echo())
 
 
 # --------------------------------------------------------------------------
@@ -658,18 +534,6 @@ def _evolve_point(task: dict) -> tuple:
     return tuple(recs), tuple(arts)
 
 
-def cmd_evolve(cfg: RunConfig) -> SuiteReport:
-    tasks = [{"order": o, "dt": cfg.dt, "tol": cfg.tolerances}
-             for o in cfg.orders]
-    results = _dispatch(_evolve_point, tasks)
-    records, artifacts = [], []
-    for recs, arts in results:
-        records.extend(recs)
-        artifacts.extend(arts)
-    _write_artifacts(cfg.out_dir, artifacts)
-    return SuiteReport("evolve", tuple(records), cfg.echo())
-
-
 # --------------------------------------------------------------------------
 # stability
 
@@ -706,19 +570,84 @@ def _stability_point(task: dict) -> tuple:
     return tuple(recs), tuple(arts)
 
 
-def cmd_stability(cfg: RunConfig) -> SuiteReport:
-    shapes = cfg.shapes or _DEFAULTS["stability"]["shapes"]
-    tasks = [{"order": o, "shapes": shapes, "eta": cfg.eta,
-              "t_end": cfg.t_end, "dt": cfg.dt, "seed": cfg.seed,
+# --------------------------------------------------------------------------
+# the suites: the keys each one reads, its budgets, and its task body
+
+@dataclass(frozen=True)
+class Suite:
+    point: object        # task dict -> (records, artifacts)
+    keys: dict           # config key -> Key, for every key the suite reads
+    tol: dict            # budget name -> default, set by tol_<name>
+    tail: object = None  # tolerances -> records that follow the tasks'
+
+
+def _orders(default: tuple, options: tuple) -> Key:
+    return Key(int, default, _one_of(options), each="order")
+
+
+_ALPHA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="alpha", echo="alphas")
+_BETA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="beta", echo="betas")
+_DT = Key(_real, None, _POSITIVE)  # None: the shipped run's time step
+_SEED = Key(int, 0, _NONNEGATIVE)
+
+SUITES = {
+    "verify": Suite(_verify_point, {
+        "orders": _orders((3, 5, 7, 9, 11), cf.ORDERS),
+        "alpha": _ALPHA,
+        "beta": _BETA,
+        "c": Key(_real, (0.25, 1.0, 4.0), _POSITIVE, echo="cs"),
+        "t": Key(_real, (0.0, 0.37, 1.1), echo="times"),
+        "seed": _SEED,
+    }, {"breather_ode": 1e-8, "soliton_ode": 1e-9, "identity": 1e-7,
+        "energy": 1e-8, "reduction": 1e-7, "unique": 0.5},
+        tail=_adjudication_records),
+    "spectrum": Suite(_spectrum_point, {
+        "alpha": _ALPHA,
+        "beta": _BETA,
+        "window_center": Key(_real, None),  # None: spectral_window's choice
+        "window_half_width": Key(_real, None, _POSITIVE),
+        # the coercivity spread check runs the half grid, which must itself
+        # satisfy the sampling floor of 256 points
+        "window_n": Key(int, None, (lambda n: n >= 512 and (n & (n - 1)) == 0,
+                                    "be a power of two >= 512")),
+        "seed": _SEED,
+    }, {"counts": 0.5, "edge": 0.02, "form": 1e-4, "b0": 1e-4,
+        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5}),
+    "evolve": Suite(_evolve_point, {
+        "orders": _orders((5, 7, 9), EVOLVE_ORDERS),
+        "dt": _DT,
+        "seed": _SEED,
+    }, {"h2": 1e-5, "drift": 1e-7, "speed_cells": 1.0}),
+    "stability": Suite(_stability_point, {
+        "orders": _orders((5,), STABILITY_ORDERS),
+        "shapes": Key(str, ("gaussian", "B1", "LambdaBeta"),
+                      _one_of(PERTURBATION_SHAPES)),
+        "eta": Key(_real, 1e-2, (lambda v: 0.0 <= v <= 0.1,
+                                   "lie in [0, 0.1]")),
+        "t_end": Key(_real, 5.0, _NONNEGATIVE),
+        "dt": _DT,
+        "seed": _SEED,
+    }, {"sup_factor": 10.0, "quotient_factor": 10.0, "floor": 1e-5}),
+}
+
+
+def run_suite(cfg: RunConfig) -> SuiteReport:
+    """Run one task per combination of the swept lists' values, in table
+    order, write the tasks' artifacts and report their records."""
+    suite = SUITES[cfg.command]
+    swept = [k for k, key in suite.keys.items() if key.each]
+    whole = {k: v for k, v in cfg.values.items() if k not in swept}
+    tasks = [{**whole, **{suite.keys[k].each: v for k, v in zip(swept, vals)},
               "tol": cfg.tolerances}
-             for o in cfg.orders]
-    results = _dispatch(_stability_point, tasks)
+             for vals in itertools.product(*(cfg.values[k] for k in swept))]
     records, artifacts = [], []
-    for recs, arts in results:
+    for recs, arts in _dispatch(suite.point, tasks):
         records.extend(recs)
         artifacts.extend(arts)
+    if suite.tail is not None:
+        records.extend(suite.tail(cfg.tolerances))
     _write_artifacts(cfg.out_dir, artifacts)
-    return SuiteReport("stability", tuple(records), cfg.echo())
+    return SuiteReport(cfg.command, tuple(records), cfg.echo())
 
 
 # --------------------------------------------------------------------------
@@ -742,14 +671,6 @@ def _write_artifacts(out_dir: str, artifacts) -> None:
             fh.write(text)
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "stability": cmd_stability,
-}
-
-
 def write_report(report: SuiteReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8",
               newline="") as fh:
@@ -767,7 +688,7 @@ def main(argv=None) -> int:
         description="identity, spectral, evolution and stability suites "
                     "with deterministic reports")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in SUITES:
         q = sub.add_parser(name)
         q.add_argument("--config", default=None,
                        help="flat key = value file; defaults used if omitted")
@@ -785,11 +706,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = _COMMANDS[args.command](cfg)
+        report = run_suite(cfg)
         write_report(report, cfg.out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001  - exit-code contract wants 3
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

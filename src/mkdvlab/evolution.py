@@ -75,7 +75,7 @@ class FitError(RuntimeError):
 
 
 class ResolutionWarning(UserWarning):
-    """Spectral tail above the resolved-field threshold, or aliased products."""
+    """Spectral tail above the resolved-field threshold."""
 
 
 def exact_dealias_pad(order: int) -> int:
@@ -93,7 +93,6 @@ class EvolutionConfig:
     window: Window
     dt: float
     t_end: float
-    dealias_pad: int
     frame_speed: float = 0.0
 
     def __post_init__(self):
@@ -103,16 +102,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
-        if self.dealias_pad < 1:
-            raise ValueError("dealias_pad must be a positive integer")
         if not math.isfinite(self.frame_speed):
             raise ValueError("frame_speed must be finite")
-        if self.dealias_pad < exact_dealias_pad(self.order):
-            warnings.warn(
-                f"dealias_pad {self.dealias_pad} below the exact factor "
-                f"{exact_dealias_pad(self.order)} for order {self.order}; "
-                "aliased products will pollute the run", ResolutionWarning,
-                stacklevel=2)
 
     def window_at(self, t: float) -> Window:
         if self.frame_speed == 0.0:
@@ -191,7 +182,7 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     f3 = dt * np.mean((-4.0 - 3.0 * z - z**2 + np.exp(z) * (4.0 - z)) / z**3,
                       axis=1)
 
-    pad = cfg.dealias_pad
+    pad = exact_dealias_pad(order)
     terms = cf.flux_terms(order)
     n_rows = cf.max_order(terms) + 1
     # shift[s] = exp(i k s h / pad): coarse grid -> phase s of the padded grid
@@ -555,32 +546,35 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 # that pushes the first stepper resonance out of the breather's spectral
 # support.
 
-_BREATHER_RUNS = {
-    5: (-4.0, 2e-5, 3),
-    7: (0.0, 2e-7, 4),
-    9: (16.0, 1e-5, 5),
+_BREATHER_RUNS = {  # order: (frame_speed, dt)
+    5: (-4.0, 2e-5),
+    7: (0.0, 2e-7),
+    9: (16.0, 1e-5),
 }
 
-_SOLITON_RUNS = {
-    5: (2.0, 0.0, 5e-6, 3),
-    7: (1.2, None, 1e-5, 4),
-    9: (1.2, None, 1e-5, 5),
+_SOLITON_RUNS = {  # order: (c, frame_speed or None for the law's, dt)
+    5: (2.0, 0.0, 5e-6),
+    7: (1.2, None, 1e-5),
+    9: (1.2, None, 1e-5),
 }
 
 # the t_end = 5 horizon amplifies any pump; dt sits in a pocket re-measured
 # over the full horizon, not extrapolated from the short fidelity runs
 _STABILITY_RUNS = {
-    5: (-4.0, 2e-5, 3),
+    5: (-4.0, 2e-5),
 }
+
+# the orders the evolve and stability suites can run
+EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))
+STABILITY_ORDERS = tuple(_STABILITY_RUNS)
 
 
 def breather_fidelity_config(order: int,
                              n_points: int = 1024) -> EvolutionConfig:
     """Reference run reproducing the alpha=beta=1 breather to t=0.05."""
-    frame, dt, pad = _BREATHER_RUNS[order]
+    frame, dt = _BREATHER_RUNS[order]
     return EvolutionConfig(order=order, window=Window(0.0, 30.0, n_points),
-                           dt=dt, t_end=0.05, dealias_pad=pad,
-                           frame_speed=frame)
+                           dt=dt, t_end=0.05, frame_speed=frame)
 
 
 def soliton_speed_run(order: int,
@@ -592,19 +586,18 @@ def soliton_speed_run(order: int,
     discrepancy from the speed law shows up as in-frame drift of the
     correlation peak.
     """
-    c, frame, dt, pad = _SOLITON_RUNS[order]
+    c, frame, dt = _SOLITON_RUNS[order]
     sp = cf.SolitonParams(order, c)
     if frame is None:
         frame = cf.soliton_speed(order, c)
     return sp, EvolutionConfig(order=order,
                                window=Window(0.0, 26.0, n_points), dt=dt,
-                               t_end=0.3, dealias_pad=pad, frame_speed=frame)
+                               t_end=0.3, frame_speed=frame)
 
 
 def stability_run_config(order: int, t_end: float = 5.0,
                          n_points: int = 1024) -> EvolutionConfig:
     """Long-horizon run backing the perturbed-breather experiments."""
-    frame, dt, pad = _STABILITY_RUNS[order]
+    frame, dt = _STABILITY_RUNS[order]
     return EvolutionConfig(order=order, window=Window(0.0, 30.0, n_points),
-                           dt=dt, t_end=t_end, dealias_pad=pad,
-                           frame_speed=frame)
+                           dt=dt, t_end=t_end, frame_speed=frame)

@@ -37,9 +37,9 @@ def test_parse_flat_file(tmp_path):
     assert raw["orders"] == "5"
     assert raw["t"] == "0.0, 0.37"
     cfg = cli.build_config("verify", raw, str(tmp_path))
-    assert cfg.orders == (5,)
-    assert cfg.alphas == (1.1,)
-    assert cfg.times == (0.0, 0.37)
+    assert cfg.values["orders"] == (5,)
+    assert cfg.values["alpha"] == (1.1,)
+    assert cfg.values["t"] == (0.0, 0.37)
     # unset knobs fall back to the command defaults
     assert cfg.tolerances["breather_ode"] == 1e-8
 
@@ -77,7 +77,58 @@ def test_build_config_rejections(tmp_path):
     with pytest.raises(cli.ConfigError):  # output directory must exist
         cli.build_config("verify", good, str(tmp_path / "missing"))
     cfg = cli.build_config("verify", good, out, seed_override=99)
-    assert cfg.seed == 99
+    assert cfg.values["seed"] == 99
+
+
+# the config keys each suite reads; any other key is a config error
+READS = {
+    "verify": {"command", "seed", "orders", "alpha", "beta", "c", "t"},
+    "spectrum": {"command", "seed", "alpha", "beta", "window_center",
+                 "window_half_width", "window_n"},
+    "evolve": {"command", "seed", "orders", "dt"},
+    "stability": {"command", "seed", "orders", "shapes", "eta", "t_end",
+                  "dt"},
+}
+
+
+def _tol_keys(suite):
+    return {f"tol_{name}" for name in cli.SUITES[suite].tol}
+
+
+def test_each_suite_reads_its_table():
+    assert {name: {"command", *s.keys} for name, s in cli.SUITES.items()} \
+        == READS
+
+
+@pytest.mark.parametrize("suite,key", [
+    (suite, key) for suite in sorted(READS)
+    for key in sorted(set().union(*READS.values(), *map(_tol_keys, READS))
+                      - READS[suite] - _tol_keys(suite))])
+def test_unread_key_is_rejected(tmp_path, suite, key):
+    with pytest.raises(cli.ConfigError, match=f"{suite} .*'{key}'"):
+        cli.build_config(suite, {key: "1"}, str(tmp_path))
+
+
+@pytest.mark.parametrize("suite,text,key", [
+    ("evolve", "alpha = 1.5", "alpha"),
+    ("evolve", "t_end = 0.01", "t_end"),
+    ("spectrum", "orders = 9", "orders"),
+    ("verify", "eta = 0.01", "eta"),
+    ("evolve", "orders = 3", "orders"),
+    ("stability", "orders = 7", "orders"),
+    ("stability", "shapes = foo", "shapes"),
+    ("stability", "shapes =", "shapes"),
+    ("verify", "orders = 3, 3", "orders"),
+    ("verify", "c = 1, 0.5, 1.0", "c"),
+    ("spectrum", "alpha = 0", "alpha"),
+    ("spectrum", "window_n = 768", "window_n"),
+])
+def test_unread_or_out_of_domain_config_exits_2(tmp_path, capsys, suite,
+                                                 text, key):
+    cfgp = write_cfg(tmp_path / "c.txt", text + "\n")
+    assert run_main([suite, "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert suite in err and key in err
 
 
 def test_zero_budget_allowed(tmp_path):
@@ -145,8 +196,15 @@ def test_verify_run_and_determinism(tmp_path):
         (out2 / "records.csv").read_bytes()
 
     report = json.loads(b1)
-    cfg = cli.build_config("verify", cli.parse_config_file(cfgp), str(out1))
-    assert len(report["records"]) == cli.verify_record_count(cfg)
+    tag = "order=5,alpha=1.1,beta=0.9"
+    assert [r["id"] for r in report["records"]] == [
+        f"breather_ode[{tag},t=0]", f"breather_ode[{tag},t=0.37]",
+        f"evolution_identity[{tag}]", f"lemma21_5th[{tag}]",
+        f"lemma23[{tag}]", f"energy_M[{tag}]", f"energy_E[{tag}]",
+        f"energy_E5[{tag}]", f"reduction_E5[{tag}]",
+        f"conjecture_sign_E5[{tag}]", f"soliton_ode_2nd[{tag},c=1]",
+        f"soliton_ode_high[{tag},c=1]", "adjudicate_delta9",
+        "adjudicate_firstmkdv"]
     assert all(r["pass"] for r in report["records"])
     for r in report["records"]:
         assert math.isfinite(r["measured"])

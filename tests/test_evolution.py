@@ -15,11 +15,10 @@ from mkdvlab.functionals import (SampledField, Window, sample_breather,
 N_SMALL = 256
 
 
-def small_config(order, dt=1e-4, t_end=0.0, pad=None, window=None):
+def small_config(order, dt=1e-4, t_end=0.0, window=None):
     return ev.EvolutionConfig(order=order,
                               window=window or Window(0.0, 30.0, N_SMALL),
-                              dt=dt, t_end=t_end,
-                              dealias_pad=pad or ev.exact_dealias_pad(order))
+                              dt=dt, t_end=t_end)
 
 
 def term_by_term(terms, d):
@@ -49,7 +48,7 @@ def per_derivative_nonlinear(vhat, cfg):
     one rfft.  Valid for inputs with an empty Nyquist bin, where the padded
     lift has no convention to choose."""
     w = cfg.window
-    n, pad = w.n_points, cfg.dealias_pad
+    n, pad = w.n_points, ev.exact_dealias_pad(cfg.order)
     n_pad = pad * n
     kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=w.spacing)
     kp = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=w.length / n_pad)
@@ -129,7 +128,7 @@ def test_pure_nyquist_lifts_to_unit_amplitude(order):
     # cos(pi (x - x0) / h) is (-1)^j on the grid; its symmetric band-limited
     # interpolant on the padded grid has amplitude 1, not 2
     cfg = small_config(order)
-    w, pad = cfg.window, cfg.dealias_pad
+    w, pad = cfg.window, ev.exact_dealias_pad(order)
     kn = math.pi / w.spacing
     phases = ev._stepper(cfg).lift(np.fft.rfft((-1.0) ** np.arange(w.n_points)))
     # (deriv, phase s, coarse m) -> padded point pad * m + s
@@ -142,14 +141,6 @@ def test_pure_nyquist_lifts_to_unit_amplitude(order):
     for j, row in enumerate(rows):
         assert np.max(np.abs(row - want[j])) <= 1e-13 * kn**j
     assert np.max(np.abs(rows[0])) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_unpadded_lift_keeps_nyquist():
-    with pytest.warns(ev.ResolutionWarning):
-        cfg = small_config(5, pad=1)
-    u = (-1.0) ** np.arange(N_SMALL)
-    rows = ev._stepper(cfg).lift(np.fft.rfft(u))
-    assert np.max(np.abs(rows[0] - u)) <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::mkdvlab.evolution.ResolutionWarning")
@@ -280,11 +271,9 @@ def test_blow_up_stays_with_its_member():
 def test_config_rejections():
     w = Window(0.0, 30.0, N_SMALL)
     with pytest.raises(ValueError):
-        ev.EvolutionConfig(order=3, window=w, dt=1e-3, t_end=1.0,
-                           dealias_pad=2)
+        ev.EvolutionConfig(order=3, window=w, dt=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
-        ev.EvolutionConfig(order=5, window=w, dt=0.0, t_end=1.0,
-                           dealias_pad=3)
+        ev.EvolutionConfig(order=5, window=w, dt=0.0, t_end=1.0)
 
 
 # --------------------------------------------------------------------------
