@@ -12,12 +12,12 @@ Four subcommands cover the laboratory's standing experiments:
     stability  perturbed-breather experiments with modulation tracking
 
 Each subcommand reads only the config keys listed in its table (SUITES):
-a key it does not read, a value outside its domain, an empty sweep list or
-one that repeats a value is a config error.  One driver (run_suite) expands
+a key it does not read, a value outside its domain, an empty or repeating
+sweep list, or values that fail the suite's check (a spectrum window that
+misses the breather) is a config error.  One driver (run_suite) expands
 the sweep into an ordered task list, dispatches the tasks (sequentially by
 default; set MKDVLAB_WORKERS > 1 for a process pool), and assembles
-report.json, which echoes the keys read, plus per-run CSV dumps in the
-output directory.
+report.json, which echoes the keys read, plus per-run CSV dumps.
 A stability task is one order, whose shapes are stepped as one batch, so the
 pool gives stability one task per order, not one per shape.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
@@ -48,8 +48,8 @@ from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, STABILITY_ORDERS,
                         stability_experiment, stability_run_config)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
-                          higher_energy_conjecture, sample_breather,
-                          sample_soliton, sobolev_norm)
+                          higher_energy_conjecture, require_window,
+                          sample_breather, sample_soliton, sobolev_norm)
 
 class ConfigError(ValueError):
     """Bad config file, bad key, or unusable output directory."""
@@ -234,6 +234,7 @@ def build_config(command: str, raw: dict, out_dir: str,
             reads = ["command", *suite.keys, *(f"tol_{n}" for n in tol)]
             raise ConfigError(f"{command} does not read config key {k!r}; "
                               f"it reads {', '.join(reads)}")
+    suite.check(values)
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
     return RunConfig(command, values, tol, out_dir)
@@ -323,7 +324,7 @@ def _verify_point(task: dict) -> tuple:
     kinds = ["M", "E"] + ([f"E{order}"] if order in (5, 7, 9) else [])
     f = sample_breather(p, 0.0)
     for kind in kinds:
-        got = functional(f, kind).value
+        got = functional(f, kind)
         want = closed_form_energy(kind, a, b)
         recs.append(_record(f"energy_{kind}", tag, _rel(got, want),
                             tol["energy"]))
@@ -362,17 +363,34 @@ def _adjudication_records(tol: dict) -> list:
 # --------------------------------------------------------------------------
 # spectrum
 
+def _spectrum_window(values: dict, p: cf.BreatherParams) -> Window:
+    """The breather's spectral window at t = 0, moved or resized by the
+    window keys that are set; one that misses the breather is a ConfigError."""
+    w = spc.spectral_window(p, 0.0, n_points=values["window_n"] or 1024)
+    moves = {k: values[f"window_{k}"] for k in ("center", "half_width")
+             if values[f"window_{k}"] is not None}
+    try:
+        w = replace(w, **moves)
+        require_window(w, p, 0.0)
+    except ValueError as e:
+        keys = " and ".join(f"window_{k}" for k in moves)
+        raise ConfigError(f"spectrum: the window set by {keys} misses the "
+                          f"breather at alpha = {p.alpha:g}, beta = "
+                          f"{p.beta:g}: {e}") from None
+    return w
+
+
+def _check_spectrum_windows(values: dict) -> None:
+    for a, b in itertools.product(values["alpha"], values["beta"]):
+        _spectrum_window(values, cf.BreatherParams(5, a, b))
+
+
 def _spectrum_point(task: dict) -> tuple:
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
-    n = task["window_n"] or 1024
-    tag = {"alpha": a, "beta": b, "n": n}
     p = cf.BreatherParams(5, a, b)
-    w = spc.spectral_window(p, 0.0, n_points=n)
-    center, half_width = task["window_center"], task["window_half_width"]
-    if center is not None or half_width is not None:
-        w = Window(w.center if center is None else center,
-                   w.half_width if half_width is None else half_width, n)
+    w = _spectrum_window(task, p)
+    tag = {"alpha": a, "beta": b, "n": w.n_points}
     opr = spc.build_operator(p, 0.0, w)
     summary = spc.spectrum(opr)
     dirs = spc.directions(p, 0.0, w)
@@ -409,7 +427,7 @@ def _spectrum_point(task: dict) -> tuple:
     nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
     recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},
                         max(0.0, -nu0), tol["coercivity"]))
-    w2 = replace(w, n_points=n // 2)
+    w2 = replace(w, n_points=w.n_points // 2)
     opr2 = spc.build_operator(p, 0.0, w2)
     nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
                            spc.spectrum(opr2).lowest_vector)
@@ -579,6 +597,7 @@ class Suite:
     keys: dict           # config key -> Key, for every key the suite reads
     tol: dict            # budget name -> default, set by tol_<name>
     tail: object = None  # tolerances -> records that follow the tasks'
+    check: object = lambda values: None  # values -> None or ConfigError
 
 
 def _orders(default: tuple, options: tuple) -> Key:
@@ -612,7 +631,8 @@ SUITES = {
                                     "be a power of two >= 512")),
         "seed": _SEED,
     }, {"counts": 0.5, "edge": 0.02, "form": 1e-4, "b0": 1e-4,
-        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5}),
+        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5},
+        check=_check_spectrum_windows),
     "evolve": Suite(_evolve_point, {
         "orders": _orders((5, 7, 9), EVOLVE_ORDERS),
         "dt": _DT,

@@ -103,6 +103,10 @@ class BreatherParams:
     def velocities(self) -> Velocities:
         return velocities(self.order, self.alpha, self.beta)
 
+    def core(self, t: float) -> float:
+        """The envelope centre -gamma t - x2, where y2 = 0."""
+        return -self.velocities().gamma * t - self.x2
+
 
 @dataclass(frozen=True)
 class SolitonParams:

@@ -15,8 +15,8 @@ phase, n), evaluates the flux there in Horner form
 a conjugate-twiddle sum over the phases.  Several fields that share one
 config step together as members of one batch, still at two transform calls
 per stage; a member that turns non-finite leaves the batch with its own
-BlowUpError.  The stepper notes below give the lift and why the coarse
-Nyquist bin needs no halving.
+BlowUpError.  Multipliers and the fit's H^2 inner product come from
+functionals.Window; the stepper notes below give the lift and its Nyquist rule.
 
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
@@ -133,12 +133,13 @@ class EvolutionConfig:
 # number of members.  Padding by ceil((p+1)/2) keeps the degree-p products
 # of the order-p flux free of aliasing.
 #
-# Nyquist convention.  Each phase's n-point irfft counts the coarse Nyquist
-# bin k_N = n/2 once and keeps only its real part, so cos(k_N x) lifts to
-# the symmetric band-limited interpolant of amplitude 1, with no halving of
-# the bin (a pad * n-point transform would see it at +k_N and -k_N).  The
-# linear symbol and the output multiplier are zero there, so the Nyquist
-# mode never changes.
+# Nyquist convention (functionals.Window).  The bin k_N stands for the
+# symmetric interpolant cos(k_N x).  The linear symbol and the output
+# multiplier are Window.derivative_multiplier, zero there for odd powers, so
+# the Nyquist mode never changes.  The lift keeps its odd rows: phase s
+# evaluates the interpolant at x + s h / pad, off the grid, where its odd
+# derivatives do not vanish.  Each phase's irfft counts the bin once, so
+# cos(k_N x) lifts with amplitude 1, no halving.
 #
 # Stability.  The integrating factor removes the stiff linear phase exactly,
 # but the scheme is not unconditionally stable: wherever dt * k**order
@@ -166,9 +167,9 @@ class _Stepper:
 def _stepper(cfg: EvolutionConfig) -> _Stepper:
     w, order, dt = cfg.window, cfg.order, cfg.dt
     n = w.n_points
-    kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=w.spacing)
-    L = -((1j * kr) ** order) + cfg.frame_speed * (1j * kr)
-    L[-1] = 0.0  # Nyquist carries no meaningful odd derivative
+    kr = w.wavenumbers()
+    L = (-w.derivative_multiplier(order)
+         + cfg.frame_speed * w.derivative_multiplier(1))
 
     E = np.exp(dt * L)
     E2 = np.exp(dt * L / 2.0)
@@ -188,8 +189,7 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     # shift[s] = exp(i k s h / pad): coarse grid -> phase s of the padded grid
     shift = np.exp(1j * kr * (np.arange(pad)[:, None] * (w.spacing / pad)))
     lift_mult = (1j * kr) ** np.arange(n_rows)[:, None, None] * shift
-    out_mult = -1j * kr * np.conj(shift) / pad
-    out_mult[:, -1] = 0.0
+    out_mult = -w.derivative_multiplier(1) * np.conj(shift) / pad
 
     def lift(vhat):
         # (..., bin) -> (deriv, ..., phase, n)
@@ -272,7 +272,7 @@ def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
                 # edge check guards sampling of decaying profiles, not
                 # evolution
                 warnings.simplefilter("ignore", TailWarning)
-                vals = {kind: functional(f, kind).value for kind in monitors}
+                vals = {kind: functional(f, kind) for kind in monitors}
             out.append(Snapshot(t, f, vals))
         return out
 
@@ -322,11 +322,6 @@ def functional_drifts(traj: list[Snapshot]) -> dict:
 # --------------------------------------------------------------------------
 # modulation fit
 
-def _h2_inner(w: Window, weight, ah, bh) -> float:
-    """H^2 inner product of two real fields from their full FFTs."""
-    return float(np.real(np.vdot(ah, weight * bh))) * w.length / w.n_points**2
-
-
 def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
                    seed: tuple = (0.0, 0.0), max_iter: int = 50):
     """Minimize ||u - B(t; x1, x2)||_H2 over the translation phases.
@@ -339,7 +334,7 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     """
     w = u.window
     x = w.grid()
-    weight = w.sobolev_weight(2)
+    weight, inner = w.sobolev_weight(2), w.sobolev_inner
     x1, x2 = float(seed[0]), float(seed[1])
 
     def objective(a1, a2):
@@ -347,19 +342,17 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
         # the objective, the gradient and the Gauss-Newton matrix
         b, d1, d2 = cf.breather_phase_derivatives(p.order, p.alpha, p.beta,
                                                   a1, a2, t, x)
-        rh, d1h, d2h = (np.fft.fft(v) for v in (u.values - b, d1, d2))
-        return 0.5 * _h2_inner(w, weight, rh, rh), rh, d1h, d2h
+        rh, d1h, d2h = (np.fft.rfft(v) for v in (u.values - b, d1, d2))
+        return 0.5 * inner(rh, rh, weight), rh, d1h, d2h
 
     phi, rh, d1h, d2h = objective(x1, x2)
     for _ in range(max_iter):
-        g = np.array([-_h2_inner(w, weight, d1h, rh),
-                      -_h2_inner(w, weight, d2h, rh)])
+        g = np.array([-inner(d1h, rh, weight), -inner(d2h, rh, weight)])
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-10:
             return x1, x2, math.sqrt(max(2.0 * phi, 0.0))
-        M = np.array([[_h2_inner(w, weight, d1h, d1h),
-                       _h2_inner(w, weight, d1h, d2h)],
-                      [0.0, _h2_inner(w, weight, d2h, d2h)]])
+        M = np.array([[inner(d1h, d1h, weight), inner(d1h, d2h, weight)],
+                      [0.0, inner(d2h, d2h, weight)]])
         M[1, 0] = M[0, 1]
         delta = np.linalg.solve(M, -g)
         if gnorm < 1e-6:
@@ -444,8 +437,7 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
     kernel direction B1, the scaling direction along beta, or a seeded random
     superposition of the lowest Fourier modes under a gaussian envelope."""
     if name == "gaussian":
-        core = -p.x2
-        return np.exp(-0.5 * (w.grid() - core) ** 2)
+        return np.exp(-0.5 * (w.grid() - p.core(0.0)) ** 2)
     if name == "B1":
         return directions(p, 0.0, w).B1.values.copy()
     if name == "LambdaBeta":
@@ -453,7 +445,7 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
     if name == "random":
         if rng is None:
             raise ValueError("shape 'random' needs an rng")
-        y = w.grid() - (-p.x2)
+        y = w.grid() - p.core(0.0)
         waves = np.arange(1, 9)[:, None] * (2.0 * np.pi / w.length)
         coeff = rng.standard_normal((8, 2))
         mix = (coeff[:, :1] * np.cos(waves * y)

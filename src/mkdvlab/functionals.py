@@ -6,6 +6,10 @@ the second-order expansion of H around a breather.  Integrals over the real
 line are truncated to a uniform periodic window; the integrands decay
 super-exponentially inside properly sized windows, so the plain rectangle
 (periodic trapezoid) sum converges spectrally.
+
+`Window` owns the Fourier calculus of every module: rfft wavenumbers, the
+multipliers (i k)^m with their Nyquist rule, and the H^s weight and inner
+product.
 """
 
 from __future__ import annotations
@@ -49,11 +53,32 @@ class Window:
         return self.center - self.half_width + self.spacing * np.arange(self.n_points)
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+        """Angular wavenumbers 2 pi j / length of the rfft bins j = 0 .. n/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
+
+    def derivative_multiplier(self, m: int) -> np.ndarray:
+        """(i k)^m on the rfft bins; m = -1 is the zero-mean periodic
+        antiderivative (bin 0 zeroed).  Odd m zero the Nyquist bin, which
+        stands for the symmetric interpolant cos(k_N x): its odd derivatives
+        vanish on the grid, and the multiplier maps real fields to real."""
+        ik = 1j * self.wavenumbers()
+        mult = ik ** m if m >= 0 else np.concatenate(([0.0], ik[1:] ** m))
+        if m % 2:
+            mult[-1] = 0.0
+        return mult
 
     def sobolev_weight(self, s: int = 2) -> np.ndarray:
-        """The H^s Fourier weight (1 + k^2)^s on `wavenumbers`."""
+        """The H^s Fourier weight (1 + k^2)^s on the rfft bins."""
         return (1.0 + self.wavenumbers() ** 2) ** s
+
+    def sobolev_inner(self, ah: np.ndarray, bh: np.ndarray,
+                      weight: np.ndarray) -> float:
+        """H^s inner product of two real fields from their rffts, weight =
+        sobolev_weight(s); bins strictly inside (0, k_N) count twice (+-k)."""
+        wb = weight * bh
+        total = (2.0 * np.vdot(ah, wb) - np.conj(ah[0]) * wb[0]
+                 - np.conj(ah[-1]) * wb[-1])
+        return float(total.real) * self.length / self.n_points**2
 
     def quad(self, values) -> float:
         """Periodic trapezoid sum; spectrally accurate for decaying smooth data."""
@@ -63,24 +88,25 @@ class Window:
 def default_window(p: cf.BreatherParams, t: float, n_points: int = 2048,
                    margin: float = 5.0) -> Window:
     """Window tracking the envelope core, wide enough for <1e-12 tails."""
-    v = p.velocities()
     half = 30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + margin
-    return Window(center=-v.gamma * t - p.x2, half_width=half, n_points=n_points)
+    return Window(center=p.core(t), half_width=half, n_points=n_points)
 
 
-def require_window(w: Window, p: cf.BreatherParams) -> None:
-    need = 20.0 / p.beta + max(abs(p.x1), abs(p.x2))
+def require_window(w: Window, p: cf.BreatherParams, t: float) -> None:
+    """Raise unless w holds the breather's decay region at time t, counting
+    the offset of w.center from the envelope centre p.core(t)."""
+    offset = abs(w.center - p.core(t))
+    need = 20.0 / p.beta + max(abs(p.x1), abs(p.x2)) + offset
     if w.half_width < need:
         raise ValueError(f"window half_width {w.half_width} below required {need} "
-                         f"for beta={p.beta}, phases ({p.x1}, {p.x2})")
+                         f"for beta={p.beta}, phases ({p.x1}, {p.x2}), centre "
+                         f"offset {offset:g}")
 
 
 def spectral_derivative(values: np.ndarray, w: Window, k: int = 1) -> np.ndarray:
-    kk = 2.0 * np.pi * np.fft.rfftfreq(w.n_points, d=w.spacing)
-    fac = (1j * kk) ** k
-    if k % 2 == 1:
-        fac[-1] = 0.0  # Nyquist mode has no meaningful odd derivative
-    return np.fft.irfft(np.fft.rfft(values) * fac, n=w.n_points)
+    """k-th derivative by w.derivative_multiplier(k); k = -1 integrates."""
+    mult = w.derivative_multiplier(k)
+    return np.fft.irfft(np.fft.rfft(values) * mult, n=w.n_points)
 
 
 @dataclass(frozen=True)
@@ -149,12 +175,6 @@ def sample_soliton(sp: cf.SolitonParams, t: float, w: Window | None = None,
 # --------------------------------------------------------------------------
 # functionals
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    kind: str
-    value: float
-
-
 def _tail_check(f: SampledField) -> None:
     edge = max(abs(float(f.values[0])), abs(float(f.values[-1])))
     if edge > 1e-10:
@@ -167,26 +187,6 @@ def _integral(f: SampledField, kind: str) -> float:
     terms = cf.DENSITIES[kind]
     jet = [f.deriv(k) for k in range(cf.max_order(terms) + 1)]
     return f.window.quad(cf.eval_flux_terms(terms, jet))
-
-
-def mass(f: SampledField) -> float:
-    """M[u] = (1/2) int u^2."""
-    _tail_check(f)
-    return _integral(f, "M")
-
-
-def energy(f: SampledField) -> float:
-    """E[u] = (1/2) int (u_x^2 - u^4)."""
-    _tail_check(f)
-    return _integral(f, "E")
-
-
-def higher_energy(f: SampledField, kind: str) -> float:
-    """E5, E7 or E9; needs derivatives to order 2, 3, 4 respectively."""
-    if kind not in ("E5", "E7", "E9"):
-        raise ValueError(f"unknown higher energy kind {kind!r}")
-    _tail_check(f)
-    return _integral(f, kind)
 
 
 _SOLITON_ORDERS = {"H0": 3, "H5": 5, "H7": 7, "H9": 9}
@@ -213,12 +213,12 @@ def lyapunov(f: SampledField, alpha: float, beta: float, kind: str) -> float:
 
 
 def functional(f: SampledField, kind: str, alpha: float = 0.0,
-               beta: float = 0.0) -> FunctionalValue:
+               beta: float = 0.0) -> float:
     """M, E, E5, E7, E9 or a Lyapunov combination (see `lyapunov`)."""
     if kind not in cf.DENSITIES:
-        return FunctionalValue(kind, lyapunov(f, alpha, beta, kind))
+        return lyapunov(f, alpha, beta, kind)
     _tail_check(f)
-    return FunctionalValue(kind, _integral(f, kind))
+    return _integral(f, kind)
 
 
 def sobolev_norm(f: SampledField, s: int = 2) -> float:
@@ -226,9 +226,8 @@ def sobolev_norm(f: SampledField, s: int = 2) -> float:
     if s not in (0, 1, 2):
         raise ValueError("s must be 0, 1 or 2")
     w = f.window
-    uhat = np.fft.fft(f.values) / w.n_points
-    return math.sqrt(w.length * float(np.sum(w.sobolev_weight(s)
-                                             * np.abs(uhat) ** 2)))
+    uhat = np.fft.rfft(f.values)
+    return math.sqrt(w.sobolev_inner(uhat, uhat, w.sobolev_weight(s)))
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def energy_reduction(order: int, alpha: float, beta: float, t: float = 0.0,
     p = cf.BreatherParams(order=order, alpha=alpha, beta=beta)
     w = default_window(p, t, n_points=n_points)
     f = sample_breather(p, t, w, m=4)
-    e = higher_energy(f, cf.energy_kind(order))
+    e = functional(f, cf.energy_kind(order))
     mt = cf.partial_mass_t(p, t, w.grid())
     return e, REDUCTION_FACTORS[order] * w.quad(mt)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms as cf
+from .functionals import Window, default_window, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ def breather_samples(p: cf.BreatherParams, t: float, n_cheb: int = 256,
                      n_peak: int = 64,
                      radius_factor: float = 1.0) -> tuple[np.ndarray, str]:
     radius = (20.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0) * radius_factor
-    return _cheb_samples(-p.velocities().gamma * t - p.x2, radius,
-                         2.0 / p.beta, t, n_cheb, n_peak)
+    return _cheb_samples(p.core(t), radius, 2.0 / p.beta, t, n_cheb, n_peak)
 
 
 def soliton_samples(sp: cf.SolitonParams, t: float, n_cheb: int = 256,
@@ -336,43 +336,31 @@ def _case(cases: dict, case: str, p: cf.BreatherParams):
     return entry
 
 
-def _cumulative_integral(g: np.ndarray, spacing: float) -> np.ndarray:
-    """Antiderivative vanishing at the left edge, by Fourier integration.
-
-    Valid for smooth g decaying at both window edges; the mean is carried
-    by an explicit linear ramp.
-    """
-    n = len(g)
-    ghat = np.fft.rfft(g)
-    mean = ghat[0].real / n
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
-    inv = np.zeros_like(ghat)
-    inv[1:] = ghat[1:] / (1j * k[1:])
-    if n % 2 == 0:
-        inv[-1] = 0.0
-    F = np.fft.irfft(inv, n) + mean * spacing * np.arange(n)
+def _cumulative_integral(g: np.ndarray, w: Window) -> np.ndarray:
+    """Antiderivative vanishing at the left edge of w, for smooth g decaying
+    at both edges: the zero-mean Fourier part plus a ramp for the mean."""
+    ramp = np.mean(g) * w.spacing * np.arange(w.n_points)
+    F = spectral_derivative(g, w, -1) + ramp
     return F - F[0]
 
 
 def lemma21_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
                      substitutions=(), variant="verbatim",
-                     n_grid: int = 4096, half_factor: float = 1.0,
+                     window: Window | None = None,
                      samples=None) -> ResidualReport:
     """Product identities obtained by multiplying the evolution identity by
     B_x and integrating; the 9th-order case carries a cumulative-integral
-    term and is therefore evaluated on a uniform window grid."""
+    term and is therefore evaluated on the grid of a uniform window."""
     terms = _substitute(_case(_LEMMA21_CASES, case, p), substitutions)
 
     if case == "9th":
-        v = p.velocities()
-        core = -v.gamma * t - p.x2
-        half = (30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 5.0) * half_factor
-        h = 2.0 * half / n_grid
-        x = core - half + h * np.arange(n_grid)
-        spec = f"grid{n_grid} half={half:.6g} core={core:.6g} t={t:.6g}"
+        w = window or default_window(p, t, n_points=4096)
+        x = w.grid()
+        spec = (f"grid{w.n_points} half={w.half_width:.6g} "
+                f"center={w.center:.6g} t={t:.6g}")
         data = _breather_data(p, t, x, max(cf.max_order(terms), 7))
         g = -2.0 * cf.eval_flux_terms(cf.flux_terms(9), [data[k] for k in range(7)]) * data[1]
-        data["F9"] = _cumulative_integral(g, h)
+        data["F9"] = _cumulative_integral(g, w)
     else:
         x, spec = samples if samples is not None else breather_samples(p, t)
         data = _breather_data(p, t, x, cf.max_order(terms))

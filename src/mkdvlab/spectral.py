@@ -9,8 +9,8 @@ The operator is the Frechet derivative of dH/du, H = E5 + 2(b^2-a^2) E +
            + [10 B_x^2 + 20 B B_xx + 30 B^4 - 12(b^2-a^2) B^2] z
 
 It is realized by Fourier collocation on a periodic window and symmetrized; the
-derivative and H^2 Gram matrices are circulants of the inverse FFT of their
-symbols.  Only the bottom of the spectrum is computed.  The expected picture:
+derivative and H^2 Gram matrices are circulants of the multipliers of
+functionals.Window.  Only the bottom of the spectrum is computed.  Expected:
 one simple negative eigenvalue, a two-dimensional kernel spanned by the
 translation directions, and discrete continuum starting at the minimum of the
 symbol k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
@@ -50,27 +50,25 @@ _CSTEP = 1e-150
 
 
 def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
-    """Circulant matrix of a Fourier multiplier.  Its column is made exactly
-    odd or even (c[k] against c[-k mod n]): FFT rounding alone breaks the
-    parity at eps*k^m, which would dominate the recorded asymmetry."""
-    c = np.fft.ifft(symbol).real
+    """Circulant matrix of a Fourier multiplier on the rfft bins.  Its
+    column is made exactly odd or even (c[k] against c[-k mod n]): FFT
+    rounding alone breaks the parity at eps*k^m, which would dominate the
+    recorded asymmetry."""
+    c = np.fft.irfft(symbol)
     mirror = np.roll(c[::-1], 1)
     c = (c - mirror) / 2.0 if odd else (c + mirror) / 2.0
     return scipy.linalg.circulant(c)
 
 
 def derivative_matrix(w: Window, m: int) -> np.ndarray:
-    """Dense m-th derivative by Fourier collocation; Nyquist zeroed for odd m
-    so the matrix maps real vectors to real vectors."""
-    mult = (1j * w.wavenumbers()) ** m
-    if m % 2 == 1:
-        mult[w.n_points // 2] = 0.0
-    return _circulant(mult, odd=m % 2 == 1)
+    """Dense m-th derivative by Fourier collocation, the circulant of
+    w.derivative_multiplier(m)."""
+    return _circulant(w.derivative_multiplier(m), odd=m % 2 == 1)
 
 
 def sobolev_gram(w: Window) -> np.ndarray:
-    """Gram matrix G with h * z^T G z = the squared H^2 norm used throughout
-    (Fourier weight (1+k^2)^2)."""
+    """Gram matrix G with h * z^T G z = the squared H^2 norm used throughout,
+    the circulant of w.sobolev_weight(2)."""
     return _circulant(w.sobolev_weight(2), odd=False)
 
 
@@ -194,10 +192,8 @@ def spectral_window(p: cf.BreatherParams, t: float,
     half-width of 28/beta at n=1024 keeps fourth-derivative errors near
     1e-7 while the tails stay at machine level.
     """
-    v = p.velocities()
-    center = -v.gamma * t - p.x2
     half = 28.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0
-    return Window(center, half, n_points)
+    return Window(p.core(t), half, n_points)
 
 
 def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
@@ -207,7 +203,7 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     background field (pass a zero field for the constant-coefficient part)."""
     if w is None:
         w = spectral_window(p, t, n_points)
-    require_window(w, p)
+    require_window(w, p, t)
     terms = cf.breather_linearization(p.alpha, p.beta)
     m = max(map(cf.max_order, terms.values()))
     if background is None:

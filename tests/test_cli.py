@@ -122,6 +122,11 @@ def test_unread_key_is_rejected(tmp_path, suite, key):
     ("verify", "c = 1, 0.5, 1.0", "c"),
     ("spectrum", "alpha = 0", "alpha"),
     ("spectrum", "window_n = 768", "window_n"),
+    # windows that miss the breather: rejected before any task runs
+    ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_center = 60",
+     "window_center"),
+    ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_half_width = 3",
+     "window_half_width"),
 ])
 def test_unread_or_out_of_domain_config_exits_2(tmp_path, capsys, suite,
                                                  text, key):

@@ -3,12 +3,15 @@ product identities, and the variant machinery that adjudicates the two
 contested readings."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mkdvlab import closed_forms as cf
 from mkdvlab import identities as ide
+from mkdvlab.functionals import default_window
+from mkdvlab.spectral import spectral_window
 
 # rounding-noise floor: exact identities evaluate to ~1e-16*rel_scale and the
 # sup over more samples can pick up a slightly larger rounding outlier
@@ -239,12 +242,27 @@ def test_sample_doubling_invariance():
 def test_grid_doubling_invariance_9th():
     p9 = _p(9)
     base = ide.lemma21_residual(p9, "9th").normalized
-    dens = ide.lemma21_residual(p9, "9th", n_grid=8192).normalized
-    wide = ide.lemma21_residual(p9, "9th", n_grid=8192,
-                                half_factor=2.0).normalized
+    w = default_window(p9, 0.37, n_points=8192)
+    dens = ide.lemma21_residual(p9, "9th", window=w).normalized
+    wide = ide.lemma21_residual(
+        p9, "9th", window=replace(w, half_width=2.0 * w.half_width)).normalized
     print(f"base {base:.3e} dens2x {dens:.3e} wide2x {wide:.3e}")
     assert dens <= max(2.0 * base, 1e-13)
     assert wide <= max(2.0 * base, 1e-13)
+
+
+def test_cumulative_integral_is_the_partial_mass():
+    # the Fourier antiderivative behind the 9th-order F9 term, against the
+    # closed-form partial mass (1/2) int_{-inf}^x B^2
+    p = cf.BreatherParams(5, 1.2, 0.8, 0.1, -0.2)
+    w = spectral_window(p, 0.0, n_points=1024)
+    x = w.grid()
+    B = cf.breather_jet(p, 0.0, x, m=0).value
+    got = ide._cumulative_integral(0.5 * B**2, w)
+    want = cf.partial_mass(p, 0.0, x) - cf.partial_mass(p, 0.0, x[:1])
+    scale = np.max(np.abs(want))
+    print(f"error {np.max(np.abs(got - want)):.3e} on scale {scale:.3g}")
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

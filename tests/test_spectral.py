@@ -12,7 +12,7 @@ import scipy.linalg
 from mkdvlab import closed_forms as cf
 from mkdvlab import spectral as sp
 from mkdvlab.functionals import (SampledField, Window, quadratic_form_density,
-                                 sobolev_norm, zero_field)
+                                 sobolev_norm, spectral_derivative, zero_field)
 
 
 @functools.lru_cache(maxsize=8)
@@ -55,6 +55,33 @@ def test_derivative_matrix_exact_parity():
         assert np.array_equal(D, D.T)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_derivative_matrix_matches_spectral_derivative(m):
+    # both apply w.derivative_multiplier(m); a random vector fills every bin
+    w = Window(0.3, 7.0, 256)
+    v = np.random.default_rng(m).standard_normal(w.n_points)
+    want = spectral_derivative(v, w, m)
+    err = np.max(np.abs(sp.derivative_matrix(w, m) @ v - want))
+    assert err <= 1e-11 * np.max(np.abs(want))
+
+
+def test_nyquist_mode_has_no_odd_derivative():
+    # cos(k_N x) is the symmetric interpolant of the Nyquist bin: its odd
+    # derivatives vanish on the grid, its even ones are (-k_N^2)^(m/2) times it
+    w = Window(0.3, 7.0, 256)
+    v = np.cos(np.pi * np.arange(w.n_points))
+    k_nyq = np.pi / w.spacing
+    for m in (1, 3):
+        assert w.derivative_multiplier(m)[-1] == 0.0
+        assert not np.any(spectral_derivative(v, w, m))
+        Dv = sp.derivative_matrix(w, m) @ v
+        assert np.max(np.abs(Dv)) <= 1e-13 * k_nyq**m
+    for m in (2, 4):
+        want = (-k_nyq**2) ** (m // 2) * v
+        err = np.max(np.abs(spectral_derivative(v, w, m) - want))
+        assert err <= 1e-13 * k_nyq**m
+
+
 def _fft_multiplier_matrix(w, symbol):
     # dense multiplier built column by column from FFTs of the identity
     F = np.fft.fft(np.eye(w.n_points), axis=0)
@@ -66,7 +93,8 @@ def test_circulant_assembly_matches_fft_oracle(n, half):
     w = Window(0.3, half, n)
     eps = np.finfo(float).eps
     kmax = np.pi * n / w.length
-    k = w.wavenumbers()
+    # the full-spectrum wavenumbers in fft order, built here for the oracle
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=w.spacing)
     for m in (1, 2, 4):
         mult = (1j * k) ** m
         if m % 2 == 1:
