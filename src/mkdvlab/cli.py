@@ -310,17 +310,13 @@ def _verify_point(task: dict) -> tuple:
     rep = ide.evolution_identity_residual(p)
     recs.append(_record("evolution_identity", tag, rep.normalized,
                         tol["identity"]))
-    if order in (5, 7, 9):
-        rep = ide.lemma21_residual(p, f"{order}th")
-        recs.append(_record(f"lemma21_{order}th", tag, rep.normalized,
-                            tol["identity"]))
-    if order == 5:
-        rep = ide.lemma23_residual(p, 0.37)
-        recs.append(_record("lemma23", tag, rep.normalized, tol["identity"]))
-    if order in (7, 9):
-        rep = ide.corollary_residual(p, f"{order}th")
-        recs.append(_record(f"corollary_{order}th", tag, rep.normalized,
-                            tol["identity"]))
+    for orders, residual in ((ide.LEMMA21_ORDERS, ide.lemma21_residual),
+                             (ide.LEMMA23_ORDERS, ide.lemma23_residual),
+                             (ide.COROLLARY_ORDERS, ide.corollary_residual)):
+        if order in orders:
+            rep = residual(p)
+            recs.append(_record(rep.identity_id, tag, rep.normalized,
+                                tol["identity"]))
     kinds = ["M", "E"] + ([f"E{order}"] if order in (5, 7, 9) else [])
     f = sample_breather(p, 0.0)
     for kind in kinds:
@@ -419,10 +415,12 @@ def _spectrum_point(task: dict) -> tuple:
     recs.append(_record("b0_quadratic", tag,
                         abs(lhs2 + 0.5 * b0_want) / b0_want, tol["b0"]))
     recs.append(_record("b0_inversion", tag, b0_resid, tol["b0"]))
+    # sampled around the envelope centre at the time of the check
+    t_w = 0.37
     rng = np.random.default_rng(task["seed"])
-    xs = rng.uniform(-6.0 / b, 6.0 / b, size=200)
+    xs = p.core(t_w) + rng.uniform(-6.0 / b, 6.0 / b, size=200)
     recs.append(_record("wronskian", tag,
-                        spc.wronskian_check(p, 0.37, xs).normalized,
+                        spc.wronskian_check(p, t_w, xs).normalized,
                         tol["wronskian"]))
     nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
     recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},

@@ -37,9 +37,11 @@ The velocity pairs obey
 and VELOCITY_TERMS is that binomial expansion; identities.py re-derives the
 one contested delta_9 exponent empirically.
 
-Differential polynomials are term lists with d/dx, the Euler operator, the
-Frechet derivative and the second variation (Olver, Applications of Lie
-Groups to Differential Equations, sections 4-5).  From the one table of
+Differential polynomials are term lists with d/dx and its inverse
+`integrate`, the Euler operator, the Frechet derivative, the second
+variation (Olver, Applications of Lie Groups to Differential Equations,
+sections 4-5), and `eliminate`, which rewrites every derivative at or above
+an equation's order by that equation.  From the one table of
 densities M, E, E5, E7, E9 come the fluxes of orders 3 to 9 (u_{2n x} +
 f_{2n+1} = +-dE_{2n+1}/du), the breather equation dH/du = 0 for
 H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M, its linearization
@@ -52,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -394,10 +397,66 @@ def d_dx(terms):
                           for c, o in terms for i, k in enumerate(o)]))
 
 
+def integrate(terms):
+    """The inverse of d_dx, without a constant term; ValueError unless
+    `terms` is a total x-derivative.
+
+    Greedy on the highest factor, in exact arithmetic: c u_{kx}
+    u_{(k-1)x}^j S, every factor of S below k - 1, is the leading part of
+    d/dx of c/(j+1) u_{(k-1)x}^{j+1} S.  That term joins the result, and
+    the rest of its derivative takes the place of the term taken."""
+    left = {o: Fraction(c) for c, o in combine((1.0, terms))}
+    out = []
+    while any(left.values()):
+        orders = max((o for o, c in left.items() if c),
+                     key=lambda o: max(o, default=-1))
+        k = max(orders, default=0)
+        if k == 0 or orders.count(k) > 1:
+            raise ValueError(f"not a total x-derivative: {terms!r}")
+        lift = (k - 1,) * (orders.count(k - 1) + 1)
+        rest = tuple(o for o in orders if o < k - 1)
+        coef = left.pop(orders) / len(lift)
+        out.append((float(coef), lift + rest))
+        for c, o in d_dx(((1.0, rest),)):
+            key = tuple(sorted(lift + o))
+            left[key] = left.get(key, 0) - coef * int(c)
+    return combine((1.0, out))
+
+
 def partial(terms, k: int):
     """Partial derivative in u_{kx}."""
     return combine((1.0, [(o.count(k) * c, o[:o.index(k)] + o[o.index(k) + 1:])
                           for c, o in terms if k in o]))
+
+
+def product(a, b):
+    """The product of two term lists."""
+    return combine((1.0, [(ca * cb, oa + ob) for ca, oa in a for cb, ob in b]))
+
+
+def eliminate(terms, equation):
+    """`terms` with every u_{kx}, k at or above the order n of `equation`,
+    rewritten by equation = 0 and its x-derivatives.  The equation must be
+    c u_{nx} + R, with c a constant and R of order below n."""
+    n = max_order(equation)
+    lead = sum(c for c, orders in equation if orders == (n,))
+    lower = tuple(t for t in equation if t[1] != (n,))
+    if not lead or max_order(lower) >= n:
+        raise ValueError("the equation must be c u_{nx} + R, R below order n")
+    rules = [scale(-1.0 / lead, lower)]  # u_{(n+i)x} = rules[i]
+
+    def rewrite(poly):
+        out = ()
+        for coef, orders in poly:
+            part = ((coef, tuple(o for o in orders if o < n)),)
+            for o in (o for o in orders if o >= n):
+                while len(rules) <= o - n:
+                    rules.append(rewrite(d_dx(rules[-1])))
+                part = product(part, rules[o - n])
+            out += part
+        return combine((1.0, out))
+
+    return rewrite(terms)
 
 
 @functools.lru_cache(maxsize=None)

@@ -446,7 +446,7 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
         if rng is None:
             raise ValueError("shape 'random' needs an rng")
         y = w.grid() - p.core(0.0)
-        waves = np.arange(1, 9)[:, None] * (2.0 * np.pi / w.length)
+        waves = w.wavenumbers()[1:9, None]
         coeff = rng.standard_normal((8, 2))
         mix = (coeff[:, :1] * np.cos(waves * y)
                + coeff[:, 1:] * np.sin(waves * y)).sum(axis=0)

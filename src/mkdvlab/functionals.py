@@ -57,12 +57,11 @@ class Window:
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
 
     def derivative_multiplier(self, m: int) -> np.ndarray:
-        """(i k)^m on the rfft bins; m = -1 is the zero-mean periodic
-        antiderivative (bin 0 zeroed).  Odd m zero the Nyquist bin, which
-        stands for the symmetric interpolant cos(k_N x): its odd derivatives
-        vanish on the grid, and the multiplier maps real fields to real."""
-        ik = 1j * self.wavenumbers()
-        mult = ik ** m if m >= 0 else np.concatenate(([0.0], ik[1:] ** m))
+        """(i k)^m on the rfft bins, m >= 0.  Odd m zero the Nyquist bin,
+        which stands for the symmetric interpolant cos(k_N x): its odd
+        derivatives vanish on the grid, and the multiplier maps real fields
+        to real."""
+        mult = (1j * self.wavenumbers()) ** m
         if m % 2:
             mult[-1] = 0.0
         return mult
@@ -85,10 +84,10 @@ class Window:
         return self.spacing * float(np.sum(values))
 
 
-def default_window(p: cf.BreatherParams, t: float, n_points: int = 2048,
-                   margin: float = 5.0) -> Window:
+def default_window(p: cf.BreatherParams, t: float,
+                   n_points: int = 2048) -> Window:
     """Window tracking the envelope core, wide enough for <1e-12 tails."""
-    half = 30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + margin
+    half = 30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 5.0
     return Window(center=p.core(t), half_width=half, n_points=n_points)
 
 
@@ -104,9 +103,9 @@ def require_window(w: Window, p: cf.BreatherParams, t: float) -> None:
 
 
 def spectral_derivative(values: np.ndarray, w: Window, k: int = 1) -> np.ndarray:
-    """k-th derivative by w.derivative_multiplier(k); k = -1 integrates."""
-    mult = w.derivative_multiplier(k)
-    return np.fft.irfft(np.fft.rfft(values) * mult, n=w.n_points)
+    """k-th derivative by w.derivative_multiplier(k)."""
+    return np.fft.irfft(np.fft.rfft(values) * w.derivative_multiplier(k),
+                        n=w.n_points)
 
 
 @dataclass(frozen=True)
@@ -250,13 +249,13 @@ def closed_form_energy(kind: str, alpha: float, beta: float) -> float:
 REDUCTION_FACTORS = {5: -1.0 / 5.0, 7: +1.0 / 7.0, 9: -1.0 / 9.0}
 
 
-def energy_reduction(order: int, alpha: float, beta: float, t: float = 0.0,
-                     n_points: int = 4096) -> tuple[float, float]:
+def energy_reduction(order: int, alpha: float, beta: float,
+                     t: float = 0.0) -> tuple[float, float]:
     """(quadrature energy, reduction value s_n/(2n+1) * int (M)_t dx)."""
     if order not in REDUCTION_FACTORS:
         raise ValueError("reduction defined for orders 5, 7, 9")
     p = cf.BreatherParams(order=order, alpha=alpha, beta=beta)
-    w = default_window(p, t, n_points=n_points)
+    w = default_window(p, t, n_points=4096)
     f = sample_breather(p, t, w, m=4)
     e = functional(f, cf.energy_kind(order))
     mt = cf.partial_mass_t(p, t, w.grid())

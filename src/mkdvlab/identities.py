@@ -5,13 +5,16 @@ empirically.
 Every identity is a list of terms (coefficient, symbols); a symbol is either
 an integer k for the k-th x-derivative of the profile (0 for the profile
 itself) or one of the tags "bt" (time derivative of the antiderivative
-profile), "mt" (time derivative of the partial mass), "F9" (the cumulative
-integral entering the 9th-order product identity).  Reports carry the sup of
-the residual over the sample set together with rel_scale, the sup of the
-largest constituent term, so thresholds are meaningful across parameter
-sweeps.  The fluxes, the breather equation and Lemma 2.3 come from the
-energy densities of closed_forms; the product identities and corollaries
-are transcribed.
+profile) and "mt" (time derivative of the partial mass).  Reports carry the
+sup of the residual over the sample set together with rel_scale, the sup of
+the largest constituent term, so thresholds are meaningful across parameter
+sweeps.  Every identity is derived from the energy densities of
+closed_forms, through the evolution identity Btilde_t + u_{(order-1)x} +
+f = 0 and the breather equation: the product identities of Lemma 2.1 are
+-2 int B_x (evolution identity), by `closed_forms.integrate`; the
+corollaries, and Lemma 2.3 at order 5, are the evolution identity with
+every u_{kx}, k >= 4, eliminated by the breather equation
+(`closed_forms.eliminate`).  The paper's printed tables are the test oracle.
 
 Two printed readings are contested and settled here by variant runs: the
 delta exponent in the 9th-order velocity pair, and one term (plus one
@@ -22,12 +25,12 @@ adjudication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import closed_forms as cf
-from .functionals import Window, default_window, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def _substitute(terms, subs):
             old_special = sorted(s for s in old[1] if not isinstance(s, int))
             new_special = sorted(s for s in syms if not isinstance(s, int))
             if old_special != new_special:
-                raise ValueError("substitution may not change bt/mt/F terms")
+                raise ValueError("substitution may not change bt/mt terms")
         terms[idx] = (float(coeff), syms)
     return tuple(terms)
 
@@ -144,17 +147,6 @@ def _jet_data(jet: cf.Jet) -> dict:
             **{k: d for k, d in enumerate(jet.dx, start=1)}}
 
 
-def _breather_data(p: cf.BreatherParams, t: float, x: np.ndarray, m: int,
-                   vel: cf.Velocities | None = None) -> dict:
-    return _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
-                                         t, x, m, vel=vel))
-
-
-def _breather_params_dict(p: cf.BreatherParams, t: float) -> dict:
-    return {"order": p.order, "alpha": p.alpha, "beta": p.beta,
-            "x1": p.x1, "x2": p.x2, "t": t}
-
-
 def _report(ident, params, spec, terms, data, variant="verbatim"):
     res, scale = _eval_terms(terms, data)
     return ResidualReport(ident, params, spec, float(np.max(np.abs(res))),
@@ -164,102 +156,55 @@ def _report(ident, params, spec, terms, data, variant="verbatim"):
 def _breather_report(ident, p, t, terms, variant, samples, vel=None):
     """Residual of a term list on the breather at the standard samples."""
     x, spec = samples if samples is not None else breather_samples(p, t)
-    data = _breather_data(p, t, x, cf.max_order(terms), vel=vel)
-    return _report(ident, _breather_params_dict(p, t), spec, terms, data,
-                   variant)
+    data = _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
+                                         t, x, cf.max_order(terms), vel=vel))
+    if any("mt" in syms for _, syms in terms):
+        data["mt"] = cf.partial_mass_t(p, t, x)
+    params = {"order": p.order, "alpha": p.alpha, "beta": p.beta,
+              "x1": p.x1, "x2": p.x2, "t": t}
+    return _report(ident, params, spec, terms, data, variant)
 
 
 # --------------------------------------------------------------------------
 # identity term lists
 
-def _evolution_terms(order: int):
-    return ((1.0, ("bt",)), (1.0, (order - 1,))) + tuple(cf.flux_terms(order))
+def _spatial_terms(order: int):
+    """u_{(order-1)x} + f: the evolution identity is Btilde_t + this = 0."""
+    return ((1.0, (order - 1,)),) + cf.flux_terms(order)
 
 
-_LEMMA21_5TH = (
-    (1.0, (2, 2)),
-    (-2.0, (0, "bt")),
-    (2.0, ("mt",)),
-    (-2.0, (0, 0, 0, 0, 0, 0)),
-    (-2.0, (1, 3)),
-    (-10.0, (0, 0, 1, 1)),
-)
-
-# the derived reading, which passes; FIRSTMKDV_VARIANTS restores the
-# printed term and coefficient at indices 5 and 9
-_LEMMA21_7TH = (
-    (1.0, (3, 3)),
-    (2.0, (0, "bt")),
-    (-2.0, ("mt",)),
-    (5.0, (0,) * 8),
-    (2.0, (1, 5)),
-    (-2.0, (2, 4)),
-    (28.0, (0, 0, 1, 3)),
-    (-14.0, (0, 0, 2, 2)),
-    (56.0, (0, 1, 1, 2)),
-    (21.0, (1, 1, 1, 1)),
-    (70.0, (0, 0, 0, 0, 1, 1)),
-)
-
-_LEMMA21_9TH = (
-    (1.0, (4, 4)),
-    (-2.0, (0, "bt")),
-    (2.0, ("mt",)),
-    (-2.0, (1, 7)),
-    (2.0, (2, 6)),
-    (-2.0, (3, 5)),
-    (1.0, ("F9",)),
-)
+# the orders at which the paper states each identity
+LEMMA21_ORDERS = (5, 7, 9)
+LEMMA23_ORDERS = (5,)
+COROLLARY_ORDERS = (7, 9)
 
 
-def _corollary7_terms(alpha: float, beta: float):
-    a2, b2 = alpha**2, beta**2
-    return (
-        (1.0, ("bt",)),
-        (-2.0 * (b2 - a2) * (a2 + b2) ** 2, (0,)),
-        (4.0 * (a2**2 - 6.0 * a2 * b2 + b2**2), (0, 0, 0)),
-        (4.0 * (b2 - a2), (0,) * 5),
-        (-4.0, (0,) * 7),
-        (3.0 * a2**2 - 10.0 * a2 * b2 + 3.0 * b2**2, (2,)),
-        (4.0 * (b2 - a2), (0, 1, 1)),
-        (-20.0, (0, 0, 0, 1, 1)),
-        (2.0, (0, 2, 2)),
-        (-4.0, (0, 1, 3)),
-    )
+def _check_identity_order(p: cf.BreatherParams, orders: tuple) -> None:
+    if p.order not in orders:
+        raise ValueError(f"the identity is stated for orders {orders}, "
+                         f"got order {p.order}")
 
 
-def _corollary9_terms(alpha: float, beta: float):
-    a2, b2 = alpha**2, beta**2
-    a0 = -((a2 + b2) ** 2) * (3.0 * a2**2 - 10.0 * a2 * b2 + 3.0 * b2**2)
-    a1 = -4.0 * (a2 - b2) * (a2**2 - 14.0 * a2 * b2 + b2**2)
-    a2c = -2.0 * (a2**2 + 18.0 * a2 * b2 + b2**2)
-    a3 = 2.0 * (5.0 * a2**2 - 6.0 * a2 * b2 + 5.0 * b2**2)
-    a4 = -4.0 * (a2 - b2) * (a2**2 - 6.0 * a2 * b2 + b2**2)
-    return (
-        (1.0, ("bt",)),
-        (a0, (0,)),
-        (a1, (0, 0, 0)),
-        (a2c, (0,) * 5),
-        (16.0 * (b2 - a2), (0,) * 7),
-        (-26.0, (0,) * 9),
-        (a3, (1, 1, 0)),
-        (32.0 * (a2 - b2), (1, 1, 0, 0, 0)),
-        (-100.0, (1, 1, 0, 0, 0, 0, 0)),
-        (-2.0, (1, 1, 1, 1, 0)),
-        (a4, (2,)),
-        (-6.0 * (a2 + b2) ** 2, (2, 0, 0)),
-        (20.0 * (b2 - a2), (2, 0, 0, 0, 0)),
-        (-28.0, (2, 0, 0, 0, 0, 0, 0)),
-        (4.0 * (b2 - a2), (1, 1, 2)),
-        (-12.0, (1, 1, 2, 0, 0)),
-        (8.0 * (b2 - a2), (2, 2, 0)),
-        (-4.0, (2, 2, 0, 0, 0)),
-        (2.0, (2, 2, 2)),
-        (8.0 * (a2 - b2), (1, 3, 0)),
-        (-32.0, (1, 3, 0, 0, 0)),
-        (-4.0, (1, 2, 3)),
-        (-2.0, (3, 3, 0)),
-    )
+@functools.lru_cache(maxsize=None)
+def lemma21_terms(order: int):
+    """Product identity: -2 int B_x (evolution identity).
+
+    -2 B_x Btilde_t integrates by parts to -2 B Btilde_t + 2 M_t, M the
+    partial mass; u_x (u_{(order-1)x} + f) = +-u_x dE/du is a total
+    derivative (Noether for translations), so the rest is local.  The sign
+    makes the u_{nx}^2 term +1, n = (order - 1)/2, as in the paper."""
+    local = cf.integrate(cf.product(((-2.0, (1,)),), _spatial_terms(order)))
+    n = (order - 1) // 2
+    sign = 1.0 / next(c for c, o in local if o == (n, n))
+    return ((-2.0 * sign, (0, "bt")), (2.0 * sign, ("mt",)),
+            *cf.scale(sign, local))
+
+
+def corollary_terms(order: int, alpha: float, beta: float):
+    """The evolution identity with every u_{kx}, k >= 4, eliminated by the
+    breather equation.  At order 5 it is Lemma 2.3."""
+    return ((1.0, ("bt",)),) + cf.eliminate(_spatial_terms(order),
+                                           cf.breather_equation(alpha, beta))
 
 
 # --------------------------------------------------------------------------
@@ -271,9 +216,8 @@ def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
     if level == "2nd":
         terms = ((1.0, (2,)), (-p.c, (0,)), (2.0, (0, 0, 0)))
     elif level == "high":
-        n = (p.order - 1) // 2
-        terms = ((1.0, (p.order - 1,)), (-(p.c**n), (0,))) + tuple(
-            cf.flux_terms(p.order))
+        speed = p.c ** ((p.order - 1) // 2)
+        terms = ((-speed, (0,)),) + _spatial_terms(p.order)
     else:
         raise ValueError(f"unknown level {level!r}")
     x, spec = samples if samples is not None else soliton_samples(p, t)
@@ -295,7 +239,8 @@ def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
                                 substitutions=(), variant="verbatim",
                                 vel: cf.Velocities | None = None,
                                 samples=None) -> ResidualReport:
-    terms = _substitute(_evolution_terms(p.order), substitutions)
+    terms = _substitute(((1.0, ("bt",)),) + _spatial_terms(p.order),
+                        substitutions)
     return _breather_report("evolution_identity", p, t, terms, variant,
                             samples, vel)
 
@@ -315,80 +260,38 @@ def evolution_delta_residual(p: cf.BreatherParams, t: float = 0.37,
     vel = cf.Velocities(cf.eval_velocity_terms(dterms, p.alpha, p.beta),
                         cf.eval_velocity_terms(gterms, p.alpha, p.beta))
     rep = evolution_identity_residual(p, t, vel=vel, variant=variant)
-    return ResidualReport("evolution_delta", rep.params, rep.sample_spec,
-                          rep.sup_residual, rep.rel_scale, variant)
+    return replace(rep, identity_id="evolution_delta")
 
 
-_LEMMA21_CASES = {"5th": (5, _LEMMA21_5TH), "7th": (7, _LEMMA21_7TH),
-                  "9th": (9, _LEMMA21_9TH)}
-_COROLLARY_CASES = {"7th": (7, _corollary7_terms),
-                    "9th": (9, _corollary9_terms)}
-
-
-def _case(cases: dict, case: str, p: cf.BreatherParams):
-    """The entry for `case`, checked against the breather's order."""
-    if case not in cases:
-        raise ValueError(f"case must be one of {tuple(cases)}, got {case!r}")
-    order, entry = cases[case]
-    if p.order != order:
-        raise ValueError(f"case {case} needs an order-{order} breather, "
-                         f"got order {p.order}")
-    return entry
-
-
-def _cumulative_integral(g: np.ndarray, w: Window) -> np.ndarray:
-    """Antiderivative vanishing at the left edge of w, for smooth g decaying
-    at both edges: the zero-mean Fourier part plus a ramp for the mean."""
-    ramp = np.mean(g) * w.spacing * np.arange(w.n_points)
-    F = spectral_derivative(g, w, -1) + ramp
-    return F - F[0]
-
-
-def lemma21_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
+def lemma21_residual(p: cf.BreatherParams, t: float = 0.37,
                      substitutions=(), variant="verbatim",
-                     window: Window | None = None,
                      samples=None) -> ResidualReport:
-    """Product identities obtained by multiplying the evolution identity by
-    B_x and integrating; the 9th-order case carries a cumulative-integral
-    term and is therefore evaluated on the grid of a uniform window."""
-    terms = _substitute(_case(_LEMMA21_CASES, case, p), substitutions)
-
-    if case == "9th":
-        w = window or default_window(p, t, n_points=4096)
-        x = w.grid()
-        spec = (f"grid{w.n_points} half={w.half_width:.6g} "
-                f"center={w.center:.6g} t={t:.6g}")
-        data = _breather_data(p, t, x, max(cf.max_order(terms), 7))
-        g = -2.0 * cf.eval_flux_terms(cf.flux_terms(9), [data[k] for k in range(7)]) * data[1]
-        data["F9"] = _cumulative_integral(g, w)
-    else:
-        x, spec = samples if samples is not None else breather_samples(p, t)
-        data = _breather_data(p, t, x, cf.max_order(terms))
-    data["mt"] = cf.partial_mass_t(p, t, x)
-    return _report(f"lemma21_{case}", _breather_params_dict(p, t), spec, terms,
-                   data, variant)
+    """Product identity of the breather's order (`lemma21_terms`)."""
+    _check_identity_order(p, LEMMA21_ORDERS)
+    terms = _substitute(lemma21_terms(p.order), substitutions)
+    return _breather_report(f"lemma21_{p.order}th", p, t, terms, variant,
+                            samples)
 
 
-def lemma23_residual(p: cf.BreatherParams, t: float,
+def lemma23_residual(p: cf.BreatherParams, t: float = 0.37,
                      substitutions=(), variant="verbatim",
                      samples=None) -> ResidualReport:
     """First-order-in-time identity; holds for 5th-order breathers only."""
-    if p.order != 5:
-        raise ValueError("the identity holds for order-5 breathers only")
-    # Btilde_t = d(mu E + c M)/du: the breather equation without its E5 part
-    lower = (cf.scale(-w, cf.euler(cf.DENSITIES[kind]))
-             for w, kind in cf.breather_weights(p.alpha, p.beta)
-             if kind != "E5")
-    terms = _substitute(sum(lower, ((1.0, ("bt",)),)), substitutions)
+    _check_identity_order(p, LEMMA23_ORDERS)
+    # Btilde_t = d(mu E + c M)/du: the evolution identity has u_4x + f5 =
+    # dE5/du, and the breather equation is d(E5 + mu E + c M)/du = 0
+    terms = _substitute(corollary_terms(5, p.alpha, p.beta), substitutions)
     return _breather_report("lemma23", p, t, terms, variant, samples)
 
 
-def corollary_residual(p: cf.BreatherParams, case: str, t: float = 0.37,
+def corollary_residual(p: cf.BreatherParams, t: float = 0.37,
                        substitutions=(), variant="verbatim",
                        samples=None) -> ResidualReport:
-    builder = _case(_COROLLARY_CASES, case, p)
-    terms = _substitute(builder(p.alpha, p.beta), substitutions)
-    return _breather_report(f"corollary_{case}", p, t, terms, variant,
+    """Corollary of the breather's order (`corollary_terms`)."""
+    _check_identity_order(p, COROLLARY_ORDERS)
+    terms = _substitute(corollary_terms(p.order, p.alpha, p.beta),
+                        substitutions)
+    return _breather_report(f"corollary_{p.order}th", p, t, terms, variant,
                             samples)
 
 
@@ -403,26 +306,24 @@ DELTA9_VARIANTS = (
     IdentityVariant("evolution_delta", ((3, (84.0, 2, 6)),), "resolved-a2b6"),
 )
 
-# 7th-order product identity, against the derived default -2 B_xx B_4x
-# (index 5) and 21 B_x^4 (index 9): the printed reading has the term
+# 7th-order product identity, against the derived -2 B_xx B_4x (index 3 of
+# lemma21_terms(7)) and 21 B_x^4 (index 8): the printed reading has the term
 # -2 B_xx^2 B_4x and the coefficient 7; the degree fix keeps only the 7
 FIRSTMKDV_VARIANTS = (
     IdentityVariant("lemma21_7th",
-                    ((5, -2.0, (2, 2, 4)), (9, 7.0, (1, 1, 1, 1))), "printed"),
-    IdentityVariant("lemma21_7th", ((9, 7.0, (1, 1, 1, 1)),), "degree-fixed"),
+                    ((3, -2.0, (2, 2, 4)), (8, 7.0, (1, 1, 1, 1))), "printed"),
+    IdentityVariant("lemma21_7th", ((8, 7.0, (1, 1, 1, 1)),), "degree-fixed"),
     IdentityVariant("lemma21_7th", (), "derived"),
 )
 
+# the breather of each identity's variant runs, at t = 0.37
 _CANONICAL = {
-    "breather_ode": (cf.BreatherParams(5, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "evolution_identity": (cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1), 0.37),
-    "evolution_delta": (cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1), 0.37),
-    "lemma21_5th": (cf.BreatherParams(5, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "lemma21_7th": (cf.BreatherParams(7, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "lemma21_9th": (cf.BreatherParams(9, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "lemma23": (cf.BreatherParams(5, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "corollary_7th": (cf.BreatherParams(7, 1.1, 0.9, 0.15, -0.25), 0.37),
-    "corollary_9th": (cf.BreatherParams(9, 1.1, 0.9, 0.15, -0.25), 0.37),
+    "evolution_identity": cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1),
+    "evolution_delta": cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1),
+    **{name: cf.BreatherParams(order, 1.1, 0.9, 0.15, -0.25)
+       for name, order in [("breather_ode", 5), ("lemma23", 5)]
+       + [(f"lemma21_{o}th", o) for o in LEMMA21_ORDERS]
+       + [(f"corollary_{o}th", o) for o in COROLLARY_ORDERS]},
 }
 
 
@@ -432,27 +333,22 @@ def run_variants(base: str, variants, p: cf.BreatherParams | None = None,
     verbatim identity.  Deterministic ordering, duplicate in -> duplicate out."""
     if base not in _CANONICAL:
         raise ValueError(f"no variant support for identity {base!r}")
-    p0, t0 = _CANONICAL[base]
-    p0, t0 = (p0 if p is None else p), (t0 if t is None else t)
-    if not variants:
-        variants = [IdentityVariant(base)]
+    p0 = _CANONICAL[base] if p is None else p
+    t0 = 0.37 if t is None else t
+    kind = base.removesuffix(f"_{_CANONICAL[base].order}th")
+    if kind != base:
+        _check_identity_order(p0, (_CANONICAL[base].order,))
+    # looked up per call, so that a wrapped module function is the one run
+    residual = {"breather_ode": breather_ode_residual,
+                "evolution_identity": evolution_identity_residual,
+                "evolution_delta": evolution_delta_residual,
+                "lemma21": lemma21_residual, "lemma23": lemma23_residual,
+                "corollary": corollary_residual}[kind]
     reports = []
-    for v in variants:
+    for v in variants or [IdentityVariant(base)]:
         if v.identity_id != base:
             raise ValueError(f"variant for {v.identity_id!r} passed to {base!r}")
-        subs = tuple(v.term_substitutions)
-        if base == "breather_ode":
-            reports.append(breather_ode_residual(p0, t0, subs, v.label))
-        elif base == "evolution_identity":
-            reports.append(evolution_identity_residual(p0, t0, subs, v.label))
-        elif base == "evolution_delta":
-            reports.append(evolution_delta_residual(p0, t0, subs, v.label))
-        elif base.startswith("lemma21_"):
-            reports.append(lemma21_residual(p0, base[-3:], t0, subs, v.label))
-        elif base == "lemma23":
-            reports.append(lemma23_residual(p0, t0, subs, v.label))
-        elif base.startswith("corollary_"):
-            reports.append(corollary_residual(p0, base[-3:], t0, subs, v.label))
+        reports.append(residual(p0, t0, tuple(v.term_substitutions), v.label))
     return reports
 
 

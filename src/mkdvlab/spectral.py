@@ -164,10 +164,9 @@ def _asymmetry_on_smooth_probes(w: Window, coeffs: dict) -> float:
     rounding noise of order eps * k_max^4, burying the figure the probes are
     meant to record.
     """
-    x = w.grid()
-    k1 = 2.0 * np.pi / w.length
-    probes = [np.cos(k1 * x), np.sin(k1 * x),
-              np.cos(2 * k1 * x), np.sin(3 * k1 * x)]
+    x, waves = w.grid(), w.wavenumbers()
+    probes = [np.cos(waves[1] * x), np.sin(waves[1] * x),
+              np.cos(waves[2] * x), np.sin(waves[3] * x)]
 
     def apply(z):
         return sum(c * spectral_derivative(z, w, k) if k else c * z
@@ -197,12 +196,11 @@ def spectral_window(p: cf.BreatherParams, t: float,
 
 
 def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
-                   n_points: int = 1024,
                    background: SampledField | None = None) -> DiscreteOperator:
     """Assemble the linearized operator at the breather, or at an explicit
     background field (pass a zero field for the constant-coefficient part)."""
     if w is None:
-        w = spectral_window(p, t, n_points)
+        w = spectral_window(p, t)
     require_window(w, p, t)
     terms = cf.breather_linearization(p.alpha, p.beta)
     m = max(map(cf.max_order, terms.values()))

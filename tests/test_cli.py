@@ -345,3 +345,47 @@ def test_verify_order7_point_passes(tmp_path):
     assert run_main(["verify", "--config", cfgp, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert any(r["id"].startswith("lemma21_7th") for r in report["records"])
+
+
+def test_wronskian_samples_surround_the_breather_at_its_time(tmp_path,
+                                                             monkeypatch):
+    # at (2, 0.5) the envelope centre sits at +25.9 by t = 0.37, far from
+    # x = 0; samples drawn around 0 would test only the far tail
+    from mkdvlab import closed_forms as cf
+    from mkdvlab import spectral as spc
+
+    seen = []
+    original = spc.wronskian_check
+
+    def capturing(p, t, xs):
+        seen.append((p, t, np.array(xs)))
+        return original(p, t, xs)
+
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    monkeypatch.setattr(spc, "wronskian_check", capturing)
+    cfgp = write_cfg(tmp_path / "s.txt",
+                     "alpha = 2.0\nbeta = 0.5\nwindow_n = 512\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    run_main(["spectrum", "--config", cfgp, "--out", str(out)])
+    (p, t, xs), = seen
+    core = cf.BreatherParams(5, 2.0, 0.5).core(t)
+    assert p == cf.BreatherParams(5, 2.0, 0.5)
+    assert abs(core) > 20.0
+    assert np.all(np.abs(xs - core) <= 6.0 / 0.5)
+    report = json.loads((out / "report.json").read_text())
+    wronskian, = [r for r in report["records"]
+                  if r["id"].startswith("wronskian")]
+    assert wronskian["pass"]
+
+
+def test_spectrum_at_alpha_beta_3_exits_0(tmp_path, monkeypatch):
+    # the Wronskian samples once sat 120 units from the core at t = 0.37,
+    # where cosh 2 beta y2 overflows: the suite crashed with exit 3
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    cfgp = write_cfg(tmp_path / "s.txt", "alpha = 3\nbeta = 3\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_main(["spectrum", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["records"]) == 11

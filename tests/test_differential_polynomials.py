@@ -9,12 +9,10 @@ K_3'[K_n] - K_n'[K_3] is exactly zero as a differential polynomial.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkdvlab import closed_forms as cf
-
-
-def _times(a, b):
-    return cf.combine((1.0, [(ca * cb, oa + ob) for ca, oa in a for cb, ob in b]))
 
 
 def _d_dx(terms, k):
@@ -25,7 +23,7 @@ def _d_dx(terms, k):
 
 def _apply_frechet(P, G):
     """P'[G] = sum_k (dP/du_{kx}) d^k G/dx^k."""
-    return cf.combine(*((1.0, _times(coef, _d_dx(G, k)))
+    return cf.combine(*((1.0, cf.product(coef, _d_dx(G, k)))
                         for k, coef in cf.frechet(P)))
 
 
@@ -130,3 +128,69 @@ def test_velocity_table_is_the_binomial_expansion():
             z = (a + 1j * b) ** order * (-1) ** (n + 1)
             v = cf.velocities(order, float(a), float(b))
             assert (a * v.delta, b * v.gamma) == (z.real, z.imag)
+
+
+# --------------------------------------------------------------------------
+# integrate and eliminate
+
+_MONOMIALS = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
+
+
+def _polynomials(coefficients):
+    """Term lists without a constant term."""
+    return st.lists(st.tuples(coefficients, _MONOMIALS), max_size=6).map(
+        lambda ts: cf.combine((1.0, [(float(c), o) for c, o in ts])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials(st.integers(-6, 6)))
+def test_integrate_inverts_d_dx(P):
+    assert cf.integrate(cf.d_dx(P)) == P
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials(st.sampled_from([-2.5, -1.0, -0.5, 0.5, 3.0, 7.0])))
+def test_d_dx_inverts_integrate_on_total_derivatives(P):
+    T = cf.d_dx(P)
+    assert cf.d_dx(cf.integrate(T)) == T
+
+
+@pytest.mark.parametrize("terms", [((1.0, (0, 0)),), ((1.0, (1, 1)),),
+                                   ((1.0, (0, 2)),), ((1.0, ()),)])
+def test_integrate_rejects_what_is_no_total_derivative(terms):
+    # u^2, u_x^2, u u_xx = (u u_x)_x - u_x^2, and a constant
+    with pytest.raises(ValueError):
+        cf.integrate(terms)
+
+
+def _term_scale(terms, d):
+    return max(float(np.max(np.abs(cf.eval_flux_terms(((c, o),), d))))
+               for c, o in terms)
+
+
+@pytest.mark.parametrize("terms", [
+    ((1.0, (6,)),) + cf.flux_terms(7),
+    ((1.0, (8,)),) + cf.flux_terms(9),
+    ((1.0, (4, 5)), (-2.0, (0, 0, 6)), (0.5, (1, 3))),
+])
+def test_eliminate_by_the_breather_equation(terms):
+    a, b = 1.2, 0.8
+    got = cf.eliminate(terms, cf.breather_equation(a, b))
+    assert cf.max_order(got) <= 3
+    # breather jets solve the equation, so both lists agree on them
+    p = cf.BreatherParams(5, a, b, 0.3, -0.2)
+    jet = cf.breather_jet(p, 0.1, np.linspace(-12.0, 12.0, 97),
+                          m=cf.max_order(terms))
+    d = [jet.value, *jet.dx]
+    err = np.max(np.abs(cf.eval_flux_terms(got, d)
+                        - cf.eval_flux_terms(terms, d)))
+    scale = max(_term_scale(terms, d), _term_scale(got, d))
+    print(f"error {err:.3e} on term scale {scale:.3g}")
+    assert err <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("equation", [((1.0, (4, 4)),), ((1.0, (0, 4)),),
+                                      ((1.0, (4,)), (1.0, (0, 4)))])
+def test_eliminate_needs_a_constant_leading_coefficient(equation):
+    with pytest.raises(ValueError):
+        cf.eliminate(((1.0, (5,)),), equation)

@@ -321,6 +321,38 @@ def test_fit_modulation_makes_no_jet_calls(monkeypatch):
     assert (x1, x2) == pytest.approx((0.3, -0.2), abs=1e-9)
 
 
+def test_random_shape_is_seeded_and_resolved():
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    w = Window(0.0, 30.0, N_SMALL)
+
+    def shape(seed):
+        return ev.perturbation_shape("random", p, w, np.random.default_rng(seed))
+
+    assert np.array_equal(shape(3), shape(3))
+    assert not np.allclose(shape(3), shape(4))
+    # bins 1..8 of w.wavenumbers() under a width-3 gaussian: the upper
+    # three quarters of the spectrum are empty
+    spec = np.abs(np.fft.rfft(shape(3)))
+    assert np.max(spec[N_SMALL // 8:]) <= 1e-10 * np.max(spec)
+    with pytest.raises(ValueError):
+        ev.perturbation_shape("random", p, w)
+
+
+def test_random_shape_stability_run_is_deterministic():
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = small_config(5, dt=1e-4, t_end=1e-3)
+    with warnings.catch_warnings():
+        # the breather, not the shape, is under-resolved on 256 points
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        runs = [ev.stability_experiment(p, 0.01, ("random",), cfg,
+                                        snapshot_every=5, seed=11)
+                for _ in range(2)]
+    (a,), (b,) = runs
+    assert a.blow_up is None and len(a.times) == 3
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.distances == b.distances
+
+
 # --------------------------------------------------------------------------
 # evolve and stability suite points
 

@@ -3,15 +3,13 @@ product identities, and the variant machinery that adjudicates the two
 contested readings."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
+import paper_tables as paper
 import pytest
 
 from mkdvlab import closed_forms as cf
 from mkdvlab import identities as ide
-from mkdvlab.functionals import default_window
-from mkdvlab.spectral import spectral_window
 
 # rounding-noise floor: exact identities evaluate to ~1e-16*rel_scale and the
 # sup over more samples can pick up a slightly larger rounding outlier
@@ -128,12 +126,56 @@ def test_delta9_two_variant_run():
 # product identities
 
 
+def _as_dict(terms):
+    """{sorted symbols: coefficient}; the tags sort after the orders."""
+    return {tuple(sorted(syms, key=str)): c for c, syms in terms}
+
+
+@pytest.mark.parametrize("order,printed", [(5, paper.LEMMA21_5TH),
+                                           (7, paper.LEMMA21_7TH)])
+def test_lemma21_tables_are_the_printed_ones(order, printed):
+    assert _as_dict(ide.lemma21_terms(order)) == _as_dict(printed)
+
+
+def test_lemma21_9th_is_the_printed_table_with_a_local_f9():
+    # the terms outside the printed local part are F9 = int -2 f9 B_x
+    derived = _as_dict(ide.lemma21_terms(9))
+    printed = _as_dict(paper.LEMMA21_9TH)
+    assert {k: derived[k] for k in printed} == printed
+    f9 = tuple((c, k) for k, c in derived.items() if k not in printed)
+    print(f"F9: {len(f9)} terms, highest derivative {cf.max_order(f9)}")
+    assert (len(f9), cf.max_order(f9)) == (14, 5)
+    want = cf.combine((-2.0, [(c, (1,) + o) for c, o in cf.flux_terms(9)]))
+    assert cf.d_dx(f9) == want
+
+
+def test_firstmkdv_variants_restore_the_printed_reading():
+    printed = ide.FIRSTMKDV_VARIANTS[0].term_substitutions
+    restored = ide._substitute(ide.lemma21_terms(7), printed)
+    assert _as_dict(restored) == _as_dict(paper.LEMMA21_7TH_PRINTED)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.1, 0.9), (0.7, 1.3), (1.5, 0.5)])
+@pytest.mark.parametrize("order,printed", [(7, paper.corollary7),
+                                           (9, paper.corollary9)])
+def test_corollaries_are_the_printed_ones(order, printed, alpha, beta):
+    derived = _as_dict(ide.corollary_terms(order, alpha, beta))
+    want = _as_dict(printed(alpha, beta))
+    largest = max(abs(c) for c in want.values())
+    worst = max(abs(derived.get(k, 0.0) - want.get(k, 0.0))
+                for k in derived.keys() | want.keys())
+    print(f"order {order} ({alpha}, {beta}): {worst / largest:.2e}")
+    assert worst <= 1e-12 * largest
+    assert cf.max_order(ide.corollary_terms(order, alpha, beta)) == 3
+
+
 def test_lemma21_5th():
-    rep = ide.lemma21_residual(cf.BreatherParams(5, 1.0, 1.0), "5th", t=0.0)
+    rep = ide.lemma21_residual(cf.BreatherParams(5, 1.0, 1.0), t=0.0)
     print(f"5th symmetric: normalized {rep.normalized:.3e}")
     assert rep.normalized <= 1e-8
-    rep = ide.lemma21_residual(_p(5), "5th")
+    rep = ide.lemma21_residual(_p(5))
     assert rep.normalized <= 1e-8
+    assert rep.identity_id == "lemma21_5th"
 
 
 def test_firstmkdv_adjudication():
@@ -150,16 +192,17 @@ def test_firstmkdv_adjudication():
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.8), (1.1, 0.9)])
 def test_lemma21_9th(alpha, beta):
-    rep = ide.lemma21_residual(cf.BreatherParams(9, alpha, beta), "9th")
+    rep = ide.lemma21_residual(cf.BreatherParams(9, alpha, beta))
     print(f"9th ({alpha},{beta}): normalized {rep.normalized:.3e}")
     assert rep.normalized <= 1e-7
 
 
 def test_lemma21_validation():
+    # the paper states the product identities at orders 5, 7 and 9
     with pytest.raises(ValueError):
-        ide.lemma21_residual(_p(5), "7th", t=0.0)
+        ide.lemma21_residual(_p(3), t=0.0)
     with pytest.raises(ValueError):
-        ide.lemma21_residual(_p(5), "11th", t=0.0)
+        ide.lemma21_residual(_p(11), t=0.0)
 
 
 def test_lemma23():
@@ -173,31 +216,35 @@ def test_lemma23():
 
 
 def test_corollary_7th():
-    rep = ide.corollary_residual(cf.BreatherParams(7, 1.0, 1.0), "7th")
+    rep = ide.corollary_residual(cf.BreatherParams(7, 1.0, 1.0))
     print(f"7th symmetric: normalized {rep.normalized:.3e}")
     assert rep.normalized <= 1e-9
-    assert ide.corollary_residual(_p(7), "7th").normalized <= 1e-9
+    assert ide.corollary_residual(_p(7)).normalized <= 1e-9
 
 
 def test_corollary_9th():
-    rep = ide.corollary_residual(cf.BreatherParams(9, 0.7, 1.3), "9th")
+    rep = ide.corollary_residual(cf.BreatherParams(9, 0.7, 1.3))
     print(f"9th (0.7, 1.3): normalized {rep.normalized:.3e}")
     assert rep.normalized <= 1e-8
+    assert rep.identity_id == "corollary_9th"
 
 
 def test_corollary_validation():
+    # the paper states the corollaries at orders 7 and 9
     with pytest.raises(ValueError):
-        ide.corollary_residual(_p(9), "7th")
+        ide.corollary_residual(_p(5))
     with pytest.raises(ValueError):
-        ide.corollary_residual(_p(7), "5th")
+        ide.corollary_residual(_p(11))
 
 
 def test_corollary_coefficient_sensitivity():
     # perturbing one polynomial coefficient by 1% must visibly break the
     # identity; parameters where that term is a large share of rel_scale
     p = cf.BreatherParams(9, 1.5, 0.5)
-    a0 = ide._corollary9_terms(1.5, 0.5)[1][0]
-    rep = ide.corollary_residual(p, "9th", substitutions=((1, a0 * 1.01),),
+    terms = ide.corollary_terms(9, 1.5, 0.5)
+    index = next(i for i, (_, o) in enumerate(terms) if o == (0,))
+    a0 = terms[index][0]
+    rep = ide.corollary_residual(p, substitutions=((index, a0 * 1.01),),
                                  variant="a0-perturbed")
     print(f"a0 perturbed 1%: normalized {rep.normalized:.3e}")
     assert rep.normalized > 1e-3
@@ -214,10 +261,10 @@ def test_residuals_stable_across_times():
         lambda t: ide.breather_ode_residual(_p(7), t),
         lambda t: ide.evolution_identity_residual(_p(7), t),
         lambda t: ide.lemma23_residual(_p(5), t),
-        lambda t: ide.lemma21_residual(_p(5), "5th", t),
-        lambda t: ide.lemma21_residual(_p(9), "9th", t),
-        lambda t: ide.corollary_residual(_p(7), "7th", t),
-        lambda t: ide.corollary_residual(_p(9), "9th", t),
+        lambda t: ide.lemma21_residual(_p(5), t),
+        lambda t: ide.lemma21_residual(_p(9), t),
+        lambda t: ide.corollary_residual(_p(7), t),
+        lambda t: ide.corollary_residual(_p(9), t),
     ]
     for run in cases:
         vals = np.array([run(t).normalized for t in times])
@@ -227,42 +274,33 @@ def test_residuals_stable_across_times():
 
 
 def test_sample_doubling_invariance():
-    p7 = _p(7)
+    runs = (
+        (_p(7), ide.evolution_identity_residual),
+        (_p(7), lambda p, samples=None: ide.breather_ode_residual(
+            p, 0.37, samples=samples)),
+    )
     for kwargs in (dict(n_cheb=512, n_peak=128), dict(radius_factor=2.0)):
-        s = ide.breather_samples(p7, 0.37, **kwargs)
-        base = ide.evolution_identity_residual(p7).normalized
-        dbl = ide.evolution_identity_residual(p7, samples=s).normalized
-        print(f"{kwargs}: base {base:.3e} doubled {dbl:.3e}")
-        assert dbl <= max(2.0 * base, EPS_FLOOR)
-        base = ide.breather_ode_residual(p7, 0.37).normalized
-        dbl = ide.breather_ode_residual(p7, 0.37, samples=s).normalized
-        assert dbl <= max(2.0 * base, EPS_FLOOR)
+        for p, run in runs:
+            s = ide.breather_samples(p, 0.37, **kwargs)
+            base = run(p).normalized
+            dbl = run(p, samples=s).normalized
+            print(f"{run(p).identity_id} {kwargs}: base {base:.3e} "
+                  f"doubled {dbl:.3e}")
+            assert dbl <= max(2.0 * base, EPS_FLOOR)
 
 
 def test_grid_doubling_invariance_9th():
+    # the order-9 product identity on doubled sample density and on a
+    # doubled sampling radius
     p9 = _p(9)
-    base = ide.lemma21_residual(p9, "9th").normalized
-    w = default_window(p9, 0.37, n_points=8192)
-    dens = ide.lemma21_residual(p9, "9th", window=w).normalized
-    wide = ide.lemma21_residual(
-        p9, "9th", window=replace(w, half_width=2.0 * w.half_width)).normalized
+    base = ide.lemma21_residual(p9).normalized
+    dens = ide.lemma21_residual(p9, samples=ide.breather_samples(
+        p9, 0.37, n_cheb=512, n_peak=128)).normalized
+    wide = ide.lemma21_residual(p9, samples=ide.breather_samples(
+        p9, 0.37, radius_factor=2.0)).normalized
     print(f"base {base:.3e} dens2x {dens:.3e} wide2x {wide:.3e}")
-    assert dens <= max(2.0 * base, 1e-13)
-    assert wide <= max(2.0 * base, 1e-13)
-
-
-def test_cumulative_integral_is_the_partial_mass():
-    # the Fourier antiderivative behind the 9th-order F9 term, against the
-    # closed-form partial mass (1/2) int_{-inf}^x B^2
-    p = cf.BreatherParams(5, 1.2, 0.8, 0.1, -0.2)
-    w = spectral_window(p, 0.0, n_points=1024)
-    x = w.grid()
-    B = cf.breather_jet(p, 0.0, x, m=0).value
-    got = ide._cumulative_integral(0.5 * B**2, w)
-    want = cf.partial_mass(p, 0.0, x) - cf.partial_mass(p, 0.0, x[:1])
-    scale = np.max(np.abs(want))
-    print(f"error {np.max(np.abs(got - want)):.3e} on scale {scale:.3g}")
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert dens <= max(2.0 * base, EPS_FLOOR)
+    assert wide <= max(2.0 * base, EPS_FLOOR)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -299,6 +337,9 @@ def test_run_variants_validation():
     wrong = ide.IdentityVariant("lemma23", (), "misrouted")
     with pytest.raises(ValueError):
         ide.run_variants("breather_ode", (wrong,))
+    # an identity of one order run on a breather of another
+    with pytest.raises(ValueError):
+        ide.adjudicate_firstmkdv(_p(5))
 
 
 def test_substitution_validation():
