@@ -317,7 +317,7 @@ def _verify_point(task: dict) -> tuple:
             rep = residual(p)
             recs.append(_record(rep.identity_id, tag, rep.normalized,
                                 tol["identity"]))
-    kinds = ["M", "E"] + ([f"E{order}"] if order in (5, 7, 9) else [])
+    kinds = ["M", "E"] + ([cf.energy_kind(order)] if order in (5, 7, 9) else [])
     f = sample_breather(p, 0.0)
     for kind in kinds:
         got = functional(f, kind)
@@ -514,7 +514,7 @@ def _evolve_point(task: dict) -> tuple:
         cfg_run = replace(cfg_run, dt=task["dt"])
     h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed}
-    monitors = ("M", "E", f"E{order}")
+    monitors = ("M", "E", cf.energy_kind(order))
     u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
     try:
         traj = evolve(u0, cfg_run, monitors=monitors)

@@ -37,16 +37,15 @@ The velocity pairs obey
 and VELOCITY_TERMS is that binomial expansion; identities.py re-derives the
 one contested delta_9 exponent empirically.
 
-Differential polynomials are term lists with d/dx and its inverse
-`integrate`, the Euler operator, the Frechet derivative, the second
-variation (Olver, Applications of Lie Groups to Differential Equations,
-sections 4-5), and `eliminate`, which rewrites every derivative at or above
-an equation's order by that equation.  From the one table of
-densities M, E, E5, E7, E9 come the fluxes of orders 3 to 9 (u_{2n x} +
-f_{2n+1} = +-dE_{2n+1}/du), the breather equation dH/du = 0 for
-H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M, its linearization
-and the second variation of H.  The order-11 flux has no E11 behind it: it
-is transcribed, and checked by its commutator with the mKdV flow.
+Differential polynomials are term lists with d/dx, `reduce_terms` (d/dx F
+plus a remainder free of total derivatives) and its case `integrate`, the
+Euler operator, the Frechet derivative, the second variation (Olver,
+Applications of Lie Groups to Differential Equations, sections 4-5), and
+`eliminate`, which rewrites every derivative at or above an equation's
+order by that equation.  No hierarchy coefficient is typed in: from u, the
+first flow, the recursion operator gives every u_{2n x} + f_{2n+1}, the
+homotopy formula the densities M, E, E5, ..., E11, and those the breather
+equation dH/du = 0, H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
 """
 
 from __future__ import annotations
@@ -328,42 +327,15 @@ def soliton_jet(p: SolitonParams, t: float, x, m: int = 4) -> Jet:
 #
 # A term list is a tuple of (coefficient, factor orders): the coefficient
 # times the product of u_{kx} over the orders k (0 for u itself, () for a
-# constant).  The tables hold halves and integers, so the float arithmetic
-# of the derivations is exact.
-
-# conserved densities: mass, energy and the higher energies E_{2n+1}
-DENSITIES = {
-    "M": ((0.5, (0, 0)),),
-    "E": ((0.5, (1, 1)), (-0.5, (0, 0, 0, 0))),
-    "E5": ((0.5, (2, 2)), (-5.0, (0, 0, 1, 1)), (1.0, (0,) * 6)),
-    "E7": ((0.5, (3, 3)), (3.5, (1, 1, 1, 1)), (-7.0, (0, 0, 2, 2)),
-           (35.0, (0, 0, 0, 0, 1, 1)), (-2.5, (0,) * 8)),
-    "E9": ((0.5, (4, 4)), (-9.0, (0, 0, 3, 3)), (20.0, (0, 2, 2, 2)),
-           (51.0, (1, 1, 2, 2)), (63.0, (0, 0, 0, 0, 2, 2)),
-           (-133.0, (0, 0, 1, 1, 1, 1)), (-210.0, (0,) * 6 + (1, 1)),
-           (7.0, (0,) * 10)),
-}
-
-# The order-11 flux has no E11 to derive it from, so it is transcribed;
-# tests/test_differential_polynomials.py checks it by its commutator with
-# the mKdV flow.
-_FLUX_11 = (
-    (22.0, (0, 0, 8)), (198.0, (0, 0, 0, 0, 6)), (924.0, (0,) * 6 + (4,)),
-    (506.0, (0, 4, 4)), (3036.0, (0, 0, 0, 3, 3)), (2310.0, (0,) * 8 + (2,)),
-    (8316.0, (0,) * 5 + (2, 2)), (9372.0, (0, 0, 2, 2, 2)),
-    (9240.0, (0,) * 7 + (1, 1)), (26796.0, (0, 0, 0, 1, 1, 1, 1)),
-    (176.0, (0, 1, 7)), (484.0, (0, 2, 6)), (462.0, (1, 1, 6)),
-    (836.0, (0, 3, 5)), (2376.0, (0, 0, 0, 1, 5)), (5016.0, (0, 0, 0, 2, 4)),
-    (2706.0, (2, 2, 4)), (11220.0, (0, 0, 1, 1, 4)), (3498.0, (2, 3, 3)),
-    (11088.0, (0,) * 5 + (1, 3)), (21120.0, (0, 1, 1, 1, 3)),
-    (54516.0, (0, 0, 0, 0, 1, 1, 2)), (44748.0, (0, 1, 1, 2, 2)),
-    (13398.0, (1, 1, 1, 1, 2)), (2376.0, (1, 2, 5)), (3696.0, (1, 3, 4)),
-    (39336.0, (0, 0, 1, 2, 3)), (252.0, (0,) * 11),
-)
-
+# constant).  The inverse of d/dx runs in Fractions, so a derived
+# coefficient is its exact value, rounded once.
 
 def energy_kind(order: int) -> str:
-    return "E" if order == 3 else f"E{order}"
+    """The density of the order-th flow, M, E, E5, ...; see ENERGY_ORDERS."""
+    return {1: "M", 3: "E"}.get(order, f"E{order}")
+
+
+ENERGY_ORDERS = {energy_kind(order): order for order in (1,) + ORDERS}
 
 
 def max_order(terms) -> int:
@@ -397,30 +369,42 @@ def d_dx(terms):
                           for c, o in terms for i, k in enumerate(o)]))
 
 
+def reduce_terms(terms):
+    """(F, R), terms = d_dx(F) + R: R holds the powers of u and the terms
+    whose highest factor repeats, and no total derivative is made of those
+    alone, so R is unique.  Greedy on the highest factor, in Fractions:
+    c u_{kx} u_{(k-1)x}^j S, S below order k - 1, leads d/dx of
+    c/(j+1) u_{(k-1)x}^{j+1} S, which joins F; its other terms replace it."""
+    left = {}
+    for c, o in terms:
+        key = tuple(sorted(o))
+        left[key] = left.get(key, 0) + Fraction(c)
+    lifted, kept = [], []
+    for k in range(max_order(terms), -1, -1):
+        for orders in [o for o in left if max(o, default=0) == k]:
+            coef = left.pop(orders)
+            if not coef:
+                continue
+            if k == 0 or orders.count(k) > 1:
+                kept.append((float(coef), orders))
+                continue
+            lift = (k - 1,) * (orders.count(k - 1) + 1)
+            rest = tuple(o for o in orders if o < k - 1)
+            coef /= len(lift)
+            lifted.append((float(coef), lift + rest))
+            for i, o in enumerate(rest):
+                key = tuple(sorted(lift + rest[:i] + (o + 1,) + rest[i + 1:]))
+                left[key] = left.get(key, 0) - coef
+    return combine((1.0, lifted)), combine((1.0, kept))
+
+
 def integrate(terms):
     """The inverse of d_dx, without a constant term; ValueError unless
-    `terms` is a total x-derivative.
-
-    Greedy on the highest factor, in exact arithmetic: c u_{kx}
-    u_{(k-1)x}^j S, every factor of S below k - 1, is the leading part of
-    d/dx of c/(j+1) u_{(k-1)x}^{j+1} S.  That term joins the result, and
-    the rest of its derivative takes the place of the term taken."""
-    left = {o: Fraction(c) for c, o in combine((1.0, terms))}
-    out = []
-    while any(left.values()):
-        orders = max((o for o, c in left.items() if c),
-                     key=lambda o: max(o, default=-1))
-        k = max(orders, default=0)
-        if k == 0 or orders.count(k) > 1:
-            raise ValueError(f"not a total x-derivative: {terms!r}")
-        lift = (k - 1,) * (orders.count(k - 1) + 1)
-        rest = tuple(o for o in orders if o < k - 1)
-        coef = left.pop(orders) / len(lift)
-        out.append((float(coef), lift + rest))
-        for c, o in d_dx(((1.0, rest),)):
-            key = tuple(sorted(lift + o))
-            left[key] = left.get(key, 0) - coef * int(c)
-    return combine((1.0, out))
+    `terms` is a total x-derivative."""
+    antiderivative, rest = reduce_terms(terms)
+    if rest:
+        raise ValueError(f"not a total x-derivative: {terms!r}")
+    return antiderivative
 
 
 def partial(terms, k: int):
@@ -488,17 +472,37 @@ def second_variation(terms):
 
 
 @functools.lru_cache(maxsize=None)
+def evolution_terms(order: int):
+    """F_order = u_{(order-1)x} + f_order of the flow u_t = -d/dx F_order,
+    any odd order, from F_1 = u by the mKdV recursion operator (Olver,
+    J. Math. Phys. 18 (1977) 1212): with K = d/dx F_n,
+    F_{n+2} = D^-1 [D^2 K + 4 u^2 K + 4 u_x D^-1 (u K)]."""
+    if order < 1 or order % 2 == 0:
+        raise ValueError(f"flows have odd positive orders, got {order!r}")
+    if order == 1:
+        return ((1.0, (0,)),)
+    K = d_dx(evolution_terms(order - 2))
+    inner = product(((4.0, (1,)),), integrate(product(((1.0, (0,)),), K)))
+    return integrate(combine((1.0, d_dx(d_dx(K))), (1.0, inner),
+                             (4.0, product(((1.0, (0, 0)),), K))))
+
+
+@functools.lru_cache(maxsize=None)
 def flux_terms(order: int):
-    """f_order, under the outer d/dx of the order-th flow.  For orders 3 to
-    9, u_{(order-1)x} + f = +-dE_order/du, the sign making the linear term
-    +u_{(order-1)x}; order 11 is transcribed."""
+    """f_order: evolution_terms(order) without its linear term."""
     _check_order(order)
-    if order == 11:
-        return _FLUX_11
-    var = euler(DENSITIES[energy_kind(order)])
-    lead = (order - 1,)
-    sign = next(c for c, orders in var if orders == lead)
-    return tuple((sign * c, orders) for c, orders in var if orders != lead)
+    return tuple(t for t in evolution_terms(order) if t[1] != (order - 1,))
+
+
+@functools.lru_cache(maxsize=None)
+def density(kind: str):
+    """The density `kind` (ENERGY_ORDERS) whose Euler derivative is +-F_order.
+    Homotopy formula: P = dL/du for L = int_0^1 u P[s u] ds, so a term c m of
+    d factors gives c/(d+1) u m; what reduce_terms leaves of L, scaled to
+    lead with +u_{kx}^2/2, is unique."""
+    _, rest = reduce_terms([(Fraction(c) / (len(o) + 1), (0,) + o)
+                            for c, o in evolution_terms(ENERGY_ORDERS[kind])])
+    return scale(0.5 / rest[0][0], rest)
 
 
 def breather_weights(alpha, beta):
@@ -511,7 +515,7 @@ def breather_weights(alpha, beta):
 
 def breather_equation(alpha, beta):
     """dH/du = 0, the stationary fourth-order breather equation."""
-    return sum((scale(w, euler(DENSITIES[kind]))
+    return sum((scale(w, euler(density(kind)))
                 for w, kind in breather_weights(alpha, beta)), ())
 
 
@@ -519,7 +523,7 @@ def _weighted(alpha, beta, derive):
     """{key: sum over H's weights of w derive(density)[key]}."""
     out = {}
     for w, kind in breather_weights(alpha, beta):
-        for key, terms in derive(DENSITIES[kind]):
+        for key, terms in derive(density(kind)):
             out[key] = out.get(key, ()) + scale(w, terms)
     return out
 

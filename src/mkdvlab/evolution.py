@@ -483,7 +483,7 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
             values = base + shape
         fields.append(SampledField(w, values))
 
-    monitors = ("M", "E", f"E{p.order}")
+    monitors = ("M", "E", cf.energy_kind(p.order))
     outcomes = evolve(tuple(fields), cfg, monitors=monitors,
                       snapshot_every=snapshot_every)
     reports = []

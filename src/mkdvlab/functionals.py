@@ -1,6 +1,6 @@
 """Conserved functionals evaluated by quadrature on windowed samples.
 
-Mass M, energy E, the higher-order energies E5/E7/E9, the Lyapunov
+Mass M, energy E, the higher-order energies E5 to E11, the Lyapunov
 combinations H0/H5/H7/H9 and the breather functional H, Sobolev norms, and
 the second-order expansion of H around a breather.  Integrals over the real
 line are truncated to a uniform periodic window; the integrands decay
@@ -182,8 +182,8 @@ def _tail_check(f: SampledField) -> None:
 
 
 def _integral(f: SampledField, kind: str) -> float:
-    """Quadrature of the density closed_forms.DENSITIES[kind]."""
-    terms = cf.DENSITIES[kind]
+    """Quadrature of the density closed_forms.density(kind)."""
+    terms = cf.density(kind)
     jet = [f.deriv(k) for k in range(cf.max_order(terms) + 1)]
     return f.window.quad(cf.eval_flux_terms(terms, jet))
 
@@ -213,8 +213,8 @@ def lyapunov(f: SampledField, alpha: float, beta: float, kind: str) -> float:
 
 def functional(f: SampledField, kind: str, alpha: float = 0.0,
                beta: float = 0.0) -> float:
-    """M, E, E5, E7, E9 or a Lyapunov combination (see `lyapunov`)."""
-    if kind not in cf.DENSITIES:
+    """A density of closed_forms.ENERGY_ORDERS, or see `lyapunov`."""
+    if kind not in cf.ENERGY_ORDERS:
         return lyapunov(f, alpha, beta, kind)
     _tail_check(f)
     return _integral(f, kind)
@@ -237,7 +237,7 @@ def closed_form_energy(kind: str, alpha: float, beta: float) -> float:
     so E = (2/3)b(3a^2-b^2), E5 = -(2/5)b g5, E7 = +(2/7)b g7, E9 = -(2/9)b g9."""
     if kind == "M":
         return 2.0 * beta
-    order = next((o for o in (3, 5, 7, 9) if cf.energy_kind(o) == kind), None)
+    order = cf.ENERGY_ORDERS.get(kind)
     if order is None:
         raise ValueError(f"no breather closed form for kind {kind!r}")
     sign = (-1) ** ((order + 1) // 2)

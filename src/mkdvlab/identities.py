@@ -8,9 +8,9 @@ itself) or one of the tags "bt" (time derivative of the antiderivative
 profile) and "mt" (time derivative of the partial mass).  Reports carry the
 sup of the residual over the sample set together with rel_scale, the sup of
 the largest constituent term, so thresholds are meaningful across parameter
-sweeps.  Every identity is derived from the energy densities of
-closed_forms, through the evolution identity Btilde_t + u_{(order-1)x} +
-f = 0 and the breather equation: the product identities of Lemma 2.1 are
+sweeps.  Every identity is derived from closed_forms, through the
+evolution identity Btilde_t + evolution_terms = 0 and the breather
+equation: the product identities of Lemma 2.1 are
 -2 int B_x (evolution identity), by `closed_forms.integrate`; the
 corollaries, and Lemma 2.3 at order 5, are the evolution identity with
 every u_{kx}, k >= 4, eliminated by the breather equation
@@ -168,11 +168,6 @@ def _breather_report(ident, p, t, terms, variant, samples, vel=None):
 # --------------------------------------------------------------------------
 # identity term lists
 
-def _spatial_terms(order: int):
-    """u_{(order-1)x} + f: the evolution identity is Btilde_t + this = 0."""
-    return ((1.0, (order - 1,)),) + cf.flux_terms(order)
-
-
 # the orders at which the paper states each identity
 LEMMA21_ORDERS = (5, 7, 9)
 LEMMA23_ORDERS = (5,)
@@ -193,7 +188,7 @@ def lemma21_terms(order: int):
     partial mass; u_x (u_{(order-1)x} + f) = +-u_x dE/du is a total
     derivative (Noether for translations), so the rest is local.  The sign
     makes the u_{nx}^2 term +1, n = (order - 1)/2, as in the paper."""
-    local = cf.integrate(cf.product(((-2.0, (1,)),), _spatial_terms(order)))
+    local = cf.integrate(cf.product(((-2.0, (1,)),), cf.evolution_terms(order)))
     n = (order - 1) // 2
     sign = 1.0 / next(c for c, o in local if o == (n, n))
     return ((-2.0 * sign, (0, "bt")), (2.0 * sign, ("mt",)),
@@ -203,7 +198,7 @@ def lemma21_terms(order: int):
 def corollary_terms(order: int, alpha: float, beta: float):
     """The evolution identity with every u_{kx}, k >= 4, eliminated by the
     breather equation.  At order 5 it is Lemma 2.3."""
-    return ((1.0, ("bt",)),) + cf.eliminate(_spatial_terms(order),
+    return ((1.0, ("bt",)),) + cf.eliminate(cf.evolution_terms(order),
                                            cf.breather_equation(alpha, beta))
 
 
@@ -216,8 +211,7 @@ def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
     if level == "2nd":
         terms = ((1.0, (2,)), (-p.c, (0,)), (2.0, (0, 0, 0)))
     elif level == "high":
-        speed = p.c ** ((p.order - 1) // 2)
-        terms = ((-speed, (0,)),) + _spatial_terms(p.order)
+        terms = ((-p.speed(), (0,)),) + cf.evolution_terms(p.order)
     else:
         raise ValueError(f"unknown level {level!r}")
     x, spec = samples if samples is not None else soliton_samples(p, t)
@@ -239,7 +233,7 @@ def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
                                 substitutions=(), variant="verbatim",
                                 vel: cf.Velocities | None = None,
                                 samples=None) -> ResidualReport:
-    terms = _substitute(((1.0, ("bt",)),) + _spatial_terms(p.order),
+    terms = _substitute(((1.0, ("bt",)),) + cf.evolution_terms(p.order),
                         substitutions)
     return _breather_report("evolution_identity", p, t, terms, variant,
                             samples, vel)

@@ -1,13 +1,16 @@
-"""The term-list core of closed_forms: d/dx, the Euler operator, the Frechet
-derivative and the second variation, and the tables derived with them.
+"""The term-list core of closed_forms: d/dx and reduce_terms, the Euler
+operator, the Frechet derivative and the second variation, and the tables
+derived with them from u alone.
 
-The commutator test is the check of the transcribed order-11 flux, which
-has no energy to derive it from: every flow of the hierarchy commutes with
-the mKdV flow K_3, and with K_n = -d/dx(u_{(n-1)x} + f_n) the commutator
-K_3'[K_n] - K_n'[K_3] is exactly zero as a differential polynomial.
+Three checks hold the derived hierarchy, each exact: the densities and the
+order-11 flux equal the tables once transcribed (paper_tables), the Euler
+derivative of each density is its flow, and every flow commutes with the
+mKdV flow K_3: with K_n = -d/dx(u_{(n-1)x} + f_n) the commutator
+K_3'[K_n] - K_n'[K_3] is zero as a differential polynomial.
 """
 
 import numpy as np
+import paper_tables as paper
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,19 +30,17 @@ def _apply_frechet(P, G):
                         for k, coef in cf.frechet(P)))
 
 
-def _flow(order, flux):
-    return cf.combine((-1.0, cf.d_dx(((1.0, (order - 1,)),) + flux)))
-
-
-def _commutator(order, flux):
-    K3, Kn = _flow(3, cf.flux_terms(3)), _flow(order, flux)
+def _commutator(evolution):
+    """K_3'[K_n] - K_n'[K_3] for K_n = -d/dx `evolution`."""
+    K3 = cf.combine((-1.0, cf.d_dx(cf.evolution_terms(3))))
+    Kn = cf.combine((-1.0, cf.d_dx(evolution)))
     return cf.combine((1.0, _apply_frechet(K3, Kn)),
                       (-1.0, _apply_frechet(Kn, K3)))
 
 
-@pytest.mark.parametrize("order", [5, 7, 9, 11])
+@pytest.mark.parametrize("order", [5, 7, 9, 11, 13])
 def test_flows_commute_with_mkdv(order):
-    assert _commutator(order, cf.flux_terms(order)) == ()
+    assert _commutator(cf.evolution_terms(order)) == ()
 
 
 @pytest.mark.parametrize("index", range(len(cf.flux_terms(11))))
@@ -47,23 +48,34 @@ def test_commutator_sees_every_order11_coefficient(index):
     flux = list(cf.flux_terms(11))
     coef, orders = flux[index]
     flux[index] = (coef + 1.0, orders)
-    left = _commutator(11, tuple(flux))
+    left = _commutator(((1.0, (10,)),) + tuple(flux))
     print(f"term {index} {orders}: {len(left)} nonzero terms")
     assert left
 
 
 @pytest.mark.parametrize("order,sign", [(3, -1.0), (5, 1.0), (7, -1.0),
-                                        (9, 1.0)])
+                                        (9, 1.0), (11, -1.0)])
 def test_flux_is_the_variational_derivative(order, sign):
     # u_{(n-1)x} + f_n = sign dE_n/du
     lhs = ((1.0, (order - 1,)),) + cf.flux_terms(order)
-    var = cf.euler(cf.DENSITIES[cf.energy_kind(order)])
+    var = cf.euler(cf.density(cf.energy_kind(order)))
     assert cf.combine((1.0, lhs), (-sign, var)) == ()
 
 
+@pytest.mark.parametrize("kind", sorted(paper.DENSITIES))
+def test_densities_equal_the_transcribed_tables(kind):
+    assert (cf.combine((1.0, cf.density(kind)))
+            == cf.combine((1.0, paper.DENSITIES[kind])))
+
+
+def test_order11_flux_equals_the_transcribed_table():
+    assert (cf.combine((1.0, cf.flux_terms(11)))
+            == cf.combine((1.0, paper.FLUX_11)))
+
+
 def test_euler_annihilates_total_derivatives():
-    for terms in cf.DENSITIES.values():
-        assert cf.euler(cf.d_dx(terms)) == ()
+    for kind in cf.ENERGY_ORDERS:
+        assert cf.euler(cf.d_dx(cf.density(kind))) == ()
 
 
 def test_combine_merges_and_orders():
@@ -105,7 +117,7 @@ def test_frechet_matches_complex_step():
     # entries are independent variables here, so random rows serve
     rng = np.random.default_rng(5)
     h = 1e-150
-    for terms in (cf.euler(cf.DENSITIES["E7"]), cf.DENSITIES["E9"]):
+    for terms in (cf.euler(cf.density("E7")), cf.density("E9")):
         u, z = rng.standard_normal((2, cf.max_order(terms) + 1, 32))
         step = cf.eval_flux_terms(terms, u + 1j * h * z).imag / h
         lin = sum(cf.eval_flux_terms(coef, u) * z[k]
@@ -115,8 +127,9 @@ def test_frechet_matches_complex_step():
 
 def test_tables_are_derived_once():
     assert cf.flux_terms(9) is cf.flux_terms(9)
-    a = cf.frechet(cf.euler(cf.DENSITIES["E5"]))
-    assert cf.frechet(cf.euler(cf.DENSITIES["E5"])) is a
+    assert cf.density("E9") is cf.density("E9")
+    a = cf.frechet(cf.euler(cf.density("E5")))
+    assert cf.frechet(cf.euler(cf.density("E5"))) is a
 
 
 def test_velocity_table_is_the_binomial_expansion():
@@ -153,6 +166,21 @@ def test_integrate_inverts_d_dx(P):
 def test_d_dx_inverts_integrate_on_total_derivatives(P):
     T = cf.d_dx(P)
     assert cf.d_dx(cf.integrate(T)) == T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials(st.integers(-6, 6)), _polynomials(st.integers(-6, 6)))
+def test_reduce_terms_keeps_what_is_no_total_derivative(P, Q):
+    # R is unique: adding a total derivative leaves it as it is, and it is
+    # empty exactly when P is a total derivative
+    _, R = cf.reduce_terms(P)
+    assert cf.reduce_terms(cf.combine((1.0, P), (1.0, cf.d_dx(Q))))[1] == R
+    try:
+        cf.integrate(P)
+    except ValueError:
+        assert R
+    else:
+        assert R == ()
 
 
 @pytest.mark.parametrize("terms", [((1.0, (0, 0)),), ((1.0, (1, 1)),),

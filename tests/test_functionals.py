@@ -64,12 +64,16 @@ def test_higher_energy_spot_values():
     assert abs(fn.functional(f, "E7") + 16.0 / 7.0) < 1e-9
 
 
-@pytest.mark.parametrize("order,kind", [(5, "E5"), (7, "E7"), (9, "E9")])
+@pytest.mark.parametrize("order,kind", [(5, "E5"), (7, "E7"), (9, "E9"),
+                                        (11, "E11")])
 def test_higher_energy_closed_forms_sweep(order, kind):
+    # the closed-form jet carries every derivative the density reads
+    m = max(4, cf.max_order(cf.density(kind)))
     errs = {}
     for a, b in SWEEP:
         p = cf.BreatherParams(order=order, alpha=a, beta=b)
-        f = fn.sample_breather(p, 0.0, fn.default_window(p, 0.0, n_points=4096))
+        f = fn.sample_breather(p, 0.0, fn.default_window(p, 0.0, n_points=4096),
+                               m=m)
         want = fn.closed_form_energy(kind, a, b)
         errs[(a, b)] = abs(fn.functional(f, kind) - want) / max(1.0, abs(want))
     print(order, errs)
