@@ -498,8 +498,8 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
 
 def _blown_up(rid: str, params: dict, budget: float, err: BlowUpError) -> dict:
     """The failed record of a check whose run stopped at a blow-up."""
-    return _record(rid, {**params, "t_blowup": err.t, "k_blowup": err.k},
-                   math.inf, budget)
+    return _record(rid, {**params, "t_blowup": err.t,
+                         "newton_residual": err.residual}, math.inf, budget)
 
 
 def _evolve_point(task: dict) -> tuple:
