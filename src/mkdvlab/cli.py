@@ -243,6 +243,10 @@ def build_config(command: str, raw: dict, out_dir: str,
 # --------------------------------------------------------------------------
 # report assembly
 
+# solver counts a record may carry in its params; the summary totals them
+_WORK_KEYS = ("krylov_solves", "gmres_iterations")
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     command: str
@@ -256,9 +260,17 @@ class SuiteReport:
 
     @property
     def summary(self) -> dict:
+        """Record counts, and the total of each solver count that records
+        carry in their params (only stability records do)."""
         passed = sum(1 for r in self.records if r["pass"])
-        return {"total": len(self.records), "passed": passed,
-                "failed": len(self.records) - passed}
+        out = {"total": len(self.records), "passed": passed,
+               "failed": len(self.records) - passed}
+        for key in _WORK_KEYS:
+            counts = [r["params"][key] for r in self.records
+                      if key in r["params"]]
+            if counts:
+                out[key] = sum(counts)
+        return out
 
     @property
     def all_passed(self) -> bool:
@@ -465,7 +477,9 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
              "window": {"center": snap.field.window.center,
                         "half_width": snap.field.window.half_width,
                         "n_points": snap.field.window.n_points},
-             "functionals": dict(snap.functionals)}
+             "functionals": dict(snap.functionals),
+             "krylov_solves": snap.krylov_solves,
+             "gmres_iterations": snap.gmres_iterations}
             for i, snap in enumerate(traj)
         ],
     }
@@ -571,12 +585,17 @@ def _stability_point(task: dict) -> tuple:
     for shape, report in zip(task["shapes"], reports):
         tag = {"order": order, "shape": shape, "eta": eta,
                "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-        if report.blow_up is not None:
-            recs.extend(_blown_up(rid, tag, budget, report.blow_up)
-                        for rid, budget in checks)
-        else:
-            recs.extend(_record(rid, tag, getattr(report, rid), budget)
-                        for rid, budget in checks)
+        work = {"krylov_solves": report.krylov_solves,
+                "gmres_iterations": report.gmres_iterations}
+        for rid, budget in checks:
+            # the run's solver work goes on its one sup_distance record, so
+            # the summary counts each run once
+            params = {**tag, **work} if rid == "sup_distance" else tag
+            if report.blow_up is not None:
+                recs.append(_blown_up(rid, params, budget, report.blow_up))
+            else:
+                recs.append(_record(rid, params, getattr(report, rid),
+                                    budget))
         name = f"stability_order{order}_{shape}_eta{eta:g}"
         arts.append((f"{name}.json", dump_json(report.to_json_dict())))
         arts.append((f"{name}.csv", dump_csv(

@@ -53,14 +53,18 @@ class BlowUpError(RuntimeError):
 
     Carries the time t the step was to reach, the relative Newton residual
     |G| / (|v0| + dt |L v0|) at the last check (inf or nan for a non-finite
-    state; see the stepper notes) and the trajectory of snapshots taken
-    before it.
+    state; see the stepper notes), the trajectory of snapshots taken before
+    it, and the Krylov solves and GMRES iterations made since the last of
+    them, the failed step's included.
     """
 
-    def __init__(self, t: float, residual: float, trajectory: list):
+    def __init__(self, t: float, residual: float, trajectory: list,
+                 krylov_solves: int, gmres_iterations: int):
         super().__init__(f"time step to t={t:.6g} failed: relative Newton "
                          f"residual {residual:.3g}")
         self.t, self.residual, self.trajectory = t, residual, trajectory
+        self.krylov_solves = krylov_solves
+        self.gmres_iterations = gmres_iterations
 
 
 class FitError(RuntimeError):
@@ -337,6 +341,18 @@ class Snapshot:
     t: float
     field: SampledField
     functionals: dict
+    krylov_solves: int = 0     # the solver's work since the previous snapshot
+    gmres_iterations: int = 0
+
+
+def solver_work(run) -> tuple:
+    """(Krylov solves, GMRES iterations) of a whole run, given its
+    trajectory or the BlowUpError that ended it."""
+    if isinstance(run, BlowUpError):
+        solves, its = solver_work(run.trajectory)
+        return solves + run.krylov_solves, its + run.gmres_iterations
+    return (sum(s.krylov_solves for s in run),
+            sum(s.gmres_iterations for s in run))
 
 
 def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
@@ -346,8 +362,10 @@ def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
     u0 is one SampledField, or a tuple of fields that are stepped together as
     one batch, the members of the stepper notes.  Snapshots are taken every
     snapshot_every steps (default: about fifty per run) and always include
-    the initial and final states.  A spectral tail above 1e-10 of the peak
-    triggers a single ResolutionWarning per member.
+    the initial and final states; each carries the Krylov solves and GMRES
+    iterations of its member's steps since the previous one.  A spectral
+    tail above 1e-10 of the peak triggers a single ResolutionWarning per
+    member.
 
     For one field the result is its trajectory, and a failed step raises
     BlowUpError.  For a tuple it is a tuple with one entry per field: its
@@ -369,11 +387,14 @@ def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
 
+    live = list(range(len(fields)))  # member index of each row of vhat
+    work = [(0, 0)] * len(fields)    # per member, since its last snapshot
+
     def snapshots(i, spec):
         t = i * cfg.dt
         w = cfg.window_at(t)
         out = []
-        for values in np.fft.irfft(spec, n=cfg.window.n_points):
+        for m, values in zip(live, np.fft.irfft(spec, n=cfg.window.n_points)):
             f = SampledField(w, values)
             with warnings.catch_warnings():
                 # radiation wrapping around the periodic window is legitimate
@@ -382,17 +403,19 @@ def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
                 # evolution
                 warnings.simplefilter("ignore", TailWarning)
                 vals = {kind: functional(f, kind) for kind in monitors}
-            out.append(Snapshot(t, f, vals))
+            out.append(Snapshot(t, f, vals, *work[m]))
+            work[m] = (0, 0)
         return out
 
-    live = list(range(len(fields)))  # member index of each row of vhat
     trajs = [[snap] for snap in snapshots(0, vhat)]
     outcomes = list(trajs)
     for i in range(1, n_steps + 1):
         steps = [step(row) for row in vhat]
         for m, s in zip(live, steps):
+            work[m] = (work[m][0] + s.newton, work[m][1] + s.krylov)
             if s.value is None:
-                outcomes[m] = BlowUpError(i * cfg.dt, s.residual, trajs[m])
+                outcomes[m] = BlowUpError(i * cfg.dt, s.residual, trajs[m],
+                                          *work[m])
         live = [m for m, s in zip(live, steps) if s.value is not None]
         if not live:
             break
@@ -499,6 +522,8 @@ class StabilityReport:
     drifts: dict
     eta: float
     blow_up: BlowUpError | None = None  # set when the run stopped early
+    krylov_solves: int = 0              # the solver's work over the run
+    gmres_iterations: int = 0
 
     def __post_init__(self):
         if any(d < 0 for d in self.distances):
@@ -531,6 +556,8 @@ class StabilityReport:
             "eta": self.eta,
             "sup_distance": self.sup_distance,
             "max_phase_speed": self.max_phase_speed,
+            "krylov_solves": self.krylov_solves,
+            "gmres_iterations": self.gmres_iterations,
         }
         if self.blow_up is not None:
             out.update(t_blowup=self.blow_up.t,
@@ -573,7 +600,8 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
     the breather at t=0; the shape 'random' draws from a fresh
     np.random.default_rng(seed), so a member's field does not depend on the
     other shapes.  The snapshots go to track_modulation; a member that blows
-    up reports its partial trajectory and carries the BlowUpError.
+    up reports its partial trajectory and carries the BlowUpError.  Each
+    report carries its member's solver_work.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
@@ -596,11 +624,14 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
     reports = []
     for out in outcomes:
         if isinstance(out, BlowUpError):
-            reports.append(replace(
+            report = replace(
                 track_modulation(p, out.trajectory, eta, blown_up=True),
-                blow_up=out))
+                blow_up=out)
         else:
-            reports.append(track_modulation(p, out, eta))
+            report = track_modulation(p, out, eta)
+        solves, its = solver_work(out)
+        reports.append(replace(report, krylov_solves=solves,
+                               gmres_iterations=its))
     return tuple(reports)
 
 

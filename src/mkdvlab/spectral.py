@@ -31,6 +31,11 @@ parity send coercivity to the whole space.
 Parameter derivatives (the scaling directions) are taken with an imaginary
 step of 1e-150, which is exact to machine precision; no difference-quotient
 tuning is involved.
+
+scipy.linalg is imported inside the four functions that run dense LAPACK
+(_circulant, spectrum, coercivity, _reflect), so that the suites that never
+call them (verify, evolve, stability) start without it: its import takes
+longer than the whole of a small verify run.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import closed_forms as cf
 from .functionals import (SampledField, Window, require_window,
@@ -54,6 +58,8 @@ def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
     column is made exactly odd or even (c[k] against c[-k mod n]): FFT
     rounding alone breaks the parity at eps*k^m, which would dominate the
     recorded asymmetry."""
+    import scipy.linalg
+
     c = np.fft.irfft(symbol)
     mirror = np.roll(c[::-1], 1)
     c = (c - mirror) / 2.0 if odd else (c + mirror) / 2.0
@@ -267,6 +273,8 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     continuum edge) or k reaches the block size.  The blocks' eigenpairs
     are merged in ascending order (stable), the vectors extended back to
     the full grid."""
+    import scipy.linalg
+
     tol = kernel_tolerance(opr.alpha, opr.beta)
     vals, vecs = [], []
     for block, A in opr.blocks:
@@ -374,6 +382,8 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
     restriction above 1e-8.  When those ranks add up to 3 the constraints
     split by parity, and the minimum is taken block by block on the folded
     A and Gram matrix; otherwise the whole space is the one block."""
+    import scipy.linalg
+
     vec = np.asarray(getattr(negative_eigvec, "values", negative_eigvec),
                      dtype=float)
     C = np.stack([vec, dirs.B1.values, dirs.B2.values])
@@ -407,6 +417,8 @@ def _row_basis(C: np.ndarray) -> np.ndarray:
 def _reflect(qr: np.ndarray, tau: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Q^T M Q, for Q held as Householder reflectors (qr, tau) in LAPACK
     layout; Q's leading columns span the constraints."""
+    import scipy.linalg
+
     for side, trans in (("L", "T"), ("R", "N")):
         M, _, err = scipy.linalg.lapack.dormqr(side, trans, qr, tau, M, len(M))
         if err != 0:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +267,40 @@ def test_report_structure(tmp_path):
     ids = [r["id"] for r in report["records"]]
     assert len(ids) == len(set(ids))  # record ids are unique
     assert os.path.getsize(out / "records.csv") > 0
+
+
+_NO_SCIPY_PROBE = """
+import json, sys
+from mkdvlab import cli
+codes = [cli.main([suite, "--config", suite + ".txt", "--out", suite])
+         for suite in ("verify", "evolve", "stability")]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_verify_evolve_and_stability_run_without_scipy(tmp_path):
+    # only spectrum runs dense LAPACK; the other suites must not pay for
+    # importing scipy.linalg at start-up
+    configs = {"verify": SMALL_VERIFY, "evolve": "orders = 5\ndt = 0.01\n",
+               "stability": "t_end = 0.004\n"}
+    for suite, text in configs.items():
+        write_cfg(tmp_path / f"{suite}.txt", text)
+        (tmp_path / suite).mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))),
+        MKDVLAB_WORKERS="1")
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["scipy"] == []
+    assert all(code in (0, 1) for code in got["codes"])
+    for suite in configs:
+        report = json.loads((tmp_path / suite / "report.json").read_text())
+        assert report["command"] == suite and report["records"]
 
 
 def _count_spectrum_work(tmp_path, monkeypatch, config):

@@ -262,12 +262,14 @@ def _assert_same_trajectory(got, want):
         assert a.t == b.t and a.field.window == b.field.window
         assert np.array_equal(a.field.values, b.field.values)
         assert a.functionals == b.functionals
+        assert (a.krylov_solves, a.gmres_iterations) == (
+            b.krylov_solves, b.gmres_iterations)
 
 
 def test_batch_equals_solo_runs():
-    # order 5, n = 256, 200 steps; the breather and two perturbations of it
+    # order 5, n = 256, 20 steps; the breather and two perturbations of it
     p = cf.BreatherParams(5, 1.0, 1.0)
-    cfg = small_config(5, dt=1e-4, t_end=200 * 1e-4)
+    cfg = small_config(5, dt=1e-3, t_end=20 * 1e-3)
     w = cfg.window
     x = w.grid()
     base = sample_breather(p, 0.0, w, m=0).values
@@ -280,7 +282,7 @@ def test_batch_equals_solo_runs():
         solo = [ev.evolve(u0, cfg, monitors=("M", "E")) for u0 in members]
     assert isinstance(batch, tuple) and len(batch) == 3
     for got, want in zip(batch, solo):
-        assert len(want) == 51 and want[-1].t == pytest.approx(0.02)
+        assert len(want) == 21 and want[-1].t == pytest.approx(0.02)
         _assert_same_trajectory(got, want)
 
 
@@ -318,10 +320,53 @@ def test_blow_up_stays_with_its_member():
     want = solo_err.value
     assert (err.t, err.residual, len(err.trajectory)) == (
         want.t, want.residual, len(want.trajectory))
+    assert ev.solver_work(err) == ev.solver_work(want)
     assert 0.0 < err.t < cfg.t_end and len(err.trajectory) >= 2
     _assert_same_trajectory(err.trajectory, want.trajectory)
     assert len(traj) == 51
     _assert_same_trajectory(traj, solo_traj)
+
+
+def test_snapshots_carry_the_solver_work_since_the_previous_one():
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = small_config(5, dt=1e-3, t_end=6e-3)
+    u0 = sample_breather(p, 0.0, cfg.window, m=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        traj = ev.evolve(u0, cfg, snapshot_every=4)
+    step = ev._stepper(cfg).step
+    v, work = np.fft.rfft(u0.values), []
+    for _ in range(6):
+        s = step(v)
+        work.append((s.newton, s.krylov))
+        v = s.value
+    # snapshots after steps 0, 4 and 6
+    assert [(s.krylov_solves, s.gmres_iterations) for s in traj] == [
+        (0, 0), tuple(map(sum, zip(*work[:4]))),
+        tuple(map(sum, zip(*work[4:])))]
+    assert all(n >= 1 and k >= n for n, k in work)
+    assert ev.solver_work(traj) == tuple(map(sum, zip(*work)))
+
+
+def test_blow_up_carries_the_work_after_its_last_snapshot():
+    w = Window(0.0, 30.0, N_SMALL)
+    cfg = small_config(5, dt=1e-3, t_end=1.0, window=w)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        with pytest.raises(ev.BlowUpError) as every:
+            ev.evolve(_blowing_field(w), cfg, snapshot_every=1)
+        with pytest.raises(ev.BlowUpError) as first:
+            ev.evolve(_blowing_field(w), cfg, snapshot_every=10**9)
+    # the failed step's own solves and iterations, up to a cap
+    err = every.value
+    assert err.krylov_solves >= 1 and err.gmres_iterations >= 1
+    assert (err.krylov_solves == ev._NEWTON_MAX
+            or err.gmres_iterations >= ev._GMRES_MAX
+            or not math.isfinite(err.residual))
+    # with no snapshot after the start, the error holds the whole run's work
+    assert len(first.value.trajectory) == 1
+    assert ev.solver_work(first.value) == ev.solver_work(err) == (
+        first.value.krylov_solves, first.value.gmres_iterations)
 
 
 def test_config_rejections():
@@ -457,6 +502,21 @@ def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
     for r in records:
         assert r["pass"] == (r["measured"] <= r["budget"])
     assert codes == [0 if all(r["pass"] for r in records) else 1] * 2
+    # each run's solver work is on its sup_distance record and its per-shape
+    # json; the summary totals it
+    report = json.loads((outs[0] / "report.json").read_text())
+    work = [(r["params"]["krylov_solves"], r["params"]["gmres_iterations"])
+            for r in records if r["id"].startswith("sup_distance")]
+    assert len(work) == 2 and all(n >= 2 for n, _ in work)
+    assert not any("krylov_solves" in r["params"] for r in records
+                   if r["id"].startswith("max_phase_speed"))
+    assert (report["summary"]["krylov_solves"],
+            report["summary"]["gmres_iterations"]) == tuple(
+                map(sum, zip(*work)))
+    for shape, want in zip(("B1", "LambdaBeta"), work):
+        summary = json.loads(
+            (outs[0] / f"stability_order5_{shape}_eta0.01.json").read_text())
+        assert (summary["krylov_solves"], summary["gmres_iterations"]) == want
     assert ((outs[0] / "report.json").read_bytes()
             == (outs[1] / "report.json").read_bytes())
 
@@ -526,6 +586,9 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
     times = [s["t"] for s in manifest["snapshots"]]
     assert times[0] == 0.0
     assert times[-1] < report["records"][0]["params"]["t_blowup"]
+    # and each snapshot says what the solver did to reach it
+    work = [s["krylov_solves"] for s in manifest["snapshots"]]
+    assert work[0] == 0 and len(work) >= 2 and min(work[1:]) >= 1
 
 
 def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
