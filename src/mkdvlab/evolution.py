@@ -122,19 +122,26 @@ class EvolutionConfig:
 # and the new value v1 = v0 + dt (F(Y1) + F(Y2)) / 2, F = L + N, equals
 # v0 + sqrt(3) (Y2 - Y1): no further evaluation of N.
 #
-# Solver.  Newton starts from Y = (v0, v0) and stops once
-# |G| <= 1e-13 (|v0| + dt |L v0|), checked before each Krylov solve; the
-# dt |L v0| term keeps the target above the rounding of the stiff linear
+# Solver.  Newton starts from the linearly implicit step
+# Y0 = (I - dt A (x) L)^-1 (v0 (x) 1 + dt A (N(v0) (x) 1)), which solves the
+# linear part exactly with N frozen at v0 (Hairer and Wanner, Solving ODEs
+# II, sec. IV.8, on starting values).  G(v0, v0) = -dt (A (x) I)(F(v0),
+# F(v0)) costs no further transform, and where |G(Y0)| exceeds it, as on
+# fields about to blow up, Newton starts from (v0, v0) instead.  It stops
+# once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each Krylov solve;
+# the dt |L v0| term keeps the target above the rounding of the stiff linear
 # part.  Each Newton step solves G'(Y) dY = -G by restarted GMRES to a
-# relative 1e-6, right-preconditioned by the exact inverse of the linear
-# part I - dt A (x) L: one 2x2 block per bin, with det = 1 - a/2 + a^2/12
-# for a = dt L_k.  N'(v) acts on the real field u = irfft(v), so it is
+# relative 1e-6, or to half the Newton target if that is reached first,
+# right-preconditioned by the exact inverse of the linear part
+# I - dt A (x) L: one 2x2 block per bin, with det = 1 - a/2 + a^2/12 for
+# a = dt L_k.  N'(v) acts on the real field u = irfft(v), so it is
 # real-linear but not complex-linear, and GMRES runs over the real and
 # imaginary parts as one real vector.  Newton steps and the GMRES iterations
 # of a time step are capped; a step that reaches a cap, or whose residual is
 # not finite, fails with its last relative residual.  The shipped runs take
-# at most 3 Krylov solves and 47 GMRES iterations per step (the order-7
-# breather), against caps of 10 and 300.
+# at most 3 Krylov solves and 41 GMRES iterations per step (the order-7
+# breather), against caps of 10 and 300; the static order-5 breather takes
+# one solve of one iteration.
 #
 # Members.  evolve steps each member of a batch on its own, so a member's
 # bits, and the iterations its solver takes, do not depend on what else is
@@ -173,15 +180,16 @@ _GMRES_RESTART = 30
 _GMRES_MAX = 300      # GMRES iterations per time step, over its solves
 
 
-def _gmres(op, b: np.ndarray, budget: int) -> tuple:
+def _gmres(op, b: np.ndarray, budget: int, floor: float = 0.0) -> tuple:
     """Restarted GMRES for op(x) = b on real vectors, from x = 0.
 
     Returns (x, iterations).  It stops once the residual falls to
-    _GMRES_RTOL |b| or after `budget` iterations, converged or not.
+    max(_GMRES_RTOL |b|, floor) or after `budget` iterations, converged or
+    not.
     """
     x = np.zeros_like(b)
     r, beta = b, np.linalg.norm(b)
-    target = _GMRES_RTOL * beta
+    target = max(_GMRES_RTOL * beta, floor)
     its = 0
     while beta > target and its < budget:
         m = min(_GMRES_RESTART, budget - its)
@@ -238,6 +246,7 @@ class _Stepper:
     nonlinear: object     # vhat -> Fourier coefficients N(vhat) of -d/dx f(u)
     linearize: object     # vhat -> (N(vhat), zhat -> N'(vhat) zhat)
     stage_system: object  # (Y, v0) -> (G(Y), the Newton Jacobian Z -> G'(Y) Z)
+    start: object         # v0 -> Newton's start Y and stage_system(Y, v0)
     step: object          # v0, one spectrum (bin,) -> _Step
 
 
@@ -281,17 +290,17 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
 
         return back(cf.eval_flux_terms(terms, rows)), apply
 
-    dtA = dt * np.array(_GAUSS_A)
+    dtA = dt * np.array(_GAUSS_A)[..., None]  # (2, 2, 1): one entry per bin
+    dtc = dtA.sum(axis=1)                     # dt times the nodes c = A 1
     a = dt * L
-    # (I - dt A (x) L)^-1, one 2x2 block per bin
+    # (I - dt A (x) L)^-1, one 2x2 block per bin: (2, 2, bin)
     pinv = (np.array([[1.0 - a / 4.0, dtA[0, 1] * L],
                       [dtA[1, 0] * L, 1.0 - a / 4.0]])
             / (1.0 - a / 2.0 + a * a / 12.0))
 
     def blocks(M, Z):
-        # (M (x) I) Z on a stage pair Z; M's entries are scalars or per bin
-        return np.stack([M[0][0] * Z[0] + M[0][1] * Z[1],
-                         M[1][0] * Z[0] + M[1][1] * Z[1]])
+        # (M (x) I) Z on a stage pair Z, for M of shape (2, 2, 1 or bin)
+        return M[:, 0] * Z[0] + M[:, 1] * Z[1]
 
     def as_real(Z):
         # a stage pair (2, bin) as one real vector, and back; both are views
@@ -305,12 +314,23 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
         G = Y - v0 - blocks(dtA, L * Y + NY)
         return G, lambda Z: Z - blocks(dtA, L * Z + dN(Z))
 
+    def start(v0):
+        # the linearly implicit start: the linear part solved exactly with N
+        # frozen at v0, unless |G| there exceeds |G(v0, v0)| = dt |c| |F(v0)|
+        N0 = nonlinear(v0)
+        Y = blocks(pinv, v0 + dtc * N0)
+        G, jac = stage_system(Y, v0)
+        still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
+        if not np.linalg.norm(G) <= still:
+            Y = np.stack([v0, v0])
+            G, jac = stage_system(Y, v0)
+        return Y, G, jac
+
     def step(v0):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        Y = np.stack([v0, v0])
+        Y, G, jac = start(v0)
         krylov = 0
         for newton in range(_NEWTON_MAX + 1):
-            G, jac = stage_system(Y, v0)
             gnorm = np.linalg.norm(G)
             residual = gnorm / scale if gnorm else 0.0
             if gnorm <= _NEWTON_TOL * scale:
@@ -319,13 +339,17 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             if (not math.isfinite(gnorm) or newton == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
+            # a linear residual under half the Newton target is not seen by
+            # the next check
             x, its = _gmres(lambda z: as_real(jac(blocks(pinv, as_pair(z)))),
-                            as_real(-G), _GMRES_MAX - krylov)
+                            as_real(-G), _GMRES_MAX - krylov,
+                            0.5 * _NEWTON_TOL * scale)
             krylov += its
             Y = Y + blocks(pinv, as_pair(x))
+            G, jac = stage_system(Y, v0)
         return _Step(None, Y, newton, krylov, residual)
 
-    return _Stepper(lift, nonlinear, linearize, stage_system, step)
+    return _Stepper(lift, nonlinear, linearize, stage_system, start, step)
 
 
 def _tail_fraction(vhat: np.ndarray) -> float:
@@ -637,23 +661,27 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
 
 def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
                      blown_up: bool = False) -> StabilityReport:
-    """Fit each snapshot by a phase-modulated breather seeded with the
-    previous snapshot's phases.
+    """Fit each snapshot by a phase-modulated breather, seeded with the
+    phases of the last two fits extrapolated linearly in time (the last
+    fit's phases at the second snapshot, zero at the first).
 
     For a trajectory cut short by a BlowUpError (blown_up=True) the report
     ends before the first snapshot whose fit fails, since the last ones
     before a blow-up may be too far from any breather to fit.
     """
     times, dists, xs1, xs2 = [], [], [], []
-    seed = (0.0, 0.0)
     for snap in traj:
+        seed = (xs1[-1], xs2[-1]) if times else (0.0, 0.0)
+        if len(times) > 1:
+            r = (snap.t - times[-1]) / (times[-1] - times[-2])
+            seed = (xs1[-1] + r * (xs1[-1] - xs1[-2]),
+                    xs2[-1] + r * (xs2[-1] - xs2[-2]))
         try:
             x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed)
         except FitError:
             if not blown_up:
                 raise
             break
-        seed = (x1, x2)
         times.append(snap.t)
         dists.append(dist)
         xs1.append(x1)

@@ -287,9 +287,9 @@ def test_batch_equals_solo_runs():
 
 
 def test_static_breather_takes_one_newton_step_per_time_step():
-    # in its frame the order-5 breather is a steady state: the predictor
-    # Y = (v0, v0) leaves a residual of the size of the time error, and one
-    # preconditioned Krylov solve brings it under the Newton tolerance
+    # in its frame the order-5 breather is a steady state: the linearly
+    # implicit start leaves a residual of the size of the time error, and
+    # one preconditioned Krylov solve brings it under the Newton tolerance
     p = cf.BreatherParams(5, 1.0, 1.0)
     cfg = ev.breather_fidelity_config(5)
     assert cfg.frame_speed == -4.0
@@ -299,8 +299,82 @@ def test_static_breather_takes_one_newton_step_per_time_step():
         s = step(v)
         assert s.value is not None and s.residual <= ev._NEWTON_TOL
         assert s.newton == 1
-        assert s.krylov <= 6  # 4 measured
+        assert s.krylov <= 2  # 1 measured
         v = s.value
+
+
+DEFAULT_SHAPES = ("gaussian", "B1", "LambdaBeta")
+
+
+def _perturbed_breather(p, shape, eta, w):
+    # a stability_experiment member: the shape at unit L2 norm, scaled to
+    # H^2 size eta, on the breather at t = 0
+    bump = ev.perturbation_shape(shape, p, w)
+    bump = bump / math.sqrt(w.quad(bump**2))
+    bump = bump * (eta / sobolev_norm(SampledField(w, bump), 2))
+    return sample_breather(p, 0.0, w, m=0).values + bump
+
+
+def test_newton_start_never_exceeds_the_residual_of_v0():
+    # the linearly implicit start beats Y = (v0, v0) on the default
+    # stability members; on the blowing field it does not, and the
+    # safeguard starts from (v0, v0)
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    stab = ev.stability_run_config(5, t_end=0.0)
+    w = Window(0.0, 30.0, N_SMALL)
+    cases = [(stab, _perturbed_breather(p, shape, 0.01, stab.window), False)
+             for shape in DEFAULT_SHAPES]
+    cases.append((small_config(5, dt=1e-3, window=w),
+                  _blowing_field(w).values, True))
+    for cfg, u0, kept in cases:
+        stepper = ev._stepper(cfg)
+        v0 = np.fft.rfft(u0)
+        still = np.stack([v0, v0])
+        Y, G, _ = stepper.start(v0)
+        assert np.linalg.norm(G) <= np.linalg.norm(
+            stepper.stage_system(still, v0)[0])
+        assert np.array_equal(Y, still) == kept
+        assert np.array_equal(G, stepper.stage_system(Y, v0)[0])
+
+
+def test_gmres_returns_once_its_residual_reaches_the_floor():
+    d = np.linspace(1.0, 50.0, 200)
+
+    def op(x):
+        return d * x
+
+    b = np.random.default_rng(5).standard_normal(200)
+    res = []
+    for k in range(1, 21):
+        x, its = ev._gmres(op, b, k)
+        assert its == k
+        res.append(np.linalg.norm(b - op(x)))
+    assert all(r < 0.99 * r0 for r0, r in zip(res, res[1:]))
+    assert res[-1] > 10.0 * ev._GMRES_RTOL * np.linalg.norm(b)
+    for k in (1, 4, 12):
+        floor = 1.001 * res[k - 1]
+        x, its = ev._gmres(op, b, 300, floor)
+        assert its == k and np.linalg.norm(b - op(x)) <= floor
+    # with no floor it runs on to the relative target
+    x, its = ev._gmres(op, b, 300)
+    assert its > 20
+    assert (np.linalg.norm(b - op(x))
+            <= 1.01 * ev._GMRES_RTOL * np.linalg.norm(b))
+
+
+def test_default_shapes_solver_work_and_distances():
+    # the stability-o5 benchmark config: order 5, the default shapes at
+    # eta 0.01, t_end 0.03.  Measured: 152 Krylov solves and 1,064 GMRES
+    # iterations; 165 and 1,502 when Newton started from (v0, v0) and GMRES
+    # ran to its relative target alone
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.03)
+    reports = ev.stability_experiment(p, 0.01, DEFAULT_SHAPES, cfg)
+    assert sum(r.krylov_solves for r in reports) <= 160
+    assert sum(r.gmres_iterations for r in reports) <= 1150
+    for r, want in zip(reports, (0.0761158856, 9.00607254e-06, 0.0100064085)):
+        assert r.blow_up is None
+        assert r.sup_distance == pytest.approx(want, rel=1e-9)
 
 
 def test_blow_up_stays_with_its_member():
@@ -584,7 +658,8 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
     manifest = json.loads(
         (out / "evolve_order5" / "manifest.json").read_text())
     times = [s["t"] for s in manifest["snapshots"]]
-    assert times[0] == 0.0
+    # the breather's first step converges: the failure is a later step's
+    assert times[:2] == [0.0, 0.125]
     assert times[-1] < report["records"][0]["params"]["t_blowup"]
     # and each snapshot says what the solver did to reach it
     work = [s["krylov_solves"] for s in manifest["snapshots"]]
@@ -606,6 +681,7 @@ def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
     summary = json.loads(
         (out / "stability_order5_B1_eta0.01.json").read_text())
     assert summary["t_blowup"] == report["records"][0]["params"]["t_blowup"]
+    assert summary["t_blowup"] > 0.125  # the first step converges
     assert summary["times"][0] == 0.0
     assert summary["times"][-1] < summary["t_blowup"]
     assert len(summary["distances"]) == len(summary["times"])
@@ -681,3 +757,8 @@ def test_default_stability_suite_keeps_every_shape_close(tmp_path,
         "shape=gaussian", "shape=B1", "shape=LambdaBeta"]
     assert all(r["pass"] for r in sup)
     assert all(r["params"]["t_end"] == 5.0 for r in records)
+    # the solver's work stays under that of Newton started from (v0, v0)
+    # with GMRES run to its relative target alone: 26,941 Krylov solves and
+    # 244,710 GMRES iterations
+    assert sum(r["params"]["krylov_solves"] for r in sup) < 26941
+    assert sum(r["params"]["gmres_iterations"] for r in sup) < 244710
