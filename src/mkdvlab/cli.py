@@ -18,8 +18,7 @@ misses the breather) is a config error.  One driver (run_suite) expands
 the sweep into an ordered task list, dispatches the tasks (sequentially by
 default; set MKDVLAB_WORKERS > 1 for a process pool), and assembles
 report.json, which echoes the keys read, plus per-run CSV dumps.
-A stability task is one order, whose shapes are stepped as one batch, so the
-pool gives stability one task per order, not one per shape.
+A stability task is one (order, shape), so the pool splits the shapes.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
 
@@ -568,8 +567,7 @@ def _evolve_point(task: dict) -> tuple:
 # stability
 
 def _stability_point(task: dict) -> tuple:
-    """All shapes of one order, stepped as one batch."""
-    order, eta = task["order"], task["eta"]
+    order, shape, eta = task["order"], task["shape"], task["eta"]
     tol = task["tol"]
     p = cf.BreatherParams(order, 1.0, 1.0)
     cfg_run = stability_run_config(order, t_end=task["t_end"])
@@ -579,30 +577,27 @@ def _stability_point(task: dict) -> tuple:
                tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
     if eta > 0:
         checks.append(("max_phase_speed", tol["quotient_factor"] * eta))
-    reports = stability_experiment(p, eta, task["shapes"], cfg_run,
-                                   seed=task["seed"])
-    recs, arts = [], []
-    for shape, report in zip(task["shapes"], reports):
-        tag = {"order": order, "shape": shape, "eta": eta,
-               "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-        work = {"krylov_solves": report.krylov_solves,
-                "gmres_iterations": report.gmres_iterations}
-        for rid, budget in checks:
-            # the run's solver work goes on its one sup_distance record, so
-            # the summary counts each run once
-            params = {**tag, **work} if rid == "sup_distance" else tag
-            if report.blow_up is not None:
-                recs.append(_blown_up(rid, params, budget, report.blow_up))
-            else:
-                recs.append(_record(rid, params, getattr(report, rid),
-                                    budget))
-        name = f"stability_order{order}_{shape}_eta{eta:g}"
-        arts.append((f"{name}.json", dump_json(report.to_json_dict())))
-        arts.append((f"{name}.csv", dump_csv(
-            ("t", "distance", "x1", "x2"),
-            zip(report.times, report.distances, report.phases_x1,
-                report.phases_x2))))
-    return tuple(recs), tuple(arts)
+    report = stability_experiment(p, eta, shape, cfg_run, seed=task["seed"])
+    tag = {"order": order, "shape": shape, "eta": eta,
+           "t_end": cfg_run.t_end, "dt": cfg_run.dt}
+    work = {"krylov_solves": report.krylov_solves,
+            "gmres_iterations": report.gmres_iterations}
+    recs = []
+    for rid, budget in checks:
+        # the run's solver work goes on its one sup_distance record, so the
+        # summary counts each run once
+        params = {**tag, **work} if rid == "sup_distance" else tag
+        if report.blow_up is not None:
+            recs.append(_blown_up(rid, params, budget, report.blow_up))
+        else:
+            recs.append(_record(rid, params, getattr(report, rid), budget))
+    name = f"stability_order{order}_{shape}_eta{eta:g}"
+    arts = ((f"{name}.json", dump_json(report.to_json_dict())),
+            (f"{name}.csv", dump_csv(
+                ("t", "distance", "x1", "x2"),
+                zip(report.times, report.distances, report.phases_x1,
+                    report.phases_x2))))
+    return tuple(recs), arts
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +653,7 @@ SUITES = {
     "stability": Suite(_stability_point, {
         "orders": _orders((5,), STABILITY_ORDERS),
         "shapes": Key(str, ("gaussian", "B1", "LambdaBeta"),
-                      _one_of(PERTURBATION_SHAPES)),
+                      _one_of(PERTURBATION_SHAPES), each="shape"),
         "eta": Key(_real, 1e-2, (lambda v: 0.0 <= v <= 0.1,
                                    "lie in [0, 0.1]")),
         "t_end": Key(_real, 5.0, _NONNEGATIVE),

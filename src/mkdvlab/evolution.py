@@ -12,9 +12,9 @@ the scheme, the solver's stopping rules and caps, and the polyphase lift
 with its Nyquist rule.  Multipliers and the fit's H^2 inner product come
 from functionals.Window.
 
-Several fields that share one config are stepped as members of one batch,
-each on its own; a member whose step fails leaves the batch with its own
-BlowUpError and the others keep going.
+Each run steps one field.  A failed step raises BlowUpError, which carries
+the trajectory up to it; the experiments that run several fields (the
+stability shapes) run them as separate tasks.
 
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
@@ -142,10 +142,6 @@ class EvolutionConfig:
 # at most 3 Krylov solves and 41 GMRES iterations per step (the order-7
 # breather), against caps of 10 and 300; the static order-5 breather takes
 # one solve of one iteration.
-#
-# Members.  evolve steps each member of a batch on its own, so a member's
-# bits, and the iterations its solver takes, do not depend on what else is
-# in the batch.
 #
 # Polyphase lift.  The padded grid has pad * n points, and padded point
 # pad * m + s is coarse point m shifted by s h / pad (h the coarse spacing).
@@ -277,18 +273,26 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
         # padded-grid values (..., phase, n) -> bins (...,) of -d/dx
         return (out_mult * np.fft.rfft(fvals)).sum(axis=-2)
 
-    def nonlinear(vhat):
-        return back(cf.eval_flux_terms(terms, lift(vhat)))
+    def flux(rows):
+        # the lifted rows of v -> N(v)
+        return back(cf.eval_flux_terms(terms, rows))
 
-    def linearize(vhat):
-        rows = lift(vhat)
+    def frechet(rows):
+        # the lifted rows of v -> (zhat -> N'(v) zhat)
         slope_rows = [(k, cf.eval_flux_terms(p, rows)) for k, p in slopes]
 
         def apply(zhat):
             dz = lift(zhat)
             return back(sum(c * dz[k] for k, c in slope_rows))
 
-        return back(cf.eval_flux_terms(terms, rows)), apply
+        return apply
+
+    def nonlinear(vhat):
+        return flux(lift(vhat))
+
+    def linearize(vhat):
+        rows = lift(vhat)
+        return flux(rows), frechet(rows)
 
     dtA = dt * np.array(_GAUSS_A)[..., None]  # (2, 2, 1): one entry per bin
     dtc = dtA.sum(axis=1)                     # dt times the nodes c = A 1
@@ -309,21 +313,27 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     def as_pair(x):
         return x.view(complex).reshape(2, -1)
 
-    def stage_system(Y, v0):
-        NY, dN = linearize(Y)
+    def system(Y, v0, NY, dN):
+        # G(Y) and Z -> G'(Y) Z, given N and N' at both stages
         G = Y - v0 - blocks(dtA, L * Y + NY)
         return G, lambda Z: Z - blocks(dtA, L * Z + dN(Z))
 
+    def stage_system(Y, v0):
+        return system(Y, v0, *linearize(Y))
+
     def start(v0):
         # the linearly implicit start: the linear part solved exactly with N
-        # frozen at v0, unless |G| there exceeds |G(v0, v0)| = dt |c| |F(v0)|
-        N0 = nonlinear(v0)
+        # frozen at v0, unless |G| there exceeds |G(v0, v0)| = dt |c| |F(v0)|.
+        # v0 is lifted once: its rows give N(v0), and on that fallback the
+        # slopes of N'(v0), which serve both stages
+        rows = lift(v0)
+        N0 = flux(rows)
         Y = blocks(pinv, v0 + dtc * N0)
         G, jac = stage_system(Y, v0)
         still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
         if not np.linalg.norm(G) <= still:
             Y = np.stack([v0, v0])
-            G, jac = stage_system(Y, v0)
+            G, jac = system(Y, v0, N0, frechet(rows))
         return Y, G, jac
 
     def step(v0):
@@ -379,85 +389,59 @@ def solver_work(run) -> tuple:
             sum(s.gmres_iterations for s in run))
 
 
-def evolve(u0, cfg: EvolutionConfig, monitors: tuple = (),
-           snapshot_every: int | None = None):
-    """Run to t_end, returning snapshots with the monitored functionals.
+def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
+           snapshot_every: int | None = None) -> list:
+    """Run u0 to t_end and return its trajectory: snapshots with the
+    monitored functionals.
 
-    u0 is one SampledField, or a tuple of fields that are stepped together as
-    one batch, the members of the stepper notes.  Snapshots are taken every
-    snapshot_every steps (default: about fifty per run) and always include
-    the initial and final states; each carries the Krylov solves and GMRES
-    iterations of its member's steps since the previous one.  A spectral
-    tail above 1e-10 of the peak triggers a single ResolutionWarning per
-    member.
-
-    For one field the result is its trajectory, and a failed step raises
-    BlowUpError.  For a tuple it is a tuple with one entry per field: its
-    trajectory, or the BlowUpError of a member whose step failed.  Such a
-    member leaves the batch and the others keep going; every member's
-    trajectory, or error, is bit for bit that of its solo run.
+    Snapshots are taken every snapshot_every steps (default: about fifty per
+    run) and always include the initial and final states; each carries the
+    Krylov solves and GMRES iterations of the steps since the previous one.
+    A spectral tail above 1e-10 of the peak triggers a single
+    ResolutionWarning.  A failed step raises BlowUpError.
     """
-    fields = u0 if isinstance(u0, tuple) else (u0,)
-    if any(f.window != cfg.window for f in fields):
+    if u0.window != cfg.window:
         raise ValueError("initial field window differs from config window")
     step = _stepper(cfg).step
     n_steps = int(round(cfg.t_end / cfg.dt))
     if snapshot_every is None:
         snapshot_every = max(1, n_steps // 50)
 
-    vhat = np.fft.rfft(np.stack([f.values for f in fields]))
-    warned = [_tail_fraction(row) > _RESOLUTION_TAIL for row in vhat]
-    if any(warned):
+    vhat = np.fft.rfft(u0.values)
+    warned = _tail_fraction(vhat) > _RESOLUTION_TAIL
+    if warned:
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
 
-    live = list(range(len(fields)))  # member index of each row of vhat
-    work = [(0, 0)] * len(fields)    # per member, since its last snapshot
-
-    def snapshots(i, spec):
+    def snapshot(i, spec, work):
         t = i * cfg.dt
-        w = cfg.window_at(t)
-        out = []
-        for m, values in zip(live, np.fft.irfft(spec, n=cfg.window.n_points)):
-            f = SampledField(w, values)
-            with warnings.catch_warnings():
-                # radiation wrapping around the periodic window is legitimate
-                # here and the trapezoid quadrature stays exact for it; the
-                # edge check guards sampling of decaying profiles, not
-                # evolution
-                warnings.simplefilter("ignore", TailWarning)
-                vals = {kind: functional(f, kind) for kind in monitors}
-            out.append(Snapshot(t, f, vals, *work[m]))
-            work[m] = (0, 0)
-        return out
+        f = SampledField(cfg.window_at(t),
+                         np.fft.irfft(spec, n=cfg.window.n_points))
+        with warnings.catch_warnings():
+            # radiation wrapping around the periodic window is legitimate
+            # here and the trapezoid quadrature stays exact for it; the edge
+            # check guards sampling of decaying profiles, not evolution
+            warnings.simplefilter("ignore", TailWarning)
+            vals = {kind: functional(f, kind) for kind in monitors}
+        return Snapshot(t, f, vals, *work)
 
-    trajs = [[snap] for snap in snapshots(0, vhat)]
-    outcomes = list(trajs)
+    traj = [snapshot(0, vhat, (0, 0))]
+    work = (0, 0)  # since the last snapshot
     for i in range(1, n_steps + 1):
-        steps = [step(row) for row in vhat]
-        for m, s in zip(live, steps):
-            work[m] = (work[m][0] + s.newton, work[m][1] + s.krylov)
-            if s.value is None:
-                outcomes[m] = BlowUpError(i * cfg.dt, s.residual, trajs[m],
-                                          *work[m])
-        live = [m for m, s in zip(live, steps) if s.value is not None]
-        if not live:
-            break
-        vhat = np.stack([s.value for s in steps if s.value is not None])
+        s = step(vhat)
+        work = (work[0] + s.newton, work[1] + s.krylov)
+        if s.value is None:
+            raise BlowUpError(i * cfg.dt, s.residual, traj, *work)
+        vhat = s.value
         if i % snapshot_every == 0 or i == n_steps:
-            for m, row in zip(live, vhat):
-                if not warned[m] and _tail_fraction(row) > _RESOLUTION_TAIL:
-                    warnings.warn(
-                        f"spectral tail above 1e-10 of peak at "
-                        f"t={i * cfg.dt:.6g}", ResolutionWarning, stacklevel=2)
-                    warned[m] = True
-            for m, snap in zip(live, snapshots(i, vhat)):
-                trajs[m].append(snap)
-    if isinstance(u0, tuple):
-        return tuple(outcomes)
-    if isinstance(outcomes[0], BlowUpError):
-        raise outcomes[0]
-    return outcomes[0]
+            if not warned and _tail_fraction(vhat) > _RESOLUTION_TAIL:
+                warnings.warn(f"spectral tail above 1e-10 of peak at "
+                              f"t={i * cfg.dt:.6g}", ResolutionWarning,
+                              stacklevel=2)
+                warned = True
+            traj.append(snapshot(i, vhat, work))
+            work = (0, 0)
+    return traj
 
 
 def functional_drifts(traj: list[Snapshot]) -> dict:
@@ -613,50 +597,40 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
                      f"choose from {PERTURBATION_SHAPES}")
 
 
-def stability_experiment(p: cf.BreatherParams, eta: float, shapes: tuple,
+def stability_experiment(p: cf.BreatherParams, eta: float, shape: str,
                          cfg: EvolutionConfig,
                          snapshot_every: int | None = None,
-                         seed: int | None = None) -> tuple:
-    """Evolve perturbed breathers as one batch and track the modulated H^2
-    distance of each; returns one StabilityReport per shape.
+                         seed: int | None = None) -> StabilityReport:
+    """Evolve a perturbed breather and track its modulated H^2 distance.
 
-    Each perturbation is L2-normalized, scaled to H^2 size eta, and added to
-    the breather at t=0; the shape 'random' draws from a fresh
-    np.random.default_rng(seed), so a member's field does not depend on the
-    other shapes.  The snapshots go to track_modulation; a member that blows
-    up reports its partial trajectory and carries the BlowUpError.  Each
-    report carries its member's solver_work.
+    The perturbation is L2-normalized, scaled to H^2 size eta, and added to
+    the breather at t=0; the shape 'random' draws from
+    np.random.default_rng(seed).  The snapshots go to track_modulation; a run
+    that blows up reports its partial trajectory and carries the BlowUpError.
+    The report carries the run's solver_work.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
     w = cfg.window
-    base = cf.breather_jet(p, 0.0, w.grid(), m=0).value
-    fields = []
-    for name in shapes:
-        values = base
-        if eta > 0.0:
-            rng = None if seed is None else np.random.default_rng(seed)
-            shape = perturbation_shape(name, p, w, rng=rng)
-            shape = shape / math.sqrt(w.quad(shape**2))
-            shape = shape * (eta / sobolev_norm(SampledField(w, shape), 2))
-            values = base + shape
-        fields.append(SampledField(w, values))
+    values = cf.breather_jet(p, 0.0, w.grid(), m=0).value
+    if eta > 0.0:
+        rng = None if seed is None else np.random.default_rng(seed)
+        bump = perturbation_shape(shape, p, w, rng=rng)
+        bump = bump / math.sqrt(w.quad(bump**2))
+        values = values + bump * (eta / sobolev_norm(SampledField(w, bump), 2))
 
     monitors = ("M", "E", cf.energy_kind(p.order))
-    outcomes = evolve(tuple(fields), cfg, monitors=monitors,
-                      snapshot_every=snapshot_every)
-    reports = []
-    for out in outcomes:
-        if isinstance(out, BlowUpError):
-            report = replace(
-                track_modulation(p, out.trajectory, eta, blown_up=True),
-                blow_up=out)
-        else:
-            report = track_modulation(p, out, eta)
-        solves, its = solver_work(out)
-        reports.append(replace(report, krylov_solves=solves,
-                               gmres_iterations=its))
-    return tuple(reports)
+    try:
+        run = evolve(SampledField(w, values), cfg, monitors=monitors,
+                     snapshot_every=snapshot_every)
+    except BlowUpError as e:
+        run = e
+        report = replace(track_modulation(p, e.trajectory, eta, blown_up=True),
+                         blow_up=e)
+    else:
+        report = track_modulation(p, run, eta)
+    solves, its = solver_work(run)
+    return replace(report, krylov_solves=solves, gmres_iterations=its)
 
 
 def track_modulation(p: cf.BreatherParams, traj: list, eta: float,

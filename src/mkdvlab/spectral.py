@@ -46,8 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import closed_forms as cf
-from .functionals import (SampledField, Window, require_window,
-                          sample_breather, spectral_derivative)
+from .functionals import SampledField, Window, require_window, sample_breather
 from .identities import ResidualReport
 
 _CSTEP = 1e-150
@@ -55,9 +54,9 @@ _CSTEP = 1e-150
 
 def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
     """Circulant matrix of a Fourier multiplier on the rfft bins.  Its
-    column is made exactly odd or even (c[k] against c[-k mod n]): FFT
-    rounding alone breaks the parity at eps*k^m, which would dominate the
-    recorded asymmetry."""
+    column is made exactly odd or even (c[k] against c[-k mod n]), so the
+    matrix is exactly antisymmetric or symmetric; FFT rounding alone breaks
+    the parity at eps*k^m."""
     import scipy.linalg
 
     c = np.fft.irfft(symbol)
@@ -145,7 +144,6 @@ class DiscreteOperator:
     alpha: float
     beta: float
     breather_time: float
-    asymmetry: float
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
@@ -156,36 +154,6 @@ class DiscreteOperator:
         and shared by `spectrum` and `coercivity`."""
         return tuple((b, b.fold(self.matrix))
                      for b in _parity_blocks(self.matrix))
-
-
-def _asymmetry_on_smooth_probes(w: Window, coeffs: dict) -> float:
-    """Worst |z^T A w - w^T A z| / (|z||w|) over smooth periodic probes.
-
-    The entrywise difference raw - raw.T concentrates in couplings between
-    band-edge Fourier modes: the layout diag(c) D2 + diag(c_x) D1 telescopes
-    exactly only inside the resolved band.  Those couplings never act on
-    resolved fields and are removed by the symmetrization.  The products are
-    evaluated by applying the same layout (coeffs[k] the coefficient of
-    z_{kx}) through FFTs: forming them from the dense matrix would add
-    rounding noise of order eps * k_max^4, burying the figure the probes are
-    meant to record.
-    """
-    x, waves = w.grid(), w.wavenumbers()
-    probes = [np.cos(waves[1] * x), np.sin(waves[1] * x),
-              np.cos(waves[2] * x), np.sin(waves[3] * x)]
-
-    def apply(z):
-        return sum(c * spectral_derivative(z, w, k) if k else c * z
-                   for k, c in coeffs.items())
-
-    images = [apply(z) for z in probes]
-    worst = 0.0
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            val = abs(probes[j] @ images[i] - probes[i] @ images[j])
-            val /= np.linalg.norm(probes[i]) * np.linalg.norm(probes[j])
-            worst = max(worst, val)
-    return worst
 
 
 def spectral_window(p: cf.BreatherParams, t: float,
@@ -222,9 +190,8 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
             D = derivative_matrix(w, k)
             D *= c[:, None]
             raw += D
-    asymmetry = _asymmetry_on_smooth_probes(w, coeffs)
     matrix = (raw + raw.T) / 2.0
-    return DiscreteOperator(w, matrix, p.alpha, p.beta, t, asymmetry)
+    return DiscreteOperator(w, matrix, p.alpha, p.beta, t)
 
 
 def kernel_tolerance(alpha: float, beta: float) -> float:

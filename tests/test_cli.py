@@ -243,6 +243,23 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     assert run_main(["verify", "--config", cfgp, "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
+    # a stability task is one (order, shape), so the pool splits the shapes
+    stab = write_cfg(tmp_path / "s.txt", "orders = 5\nshapes = B1, "
+                     "LambdaBeta\neta = 0.01\nt_end = 0.002\n")
+    outs, codes = {}, []
+    for workers in ("1", "2"):
+        outs[workers] = out = tmp_path / f"stability{workers}"
+        out.mkdir()
+        monkeypatch.setenv("MKDVLAB_WORKERS", workers)
+        codes.append(run_main(["stability", "--config", stab,
+                               "--out", str(out)]))
+    assert codes[0] == codes[1]
+    names = ["report.json"] + [f"stability_order5_{shape}_eta0.01.{ext}"
+                               for shape in ("B1", "LambdaBeta")
+                               for ext in ("json", "csv")]
+    for name in names:
+        assert ((outs["1"] / name).read_bytes()
+                == (outs["2"] / name).read_bytes())
 
 
 def test_exit_code_config_error(tmp_path):

@@ -256,36 +256,6 @@ def test_blow_up_raises():
     assert err.value.residual > ev._NEWTON_TOL
 
 
-def _assert_same_trajectory(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.t == b.t and a.field.window == b.field.window
-        assert np.array_equal(a.field.values, b.field.values)
-        assert a.functionals == b.functionals
-        assert (a.krylov_solves, a.gmres_iterations) == (
-            b.krylov_solves, b.gmres_iterations)
-
-
-def test_batch_equals_solo_runs():
-    # order 5, n = 256, 20 steps; the breather and two perturbations of it
-    p = cf.BreatherParams(5, 1.0, 1.0)
-    cfg = small_config(5, dt=1e-3, t_end=20 * 1e-3)
-    w = cfg.window
-    x = w.grid()
-    base = sample_breather(p, 0.0, w, m=0).values
-    members = (SampledField(w, base),
-               SampledField(w, base + 1e-2 * np.exp(-x**2)),
-               SampledField(w, base + 1e-2 * np.sin(x) * np.exp(-x**2 / 4)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ev.ResolutionWarning)
-        batch = ev.evolve(members, cfg, monitors=("M", "E"))
-        solo = [ev.evolve(u0, cfg, monitors=("M", "E")) for u0 in members]
-    assert isinstance(batch, tuple) and len(batch) == 3
-    for got, want in zip(batch, solo):
-        assert len(want) == 21 and want[-1].t == pytest.approx(0.02)
-        _assert_same_trajectory(got, want)
-
-
 def test_static_breather_takes_one_newton_step_per_time_step():
     # in its frame the order-5 breather is a steady state: the linearly
     # implicit start leaves a residual of the size of the time error, and
@@ -337,6 +307,36 @@ def test_newton_start_never_exceeds_the_residual_of_v0():
         assert np.array_equal(G, stepper.stage_system(Y, v0)[0])
 
 
+def test_safeguarded_start_lifts_v0_once(monkeypatch):
+    # on the blowing field the safeguard falls back to (v0, v0); N(v0) and
+    # the slopes of N'(v0) then come from the one lift of v0, so the flux is
+    # evaluated at v0 and at the linearly implicit start, and the slopes at
+    # each of the two
+    w = Window(0.0, 30.0, N_SMALL)
+    cfg = small_config(5, dt=1e-3, window=w)
+    stepper = ev._stepper(cfg)
+    v0 = np.fft.rfft(_blowing_field(w).values)
+    calls = []
+    original = cf.eval_flux_terms
+
+    def counting(terms, rows):
+        calls.append(terms)
+        return original(terms, rows)
+
+    monkeypatch.setattr(cf, "eval_flux_terms", counting)
+    Y, G, jac = stepper.start(v0)
+    assert np.array_equal(Y, np.stack([v0, v0]))
+    n_slopes = len(cf.frechet(cf.flux_terms(5)))
+    assert len(calls) == 2 + 2 * n_slopes
+    monkeypatch.undo()
+    # the same bits as the system assembled from a fresh lift of (v0, v0)
+    G_lifted, jac_lifted = stepper.stage_system(Y, v0)
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
+    assert np.array_equal(G, G_lifted)
+    assert np.array_equal(jac(Z), jac_lifted(Z))
+
+
 def test_gmres_returns_once_its_residual_reaches_the_floor():
     d = np.linspace(1.0, 50.0, 200)
 
@@ -369,36 +369,13 @@ def test_default_shapes_solver_work_and_distances():
     # ran to its relative target alone
     p = cf.BreatherParams(5, 1.0, 1.0)
     cfg = ev.stability_run_config(5, t_end=0.03)
-    reports = ev.stability_experiment(p, 0.01, DEFAULT_SHAPES, cfg)
+    reports = [ev.stability_experiment(p, 0.01, shape, cfg)
+               for shape in DEFAULT_SHAPES]
     assert sum(r.krylov_solves for r in reports) <= 160
     assert sum(r.gmres_iterations for r in reports) <= 1150
     for r, want in zip(reports, (0.0761158856, 9.00607254e-06, 0.0100064085)):
         assert r.blow_up is None
         assert r.sup_distance == pytest.approx(want, rel=1e-9)
-
-
-def test_blow_up_stays_with_its_member():
-    # the field of test_blow_up_raises next to a benign breather
-    w = Window(0.0, 30.0, N_SMALL)
-    cfg = small_config(5, dt=1e-3, t_end=0.05, window=w)
-    blowing = _blowing_field(w)
-    benign = sample_breather(cf.BreatherParams(5, 0.6, 0.5), 0.0, w, m=0)
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", ev.ResolutionWarning)
-        traj, err = ev.evolve((benign, blowing), cfg, monitors=("M",),
-                              snapshot_every=1)
-        with pytest.raises(ev.BlowUpError) as solo_err:
-            ev.evolve(blowing, cfg, monitors=("M",), snapshot_every=1)
-        solo_traj = ev.evolve(benign, cfg, monitors=("M",), snapshot_every=1)
-    assert isinstance(err, ev.BlowUpError)
-    want = solo_err.value
-    assert (err.t, err.residual, len(err.trajectory)) == (
-        want.t, want.residual, len(want.trajectory))
-    assert ev.solver_work(err) == ev.solver_work(want)
-    assert 0.0 < err.t < cfg.t_end and len(err.trajectory) >= 2
-    _assert_same_trajectory(err.trajectory, want.trajectory)
-    assert len(traj) == 51
-    _assert_same_trajectory(traj, solo_traj)
 
 
 def test_snapshots_carry_the_solver_work_since_the_previous_one():
@@ -519,10 +496,9 @@ def test_random_shape_stability_run_is_deterministic():
     with warnings.catch_warnings():
         # the breather, not the shape, is under-resolved on 256 points
         warnings.simplefilter("ignore", ev.ResolutionWarning)
-        runs = [ev.stability_experiment(p, 0.01, ("random",), cfg,
+        a, b = [ev.stability_experiment(p, 0.01, "random", cfg,
                                         snapshot_every=5, seed=11)
                 for _ in range(2)]
-    (a,), (b,) = runs
     assert a.blow_up is None and len(a.times) == 3
     assert a.to_json_dict() == b.to_json_dict()
     assert a.distances == b.distances
@@ -595,7 +571,7 @@ def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
             == (outs[1] / "report.json").read_bytes())
 
 
-def test_stability_batch_equals_single_shape_runs(tmp_path, monkeypatch):
+def test_stability_shapes_are_independent_tasks(tmp_path, monkeypatch):
     monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     common = "orders = 5\neta = 0.01\nt_end = 0.002\n"
     runs = {"both": "B1, LambdaBeta", "B1": "B1", "LambdaBeta": "LambdaBeta"}
@@ -607,10 +583,10 @@ def test_stability_batch_equals_single_shape_runs(tmp_path, monkeypatch):
         out.mkdir()
         cli.main(["stability", "--config", str(cfgp), "--out", str(out)])
         outs[name] = out
-    batched = json.loads((outs["both"] / "report.json").read_text())
+    both = json.loads((outs["both"] / "report.json").read_text())
     singles = [json.loads((outs[s] / "report.json").read_text())
                for s in ("B1", "LambdaBeta")]
-    assert batched["records"] == singles[0]["records"] + singles[1]["records"]
+    assert both["records"] == singles[0]["records"] + singles[1]["records"]
     for shape in ("B1", "LambdaBeta"):
         for ext in ("json", "csv"):
             name = f"stability_order5_{shape}_eta0.01.{ext}"
