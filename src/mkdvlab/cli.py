@@ -29,10 +29,12 @@ config error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +46,8 @@ from . import spectral as spc
 from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, STABILITY_ORDERS,
                         BlowUpError, breather_fidelity_config, evolve,
                         functional_drifts, soliton_speed_run,
-                        stability_experiment, stability_run_config)
+                        stability_experiment, stability_run_config,
+                        step_count)
 from .functionals import (SampledField, Window, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, require_window,
@@ -289,11 +292,13 @@ _SLUG_KEYS = ("order", "alpha", "beta", "c", "t", "kind", "shape", "eta",
               "dt")
 
 
+def _slug(key: str, value) -> str:
+    return f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+
+
 def _record(rid: str, params: dict, measured: float, budget: float) -> dict:
     # sweep coordinates join the id so every record line is unique
-    parts = [f"{k}={params[k]:g}" if isinstance(params[k], float)
-             else f"{k}={params[k]}"
-             for k in _SLUG_KEYS if k in params]
+    parts = [_slug(k, params[k]) for k in _SLUG_KEYS if k in params]
     if parts:
         rid = rid + "[" + ",".join(parts) + "]"
     measured = float(measured)
@@ -307,6 +312,27 @@ def _rel(got: float, want: float) -> float:
 
 # --------------------------------------------------------------------------
 # verify
+#
+# Two of a point's checks do not depend on all of its coordinates, so each is
+# computed once per run_suite call (the suite's memos are cleared when it
+# returns).  They hold scalars only: a field would outlive its task.
+
+@functools.lru_cache(maxsize=None)
+def _breather_ode_at_rest(alpha: float, beta: float) -> float:
+    """The t = 0 breather ODE residual.  The stationary equation is the same
+    at every order and the velocities enter the jet only as velocity * t, so
+    at t = 0 the samples and the jet, and so the residual, are bitwise those
+    of every order."""
+    p = cf.BreatherParams(cf.ORDERS[0], alpha, beta)
+    return ide.breather_ode_residual(p, 0.0).normalized
+
+
+@functools.lru_cache(maxsize=None)
+def _soliton_ode(order: int, c: float, level: str) -> float:
+    """The soliton ODE residual, which no breather parameter enters."""
+    return ide.soliton_ode_residual(cf.SolitonParams(order, c),
+                                    level).normalized
+
 
 def _verify_point(task: dict) -> tuple:
     order, a, b = task["order"], task["alpha"], task["beta"]
@@ -315,8 +341,9 @@ def _verify_point(task: dict) -> tuple:
     tag = {"order": order, "alpha": a, "beta": b}
     p = cf.BreatherParams(order, a, b)
     for t in task["t"]:
-        rep = ide.breather_ode_residual(p, t)
-        recs.append(_record("breather_ode", {**tag, "t": t}, rep.normalized,
+        measured = (_breather_ode_at_rest(a, b) if t == 0.0
+                    else ide.breather_ode_residual(p, t).normalized)
+        recs.append(_record("breather_ode", {**tag, "t": t}, measured,
                             tol["breather_ode"]))
     rep = ide.evolution_identity_residual(p)
     recs.append(_record("evolution_identity", tag, rep.normalized,
@@ -346,11 +373,10 @@ def _verify_point(task: dict) -> tuple:
                             tol["energy"]))
     if order != 11:
         for c in task["c"]:
-            sp_ = cf.SolitonParams(order, c)
             for level in ("2nd", "high"):
-                rep = ide.soliton_ode_residual(sp_, level)
                 recs.append(_record(f"soliton_ode_{level}", {**tag, "c": c},
-                                    rep.normalized, tol["soliton_ode"]))
+                                    _soliton_ode(order, c, level),
+                                    tol["soliton_ode"]))
     return tuple(recs), ()
 
 
@@ -509,6 +535,31 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     return v_meas, v_law, cells
 
 
+def _at_dt(cfg_run, dt):
+    """The run at the configured time step; None keeps the shipped one."""
+    return cfg_run if dt is None else replace(cfg_run, dt=dt)
+
+
+def _require_whole_steps(command: str, what: str, cfg_run) -> None:
+    """ConfigError unless the run's t_end is a whole number of its steps."""
+    try:
+        step_count(cfg_run.t_end, cfg_run.dt)
+    except ValueError as e:
+        raise ConfigError(f"{command}: the {what} run's {e}") from None
+
+
+def _check_evolve_steps(values: dict) -> None:
+    # the shipped runs' time steps divide their horizons
+    if values["dt"] is None:
+        return
+    for order in values["orders"]:
+        runs = (("breather fidelity", breather_fidelity_config(order)),
+                ("soliton speed", soliton_speed_run(order)[1]))
+        for what, cfg_run in runs:
+            _require_whole_steps("evolve", what,
+                                 replace(cfg_run, dt=values["dt"]))
+
+
 def _blown_up(rid: str, params: dict, budget: float, err: BlowUpError) -> dict:
     """The failed record of a check whose run stopped at a blow-up."""
     return _record(rid, {**params, "t_blowup": err.t,
@@ -522,9 +573,7 @@ def _evolve_point(task: dict) -> tuple:
     recs, arts = [], []
 
     p = cf.BreatherParams(order, 1.0, 1.0)
-    cfg_run = breather_fidelity_config(order)
-    if task["dt"] is not None:
-        cfg_run = replace(cfg_run, dt=task["dt"])
+    cfg_run = _at_dt(breather_fidelity_config(order), task["dt"])
     h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed}
     monitors = ("M", "E", cf.energy_kind(order))
@@ -547,8 +596,7 @@ def _evolve_point(task: dict) -> tuple:
     arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
 
     sp_, scfg = soliton_speed_run(order)
-    if task["dt"] is not None:
-        scfg = replace(scfg, dt=task["dt"])
+    scfg = _at_dt(scfg, task["dt"])
     speed_tag = {**tag, "c": sp_.c, "dt": scfg.dt}
     try:
         v_meas, v_law, cells = measure_soliton_speed(sp_, scfg)
@@ -566,13 +614,19 @@ def _evolve_point(task: dict) -> tuple:
 # --------------------------------------------------------------------------
 # stability
 
+def _check_stability_steps(values: dict) -> None:
+    for order in values["orders"]:
+        cfg_run = stability_run_config(order, t_end=values["t_end"])
+        _require_whole_steps("stability", f"order-{order}",
+                             _at_dt(cfg_run, values["dt"]))
+
+
 def _stability_point(task: dict) -> tuple:
     order, shape, eta = task["order"], task["shape"], task["eta"]
     tol = task["tol"]
     p = cf.BreatherParams(order, 1.0, 1.0)
-    cfg_run = stability_run_config(order, t_end=task["t_end"])
-    if task["dt"] is not None:
-        cfg_run = replace(cfg_run, dt=task["dt"])
+    cfg_run = _at_dt(stability_run_config(order, t_end=task["t_end"]),
+                     task["dt"])
     checks = [("sup_distance",
                tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
     if eta > 0:
@@ -610,6 +664,7 @@ class Suite:
     tol: dict            # budget name -> default, set by tol_<name>
     tail: object = None  # tolerances -> records that follow the tasks'
     check: object = lambda values: None  # values -> None or ConfigError
+    memos: tuple = ()    # lru_cache'd helpers, cleared when run_suite returns
 
 
 def _orders(default: tuple, options: tuple) -> Key:
@@ -631,7 +686,8 @@ SUITES = {
         "seed": _SEED,
     }, {"breather_ode": 1e-8, "soliton_ode": 1e-9, "identity": 1e-7,
         "energy": 1e-8, "reduction": 1e-7, "unique": 0.5},
-        tail=_adjudication_records),
+        tail=_adjudication_records,
+        memos=(_breather_ode_at_rest, _soliton_ode)),
     "spectrum": Suite(_spectrum_point, {
         "alpha": _ALPHA,
         "beta": _BETA,
@@ -649,7 +705,8 @@ SUITES = {
         "orders": _orders((5, 7, 9), EVOLVE_ORDERS),
         "dt": _DT,
         "seed": _SEED,
-    }, {"h2": 1e-5, "drift": 1e-7, "speed_cells": 1.0}),
+    }, {"h2": 1e-5, "drift": 1e-7, "speed_cells": 1.0},
+        check=_check_evolve_steps),
     "stability": Suite(_stability_point, {
         "orders": _orders((5,), STABILITY_ORDERS),
         "shapes": Key(str, ("gaussian", "B1", "LambdaBeta"),
@@ -659,23 +716,34 @@ SUITES = {
         "t_end": Key(_real, 5.0, _NONNEGATIVE),
         "dt": _DT,
         "seed": _SEED,
-    }, {"sup_factor": 10.0, "quotient_factor": 10.0, "floor": 1e-5}),
+    }, {"sup_factor": 10.0, "quotient_factor": 10.0, "floor": 1e-5},
+        check=_check_stability_steps),
 }
 
 
 def run_suite(cfg: RunConfig) -> SuiteReport:
     """Run one task per combination of the swept lists' values, in table
-    order, write the tasks' artifacts and report their records."""
+    order, write the tasks' artifacts and report their records.  Each
+    finished task prints a progress line to stderr: the suite, i/N, the
+    swept values and the task's wall time."""
     suite = SUITES[cfg.command]
     swept = [k for k, key in suite.keys.items() if key.each]
+    names = [suite.keys[k].each for k in swept]
     whole = {k: v for k, v in cfg.values.items() if k not in swept}
-    tasks = [{**whole, **{suite.keys[k].each: v for k, v in zip(swept, vals)},
-              "tol": cfg.tolerances}
+    tasks = [{**whole, **dict(zip(names, vals)), "tol": cfg.tolerances}
              for vals in itertools.product(*(cfg.values[k] for k in swept))]
     records, artifacts = [], []
-    for recs, arts in _dispatch(suite.point, tasks):
-        records.extend(recs)
-        artifacts.extend(arts)
+    try:
+        for i, (task, (recs, arts), secs) in enumerate(
+                _dispatch(suite.point, tasks), start=1):
+            coords = " ".join(_slug(k, task[k]) for k in names)
+            print(f"{cfg.command} {i}/{len(tasks)} {coords} {secs:.3f} s",
+                  file=sys.stderr)
+            records.extend(recs)
+            artifacts.extend(arts)
+    finally:
+        for memo in suite.memos:
+            memo.cache_clear()
     if suite.tail is not None:
         records.extend(suite.tail(cfg.tolerances))
     _write_artifacts(cfg.out_dir, artifacts)
@@ -685,14 +753,25 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
 # --------------------------------------------------------------------------
 # dispatch and output
 
-def _dispatch(fn, tasks: list) -> list:
+def _timed(fn, task: dict) -> tuple:
+    start = time.perf_counter()
+    out = fn(task)
+    return out, time.perf_counter() - start
+
+
+def _dispatch(fn, tasks: list):
+    """Yield (task, fn(task), seconds) in task order as the tasks finish."""
+    timed = functools.partial(_timed, fn)
     workers = int(os.environ.get("MKDVLAB_WORKERS", "1"))
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
+            for task, (out, secs) in zip(tasks, pool.imap(timed, tasks)):
+                yield task, out, secs
+        return
+    for task in tasks:
+        yield task, *timed(task)
 
 
 def _write_artifacts(out_dir: str, artifacts) -> None:

@@ -389,6 +389,18 @@ def solver_work(run) -> tuple:
             sum(s.gmres_iterations for s in run))
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of dt steps that reach t_end.  ValueError unless t_end / dt
+    is a whole number to 1e-9 relative: a rounded count would end the run
+    at another time than the one its records and speed fits use."""
+    n = t_end / dt
+    k = round(n)
+    if abs(n - k) > 1e-9 * max(n, 1.0):
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps "
+                         f"of dt = {dt:g}")
+    return k
+
+
 def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
            snapshot_every: int | None = None) -> list:
     """Run u0 to t_end and return its trajectory: snapshots with the
@@ -398,12 +410,13 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     run) and always include the initial and final states; each carries the
     Krylov solves and GMRES iterations of the steps since the previous one.
     A spectral tail above 1e-10 of the peak triggers a single
-    ResolutionWarning.  A failed step raises BlowUpError.
+    ResolutionWarning.  A failed step raises BlowUpError; a t_end that is
+    not a whole number of steps raises ValueError (see step_count).
     """
     if u0.window != cfg.window:
         raise ValueError("initial field window differs from config window")
     step = _stepper(cfg).step
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     if snapshot_every is None:
         snapshot_every = max(1, n_steps // 50)
 

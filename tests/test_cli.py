@@ -129,6 +129,10 @@ def test_unread_key_is_rejected(tmp_path, suite, key):
      "window_center"),
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_half_width = 3",
      "window_half_width"),
+    # runs whose t_end is not a whole number of steps
+    ("stability", "t_end = 0.0055", "t_end"),
+    ("stability", "t_end = 0.01\ndt = 3e-3", "dt"),
+    ("evolve", "dt = 7e-4", "dt"),
 ])
 def test_unread_or_out_of_domain_config_exits_2(tmp_path, capsys, suite,
                                                  text, key):
@@ -136,6 +140,21 @@ def test_unread_or_out_of_domain_config_exits_2(tmp_path, capsys, suite,
     assert run_main([suite, "--config", cfgp, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert suite in err and key in err
+
+
+@pytest.mark.parametrize("suite,text", [
+    ("stability", "t_end = 0.0055\n"),  # dt 1e-3: it once ran to t = 0.006
+    ("evolve", "orders = 5\ndt = 7e-4\n"),  # divides neither 0.05 nor 0.3
+])
+def test_run_that_is_not_a_whole_number_of_steps_exits_2(tmp_path, capsys,
+                                                         suite, text):
+    cfgp = write_cfg(tmp_path / "c.txt", text)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_main([suite, "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "t_end" in err and "dt" in err
+    assert list(out.iterdir()) == []  # rejected before any task ran
 
 
 def test_zero_budget_allowed(tmp_path):
@@ -260,6 +279,107 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     for name in names:
         assert ((outs["1"] / name).read_bytes()
                 == (outs["2"] / name).read_bytes())
+
+
+# orders 5 and 7, a 2 x 2 (alpha, beta) grid and two soliton parameters
+MEMO_VERIFY = """
+orders = 5, 7
+alpha = 0.75, 1.5
+beta = 1.0, 1.25
+c = 0.5, 2.0
+t = 0.0, 0.37
+"""
+
+
+def _counting_residuals(monkeypatch):
+    """Count identities' breather and soliton ODE calls by their args."""
+    from mkdvlab import identities as ide
+
+    calls = {"breather": [], "soliton": []}
+    breather, soliton = ide.breather_ode_residual, ide.soliton_ode_residual
+
+    def counting_breather(p, t, *args, **kwargs):
+        calls["breather"].append((p.order, p.alpha, p.beta, t))
+        return breather(p, t, *args, **kwargs)
+
+    def counting_soliton(p, level="2nd", *args, **kwargs):
+        calls["soliton"].append((p.order, p.c, level))
+        return soliton(p, level, *args, **kwargs)
+
+    monkeypatch.setattr(ide, "breather_ode_residual", counting_breather)
+    monkeypatch.setattr(ide, "soliton_ode_residual", counting_soliton)
+    return calls
+
+
+def test_verify_computes_order_free_and_breather_free_checks_once(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    calls = _counting_residuals(monkeypatch)
+    cfg = cli.build_config("verify", cli.parse_config_file(
+        write_cfg(tmp_path / "c.txt", MEMO_VERIFY)), str(tmp_path))
+    report = cli.run_suite(cfg)
+    # the soliton checks once per (order, c, level), not per (alpha, beta)
+    assert sorted(calls["soliton"]) == [
+        (o, c, level) for o in (5, 7) for c in (0.5, 2.0)
+        for level in ("2nd", "high")]
+    # the t = 0 breather equation once per (alpha, beta), not per order;
+    # t = 0.37 still once per task
+    at_rest = [(a, b) for _, a, b, t in calls["breather"] if t == 0.0]
+    assert sorted(at_rest) == [(a, b) for a in (0.75, 1.5)
+                               for b in (1.0, 1.25)]
+    assert sum(1 for *_, t in calls["breather"] if t == 0.37) == 8
+    # no state survives the call
+    for memo in cli.SUITES["verify"].memos:
+        assert memo.cache_info().currsize == 0
+
+    # every memoized record equals a direct call at its own coordinates
+    from mkdvlab import closed_forms as cf
+    from mkdvlab import identities as ide
+
+    checked = 0
+    for r in report.records:
+        q = r["params"]
+        name = r["id"].split("[")[0]
+        if name.startswith("soliton_ode_"):
+            want = ide.soliton_ode_residual(
+                cf.SolitonParams(q["order"], q["c"]),
+                name.removeprefix("soliton_ode_"))
+        elif name == "breather_ode" and q["t"] == 0.0:
+            want = ide.breather_ode_residual(
+                cf.BreatherParams(q["order"], q["alpha"], q["beta"]), 0.0)
+        else:
+            continue
+        assert r["measured"] == want.normalized, r["id"]
+        checked += 1
+    assert checked == 8 * 4 + 8
+
+
+def test_each_finished_task_prints_one_progress_line(tmp_path, monkeypatch,
+                                                     capsys):
+    cfgp = write_cfg(tmp_path / "c.txt", MEMO_VERIFY)
+    reports, coords = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MKDVLAB_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        assert run_main(["verify", "--config", cfgp, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 8
+        for i, line in enumerate(lines, start=1):
+            words = line.split()
+            assert words[:2] == ["verify", f"{i}/8"]
+            assert words[-1] == "s" and float(words[-2]) >= 0.0
+        coords.append([line.split()[2:5] for line in lines])
+        # stdout keeps its one summary line; the report holds no progress
+        assert captured.out.startswith("verify: ")
+        assert captured.out.count("\n") == 1
+        reports.append((out / "report.json").read_bytes())
+    # tasks in table order: order, then alpha, then beta
+    assert coords[0] == coords[1] == [
+        [f"order={o}", f"alpha={a:g}", f"beta={b:g}"]
+        for o in (5, 7) for a in (0.75, 1.5) for b in (1.0, 1.25)]
+    assert reports[0] == reports[1]
 
 
 def test_exit_code_config_error(tmp_path):

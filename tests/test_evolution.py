@@ -428,6 +428,17 @@ def test_config_rejections():
         ev.EvolutionConfig(order=5, window=w, dt=0.0, t_end=1.0)
 
 
+def test_evolve_takes_only_a_whole_number_of_steps():
+    # t_end 0.0055 at dt 1e-3 once ran to t = 0.006 under round()
+    assert ev.step_count(0.03, 1e-3) == 30  # 29.999999999999996 in floats
+    assert ev.step_count(0.0, 1e-3) == 0
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = small_config(5, dt=1e-3, t_end=0.0055)
+    u0 = sample_breather(p, 0.0, cfg.window, m=0)
+    with pytest.raises(ValueError, match="t_end = 0.0055 .* dt = 0.001"):
+        ev.evolve(u0, cfg)
+
+
 # --------------------------------------------------------------------------
 # modulation fit
 
