@@ -8,31 +8,50 @@ The operator is the Frechet derivative of dH/du, H = E5 + 2(b^2-a^2) E +
            + 10 B^2 z_xx + 20 B B_x z_x
            + [10 B_x^2 + 20 B B_xx + 30 B^4 - 12(b^2-a^2) B^2] z
 
-It is realized by Fourier collocation on a periodic window and symmetrized; the
-derivative and H^2 Gram matrices are circulants of the multipliers of
-functionals.Window.  Only the bottom of the spectrum is computed.  Expected:
-one simple negative eigenvalue, a two-dimensional kernel spanned by the
-translation directions, and discrete continuum starting at the minimum of the
-symbol k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
-k^2 = a^2 - b^2 otherwise.  Coercivity is computed on the orthogonal
-complement of its constraints, reached by Householder reflectors.
+It is the symmetrized Fourier collocation operator (A + A^T)/2 with
+A = sum_k diag(c_k) D_k on a periodic window of n points, c_k the sampled
+coefficients and D_k the multiplier Window.derivative_multiplier(k).  Only
+the bottom of the spectrum is computed.  Expected: one simple negative
+eigenvalue, a two-dimensional kernel spanned by the translation directions,
+and discrete continuum starting at the minimum of the symbol
+k^4 + 2(b^2-a^2) k^2 + (a^2+b^2)^2, attained at k=0 when b >= a and at
+k^2 = a^2 - b^2 otherwise.
 
-Dense solves run per parity block.  At t = 0 with x1 = x2 = 0 the breather
-is even about the centre of its default window, so the matrix commutes with
-the grid reflection j -> -j mod n and splits into an even block of size
-n/2+1 and an odd block of size n/2-1; solving each on its own is a quarter
-of the dense work.  The symmetry is detected from the assembled matrix, to
-a few ulps of its largest entry.  Without it (in general for t != 0, for an
-off-centre window or a hand-built matrix) the whole space is the one block.
-The negative direction is even and the translation directions are odd, so
-the coercivity constraints split as well; constraints that do not split by
-parity send coercivity to the whole space.
+The operator is held in the orthonormal real Fourier basis of the grid:
+the cos modes p = 0 .. n/2, then the sin modes p = 1 .. n/2-1
+(`fourier_coordinates`, `grid_values`; one rfft or irfft each way).  Its
+matrix is assembled there directly from the FFTs of the coefficients, one
+real (n x K) @ (K x (n/2+1)) product read through two Hankel views
+(`_assemble`); no physical n x n matrix is formed.
+
+The cos modes are the even vectors of the grid reflection j -> -j mod n and
+the sin modes the odd ones, so the parity blocks are the cos and the sin
+block.  At t = 0 with x1 = x2 = 0 the breather is even about the centre of
+its default window: the even-order coefficients have real spectra, the
+odd-order ones imaginary spectra, and the cos-sin coupling vanishes.  The
+coupling is dropped when a bound on it from the other parts of the
+spectra is within 64 ulps of the largest entry of the blocks, which moves
+no eigenvalue by more than the dense solver's own backward error (Weyl).
+Then the operator is a cos block of size n/2+1 and a sin block of size
+n/2-1, a quarter of the dense work.  Without the symmetry (in general for
+t != 0, or for an off-centre window) the whole matrix is the one block.
+
+In this basis the H^2 Gram matrix is diagonal: sobolev_weight(2) of each
+mode.  Coercivity is therefore a standard eigenproblem of the whitened
+matrix W^-1/2 A W^-1/2, on the orthogonal complement of the whitened
+constraints, reached by Householder reflectors.  The negative direction is
+even and the translation directions are odd, so the constraints split by
+parity as well; constraints that do not split send coercivity to the whole
+space.
+
+`derivative_matrix` and `sobolev_gram` are the physical circulants of the
+same multipliers, kept as dense references; the solvers do not use them.
 
 Parameter derivatives (the scaling directions) are taken with an imaginary
 step of 1e-150, which is exact to machine precision; no difference-quotient
 tuning is involved.
 
-scipy.linalg is imported inside the four functions that run dense LAPACK
+scipy.linalg is imported inside the functions that run dense LAPACK
 (_circulant, spectrum, coercivity, _reflect), so that the suites that never
 call them (verify, evolve, stability) start without it: its import takes
 longer than the whole of a small verify run.
@@ -41,7 +60,6 @@ longer than the whole of a small verify run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,83 +95,121 @@ def sobolev_gram(w: Window) -> np.ndarray:
     return _circulant(w.sobolev_weight(2), odd=False)
 
 
+# --------------------------------------------------------------------------
+# the orthonormal real Fourier basis
+
 _SQRT_HALF = np.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class ParityBlock:
-    """An invariant subspace of the grid reflection j -> -j mod n, with
-    orthonormal basis Q:
-
-        sign +1 (even): e_0, (e_j + e_{n-j})/sqrt(2) for 0 < j < n/2, e_{n/2}
-        sign -1 (odd):  (e_j - e_{n-j})/sqrt(2) for 0 < j < n/2
-        sign  0:        the whole space, Q = I
-
-    Q is never formed: `restrict` (Q^T v, along axis 0), `extend` (Q V) and
-    `fold` (Q^T M Q) work on slices of their argument, a few passes over it.
-    """
-    n: int
-    sign: int
-
-    @property
-    def size(self) -> int:
-        return self.n // 2 + self.sign if self.sign else self.n
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        if not self.sign:
-            return v
-        h = self.n // 2
-        pairs = (v[1:h] + self.sign * v[:h:-1]) * _SQRT_HALF
-        if self.sign < 0:
-            return pairs
-        return np.concatenate([v[:1], pairs, v[h:h + 1]])
-
-    def extend(self, V: np.ndarray) -> np.ndarray:
-        if not self.sign:
-            return V
-        h = self.n // 2
-        out = np.zeros((self.n,) + V.shape[1:])
-        if self.sign > 0:
-            out[0], out[h] = V[0], V[-1]
-            V = V[1:-1]
-        out[1:h] = V * _SQRT_HALF
-        out[:h:-1] = self.sign * out[1:h]
-        return out
-
-    def fold(self, M: np.ndarray) -> np.ndarray:
-        return self.restrict(self.restrict(M).T).T
+def fourier_coordinates(values: np.ndarray) -> np.ndarray:
+    """Coordinates of grid vectors (along axis 0) in the orthonormal real
+    Fourier basis: sqrt(2/n) cos(2 pi p j / n) for 0 < p < n/2 and the
+    constant and Nyquist vectors 1/sqrt(n), (-1)^j/sqrt(n), in the order
+    p = 0 .. n/2; then sqrt(2/n) sin(2 pi p j / n) for 0 < p < n/2."""
+    n = len(values)
+    h = n // 2
+    vh = np.fft.rfft(values, axis=0) * np.sqrt(2.0 / n)
+    vh[[0, h]] *= _SQRT_HALF
+    return np.concatenate([vh.real, -vh.imag[1:h]])
 
 
-def _parity_blocks(M: np.ndarray) -> tuple:
-    """The even and odd blocks when the symmetric matrix M commutes with
-    the grid reflection, to 64 ulps of its largest entry, else the whole
-    space.  Dropping an even-odd coupling that small moves no eigenvalue by
-    more than the dense solver's own backward error (Weyl)."""
-    n = len(M)
-    reflected = np.roll(M[::-1, ::-1], 1, axis=(0, 1))  # M[-i, -j]
-    defect = np.max(np.abs(reflected - M))
-    if defect <= 64.0 * np.finfo(float).eps * np.max(np.abs(M)):
-        return ParityBlock(n, 1), ParityBlock(n, -1)
-    return (ParityBlock(n, 0),)
+def grid_values(coords: np.ndarray) -> np.ndarray:
+    """The inverse of `fourier_coordinates`."""
+    n = len(coords)
+    h = n // 2
+    vh = np.zeros((h + 1,) + coords.shape[1:], dtype=complex)
+    vh.real = coords[:h + 1]
+    vh.imag[1:h] = -coords[h + 1:]
+    vh[[0, h]] /= _SQRT_HALF
+    return np.fft.irfft(vh * np.sqrt(n / 2.0), n=n, axis=0)
+
+
+def _hankel(R: np.ndarray, h: int) -> np.ndarray:
+    """The (h+1) x (h+1) view V[p, q] = R[p + q, q] of a C-contiguous array
+    R with h+1 columns and at least 2h+1 rows."""
+    step = R.itemsize
+    return np.lib.stride_tricks.as_strided(
+        R, shape=(h + 1, h + 1), strides=((h + 1) * step, (h + 2) * step),
+        writeable=False)
+
+
+def _assemble(w: Window, coeffs: dict) -> tuple:
+    """The blocks of (A + A^T)/2, A = sum_k diag(c_k) D_k, in the real
+    Fourier basis; see `DiscreteOperator`.
+
+    In the unitary DFT basis the operator is
+    Ahat[p, q] = (1/2n) sum_k chat_k[p - q] (m_k[q] + conj m_k[p]), with
+    chat_k the FFT of c_k and m_k = i^k mu_k its derivative multiplier
+    (mu_k real).  For 0 <= p, q <= h = n/2 let T[p, q] = Ahat[p, q] and
+    H[p, q] = Ahat[p, -q].  With R[d, q] = (1/2n) sum_k i^k chat_k[d] mu_k[q]
+    and the c_k real,
+
+        T = Y + Y^H,  Y[p, q] = R[p - q, q]
+        H = conj(Z + Z^T),  Z[p, q] = R[-p - q, q]
+
+    The cos block is Re(T + H), with rows and columns 0 and h scaled by
+    sqrt(1/2); the sin block is Re(T - H) on 1 .. h-1; the cos-sin coupling
+    is Im(T - H), its rows 0 and h scaled likewise.  Re R and Im R are one
+    real matmul each, V[r, c] = R[r - h mod n, h - c] for r = 0 .. n + h;
+    then Y[p, h - q] = V[p + q, q] and Z[h - p, h - q] = V[h + p + q, q]
+    are Hankel views of V, and no (h+1)^2 gather is made.
+
+    Im R comes from the imaginary parts of i^k chat_k alone, so
+    4 sum_k max|Im i^k chat_k| max|mu_k| / 2n bounds the coupling.  When
+    the bound is within 64 ulps of the largest entry of the two blocks
+    (an even background), the coupling is dropped without being formed."""
+    n = w.n_points
+    h = n // 2
+    orders = sorted(coeffs)
+    turn = np.array([1j**k for k in orders])[:, None]
+    spec = np.fft.fft(np.stack([coeffs[k] for k in orders]), axis=1)
+    spec *= turn / (2.0 * n)
+    mu = np.stack([w.derivative_multiplier(k) for k in orders]) / turn
+    mu = mu.real[:, ::-1]
+    rows = (np.arange(n + h + 1) - h) % n
+
+    def views(part):
+        R = part[:, rows].T @ mu
+        return _hankel(R, h)[:, ::-1], _hankel(R[h:], h)[::-1, ::-1]
+
+    edge = np.ones((h + 1, 1))
+    edge[[0, h]] = _SQRT_HALF
+    inner = slice(1, h)
+    Y, Z = views(spec.real)
+    P = Y + Z
+    cos = P + P.T
+    cos *= edge
+    cos *= edge.T
+    Q = Y[inner, inner] - Z[inner, inner]
+    sin = Q + Q.T
+    largest = max(cos.max(), -cos.min(), sin.max(), -sin.min())
+    bound = 4.0 * (np.max(np.abs(spec.imag), axis=1)
+                   @ np.max(np.abs(mu), axis=1))
+    if bound <= 64.0 * np.finfo(float).eps * largest:
+        return (slice(0, h + 1), cos), (slice(h + 1, n), sin)
+    Y, Z = views(spec.imag)
+    coupling = (Y[:, inner] + Z[:, inner]) + (Z[inner] - Y[inner]).T
+    coupling *= edge
+    return ((slice(0, n), np.block([[cos, coupling], [coupling.T, sin]])),)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
+    """The operator on a window in the real Fourier basis
+    (`fourier_coordinates`), as the blocks of an invariant splitting:
+    (coordinate slice, symmetric matrix) pairs that tile the coordinates in
+    order.  Built at an even background (`build_operator`) the blocks are
+    the cos and the sin modes, else the whole space is the one block."""
     window: Window
-    matrix: np.ndarray
+    blocks: tuple
     alpha: float
     beta: float
     breather_time: float
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """(block, Q^T A Q) for each block of `_parity_blocks`, folded once
-        and shared by `spectrum` and `coercivity`."""
-        return tuple((b, b.fold(self.matrix))
-                     for b in _parity_blocks(self.matrix))
+        coords = fourier_coordinates(values)
+        return grid_values(np.concatenate([A @ coords[block]
+                                           for block, A in self.blocks]))
 
 
 def spectral_window(p: cf.BreatherParams, t: float,
@@ -183,15 +239,7 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     jet = [background.deriv(k) for k in range(m + 1)]
     coeffs = {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
               for k, c in terms.items()}
-
-    raw = np.diag(coeffs[0])
-    for k, c in coeffs.items():
-        if k:
-            D = derivative_matrix(w, k)
-            D *= c[:, None]
-            raw += D
-    matrix = (raw + raw.T) / 2.0
-    return DiscreteOperator(w, matrix, p.alpha, p.beta, t)
+    return DiscreteOperator(w, _assemble(w, coeffs), p.alpha, p.beta, t)
 
 
 def kernel_tolerance(alpha: float, beta: float) -> float:
@@ -238,14 +286,15 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     In each block the k lowest eigenpairs are computed, k doubling from 8
     until the largest clears the kernel tolerance (it is that block's
     continuum edge) or k reaches the block size.  The blocks' eigenpairs
-    are merged in ascending order (stable), the vectors extended back to
-    the full grid."""
+    are merged in ascending order (stable); the lowest and kernel vectors
+    are returned as grid values."""
     import scipy.linalg
 
     tol = kernel_tolerance(opr.alpha, opr.beta)
+    n = opr.window.n_points
     vals, vecs = [], []
     for block, A in opr.blocks:
-        m = block.size
+        m = len(A)
         k = min(8, m)
         while True:
             bvals, bvecs = scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
@@ -253,7 +302,9 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
                 break
             k = min(2 * k, m)
         vals.append(bvals)
-        vecs.append(block.extend(bvecs))
+        full = np.zeros((n, k))
+        full[block] = bvecs
+        vecs.append(full)
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], np.hstack(vecs)[:, order]
@@ -262,8 +313,9 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     above = vals[vals > tol]
     edge = float(above[0]) if above.size else float("inf")
     lambda0_sq = float(-neg[0]) if neg.size else 0.0
-    return SpectrumSummary(tuple(neg), tuple(vals[kmask]), vecs[:, kmask],
-                           vecs[:, 0], edge, lambda0_sq, tol)
+    kept = grid_values(np.hstack([vecs[:, :1], vecs[:, kmask]]))
+    return SpectrumSummary(tuple(neg), tuple(vals[kmask]), kept[:, 1:],
+                           kept[:, 0], edge, lambda0_sq, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,51 +396,62 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
     """Minimum of z^T A z / ||z||_H2^2 over the subspace L2-orthogonal to the
     negative direction and the two kernel directions.
 
-    The three constraints are normalized and restricted to each parity
-    block of `opr.blocks`; each block keeps the singular directions of its
+    In the real Fourier basis the H^2 Gram matrix (`sobolev_gram`) is
+    diagonal, W = the Window.sobolev_weight(2) of each mode, so the minimum
+    is the lowest eigenvalue of the whitened matrix W^-1/2 A W^-1/2 on the
+    complement of the whitened constraints W^-1/2 Q^T c.  Each constraint
+    is normalized over its full row, then restricted to each block of
+    `opr.blocks`; each block keeps the singular directions of its
     restriction above 1e-8.  When those ranks add up to 3 the constraints
-    split by parity, and the minimum is taken block by block on the folded
-    A and Gram matrix; otherwise the whole space is the one block."""
+    split by parity, and the minimum is taken block by block; otherwise
+    the whole space is the one block."""
     import scipy.linalg
 
     vec = np.asarray(getattr(negative_eigvec, "values", negative_eigvec),
                      dtype=float)
-    C = np.stack([vec, dirs.B1.values, dirs.B2.values])
+    weight = opr.window.sobolev_weight(2)
+    scale = 1.0 / np.sqrt(np.concatenate([weight, weight[1:-1]]))
+    C = fourier_coordinates(np.stack([vec, dirs.B1.values, dirs.B2.values],
+                                     axis=1)).T * scale
     C /= np.maximum(np.linalg.norm(C, axis=1), np.finfo(float).tiny)[:, None]
     blocks = opr.blocks
-    bases = [_row_basis(block.restrict(C.T).T) for block, _ in blocks]
+    bases = [_row_basis(C[:, block]) for block, _ in blocks]
     if sum(len(Y) for Y in bases) != 3:
-        blocks = ((ParityBlock(len(opr.matrix), 0), opr.matrix),)
+        whole = scipy.linalg.block_diag(*(A for _, A in blocks))
+        blocks = ((slice(0, len(whole)), whole),)
         bases = [_row_basis(C)]
         if len(bases[0]) < 3:
             raise ValueError("orthogonality constraints are rank-deficient")
-    G = sobolev_gram(opr.window)
     nu0 = []
     for (block, A), Y in zip(blocks, bases):
-        Gb, r = block.fold(G), len(Y)
+        A = A * np.multiply.outer(scale[block], scale[block])
+        r = len(Y)
         if r:  # a block may hold no constraint
             (qr, tau), _ = scipy.linalg.qr(Y.T, mode="raw")
-            A, Gb = (_reflect(qr, tau, M)[r:, r:] for M in (A, Gb))
-        nu0.append(scipy.linalg.eigh(A, Gb, subset_by_index=[0, 0],
+            A = _reflect(qr, tau, A)[r:, r:]
+        nu0.append(scipy.linalg.eigh(A, subset_by_index=[0, 0],
                                      eigvals_only=True)[0])
     return float(min(nu0))
 
 
 def _row_basis(C: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of C (unit-norm rows), dropping
-    singular values at or below 1e-8."""
+    """Orthonormal rows spanning the rows of C, dropping singular values at
+    or below 1e-8 (the rows of C have norm at most 1)."""
     _, s, vt = np.linalg.svd(C, full_matrices=False)
     return vt[s > 1e-8]
 
 
 def _reflect(qr: np.ndarray, tau: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Q^T M Q, for Q held as Householder reflectors (qr, tau) in LAPACK
-    layout; Q's leading columns span the constraints."""
+    layout; Q's leading columns span the constraints.  M is symmetric and
+    is overwritten: its transpose is the Fortran-ordered array LAPACK
+    works on in place."""
     import scipy.linalg
 
+    M = M.T
     for side, trans in (("L", "T"), ("R", "N")):
-        M, _, err = scipy.linalg.lapack.dormqr(side, trans, qr, tau, M, len(M))
+        M, _, err = scipy.linalg.lapack.dormqr(side, trans, qr, tau, M,
+                                               len(M), overwrite_c=True)
         if err != 0:
             raise RuntimeError(f"dormqr failed with info={err}")
     return M
-

@@ -129,6 +129,8 @@ def test_unread_key_is_rejected(tmp_path, suite, key):
      "window_center"),
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_half_width = 3",
      "window_half_width"),
+    # a run that takes no step
+    ("stability", "t_end = 0", "t_end"),
     # runs whose t_end is not a whole number of steps
     ("stability", "t_end = 0.0055", "t_end"),
     ("stability", "t_end = 0.01\ndt = 3e-3", "dt"),
@@ -354,6 +356,43 @@ def test_verify_computes_order_free_and_breather_free_checks_once(
     assert checked == 8 * 4 + 8
 
 
+def test_verify_computes_rest_energies_once_per_alpha_beta(tmp_path,
+                                                           monkeypatch):
+    from mkdvlab import closed_forms as cf
+    from mkdvlab import functionals as fn
+
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    kinds = []
+
+    def counting(f, kind, *args, **kwargs):
+        kinds.append(kind)
+        return fn.functional(f, kind, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "functional", counting)
+    text = MEMO_VERIFY.replace("orders = 5, 7", "orders = 3, 5, 7, 11")
+    cfg = cli.build_config("verify", cli.parse_config_file(
+        write_cfg(tmp_path / "c.txt", text)), str(tmp_path))
+    report = cli.run_suite(cfg)
+    # M and E once per (alpha, beta) for four orders; E5 and E7 at their
+    # own order
+    assert sorted(kinds) == sorted(["M", "E", "E5", "E7"] * 4)
+    for memo in cli.SUITES["verify"].memos:
+        assert memo.cache_info().currsize == 0
+    # every energy record equals a direct evaluation at its own order
+    checked = 0
+    for r in report.records:
+        name, q = r["id"].split("[")[0], r["params"]
+        if not name.startswith("energy_"):
+            continue
+        kind = name.removeprefix("energy_")
+        p = cf.BreatherParams(q["order"], q["alpha"], q["beta"])
+        got = fn.functional(fn.sample_breather(p, 0.0), kind)
+        want = fn.closed_form_energy(kind, q["alpha"], q["beta"])
+        assert r["measured"] == cli._rel(got, want), r["id"]
+        checked += 1
+    assert checked == 4 * (2 * 4 + 2)
+
+
 def test_each_finished_task_prints_one_progress_line(tmp_path, monkeypatch,
                                                      capsys):
     cfgp = write_cfg(tmp_path / "c.txt", MEMO_VERIFY)
@@ -562,3 +601,18 @@ def test_spectrum_at_alpha_beta_3_exits_0(tmp_path, monkeypatch):
     assert run_main(["spectrum", "--config", cfgp, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["records"]) == 11
+
+
+@pytest.mark.slow
+def test_spectrum_passes_on_the_7x7_grid_at_n_1024(tmp_path, monkeypatch):
+    # every point of the 0.25-step grid inside the default (alpha, beta)
+    # range, at the default n: all 11 checks at each of the 49 points
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    grid = ", ".join(str(0.5 + 0.25 * i) for i in range(7))
+    cfgp = write_cfg(tmp_path / "s.txt",
+                     f"alpha = {grid}\nbeta = {grid}\nwindow_n = 1024\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_main(["spectrum", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"] == {"total": 539, "passed": 539, "failed": 0}

@@ -23,11 +23,39 @@ def _default(alpha=1.0, beta=1.0, t=0.0):
     return p, opr
 
 
+def _physical_matrix(p, t, w):
+    """Oracle: the operator as a dense matrix on the grid,
+    diag(c_0) + sum_k diag(c_k) derivative_matrix(w, k), symmetrized."""
+    terms = cf.breather_linearization(p.alpha, p.beta)
+    m = max(map(cf.max_order, terms.values()))
+    background = sample_breather(p, t, w, m=m)
+    jet = [background.deriv(k) for k in range(m + 1)]
+    coeffs = {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
+              for k, c in terms.items()}
+    raw = np.diag(coeffs[0])
+    for k, c in coeffs.items():
+        if k:
+            raw += sp.derivative_matrix(w, k) * c[:, None]
+    return (raw + raw.T) / 2.0
+
+
+def _dense_fourier_basis(n):
+    """Oracle: the orthonormal real Fourier basis as an explicit n x n
+    matrix, columns in the order of sp.fourier_coordinates.  The phases are
+    reduced mod n before scaling, so each entry is correct to an ulp."""
+    h = n // 2
+    j = np.arange(n)
+    phase = 2.0 * np.pi * (np.outer(j, np.arange(1, h)) % n) / n
+    return np.hstack([np.full((n, 1), 1.0 / np.sqrt(n)),
+                      np.sqrt(2.0 / n) * np.cos(phase),
+                      ((-1.0) ** j / np.sqrt(n))[:, None],
+                      np.sqrt(2.0 / n) * np.sin(phase)])
+
+
 @functools.lru_cache(maxsize=8)
 def _eigensystem(alpha=1.0, beta=1.0, t=0.0):
-    _, opr = _default(alpha, beta, t)
-    vals, vecs = scipy.linalg.eigh(opr.matrix)
-    return vals, vecs
+    p, opr = _default(alpha, beta, t)
+    return scipy.linalg.eigh(_physical_matrix(p, t, opr.window))
 
 
 # --------------------------------------------------------------------------
@@ -173,8 +201,53 @@ def test_recorded_asymmetry_within_budget(alpha, beta):
 
 
 def test_matrix_exactly_symmetric():
-    _, opr = _default()
-    assert np.array_equal(opr.matrix, opr.matrix.T)
+    for opr in (_default()[1], _default(1.2, 0.8, 0.45)[1]):
+        for _, A in opr.blocks:
+            assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_real_fourier_basis_matches_dense_oracle(n):
+    rng = np.random.default_rng(7)
+    Q = _dense_fourier_basis(n)
+    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
+    # the cos modes are fixed by the grid reflection, the sin modes negated
+    refl = -np.arange(n) % n
+    h = n // 2
+    np.testing.assert_allclose(Q[refl, :h + 1], Q[:, :h + 1], rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(Q[refl, h + 1:], -Q[:, h + 1:], rtol=0,
+                               atol=1e-15)
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-14)
+    V = rng.normal(size=(n, 3))
+    close(sp.fourier_coordinates(V), Q.T @ V)
+    close(sp.fourier_coordinates(V[:, 0]), Q.T @ V[:, 0])
+    close(sp.grid_values(V), Q @ V)
+    close(sp.grid_values(sp.fourier_coordinates(V)), V)
+
+
+@pytest.mark.parametrize("alpha,beta,t,center,blocks", [
+    (1.0, 1.0, 0.0, None, 2), (1.2, 0.8, 0.0, None, 2),
+    (1.2, 0.8, 0.0, 0.37, 1), (1.2, 0.8, 0.45, None, 1)])
+def test_blocks_match_dense_oracle(alpha, beta, t, center, blocks):
+    # centred: the cos and sin blocks of Q^T A Q; off-centre or t != 0: the
+    # whole of Q^T A Q, cos-sin coupling included
+    p = cf.BreatherParams(5, alpha, beta)
+    w = sp.spectral_window(p, t, 512)
+    if center is not None:
+        w = Window(center, w.half_width, 512)
+    opr = sp.build_operator(p, t, w)
+    A = _physical_matrix(p, t, w)
+    Q = _dense_fourier_basis(512)
+    ref = Q.T @ A @ Q
+    assert len(opr.blocks) == blocks
+    got = scipy.linalg.block_diag(*(A for _, A in opr.blocks))
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(A))
+    print(f"({alpha},{beta}) t={t} centre={center}: {err:.2e} of max|A|")
+    assert err <= 1e-13
+    z = np.random.default_rng(3).standard_normal(512)
+    np.testing.assert_allclose(opr.apply(z), A @ z, rtol=0,
+                               atol=1e-13 * np.max(np.abs(A @ z)))
 
 
 def test_quadratic_form_matches_density():
@@ -260,8 +333,9 @@ def test_eigenvalues_stable_under_grid_doubling():
     p = cf.BreatherParams(5, 1.0, 1.0)
     lows = {}
     for n in (512, 1024):
-        opr = sp.build_operator(p, 0.0, Window(0.0, 21.0, n))
-        vals = scipy.linalg.eigh(opr.matrix, eigvals_only=True)
+        w = Window(0.0, 21.0, n)
+        vals = scipy.linalg.eigh(_physical_matrix(p, 0.0, w),
+                                 eigvals_only=True)
         lows[n] = np.sort(vals)[:5]
     drift = np.max(np.abs(lows[512] - lows[1024]))
     print(f"5 lowest, doubling drift: {drift:.3e}")
@@ -292,7 +366,8 @@ def test_bottom_k_grows_past_many_negative_eigenvalues(monkeypatch):
     diag = np.concatenate([-np.arange(20, 0, -1.0), [0.0, 1e-9],
                            np.arange(1.0, n - 21.0)])
     order = np.random.default_rng(2).permutation(n)
-    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), np.diag(diag[order]),
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n),
+                              ((slice(0, n), np.diag(diag[order])),),
                               1.0, 1.0, 0.0)
     sizes = []
     eigh = scipy.linalg.eigh
@@ -309,13 +384,15 @@ def test_bottom_k_grows_past_many_negative_eigenvalues(monkeypatch):
     close(summ.kernel_eigenvalues, [0.0, 1e-9])
     close(summ.continuum_edge_estimate, 1.0)
     close(summ.lambda0_sq, 20.0)
-    close(abs(summ.lowest_vector[np.argsort(order)[0]]), 1.0)
+    lowest = sp.fourier_coordinates(summ.lowest_vector)
+    close(abs(lowest[np.argsort(order)[0]]), 1.0)
 
 
 def test_bottom_k_stops_at_full_size():
     # every eigenvalue is inside the kernel tolerance: the subset reaches n
     n = 256
-    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), np.zeros((n, n)),
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n),
+                              ((slice(0, n), np.zeros((n, n))),),
                               1.0, 1.0, 0.0)
     summ = sp.spectrum(opr)
     assert summ.kernel_dimension == n
@@ -436,11 +513,8 @@ def test_coercivity_needs_kernel_constraint():
     p, opr = _default()
     vals, vecs = _eigensystem()
     dirs = sp.directions(p, 0.0, opr.window)
-    Z = scipy.linalg.null_space(np.stack([vecs[:, 0], dirs.B2.values]))
-    A = Z.T @ opr.matrix @ Z
-    G = Z.T @ sp.sobolev_gram(opr.window) @ Z
-    loose = scipy.linalg.eigh(A, G, subset_by_index=[0, 0],
-                              eigvals_only=True)[0]
+    loose = _coercivity_oracle(p, 0.0, opr.window,
+                               [vecs[:, 0], dirs.B2.values])
     nu0 = sp.coercivity(opr, dirs, vecs[:, 0])
     print(f"without B1 constraint: {loose:.3e} (constrained {nu0:.6f})")
     assert abs(loose) <= 1e-6
@@ -465,7 +539,7 @@ def test_kernel_direction_has_zero_quadratic_form():
 
 def _nu0(p, t, w):
     opr = sp.build_operator(p, t, w)
-    _, vecs = scipy.linalg.eigh(opr.matrix)
+    _, vecs = scipy.linalg.eigh(_physical_matrix(p, t, w))
     return sp.coercivity(opr, sp.directions(p, t, w), vecs[:, 0])
 
 
@@ -474,10 +548,7 @@ def test_coercivity_refinement_and_phase_covariance():
     nus = {}
     for n in (512, 1024):
         w = Window(0.0, 21.0, n)
-        opr = sp.build_operator(p, 0.0, w)
-        dirs = sp.directions(p, 0.0, w)
-        _, vecs = scipy.linalg.eigh(opr.matrix)
-        nus[n] = sp.coercivity(opr, dirs, vecs[:, 0])
+        nus[n] = _nu0(p, 0.0, w)
     print(f"nu0 at n=512: {nus[512]:.12f}, n=1024: {nus[1024]:.12f}")
     assert abs(nus[512] - nus[1024]) <= 1e-6
 
@@ -503,85 +574,48 @@ def test_coercivity_refinement_and_phase_covariance():
 # --------------------------------------------------------------------------
 # parity blocks
 
-def _dense_parity_basis(n, sign):
-    # oracle: the block basis as an explicit n x m matrix
-    h = n // 2
-    cols = [np.eye(n)[0]] if sign > 0 else []
-    for j in range(1, h):
-        q = np.zeros(n)
-        q[j], q[n - j] = np.sqrt(0.5), sign * np.sqrt(0.5)
-        cols.append(q)
-    if sign > 0:
-        cols.append(np.eye(n)[h])
-    return np.stack(cols, axis=1)
-
-
-@pytest.mark.parametrize("n", [8, 256])
-def test_parity_block_bases_match_dense_oracle(n):
-    rng = np.random.default_rng(7)
-    M = rng.normal(size=(n, n))
-    v = rng.normal(size=n)
-    Qe, Qo = _dense_parity_basis(n, 1), _dense_parity_basis(n, -1)
-    Q = np.hstack([Qe, Qo])
-    assert Qe.shape == (n, n // 2 + 1) and Qo.shape == (n, n // 2 - 1)
-    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-15
-    # the even block is fixed by the reflection, the odd block negated
-    refl = -np.arange(n) % n
-    assert np.array_equal(Qe[refl], Qe) and np.array_equal(Qo[refl], -Qo)
-    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-14)
-    for sign, Qb in ((1, Qe), (-1, Qo)):
-        block = sp.ParityBlock(n, sign)
-        assert block.size == Qb.shape[1]
-        V = rng.normal(size=(block.size, 3))
-        close(block.restrict(v), Qb.T @ v)
-        close(block.restrict(M), Qb.T @ M)
-        close(block.extend(V), Qb @ V)
-        close(block.extend(V[:, 0]), Qb @ V[:, 0])
-        close(block.fold(M), Qb.T @ M @ Qb)
-    whole = sp.ParityBlock(n, 0)
-    assert whole.size == n
-    for f in (whole.restrict, whole.extend, whole.fold):
-        assert np.array_equal(f(M), M)
-
-
 def test_spectrum_merges_the_blocks_in_ascending_order():
-    # the odd block holds the lowest eigenvalue and the continuum edge, so
+    # the sin block holds the lowest eigenvalue and the continuum edge, so
     # the classification must come from the merged, sorted eigenpairs
     n = 256
+    h = n // 2
     rng = np.random.default_rng(5)
-    Qe, Qo = _dense_parity_basis(n, 1), _dense_parity_basis(n, -1)
-    de = np.concatenate([[-1.0], 5.0 + np.arange(n // 2)])
-    do = np.concatenate([[-3.0, 0.0, 2.0], 7.0 + np.arange(n // 2 - 4)])
+    de = np.concatenate([[-1.0], 5.0 + np.arange(h)])
+    do = np.concatenate([[-3.0, 0.0, 2.0], 7.0 + np.arange(h - 4)])
     Re, _ = np.linalg.qr(rng.normal(size=(len(de), len(de))))
     Ro, _ = np.linalg.qr(rng.normal(size=(len(do), len(do))))
-    Ve, Vo = Qe @ Re, Qo @ Ro
-    M = Ve @ np.diag(de) @ Ve.T + Vo @ np.diag(do) @ Vo.T
-    opr = sp.DiscreteOperator(Window(0.0, 10.0, n), (M + M.T) / 2.0,
+    cos, sin = (R @ np.diag(d) @ R.T for R, d in ((Re, de), (Ro, do)))
+    opr = sp.DiscreteOperator(Window(0.0, 10.0, n),
+                              ((slice(0, h + 1), (cos + cos.T) / 2.0),
+                               (slice(h + 1, n), (sin + sin.T) / 2.0)),
                               1.0, 1.0, 0.0)
-    assert [b.sign for b, _ in opr.blocks] == [1, -1]
     summ = sp.spectrum(opr)
     close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     close(summ.negative_eigenvalues, [-3.0, -1.0])
     close(summ.kernel_eigenvalues, [0.0])
     close(summ.continuum_edge_estimate, 2.0)
-    close(abs(summ.lowest_vector @ Vo[:, 0]), 1.0)
+    lowest = sp.fourier_coordinates(summ.lowest_vector)
+    close(lowest[:h + 1], 0.0)
+    close(abs(lowest[h + 1:] @ Ro[:, 0]), 1.0)
+    # the grid vector is odd: a sin-block eigenvector
+    close(summ.lowest_vector[-np.arange(n) % n], -summ.lowest_vector)
 
 
-def test_parity_blocks_detected_from_the_matrix():
+def test_parity_blocks_detected_from_the_coefficients():
     # (alpha, beta) = (1, 1) would not do for t != 0: there delta = gamma,
     # and the breather moves rigidly, even about the window centre
     p = cf.BreatherParams(5, 1.2, 0.8)
     w = sp.spectral_window(p, 0.0, 512)
-    signs = {name: tuple(b.sign for b, _ in opr.blocks)
+    sizes = {name: tuple(len(A) for _, A in opr.blocks)
              for name, opr in (
                  ("centred", sp.build_operator(p, 0.0, w)),
                  ("t=0.45", sp.build_operator(p, 0.45)),
                  ("off-centre", sp.build_operator(
                      p, 0.0, Window(0.37, w.half_width, 512))),
-                 ("zero", sp.DiscreteOperator(w, np.zeros((512, 512)),
-                                              1.0, 1.0, 0.0)))}
-    assert signs == {"centred": (1, -1), "t=0.45": (0,),
-                     "off-centre": (0,), "zero": (1, -1)}
+                 ("zero", sp.build_operator(p, 0.0, w,
+                                            background=zero_field(w))))}
+    assert sizes == {"centred": (257, 255), "t=0.45": (1024,),
+                     "off-centre": (512,), "zero": (257, 255)}
 
 
 def _counting_eigh(monkeypatch):
@@ -603,7 +637,7 @@ def test_spectrum_without_symmetry_takes_one_block(t, center, monkeypatch):
     if center is not None:
         w = Window(center, w.half_width, 512)
     opr = sp.build_operator(p, t, w)
-    vals, vecs = scipy.linalg.eigh(opr.matrix)
+    vals, vecs = scipy.linalg.eigh(_physical_matrix(p, t, w))
     calls = _counting_eigh(monkeypatch)
     summ = sp.spectrum(opr)
     assert calls == [512]
@@ -617,16 +651,18 @@ def test_spectrum_without_symmetry_takes_one_block(t, center, monkeypatch):
     assert min(np.linalg.norm(v - ref), np.linalg.norm(v + ref)) <= 1e-8
 
 
-def _coercivity_oracle(opr, constraints):
-    # whole-space minimum on an explicit orthonormal basis of the complement
+def _coercivity_oracle(p, t, w, constraints):
+    # the generalized problem (A_c, G_c) on an explicit orthonormal basis of
+    # the complement, with the dense grid matrix and circulant Gram matrix
     Z = scipy.linalg.null_space(np.stack(constraints))
-    A = Z.T @ opr.matrix @ Z
-    G = Z.T @ sp.sobolev_gram(opr.window) @ Z
+    A = Z.T @ _physical_matrix(p, t, w) @ Z
+    G = Z.T @ sp.sobolev_gram(w) @ Z
     return scipy.linalg.eigh(A, G, subset_by_index=[0, 0],
                              eigvals_only=True)[0]
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.2, 0.8), (1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("alpha,beta", [(1.2, 0.8), (1.0, 1.0), (0.7, 1.3),
+                                        (0.75, 2.0)])
 @pytest.mark.parametrize("first,blocks", [("negative", 2), ("gaussian", 1),
                                           ("odd", 2)])
 def test_coercivity_blocks_match_whole_space_oracle(alpha, beta, first,
@@ -641,7 +677,8 @@ def test_coercivity_blocks_match_whole_space_oracle(alpha, beta, first,
            "gaussian": np.exp(-(x - 1.3) ** 2),
            # odd like B1 and B2: the even block holds no constraint
            "odd": x * np.exp(-x ** 2)}[first]
-    want = _coercivity_oracle(opr, [vec, dirs.B1.values, dirs.B2.values])
+    want = _coercivity_oracle(p, 0.0, opr.window,
+                              [vec, dirs.B1.values, dirs.B2.values])
     calls = _counting_eigh(monkeypatch)
     got = sp.coercivity(opr, dirs, vec)
     print(f"({alpha},{beta}) {first}: nu0 {got:.12f}, oracle {want:.12f}")
