@@ -315,7 +315,7 @@ def _rel(got: float, want: float) -> float:
 #
 # Three of a point's checks do not depend on all of its coordinates, so each
 # is computed once per run_suite call (the suite's memos are cleared when it
-# returns).  They hold scalars only: a field would outlive its task.
+# returns).  They hold numbers only: a field would outlive its task.
 
 @functools.lru_cache(maxsize=None)
 def _breather_ode_at_rest(alpha: float, beta: float) -> float:
@@ -328,12 +328,13 @@ def _breather_ode_at_rest(alpha: float, beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _energy_at_rest(alpha: float, beta: float, kind: str) -> float:
-    """A functional of the t = 0 breather, whose samples are bitwise those
-    of every order (see _breather_ode_at_rest): M and E are computed once
-    per (alpha, beta), not once per order."""
+def _energies_at_rest(alpha: float, beta: float) -> dict:
+    """M, E, E5, E7 and E9 of the t = 0 breather, whose samples are bitwise
+    those of every order (see _breather_ode_at_rest): one sample per
+    (alpha, beta) serves every order's energy checks."""
     p = cf.BreatherParams(cf.ORDERS[0], alpha, beta)
-    return functional(sample_breather(p, 0.0), kind)
+    f = sample_breather(p, 0.0)
+    return {kind: functional(f, kind) for kind in ("M", "E", "E5", "E7", "E9")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,10 +366,10 @@ def _verify_point(task: dict) -> tuple:
             recs.append(_record(rep.identity_id, tag, rep.normalized,
                                 tol["identity"]))
     kinds = ["M", "E"] + ([cf.energy_kind(order)] if order in (5, 7, 9) else [])
+    at_rest = _energies_at_rest(a, b)
     for kind in kinds:
-        got = _energy_at_rest(a, b, kind)
         want = closed_form_energy(kind, a, b)
-        recs.append(_record(f"energy_{kind}", tag, _rel(got, want),
+        recs.append(_record(f"energy_{kind}", tag, _rel(at_rest[kind], want),
                             tol["energy"]))
     if order in (5, 7, 9):
         e, red = energy_reduction(order, a, b, t=0.2)
@@ -695,7 +696,7 @@ SUITES = {
     }, {"breather_ode": 1e-8, "soliton_ode": 1e-9, "identity": 1e-7,
         "energy": 1e-8, "reduction": 1e-7, "unique": 0.5},
         tail=_adjudication_records,
-        memos=(_breather_ode_at_rest, _energy_at_rest, _soliton_ode)),
+        memos=(_breather_ode_at_rest, _energies_at_rest, _soliton_ode)),
     "spectrum": Suite(_spectrum_point, {
         "alpha": _ALPHA,
         "beta": _BETA,

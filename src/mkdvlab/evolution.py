@@ -505,23 +505,19 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
                       [0.0, inner(d2h, d2h, weight)]])
         M[1, 0] = M[0, 1]
         delta = np.linalg.solve(M, -g)
-        if gnorm < 1e-6:
-            # noise-floor regime: objective decreases sit below rounding
-            # noise, making Armijo acceptance a coin flip that can crawl on
-            # microscopic steps; the undamped step still contracts the
-            # gradient geometrically (large-residual Gauss-Newton), so take
-            # it outright
-            s = 1.0
-            trial = objective(x1 + delta[0], x2 + delta[1])
+        s = 1.0
+        while s > 1e-8:
+            trial = objective(x1 + s * delta[0], x2 + s * delta[1])
+            # below gradient 1e-6 (noise floor) objective decreases sit
+            # below rounding noise, making Armijo acceptance a coin flip that
+            # can crawl on microscopic steps; the undamped step still
+            # contracts the gradient geometrically (large-residual
+            # Gauss-Newton), so the first trial is taken outright
+            if gnorm < 1e-6 or trial[0] <= phi + 1e-4 * s * float(g @ delta):
+                break
+            s /= 2.0
         else:
-            s = 1.0
-            while s > 1e-8:
-                trial = objective(x1 + s * delta[0], x2 + s * delta[1])
-                if trial[0] <= phi + 1e-4 * s * float(g @ delta):
-                    break
-                s /= 2.0
-            else:
-                raise FitError(f"line search stalled at gradient {gnorm:.3e}")
+            raise FitError(f"line search stalled at gradient {gnorm:.3e}")
         x1, x2 = x1 + s * delta[0], x2 + s * delta[1]
         phi, rh, d1h, d2h = trial
     raise FitError(f"no convergence in {max_iter} iterations; "

@@ -1,11 +1,11 @@
 """Conserved functionals evaluated by quadrature on windowed samples.
 
-Mass M, energy E, the higher-order energies E5 to E11, the Lyapunov
-combinations H0/H5/H7/H9 and the breather functional H, Sobolev norms, and
-the second-order expansion of H around a breather.  Integrals over the real
-line are truncated to a uniform periodic window; the integrands decay
-super-exponentially inside properly sized windows, so the plain rectangle
-(periodic trapezoid) sum converges spectrally.
+Mass M, energy E, the higher-order energies E5 to E11, the breather
+functional H (`lyapunov`), Sobolev norms, and the second-order expansion of
+H around a breather.  Integrals over the real line are truncated to a
+uniform periodic window; the integrands decay super-exponentially inside
+properly sized windows, so the plain rectangle (periodic trapezoid) sum
+converges spectrally.
 
 `Window` owns the Fourier calculus of every module: rfft wavenumbers, the
 multipliers (i k)^m with their Nyquist rule, and the H^s weight and inner
@@ -188,34 +188,17 @@ def _integral(f: SampledField, kind: str) -> float:
     return f.window.quad(cf.eval_flux_terms(terms, jet))
 
 
-_SOLITON_ORDERS = {"H0": 3, "H5": 5, "H7": 7, "H9": 9}
-
-
-def lyapunov(f: SampledField, alpha: float, beta: float, kind: str) -> float:
-    """Lyapunov combinations.
-
-    H0/H5/H7/H9 are the soliton functionals E_{2n+1} + (-1)^(n+1) c^n M, that
-    is E + cM, E5 - c^2 M, E7 + c^3 M and E9 - c^4 M; they take the single
-    scaling c through the alpha slot and ignore beta.  H is the breather
-    functional E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
-    """
-    if kind == "H":
-        weights = cf.breather_weights(alpha, beta)
-    elif kind in _SOLITON_ORDERS:
-        order = _SOLITON_ORDERS[kind]
-        n = (order - 1) // 2
-        weights = ((1.0, cf.energy_kind(order)), ((-1) ** (n + 1) * alpha**n, "M"))
-    else:
-        raise ValueError(f"unknown Lyapunov kind {kind!r}")
+def lyapunov(f: SampledField, alpha: float, beta: float) -> float:
+    """The breather functional H = E5 + 2(beta^2 - alpha^2) E
+    + (alpha^2 + beta^2)^2 M."""
     _tail_check(f)
-    return sum(w * _integral(f, k) for w, k in weights)
+    return sum(w * _integral(f, k) for w, k in cf.breather_weights(alpha, beta))
 
 
-def functional(f: SampledField, kind: str, alpha: float = 0.0,
-               beta: float = 0.0) -> float:
-    """A density of closed_forms.ENERGY_ORDERS, or see `lyapunov`."""
+def functional(f: SampledField, kind: str) -> float:
+    """The integral of a density of closed_forms.ENERGY_ORDERS."""
     if kind not in cf.ENERGY_ORDERS:
-        return lyapunov(f, alpha, beta, kind)
+        raise ValueError(f"unknown functional kind {kind!r}")
     _tail_check(f)
     return _integral(f, kind)
 
@@ -312,6 +295,5 @@ def expansion_remainder(p: cf.BreatherParams, z: SampledField,
     j = cf.breather_jet(p, t, x, m=2)
     fB = SampledField(w, j.value, (j.dx[0], j.dx[1]))
     fBz = SampledField(w, j.value + zv, (j.dx[0] + z1, j.dx[1] + z2))
-    dH = (lyapunov(fBz, p.alpha, p.beta, "H")
-          - lyapunov(fB, p.alpha, p.beta, "H"))
+    dH = lyapunov(fBz, p.alpha, p.beta) - lyapunov(fB, p.alpha, p.beta)
     return quadratic, dH - quadratic

@@ -1,6 +1,5 @@
 """Residual verification of the nonlinear identities satisfied by breathers
-and solitons, with a variant facility that adjudicates suspect terms
-empirically.
+and solitons, and of the two contested readings of the paper's tables.
 
 Every identity is a list of terms (coefficient, symbols); a symbol is either
 an integer k for the k-th x-derivative of the profile (0 for the profile
@@ -16,17 +15,18 @@ corollaries, and Lemma 2.3 at order 5, are the evolution identity with
 every u_{kx}, k >= 4, eliminated by the breather equation
 (`closed_forms.eliminate`).  The paper's printed tables are the test oracle.
 
-Two printed readings are contested and settled here by variant runs: the
-delta exponent in the 9th-order velocity pair, and one term (plus one
-coefficient) of the 7th-order product identity.  The shipped defaults are
-the readings that pass; the canned variant suites below reproduce the
-adjudication.
+Two printed readings are contested: the delta exponent in the 9th-order
+velocity pair, and one term (plus one coefficient) of the 7th-order product
+identity.  Each has a readings table, DELTA9_READINGS and
+FIRSTMKDV_READINGS, of (label, candidate) pairs, and `run_variants` reports
+every reading's residual on one breather; exactly one reading of each, the
+shipped one, passes.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,44 +61,6 @@ class ResidualReport:
             "samples": self.sample_spec,
             "variant": self.variant,
         }
-
-
-@dataclass(frozen=True)
-class IdentityVariant:
-    """term_substitutions: tuple of (term_index, coeff) or
-    (term_index, coeff, symbols); an empty tuple reproduces the verbatim run.
-
-    For the identity "evolution_delta" the substitutions target the delta
-    velocity monomials (coeff, alpha_exp, beta_exp) of the 9th-order pair
-    instead of residual terms.
-    """
-
-    identity_id: str
-    term_substitutions: tuple = ()
-    label: str = "verbatim"
-
-
-def _substitute(terms, subs):
-    terms = list(terms)
-    for sub in subs:
-        if len(sub) not in (2, 3):
-            raise ValueError(f"malformed substitution {sub!r}")
-        idx, coeff, syms = sub if len(sub) == 3 else (*sub, None)
-        if not 0 <= idx < len(terms):
-            raise ValueError(f"substitution index {idx} out of range")
-        old = terms[idx]
-        if syms is None:
-            syms = old[1]
-        else:
-            syms = tuple(syms)
-            if cf.max_order([(coeff, syms)]) > cf.max_order([old]):
-                raise ValueError("substitution raises the differential order")
-            old_special = sorted(s for s in old[1] if not isinstance(s, int))
-            new_special = sorted(s for s in syms if not isinstance(s, int))
-            if old_special != new_special:
-                raise ValueError("substitution may not change bt/mt terms")
-        terms[idx] = (float(coeff), syms)
-    return tuple(terms)
 
 
 def _eval_terms(terms, data):
@@ -153,8 +115,10 @@ def _report(ident, params, spec, terms, data, variant="verbatim"):
                           scale, variant)
 
 
-def _breather_report(ident, p, t, terms, variant, samples, vel=None):
-    """Residual of a term list on the breather at the standard samples."""
+def _breather_report(ident, p, t, terms, samples, variant="verbatim",
+                     vel=None):
+    """Residual of a term list on the breather at the standard samples; vel
+    replaces the breather's velocities in the jet, not in the samples."""
     x, spec = samples if samples is not None else breather_samples(p, t)
     data = _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
                                          t, x, cf.max_order(terms), vel=vel))
@@ -222,135 +186,104 @@ def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
 
 
 def breather_ode_residual(p: cf.BreatherParams, t: float,
-                          substitutions=(), variant="verbatim",
                           samples=None) -> ResidualReport:
     """Fourth-order stationary equation; holds for every order at fixed t."""
-    terms = _substitute(cf.breather_equation(p.alpha, p.beta), substitutions)
-    return _breather_report("breather_ode", p, t, terms, variant, samples)
+    return _breather_report("breather_ode", p, t,
+                            cf.breather_equation(p.alpha, p.beta), samples)
 
 
 def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
-                                substitutions=(), variant="verbatim",
-                                vel: cf.Velocities | None = None,
                                 samples=None) -> ResidualReport:
-    terms = _substitute(((1.0, ("bt",)),) + cf.evolution_terms(p.order),
-                        substitutions)
-    return _breather_report("evolution_identity", p, t, terms, variant,
-                            samples, vel)
-
-
-def evolution_delta_residual(p: cf.BreatherParams, t: float = 0.37,
-                             substitutions=(), variant="verbatim") -> ResidualReport:
-    """Evolution identity with substituted delta-velocity monomials."""
-    dterms, gterms = cf.VELOCITY_TERMS[p.order]
-    dterms = list(dterms)
-    for sub in substitutions:
-        if len(sub) != 2 or len(sub[1]) != 3:
-            raise ValueError(f"malformed velocity substitution {sub!r}")
-        idx, mono = sub
-        if not 0 <= idx < len(dterms):
-            raise ValueError(f"velocity substitution index {idx} out of range")
-        dterms[idx] = (float(mono[0]), int(mono[1]), int(mono[2]))
-    vel = cf.Velocities(cf.eval_velocity_terms(dterms, p.alpha, p.beta),
-                        cf.eval_velocity_terms(gterms, p.alpha, p.beta))
-    rep = evolution_identity_residual(p, t, vel=vel, variant=variant)
-    return replace(rep, identity_id="evolution_delta")
+    terms = ((1.0, ("bt",)),) + cf.evolution_terms(p.order)
+    return _breather_report("evolution_identity", p, t, terms, samples)
 
 
 def lemma21_residual(p: cf.BreatherParams, t: float = 0.37,
-                     substitutions=(), variant="verbatim",
                      samples=None) -> ResidualReport:
     """Product identity of the breather's order (`lemma21_terms`)."""
     _check_identity_order(p, LEMMA21_ORDERS)
-    terms = _substitute(lemma21_terms(p.order), substitutions)
-    return _breather_report(f"lemma21_{p.order}th", p, t, terms, variant,
-                            samples)
+    return _breather_report(f"lemma21_{p.order}th", p, t,
+                            lemma21_terms(p.order), samples)
 
 
 def lemma23_residual(p: cf.BreatherParams, t: float = 0.37,
-                     substitutions=(), variant="verbatim",
                      samples=None) -> ResidualReport:
     """First-order-in-time identity; holds for 5th-order breathers only."""
     _check_identity_order(p, LEMMA23_ORDERS)
     # Btilde_t = d(mu E + c M)/du: the evolution identity has u_4x + f5 =
     # dE5/du, and the breather equation is d(E5 + mu E + c M)/du = 0
-    terms = _substitute(corollary_terms(5, p.alpha, p.beta), substitutions)
-    return _breather_report("lemma23", p, t, terms, variant, samples)
+    return _breather_report("lemma23", p, t,
+                            corollary_terms(5, p.alpha, p.beta), samples)
 
 
 def corollary_residual(p: cf.BreatherParams, t: float = 0.37,
-                       substitutions=(), variant="verbatim",
                        samples=None) -> ResidualReport:
     """Corollary of the breather's order (`corollary_terms`)."""
     _check_identity_order(p, COROLLARY_ORDERS)
-    terms = _substitute(corollary_terms(p.order, p.alpha, p.beta),
-                        substitutions)
-    return _breather_report(f"corollary_{p.order}th", p, t, terms, variant,
+    return _breather_report(f"corollary_{p.order}th", p, t,
+                            corollary_terms(p.order, p.alpha, p.beta),
                             samples)
 
 
 # --------------------------------------------------------------------------
-# variant adjudication
+# the two contested readings, each on its own breather at t = 0.37
+
+READINGS_T = 0.37
+DELTA9_BREATHER = cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1)
+FIRSTMKDV_BREATHER = cf.BreatherParams(7, 1.1, 0.9, 0.15, -0.25)
+
+
+def _replace_term(terms, index, term):
+    return terms[:index] + (term,) + terms[index + 1:]
+
+
+def _delta9_velocities(mono) -> cf.Velocities:
+    """DELTA9_BREATHER's velocities with mono, a delta monomial (coefficient,
+    alpha exponent, beta exponent), at index 3 of the 9th-order pair."""
+    dterms, gterms = cf.VELOCITY_TERMS[9]
+    a, b = DELTA9_BREATHER.alpha, DELTA9_BREATHER.beta
+    return cf.Velocities(
+        cf.eval_velocity_terms(_replace_term(dterms, 3, mono), a, b),
+        cf.eval_velocity_terms(gterms, a, b))
+
 
 # printed 9th-order delta monomial has an odd alpha power; the replacement
 # candidates keep the even-exponent structure of every other velocity pair
-DELTA9_VARIANTS = (
-    IdentityVariant("evolution_delta", ((3, (84.0, 3, 6)),), "printed-a3b6"),
-    IdentityVariant("evolution_delta", ((3, (84.0, 6, 2)),), "swapped-a6b2"),
-    IdentityVariant("evolution_delta", ((3, (84.0, 2, 6)),), "resolved-a2b6"),
-)
+DELTA9_READINGS = tuple((label, _delta9_velocities(mono)) for label, mono in (
+    ("printed-a3b6", (84.0, 3, 6)), ("swapped-a6b2", (84.0, 6, 2)),
+    ("resolved-a2b6", (84.0, 2, 6))))
+
 
 # 7th-order product identity, against the derived -2 B_xx B_4x (index 3 of
 # lemma21_terms(7)) and 21 B_x^4 (index 8): the printed reading has the term
 # -2 B_xx^2 B_4x and the coefficient 7; the degree fix keeps only the 7
-FIRSTMKDV_VARIANTS = (
-    IdentityVariant("lemma21_7th",
-                    ((3, -2.0, (2, 2, 4)), (8, 7.0, (1, 1, 1, 1))), "printed"),
-    IdentityVariant("lemma21_7th", ((8, 7.0, (1, 1, 1, 1)),), "degree-fixed"),
-    IdentityVariant("lemma21_7th", (), "derived"),
+_DEGREE_FIXED = _replace_term(lemma21_terms(7), 8, (7.0, (1, 1, 1, 1)))
+FIRSTMKDV_READINGS = (
+    ("printed", _replace_term(_DEGREE_FIXED, 3, (-2.0, (2, 2, 4)))),
+    ("degree-fixed", _DEGREE_FIXED),
+    ("derived", lemma21_terms(7)),
 )
 
-# the breather of each identity's variant runs, at t = 0.37
-_CANONICAL = {
-    "evolution_identity": cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1),
-    "evolution_delta": cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1),
-    **{name: cf.BreatherParams(order, 1.1, 0.9, 0.15, -0.25)
-       for name, order in [("breather_ode", 5), ("lemma23", 5)]
-       + [(f"lemma21_{o}th", o) for o in LEMMA21_ORDERS]
-       + [(f"corollary_{o}th", o) for o in COROLLARY_ORDERS]},
-}
+
+def run_variants(ident: str, p: cf.BreatherParams,
+                 runs) -> list[ResidualReport]:
+    """One report of identity `ident` per (label, terms, vel) run, in order,
+    on the breather p at READINGS_T and its standard samples; vel replaces
+    p's velocities in the jet, or is None."""
+    samples = breather_samples(p, READINGS_T)
+    return [_breather_report(ident, p, READINGS_T, terms, samples, label, vel)
+            for label, terms, vel in runs]
 
 
-def run_variants(base: str, variants, p: cf.BreatherParams | None = None,
-                 t: float | None = None) -> list[ResidualReport]:
-    """One report per variant on identical samples; an empty list runs the
-    verbatim identity.  Deterministic ordering, duplicate in -> duplicate out."""
-    if base not in _CANONICAL:
-        raise ValueError(f"no variant support for identity {base!r}")
-    p0 = _CANONICAL[base] if p is None else p
-    t0 = 0.37 if t is None else t
-    kind = base.removesuffix(f"_{_CANONICAL[base].order}th")
-    if kind != base:
-        _check_identity_order(p0, (_CANONICAL[base].order,))
-    # looked up per call, so that a wrapped module function is the one run
-    residual = {"breather_ode": breather_ode_residual,
-                "evolution_identity": evolution_identity_residual,
-                "evolution_delta": evolution_delta_residual,
-                "lemma21": lemma21_residual, "lemma23": lemma23_residual,
-                "corollary": corollary_residual}[kind]
-    reports = []
-    for v in variants or [IdentityVariant(base)]:
-        if v.identity_id != base:
-            raise ValueError(f"variant for {v.identity_id!r} passed to {base!r}")
-        reports.append(residual(p0, t0, tuple(v.term_substitutions), v.label))
-    return reports
+def adjudicate_delta9() -> list[ResidualReport]:
+    """The evolution identity under each of DELTA9_READINGS' velocities."""
+    terms = ((1.0, ("bt",)),) + cf.evolution_terms(9)
+    return run_variants("evolution_delta", DELTA9_BREATHER,
+                        [(label, terms, vel) for label, vel in DELTA9_READINGS])
 
 
-def adjudicate_delta9(p: cf.BreatherParams | None = None,
-                      t: float | None = None) -> list[ResidualReport]:
-    return run_variants("evolution_delta", DELTA9_VARIANTS, p, t)
-
-
-def adjudicate_firstmkdv(p: cf.BreatherParams | None = None,
-                         t: float | None = None) -> list[ResidualReport]:
-    return run_variants("lemma21_7th", FIRSTMKDV_VARIANTS, p, t)
+def adjudicate_firstmkdv() -> list[ResidualReport]:
+    """Each of FIRSTMKDV_READINGS as the 7th-order product identity."""
+    return run_variants("lemma21_7th", FIRSTMKDV_BREATHER,
+                        [(label, terms, None)
+                         for label, terms in FIRSTMKDV_READINGS])

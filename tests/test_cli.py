@@ -362,20 +362,27 @@ def test_verify_computes_rest_energies_once_per_alpha_beta(tmp_path,
     from mkdvlab import functionals as fn
 
     monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
-    kinds = []
+    kinds, rest_samples = [], []
 
-    def counting(f, kind, *args, **kwargs):
+    def counting(f, kind):
         kinds.append(kind)
-        return fn.functional(f, kind, *args, **kwargs)
+        return fn.functional(f, kind)
+
+    def sampling(p, t, *args, **kwargs):
+        if t == 0.0:
+            rest_samples.append((p.alpha, p.beta))
+        return fn.sample_breather(p, t, *args, **kwargs)
 
     monkeypatch.setattr(cli, "functional", counting)
+    monkeypatch.setattr(cli, "sample_breather", sampling)
     text = MEMO_VERIFY.replace("orders = 5, 7", "orders = 3, 5, 7, 11")
     cfg = cli.build_config("verify", cli.parse_config_file(
         write_cfg(tmp_path / "c.txt", text)), str(tmp_path))
     report = cli.run_suite(cfg)
-    # M and E once per (alpha, beta) for four orders; E5 and E7 at their
-    # own order
-    assert sorted(kinds) == sorted(["M", "E", "E5", "E7"] * 4)
+    # one t = 0 sample per (alpha, beta) for four orders, and from it every
+    # kind that an order's energy checks read
+    assert len(rest_samples) == len(set(rest_samples)) == 4
+    assert sorted(kinds) == sorted(["M", "E", "E5", "E7", "E9"] * 4)
     for memo in cli.SUITES["verify"].memos:
         assert memo.cache_info().currsize == 0
     # every energy record equals a direct evaluation at its own order

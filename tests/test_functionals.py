@@ -104,8 +104,15 @@ def test_energy_reduction(order):
 
 def test_lyapunov_zero_field():
     f = fn.zero_field(fn.Window(0.0, 20.0, 512))
-    for kind in ("H0", "H5", "H7", "H9", "H"):
-        assert fn.lyapunov(f, 1.0, 1.0, kind) == 0.0
+    assert fn.lyapunov(f, 1.0, 1.0) == 0.0
+
+
+def test_functional_rejects_unknown_kind():
+    # H is lyapunov's; the soliton combinations H0-H9 are gone
+    f = fn.zero_field(fn.Window(0.0, 20.0, 512))
+    for kind in ("H", "H5", "E4"):
+        with pytest.raises(ValueError):
+            fn.functional(f, kind)
 
 
 def test_lyapunov_breather_stationary():
@@ -113,18 +120,9 @@ def test_lyapunov_breather_stationary():
     vals = []
     for t in (0.0, 0.37):
         f = fn.sample_breather(p, t)
-        vals.append(fn.lyapunov(f, p.alpha, p.beta, "H"))
+        vals.append(fn.lyapunov(f, p.alpha, p.beta))
     print(vals)
     assert abs(vals[0] - vals[1]) < 1e-8 * max(1.0, abs(vals[0]))
-
-
-def test_lyapunov_soliton_stationary():
-    sp = cf.SolitonParams(order=5, c=1.0)
-    vals = []
-    for t in (0.0, 0.5):
-        f = fn.sample_soliton(sp, t)
-        vals.append(fn.lyapunov(f, sp.c, 0.0, "H5"))
-    assert abs(vals[0] - vals[1]) < 1e-9 * max(1.0, abs(vals[0]))
 
 
 def test_functional_time_invariance():
@@ -136,7 +134,8 @@ def test_functional_time_invariance():
         vals = []
         for t in times:
             f = fn.sample_breather(p, t)
-            vals.append(fn.functional(f, kind, p.alpha, p.beta))
+            vals.append(fn.lyapunov(f, p.alpha, p.beta) if kind == "H"
+                        else fn.functional(f, kind))
         vals = np.array(vals)
         spreads[kind] = (vals.max() - vals.min()) / max(1.0, np.abs(vals).max())
     print(spreads)

@@ -79,3 +79,17 @@ def test_soliton_run_config_has_the_fields_the_harness_reads():
     short = dataclasses.replace(cfg, t_end=0.01)
     assert (short.t_end, short.dt) == (0.01, cfg.dt)
     assert int(round(short.t_end / short.dt)) > 0
+
+
+def test_verify_run_calls_run_variants_twice(tmp_path, monkeypatch):
+    # the per-layer metric identities.run_variants.calls counts verify's two
+    # adjudications; one that bypassed the function would go uncounted
+    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    path = tmp_path / "c.cfg"
+    path.write_text("orders = 3\nalpha = 1.0\nbeta = 1.0\nc = 1.0\nt = 0.0\n",
+                    encoding="utf-8")
+    cfg = cli.build_config("verify", cli.parse_config_file(str(path)),
+                           str(tmp_path))
+    with _tracer().Tracer() as tracer:
+        cli.run_suite(cfg)
+    assert tracer.metrics()["identities.run_variants.calls"] == 2

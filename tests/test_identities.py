@@ -1,6 +1,5 @@
 """Residual checks for the profile ODEs, the evolution identities, the
-product identities, and the variant machinery that adjudicates the two
-contested readings."""
+product identities, and the readings tables of the two contested readings."""
 
 import json
 
@@ -112,12 +111,16 @@ def test_delta9_adjudication():
 
 def test_delta9_two_variant_run():
     # printed reading vs its resolution: two reports, exactly one passes
-    pair = (ide.DELTA9_VARIANTS[0], ide.DELTA9_VARIANTS[2])
-    reps = ide.run_variants("evolution_delta", pair)
+    terms = ((1.0, ("bt",)),) + cf.evolution_terms(9)
+    readings = dict(ide.DELTA9_READINGS)
+    pair = [(label, terms, readings[label])
+            for label in ("printed-a3b6", "resolved-a2b6")]
+    reps = ide.run_variants("evolution_delta", ide.DELTA9_BREATHER, pair)
     assert len(reps) == 2
     assert sum(r.normalized <= 1e-9 for r in reps) == 1
     # the even-exponent guess with the printed coefficient also fails
-    swapped = ide.run_variants("evolution_delta", (ide.DELTA9_VARIANTS[1],))[0]
+    swapped = ide.run_variants("evolution_delta", ide.DELTA9_BREATHER, [
+        ("swapped-a6b2", terms, readings["swapped-a6b2"])])[0]
     print(f"swapped-a6b2 control: {swapped.normalized:.3e}")
     assert swapped.normalized > 1e-6
 
@@ -150,9 +153,9 @@ def test_lemma21_9th_is_the_printed_table_with_a_local_f9():
 
 
 def test_firstmkdv_variants_restore_the_printed_reading():
-    printed = ide.FIRSTMKDV_VARIANTS[0].term_substitutions
-    restored = ide._substitute(ide.lemma21_terms(7), printed)
-    assert _as_dict(restored) == _as_dict(paper.LEMMA21_7TH_PRINTED)
+    readings = dict(ide.FIRSTMKDV_READINGS)
+    assert _as_dict(readings["printed"]) == _as_dict(paper.LEMMA21_7TH_PRINTED)
+    assert readings["derived"] == ide.lemma21_terms(7)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.1, 0.9), (0.7, 1.3), (1.5, 0.5)])
@@ -242,12 +245,13 @@ def test_corollary_coefficient_sensitivity():
     # identity; parameters where that term is a large share of rel_scale
     p = cf.BreatherParams(9, 1.5, 0.5)
     terms = ide.corollary_terms(9, 1.5, 0.5)
-    index = next(i for i, (_, o) in enumerate(terms) if o == (0,))
-    a0 = terms[index][0]
-    rep = ide.corollary_residual(p, substitutions=((index, a0 * 1.01),),
-                                 variant="a0-perturbed")
-    print(f"a0 perturbed 1%: normalized {rep.normalized:.3e}")
-    assert rep.normalized > 1e-3
+    edited = tuple((c * 1.01 if o == (0,) else c, o) for c, o in terms)
+    assert sum(e != t for e, t in zip(edited, terms)) == 1
+    exact, perturbed = ide.run_variants("corollary_9th", p, (
+        ("derived", terms, None), ("a0-perturbed", edited, None)))
+    print(f"a0 perturbed 1%: normalized {perturbed.normalized:.3e}")
+    assert exact.sup_residual == ide.corollary_residual(p).sup_residual
+    assert perturbed.normalized > 1e-3
 
 
 # --------------------------------------------------------------------------
@@ -310,54 +314,6 @@ def test_parameter_scaling(lam):
     p = cf.BreatherParams(7, 1.1 * lam, 0.9 * lam)
     assert ide.breather_ode_residual(p, 0.2).normalized <= 1e-10
     assert ide.evolution_identity_residual(p, 0.2).normalized <= 1e-9
-
-
-# --------------------------------------------------------------------------
-# variant machinery
-
-
-def test_run_variants_empty_gives_verbatim():
-    reps = ide.run_variants("lemma23", ())
-    assert len(reps) == 1
-    assert reps[0].variant == "verbatim"
-    assert reps[0].normalized <= 1e-10
-
-
-def test_run_variants_duplicates():
-    v = ide.DELTA9_VARIANTS[2]
-    reps = ide.run_variants("evolution_delta", (v, v))
-    assert len(reps) == 2
-    assert reps[0].sup_residual == reps[1].sup_residual
-    assert reps[0].sample_spec == reps[1].sample_spec
-
-
-def test_run_variants_validation():
-    with pytest.raises(ValueError):
-        ide.run_variants("no_such_identity", ())
-    wrong = ide.IdentityVariant("lemma23", (), "misrouted")
-    with pytest.raises(ValueError):
-        ide.run_variants("breather_ode", (wrong,))
-    # an identity of one order run on a breather of another
-    with pytest.raises(ValueError):
-        ide.adjudicate_firstmkdv(_p(5))
-
-
-def test_substitution_validation():
-    p = _p(5)
-    with pytest.raises(ValueError):
-        ide.breather_ode_residual(p, 0.0, substitutions=((0,),))
-    with pytest.raises(ValueError):
-        ide.breather_ode_residual(p, 0.0, substitutions=((99, 1.0),))
-    # raising the differential order is rejected
-    with pytest.raises(ValueError):
-        ide.breather_ode_residual(p, 0.0, substitutions=((0, 1.0, (5,)),))
-    # swapping a time-derivative tag for a spatial term is rejected
-    with pytest.raises(ValueError):
-        ide.lemma23_residual(p, 0.0, substitutions=((0, 1.0, (0,)),))
-    # coefficient-only and order-preserving substitutions are accepted
-    rep = ide.breather_ode_residual(p, 0.0, substitutions=((0, 2.0),),
-                                    variant="doubled-leading")
-    assert rep.normalized > 1e-3
 
 
 def test_report_serialization():
