@@ -465,8 +465,7 @@ def _spectrum_point(task: dict) -> tuple:
     t_w = 0.37
     rng = np.random.default_rng(task["seed"])
     xs = p.core(t_w) + rng.uniform(-6.0 / b, 6.0 / b, size=200)
-    recs.append(_record("wronskian", tag,
-                        spc.wronskian_check(p, t_w, xs).normalized,
+    recs.append(_record("wronskian", tag, spc.wronskian_check(p, t_w, xs),
                         tol["wronskian"]))
     nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
     recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},
@@ -494,17 +493,8 @@ def _value_csv(values: np.ndarray) -> str:
 
 
 def _trajectory_artifacts(prefix: str, traj) -> list:
-    arts = []
-    rows = []
-    for i, snap in enumerate(traj):
-        w = snap.field.window
-        arts.append((f"{prefix}/snap_{i:04d}.csv",
-                     _value_csv(snap.field.values)))
-        rows.append((i, snap.t, w.center, w.half_width, w.n_points,
-                     f"snap_{i:04d}.csv"))
-    arts.append((f"{prefix}/snapshots.csv",
-                 dump_csv(("index", "t", "center", "half_width", "n_points",
-                           "values_file"), rows)))
+    arts = [(f"{prefix}/snap_{i:04d}.csv", _value_csv(snap.field.values))
+            for i, snap in enumerate(traj)]
     manifest = {
         "snapshots": [
             {"t": snap.t, "values_file": f"snap_{i:04d}.csv",

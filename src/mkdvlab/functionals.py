@@ -227,9 +227,11 @@ def closed_form_energy(kind: str, alpha: float, beta: float) -> float:
     return sign * (2.0 / order) * beta * cf.velocities(order, alpha, beta).gamma
 
 
-# E = s_n/(2n+1) * int (M)_t dx with int (M)_t = 2 beta gamma.  The +1/9
-# variant in circulation fails the closed forms by a sign; see ledger.
-REDUCTION_FACTORS = {5: -1.0 / 5.0, 7: +1.0 / 7.0, 9: -1.0 / 9.0}
+# E = s_n/(2n+1) * int (M)_t dx with int (M)_t = 2 beta gamma and s_n the
+# sign of closed_form_energy.  The +1/9 variant in circulation fails the
+# closed forms by a sign.
+REDUCTION_FACTORS = {order: (-1) ** ((order + 1) // 2) / order
+                     for order in (5, 7, 9)}
 
 
 def energy_reduction(order: int, alpha: float, beta: float,

@@ -4,16 +4,18 @@ and solitons, and of the two contested readings of the paper's tables.
 Every identity is a list of terms (coefficient, symbols); a symbol is either
 an integer k for the k-th x-derivative of the profile (0 for the profile
 itself) or one of the tags "bt" (time derivative of the antiderivative
-profile) and "mt" (time derivative of the partial mass).  Reports carry the
-sup of the residual over the sample set together with rel_scale, the sup of
-the largest constituent term, so thresholds are meaningful across parameter
-sweeps.  Every identity is derived from closed_forms, through the
-evolution identity Btilde_t + evolution_terms = 0 and the breather
-equation: the product identities of Lemma 2.1 are
--2 int B_x (evolution identity), by `closed_forms.integrate`; the
-corollaries, and Lemma 2.3 at order 5, are the evolution identity with
-every u_{kx}, k >= 4, eliminated by the breather equation
-(`closed_forms.eliminate`).  The paper's printed tables are the test oracle.
+profile) and "mt" (time derivative of the partial mass).  The sample set is
+a plain array of nodes (`breather_samples`, `soliton_samples`).  A
+ResidualReport holds the identity's id, the sup of the residual over the
+samples, rel_scale (the sup of the largest constituent term, so thresholds
+are meaningful across parameter sweeps) and the label of the reading it
+evaluates ("verbatim" outside the readings tables).  Every identity is
+derived from closed_forms, through the evolution identity
+Btilde_t + evolution_terms = 0 and the breather equation: the product
+identities of Lemma 2.1 are -2 int B_x (evolution identity), by
+`closed_forms.integrate`; the corollaries, and Lemma 2.3 at order 5, are
+the evolution identity with every u_{kx}, k >= 4, eliminated by the
+breather equation (`closed_forms.eliminate`).  The paper's printed tables are the test oracle.
 
 Two printed readings are contested: the delta exponent in the 9th-order
 velocity pair, and one term (plus one coefficient) of the 7th-order product
@@ -36,8 +38,6 @@ from . import closed_forms as cf
 @dataclass(frozen=True)
 class ResidualReport:
     identity_id: str
-    params: dict
-    sample_spec: str
     sup_residual: float
     rel_scale: float
     variant: str = "verbatim"
@@ -51,16 +51,6 @@ class ResidualReport:
     @property
     def normalized(self) -> float:
         return self.sup_residual / self.rel_scale
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "params": dict(self.params),
-            "sup_residual": self.sup_residual,
-            "rel_scale": self.rel_scale,
-            "samples": self.sample_spec,
-            "variant": self.variant,
-        }
 
 
 def _eval_terms(terms, data):
@@ -79,28 +69,26 @@ def _eval_terms(terms, data):
 # --------------------------------------------------------------------------
 # sampling
 
-def _cheb_samples(core, radius, peak, t, n_cheb, n_peak):
+def _cheb_samples(core, radius, peak, n_cheb, n_peak):
     """Chebyshev nodes over the decay window + a cluster at the core."""
     def nodes(r, n):
         return core + r * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    x = np.sort(np.concatenate([nodes(radius, n_cheb), nodes(peak, n_peak)]))
-    spec = (f"cheb{n_cheb}+peak{n_peak} radius={radius:.6g} "
-            f"core={core:.6g} t={t:.6g}")
-    return x, spec
+    return np.sort(np.concatenate([nodes(radius, n_cheb),
+                                   nodes(peak, n_peak)]))
 
 
 def breather_samples(p: cf.BreatherParams, t: float, n_cheb: int = 256,
                      n_peak: int = 64,
-                     radius_factor: float = 1.0) -> tuple[np.ndarray, str]:
+                     radius_factor: float = 1.0) -> np.ndarray:
     radius = (20.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0) * radius_factor
-    return _cheb_samples(p.core(t), radius, 2.0 / p.beta, t, n_cheb, n_peak)
+    return _cheb_samples(p.core(t), radius, 2.0 / p.beta, n_cheb, n_peak)
 
 
 def soliton_samples(sp: cf.SolitonParams, t: float, n_cheb: int = 256,
                     n_peak: int = 64,
-                    radius_factor: float = 1.0) -> tuple[np.ndarray, str]:
+                    radius_factor: float = 1.0) -> np.ndarray:
     radius = (20.0 / np.sqrt(sp.c) + 2.0) * radius_factor
-    return _cheb_samples(sp.speed() * t, radius, 2.0 / np.sqrt(sp.c), t,
+    return _cheb_samples(sp.speed() * t, radius, 2.0 / np.sqrt(sp.c),
                          n_cheb, n_peak)
 
 
@@ -109,24 +97,21 @@ def _jet_data(jet: cf.Jet) -> dict:
             **{k: d for k, d in enumerate(jet.dx, start=1)}}
 
 
-def _report(ident, params, spec, terms, data, variant="verbatim"):
+def _report(ident, terms, data, variant="verbatim"):
     res, scale = _eval_terms(terms, data)
-    return ResidualReport(ident, params, spec, float(np.max(np.abs(res))),
-                          scale, variant)
+    return ResidualReport(ident, float(np.max(np.abs(res))), scale, variant)
 
 
 def _breather_report(ident, p, t, terms, samples, variant="verbatim",
                      vel=None):
     """Residual of a term list on the breather at the standard samples; vel
     replaces the breather's velocities in the jet, not in the samples."""
-    x, spec = samples if samples is not None else breather_samples(p, t)
+    x = samples if samples is not None else breather_samples(p, t)
     data = _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
                                          t, x, cf.max_order(terms), vel=vel))
     if any("mt" in syms for _, syms in terms):
         data["mt"] = cf.partial_mass_t(p, t, x)
-    params = {"order": p.order, "alpha": p.alpha, "beta": p.beta,
-              "x1": p.x1, "x2": p.x2, "t": t}
-    return _report(ident, params, spec, terms, data, variant)
+    return _report(ident, terms, data, variant)
 
 
 # --------------------------------------------------------------------------
@@ -178,11 +163,9 @@ def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
         terms = ((-p.speed(), (0,)),) + cf.evolution_terms(p.order)
     else:
         raise ValueError(f"unknown level {level!r}")
-    x, spec = samples if samples is not None else soliton_samples(p, t)
+    x = samples if samples is not None else soliton_samples(p, t)
     jet = cf.soliton_jet_raw(p.order, p.c, t, x, cf.max_order(terms))
-    return _report(f"soliton_ode_{level}",
-                   {"order": p.order, "c": p.c, "t": t, "level": level}, spec,
-                   terms, _jet_data(jet))
+    return _report(f"soliton_ode_{level}", terms, _jet_data(jet))
 
 
 def breather_ode_residual(p: cf.BreatherParams, t: float,

@@ -49,7 +49,9 @@ same multipliers, kept as dense references; the solvers do not use them.
 
 Parameter derivatives (the scaling directions) are taken with an imaginary
 step of 1e-150, which is exact to machine precision; no difference-quotient
-tuning is involved.
+tuning is involved.  The translation directions, so taken, also give the
+Wronskian check (`wronskian_check`), which returns its normalized residual
+against the closed form as a float.
 
 scipy.linalg is imported inside the functions that run dense LAPACK
 (_circulant, spectrum, coercivity, _reflect), so that the suites that never
@@ -65,7 +67,6 @@ import numpy as np
 
 from . import closed_forms as cf
 from .functionals import SampledField, Window, require_window, sample_breather
-from .identities import ResidualReport
 
 _CSTEP = 1e-150
 
@@ -204,7 +205,6 @@ class DiscreteOperator:
     blocks: tuple
     alpha: float
     beta: float
-    breather_time: float
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         coords = fourier_coordinates(values)
@@ -239,7 +239,7 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     jet = [background.deriv(k) for k in range(m + 1)]
     coeffs = {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
               for k, c in terms.items()}
-    return DiscreteOperator(w, _assemble(w, coeffs), p.alpha, p.beta, t)
+    return DiscreteOperator(w, _assemble(w, coeffs), p.alpha, p.beta)
 
 
 def kernel_tolerance(alpha: float, beta: float) -> float:
@@ -372,10 +372,10 @@ def wronskian_closed_form(p: cf.BreatherParams, t: float,
     return num / den
 
 
-def wronskian_check(p: cf.BreatherParams, t: float,
-                    xs: np.ndarray) -> ResidualReport:
+def wronskian_check(p: cf.BreatherParams, t: float, xs: np.ndarray) -> float:
     """Determinant of the Wronskian matrix of the two translation directions
-    against its closed form."""
+    against its closed form at the points xs: sup |det - closed| over the
+    larger of sup |det| and sup |closed|."""
     xs = np.asarray(xs, dtype=float)
     ih = 1j * _CSTEP
     b1, b1x = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, xs, 1)
@@ -384,17 +384,13 @@ def wronskian_check(p: cf.BreatherParams, t: float,
     closed = wronskian_closed_form(p, t, xs)
     sup = float(np.max(np.abs(det - closed)))
     scale = float(max(np.max(np.abs(det)), np.max(np.abs(closed))))
-    params = {"order": p.order, "alpha": p.alpha, "beta": p.beta,
-              "x1": p.x1, "x2": p.x2, "t": t}
-    return ResidualReport("wronskian", params,
-                          f"user-supplied {xs.size} points t={t:.6g}",
-                          sup, scale)
+    return sup / scale
 
 
 def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
-               negative_eigvec) -> float:
+               negative_eigvec: np.ndarray) -> float:
     """Minimum of z^T A z / ||z||_H2^2 over the subspace L2-orthogonal to the
-    negative direction and the two kernel directions.
+    negative direction (grid values) and the two kernel directions.
 
     In the real Fourier basis the H^2 Gram matrix (`sobolev_gram`) is
     diagonal, W = the Window.sobolev_weight(2) of each mode, so the minimum
@@ -407,12 +403,10 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
     the whole space is the one block."""
     import scipy.linalg
 
-    vec = np.asarray(getattr(negative_eigvec, "values", negative_eigvec),
-                     dtype=float)
     weight = opr.window.sobolev_weight(2)
     scale = 1.0 / np.sqrt(np.concatenate([weight, weight[1:-1]]))
-    C = fourier_coordinates(np.stack([vec, dirs.B1.values, dirs.B2.values],
-                                     axis=1)).T * scale
+    C = fourier_coordinates(np.stack([negative_eigvec, dirs.B1.values,
+                                      dirs.B2.values], axis=1)).T * scale
     C /= np.maximum(np.linalg.norm(C, axis=1), np.finfo(float).tiny)[:, None]
     blocks = opr.blocks
     bases = [_row_basis(C[:, block]) for block, _ in blocks]
