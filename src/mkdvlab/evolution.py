@@ -5,12 +5,15 @@ purely imaginary linear symbol, and N the nonlinear flux divergence
 -d/dx f_{2n+1}(u), evaluated pseudospectrally on a zero-padded grid.  Both
 are advanced together by the 2-stage Gauss-Legendre method, an implicit
 Runge-Kutta method that is stable on the whole imaginary axis, so the time
-step is chosen for accuracy alone.  Newton solves the stage equations, each
-Newton step by GMRES with the exact Frechet derivative of N and the exact
-inverse of the linear part as preconditioner; the stepper notes below give
-the scheme, the solver's stopping rules and caps, and the polyphase lift
-with its Nyquist rule.  Multipliers and the fit's H^2 inner product come
-from functionals.Window.
+step is chosen for accuracy alone.  Newton solves the stage equations with
+the exact, padded N in the residual, each Newton step by GMRES with the
+exact inverse of the linear part as preconditioner.  The GMRES operator
+applies the Frechet derivative of N on the two-phase (2n-point) grid, which
+equals the padded one to rounding on resolved fields and costs 1/1.4,
+1/2.8 and 1/4.2 of it per apply at orders 5, 7 and 9.  The stepper notes
+below give the scheme, the solver's stopping rules and caps, Newton's
+operator, and the polyphase lift with its Nyquist rule.  Multipliers and
+the fit's H^2 inner product come from functionals.Window.
 
 Each run steps one field.  A failed step raises BlowUpError, which carries
 the trajectory up to it; the experiments that run several fields (the
@@ -143,6 +146,27 @@ class EvolutionConfig:
 # breather), against caps of 10 and 300; the static order-5 breather takes
 # one solve of one iteration.
 #
+# Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
+# the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
+# are evaluated on a two-phase lift of Y, and each Krylov vector is lifted
+# to two phases.  A 2n-point transform folds mode m + 2n j of a product
+# onto bin m, so the bins up to k_N = n/2 of slope times band-k_N vector
+# pick up only modes of the slope above 2 k_N.  The slope is a polynomial
+# in u, u_x, ...; where the field is resolved, with a spectral tail under
+# _RESOLUTION_TAIL (1e-10 of the peak, the level at which evolve warns),
+# those modes sit at rounding, and the operator equals G' to rounding (at
+# most 5e-16 relative on the shipped n = 1024 windows, at orders 5, 7 and
+# 9).  On an unresolved field it is only close to G': at n = 256, order 9,
+# where the tail is 5.6e-4, the two differ by 2.6e-7.  Either way Newton's
+# fixed point is that of the exact padded N, which every residual G(Y)
+# keeps; the operator sets only how fast Newton gets there (inexact Newton:
+# Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408),
+# and the shipped runs take the same Krylov solves and GMRES iterations as
+# with the padded G'.  The slopes are evaluated only once a Krylov solve
+# follows, so the step that converges computes none.  The padded apply
+# stays as linearize and stage_system, the exact G' that the tests take as
+# oracle.
+#
 # Polyphase lift.  The padded grid has pad * n points, and padded point
 # pad * m + s is coarse point m shifted by s h / pad (h the coarse spacing).
 # Its values are therefore those of the coarse grid after the band-limited
@@ -157,7 +181,8 @@ class EvolutionConfig:
 # coefficients dP/du_{kx} of cf.frechet(flux) are evaluated once on the
 # lifted rows of v and multiply the lifted rows of z.  Padding by
 # ceil((p+1)/2) keeps the degree-p products of the order-p flux free of
-# aliasing.
+# aliasing.  The one lift and back pair takes the multiplier table of its
+# grid: the padded one, or the two-phase one of Newton's operator.
 #
 # Nyquist convention (functionals.Window).  The bin k_N stands for the
 # symmetric interpolant cos(k_N x).  The linear symbol and the output
@@ -202,8 +227,8 @@ def _gmres(op, b: np.ndarray, budget: int, floor: float = 0.0) -> tuple:
                 h = V[: j + 1] @ w
                 w = w - h @ V[: j + 1]
                 H[: j + 1, j] += h
-            H[j + 1, j] = np.linalg.norm(w)
-            col = H[: j + 2, j].copy()
+            H[j + 1, j] = math.sqrt(w @ w)
+            col = H[: j + 2, j].tolist()  # the rotations in Python floats
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], \
                     c * col[i + 1] - s * col[i]
@@ -240,9 +265,12 @@ class _Step:
 class _Stepper:
     lift: object          # vhat -> rows (deriv, ..., phase, n) of u, u_x, ...
     nonlinear: object     # vhat -> Fourier coefficients N(vhat) of -d/dx f(u)
-    linearize: object     # vhat -> (N(vhat), zhat -> N'(vhat) zhat)
-    stage_system: object  # (Y, v0) -> (G(Y), the Newton Jacobian Z -> G'(Y) Z)
-    start: object         # v0 -> Newton's start Y and stage_system(Y, v0)
+    linearize: object     # vhat -> (N(vhat), zhat -> N'(vhat) zhat), exact
+    newton_frechet: object  # vhat -> (zhat -> N'(vhat) zhat) on the 2n
+                            # grid, the N' of Newton's operator
+    stage_system: object  # (Y, v0) -> (G(Y), the exact Jacobian Z -> G'(Y) Z)
+    start: object         # v0 -> Newton's start Y, G(Y) and the point of
+                          # its first operator
     step: object          # v0, one spectrum (bin,) -> _Step
 
 
@@ -258,34 +286,47 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     terms = cf.flux_terms(order)
     slopes = cf.frechet(terms)
     n_rows = cf.max_order(terms) + 1
-    # shift[s] = exp(i k s h / pad): coarse grid -> phase s of the padded grid
-    shift = np.exp(1j * kr * (np.arange(pad)[:, None] * (w.spacing / pad)))
-    lift_mult = (1j * kr) ** np.arange(n_rows)[:, None, None] * shift
-    out_mult = -w.derivative_multiplier(1) * np.conj(shift) / pad
 
-    def lift(vhat):
+    def tables(phases):
+        # the lift and back multipliers of the grid `phases` times finer:
+        # shift[s] = exp(i k s h / phases) takes the coarse grid to phase s
+        shift = np.exp(1j * kr * (np.arange(phases)[:, None]
+                                  * (w.spacing / phases)))
+        return ((1j * kr) ** np.arange(n_rows)[:, None, None] * shift,
+                -w.derivative_multiplier(1) * np.conj(shift) / phases)
+
+    padded, twofold = tables(pad), tables(2)
+
+    def lift(vhat, grid=padded):
         # (..., bin) -> (deriv, ..., phase, n)
-        mult = lift_mult.reshape((n_rows,) + (1,) * (vhat.ndim - 1)
-                                 + lift_mult.shape[1:])
+        mult = grid[0].reshape((n_rows,) + (1,) * (vhat.ndim - 1)
+                               + grid[0].shape[1:])
         return np.fft.irfft(mult * vhat[..., None, :], n=n)
 
-    def back(fvals):
-        # padded-grid values (..., phase, n) -> bins (...,) of -d/dx
-        return (out_mult * np.fft.rfft(fvals)).sum(axis=-2)
+    def back(fvals, grid=padded):
+        # grid values (..., phase, n) -> bins (...,) of -d/dx
+        return (grid[1] * np.fft.rfft(fvals)).sum(axis=-2)
 
     def flux(rows):
         # the lifted rows of v -> N(v)
         return back(cf.eval_flux_terms(terms, rows))
 
-    def frechet(rows):
-        # the lifted rows of v -> (zhat -> N'(v) zhat)
+    def frechet(rows, grid=padded):
+        # the rows of v lifted to grid -> (zhat -> N'(v) zhat on that grid)
         slope_rows = [(k, cf.eval_flux_terms(p, rows)) for k, p in slopes]
 
         def apply(zhat):
-            dz = lift(zhat)
-            return back(sum(c * dz[k] for k, c in slope_rows))
+            dz = lift(zhat, grid)
+            (k, c), *rest = slope_rows
+            total = c * dz[k]
+            for k, c in rest:
+                total += c * dz[k]
+            return back(total, grid)
 
         return apply
+
+    def newton_frechet(vhat):
+        return frechet(lift(vhat, twofold), twofold)
 
     def nonlinear(vhat):
         return flux(lift(vhat))
@@ -313,32 +354,34 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
     def as_pair(x):
         return x.view(complex).reshape(2, -1)
 
-    def system(Y, v0, NY, dN):
-        # G(Y) and Z -> G'(Y) Z, given N and N' at both stages
-        G = Y - v0 - blocks(dtA, L * Y + NY)
-        return G, lambda Z: Z - blocks(dtA, L * Z + dN(Z))
+    def stage_residual(Y, v0, NY):
+        return Y - v0 - blocks(dtA, L * Y + NY)
+
+    def jacobian(dN):
+        # Z -> G'(Y) Z, given Z -> N'(Y) Z at both stages
+        return lambda Z: Z - blocks(dtA, L * Z + dN(Z))
 
     def stage_system(Y, v0):
-        return system(Y, v0, *linearize(Y))
+        NY, dN = linearize(Y)
+        return stage_residual(Y, v0, NY), jacobian(dN)
 
     def start(v0):
         # the linearly implicit start: the linear part solved exactly with N
         # frozen at v0, unless |G| there exceeds |G(v0, v0)| = dt |c| |F(v0)|.
-        # v0 is lifted once: its rows give N(v0), and on that fallback the
-        # slopes of N'(v0), which serve both stages
-        rows = lift(v0)
-        N0 = flux(rows)
+        # N(v0) is evaluated once, and on that fallback Newton's first
+        # operator is taken at v0, whose slopes serve both stages
+        N0 = nonlinear(v0)
         Y = blocks(pinv, v0 + dtc * N0)
-        G, jac = stage_system(Y, v0)
+        G = stage_residual(Y, v0, nonlinear(Y))
         still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
         if not np.linalg.norm(G) <= still:
             Y = np.stack([v0, v0])
-            G, jac = system(Y, v0, N0, frechet(rows))
-        return Y, G, jac
+            return Y, stage_residual(Y, v0, N0), v0
+        return Y, G, Y
 
     def step(v0):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        Y, G, jac = start(v0)
+        Y, G, at = start(v0)
         krylov = 0
         for newton in range(_NEWTON_MAX + 1):
             gnorm = np.linalg.norm(G)
@@ -349,17 +392,20 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             if (not math.isfinite(gnorm) or newton == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
-            # a linear residual under half the Newton target is not seen by
-            # the next check
+            # the slopes only now that a Krylov solve follows; a linear
+            # residual under half the Newton target is not seen by the next
+            # check
+            jac = jacobian(newton_frechet(at))
             x, its = _gmres(lambda z: as_real(jac(blocks(pinv, as_pair(z)))),
                             as_real(-G), _GMRES_MAX - krylov,
                             0.5 * _NEWTON_TOL * scale)
             krylov += its
             Y = Y + blocks(pinv, as_pair(x))
-            G, jac = stage_system(Y, v0)
+            G, at = stage_residual(Y, v0, nonlinear(Y)), Y
         return _Step(None, Y, newton, krylov, residual)
 
-    return _Stepper(lift, nonlinear, linearize, stage_system, start, step)
+    return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,
+                    start, step)
 
 
 def _tail_fraction(vhat: np.ndarray) -> float:

@@ -86,8 +86,19 @@ class Window:
 
 def default_window(p: cf.BreatherParams, t: float,
                    n_points: int = 2048) -> Window:
-    """Window tracking the envelope core, wide enough for <1e-12 tails."""
+    """Window tracking the envelope core, wide enough for <1e-12 tails.
+
+    n_points is doubled until there are at least five points per 1/alpha:
+    the densities up to E9 carry products of ten carrier factors
+    cos(alpha y1), which the trapezoid aliases on a coarser grid.  At
+    (alpha, beta) = (6, 0.25), 2048 points (1.4 per 1/alpha) miss E9 by 6e5
+    ulps of term_scale; with the floor, functional is within 11 ulps of
+    term_scale for M to E9 over beta in [0.1, 8] and alpha / beta in
+    [1/8, 32].
+    """
     half = 30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 5.0
+    while n_points < 10.0 * half * p.alpha:
+        n_points *= 2
     return Window(center=p.core(t), half_width=half, n_points=n_points)
 
 
@@ -181,10 +192,15 @@ def _tail_check(f: SampledField) -> None:
                       stacklevel=3)
 
 
-def _integral(f: SampledField, kind: str) -> float:
-    """Quadrature of the density closed_forms.density(kind)."""
+def _density(f: SampledField, kind: str) -> tuple:
+    """The terms of closed_forms.density(kind) and the jet of f they read."""
+    if kind not in cf.ENERGY_ORDERS:
+        raise ValueError(f"unknown functional kind {kind!r}")
     terms = cf.density(kind)
-    jet = [f.deriv(k) for k in range(cf.max_order(terms) + 1)]
+    return terms, [f.deriv(k) for k in range(cf.max_order(terms) + 1)]
+
+
+def _integral(f: SampledField, terms: tuple, jet: list) -> float:
     return f.window.quad(cf.eval_flux_terms(terms, jet))
 
 
@@ -192,15 +208,25 @@ def lyapunov(f: SampledField, alpha: float, beta: float) -> float:
     """The breather functional H = E5 + 2(beta^2 - alpha^2) E
     + (alpha^2 + beta^2)^2 M."""
     _tail_check(f)
-    return sum(w * _integral(f, k) for w, k in cf.breather_weights(alpha, beta))
+    return sum(w * _integral(f, *_density(f, k))
+               for w, k in cf.breather_weights(alpha, beta))
 
 
 def functional(f: SampledField, kind: str) -> float:
     """The integral of a density of closed_forms.ENERGY_ORDERS."""
-    if kind not in cf.ENERGY_ORDERS:
-        raise ValueError(f"unknown functional kind {kind!r}")
+    terms, jet = _density(f, kind)
     _tail_check(f)
-    return _integral(f, kind)
+    return _integral(f, terms, jet)
+
+
+def term_scale(f: SampledField, kind: str) -> float:
+    """The summed size int sum_i |term_i| dx of the density's terms.  It
+    bounds the rounding of functional(f, kind) however far the terms cancel
+    (E9's integral is 3e-7 of it at (alpha, beta) = (1, 1.75)), as rel_scale
+    does for the identity residuals."""
+    terms, jet = _density(f, kind)
+    return _integral(f, tuple((abs(c), orders) for c, orders in terms),
+                     [np.abs(d) for d in jet])
 
 
 def sobolev_norm(f: SampledField, s: int = 2) -> float:
@@ -247,21 +273,25 @@ def energy_reduction(order: int, alpha: float, beta: float,
     return e, REDUCTION_FACTORS[order] * w.quad(mt)
 
 
-def higher_energy_conjecture(order: int, alpha: float, beta: float) -> tuple[float, float]:
-    """(conjectured value, lemma value) for E_{2n+1}[B].
+def higher_energy_conjecture(order: int, alpha: float,
+                             beta: float) -> tuple[float, float, float]:
+    """(conjectured value, lemma value, term scale) for E_{2n+1}[B].
 
     The conjectured formula (-1)^(n+1) (2 beta/(2n+1)) gamma_{2n+1} uses its
     own alternating-binomial sum for gamma_{2n+1}, which evaluates to the
     negative of the velocity gamma; the two columns therefore disagree by a
-    sign.  Both are returned unreconciled.
+    sign.  Both are returned unreconciled, with the summed size of the
+    conjectured formula's terms, which bounds the rounding of either column.
     """
     if order not in (3, 5, 7, 9):
         raise ValueError("conjecture comparison covers orders 3, 5, 7, 9")
     n = (order - 1) // 2
-    g_sum = sum((-1) ** j * math.comb(order, 2 * j) * alpha ** (2 * j)
-                * beta ** (2 * (n - j)) for j in range(n + 1))
-    conjectured = (-1) ** (n + 1) * (2.0 * beta / order) * g_sum
-    return conjectured, closed_form_energy(cf.energy_kind(order), alpha, beta)
+    terms = [(-1) ** j * math.comb(order, 2 * j) * alpha ** (2 * j)
+             * beta ** (2 * (n - j)) for j in range(n + 1)]
+    factor = (-1) ** (n + 1) * (2.0 * beta / order)
+    return (factor * sum(terms),
+            closed_form_energy(cf.energy_kind(order), alpha, beta),
+            abs(factor) * sum(map(abs, terms)))
 
 
 # --------------------------------------------------------------------------

@@ -80,6 +80,39 @@ def test_higher_energy_closed_forms_sweep(order, kind):
     assert max(errs.values()) < 1e-8
 
 
+def test_term_scale_bounds_a_cancelling_density():
+    # M has the one term u^2, so its scale is M itself; E9 cancels to 3e-7 of
+    # its scale at (1, 1.75), and its quadrature misses the closed form by a
+    # few ulps of the scale
+    f = fn.sample_breather(cf.BreatherParams(9, 1.0, 1.75), 0.0)
+    assert fn.term_scale(f, "M") == fn.functional(f, "M")
+    e9, scale = fn.functional(f, "E9"), fn.term_scale(f, "E9")
+    assert abs(e9) < 1e-6 * scale
+    assert (abs(e9 - fn.closed_form_energy("E9", 1.0, 1.75))
+            <= 8 * 2.0**-52 * scale)
+    with pytest.raises(ValueError):
+        fn.term_scale(f, "E4")
+
+
+def test_default_window_resolves_the_carrier():
+    # at alpha / beta >= 12, 2048 points alias the E5-E9 densities (6e5
+    # ulps of term_scale for E9 at (6, 0.25)); the window doubles its points
+    # to five per 1/alpha there, and keeps 2048 on the grid of [0.5, 2]^2
+    grid = [0.5 + 0.25 * i for i in range(7)]
+    for a in grid:
+        for b in grid:
+            p = cf.BreatherParams(5, a, b)
+            assert fn.default_window(p, 0.0).n_points == 2048
+    for a, b in [(6.0, 0.25), (4.0, 0.25), (6.0, 0.5)]:
+        p = cf.BreatherParams(9, a, b)
+        w = fn.default_window(p, 0.0)
+        assert w.n_points > 2048 and a * w.spacing <= 0.2
+        f = fn.sample_breather(p, 0.0)
+        for kind in ("M", "E", "E5", "E7", "E9"):
+            err = abs(fn.functional(f, kind) - fn.closed_form_energy(kind, a, b))
+            assert err <= 8 * 2.0**-52 * fn.term_scale(f, kind), (a, b, kind)
+
+
 def test_mass_energy_closed_forms_sweep():
     errs = {}
     for a, b in SWEEP:
@@ -196,9 +229,10 @@ def test_conjecture_comparison():
     # conjectured and lemma values disagree by exactly a sign; both reported
     for order in (3, 5, 7, 9):
         for a, b in [(1.0, 1.0), (2.0, 0.5), (0.5, 1.5)]:
-            conj, lemma = fn.higher_energy_conjecture(order, a, b)
+            conj, lemma, scale = fn.higher_energy_conjecture(order, a, b)
             assert abs(conj + lemma) < 1e-12 * max(1.0, abs(lemma))
-            assert conj != 0.0
+            assert abs(conj + lemma) <= 16 * 2.0**-52 * scale
+            assert conj != 0.0 and scale >= abs(conj)
 
 
 def _gaussian_z(w, eps):
