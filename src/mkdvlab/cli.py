@@ -289,8 +289,7 @@ class SuiteReport:
         }
 
 
-_SLUG_KEYS = ("order", "alpha", "beta", "c", "t", "kind", "shape", "eta",
-              "dt")
+_SLUG_KEYS = ("order", "alpha", "beta", "c", "t", "shape", "eta", "dt")
 
 
 def _slug(key: str, value) -> str:
@@ -451,8 +450,8 @@ def _spectrum_point(task: dict) -> tuple:
                         abs(summary.continuum_edge_estimate - edge_want)
                         / edge_want, tol["edge"]))
     target = 16.0 * a**2 * b
-    qa = w.quad(dirs.lambda_alpha.values * opr.apply(dirs.lambda_alpha.values))
-    qb = w.quad(dirs.lambda_beta.values * opr.apply(dirs.lambda_beta.values))
+    qa = w.quad(dirs.lambda_alpha * opr.apply(dirs.lambda_alpha))
+    qb = w.quad(dirs.lambda_beta * opr.apply(dirs.lambda_beta))
     recs.append(_record("form_lambda_alpha", tag, abs(qa - target) / target,
                         tol["form"]))
     recs.append(_record("form_lambda_beta", tag, abs(qb + target) / target,
@@ -522,7 +521,8 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     correlation peak.
     """
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
-    traj = evolve(s0, scfg, monitors=(), snapshot_every=10**9)
+    traj = evolve(s0, scfg, monitors=(),
+                  snapshot_every=step_count(scfg.t_end, scfg.dt))
     a0, aT = traj[0].field.values, traj[-1].field.values
     corr = np.fft.irfft(np.fft.rfft(aT) * np.conj(np.fft.rfft(a0)),
                         n=len(a0))
@@ -629,31 +629,23 @@ def _stability_point(task: dict) -> tuple:
     p = cf.BreatherParams(order, 1.0, 1.0)
     cfg_run = _at_dt(stability_run_config(order, t_end=task["t_end"]),
                      task["dt"])
-    checks = [("sup_distance",
-               tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
-    if eta > 0:
-        checks.append(("max_phase_speed", tol["quotient_factor"] * eta))
     report = stability_experiment(p, eta, shape, cfg_run, seed=task["seed"])
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
     work = {"krylov_solves": report.krylov_solves,
             "gmres_iterations": report.gmres_iterations}
-    recs = []
-    for rid, budget in checks:
-        # the run's solver work goes on its one sup_distance record, so the
-        # summary counts each run once
-        params = {**tag, **work} if rid == "sup_distance" else tag
-        if report.blow_up is not None:
-            recs.append(_blown_up(rid, params, budget, report.blow_up))
-        else:
-            recs.append(_record(rid, params, getattr(report, rid), budget))
-    name = f"stability_order{order}_{shape}_eta{eta:g}"
-    arts = ((f"{name}.json", dump_json(report.to_json_dict())),
-            (f"{name}.csv", dump_csv(
-                ("t", "distance", "x1", "x2"),
-                zip(report.times, report.distances, report.phases_x1,
-                    report.phases_x2))))
-    return tuple(recs), arts
+    # the run's solver work goes on its one sup_distance record, so the
+    # summary counts each run once
+    checks = [("sup_distance", {**tag, **work}, report.sup_distance,
+               tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
+    if eta > 0:
+        checks.append(("max_phase_speed", tag, report.max_phase_speed,
+                       tol["quotient_factor"] * eta))
+    recs = [_record(rid, params, measured, budget) if report.blow_up is None
+            else _blown_up(rid, params, budget, report.blow_up)
+            for rid, params, measured, budget in checks]
+    name = f"stability_order{order}_{shape}_eta{eta:g}.json"
+    return tuple(recs), ((name, dump_json(report.to_json_dict())),)
 
 
 # --------------------------------------------------------------------------

@@ -518,15 +518,18 @@ def functional_drifts(traj: list[Snapshot]) -> dict:
 # --------------------------------------------------------------------------
 # modulation fit
 
+_FIT_MAX = 50  # Gauss-Newton iterations per fit
+
+
 def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
-                   seed: tuple = (0.0, 0.0), max_iter: int = 50):
+                   seed: tuple = (0.0, 0.0)):
     """Minimize ||u - B(t; x1, x2)||_H2 over the translation phases.
 
     Gauss-Newton from the seed with backtracking; returns (x1, x2, distance)
-    once the gradient norm drops below 1e-10, else raises FitError.  The
-    scaling parameters stay fixed: only the two phases are modulated.  Each
-    objective evaluation takes B and both phase derivatives from one
-    closed-form pass (cf.breather_phase_derivatives).
+    once the gradient norm drops below 1e-10 within _FIT_MAX iterations,
+    else raises FitError.  The scaling parameters stay fixed: only the two
+    phases are modulated.  Each objective evaluation takes B and both phase
+    derivatives from one closed-form pass (cf.breather_phase_derivatives).
     """
     w = u.window
     x = w.grid()
@@ -542,7 +545,7 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
         return 0.5 * inner(rh, rh, weight), rh, d1h, d2h
 
     phi, rh, d1h, d2h = objective(x1, x2)
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX):
         g = np.array([-inner(d1h, rh, weight), -inner(d2h, rh, weight)])
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-10:
@@ -566,7 +569,7 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
             raise FitError(f"line search stalled at gradient {gnorm:.3e}")
         x1, x2 = x1 + s * delta[0], x2 + s * delta[1]
         phi, rh, d1h, d2h = trial
-    raise FitError(f"no convergence in {max_iter} iterations; "
+    raise FitError(f"no convergence in {_FIT_MAX} iterations; "
                    f"gradient {gnorm:.3e}")
 
 
@@ -584,9 +587,9 @@ class StabilityReport:
     phases_x2: tuple
     drifts: dict
     eta: float
-    blow_up: BlowUpError | None = None  # set when the run stopped early
-    krylov_solves: int = 0              # the solver's work over the run
-    gmres_iterations: int = 0
+    blow_up: BlowUpError | None  # set when the run stopped early
+    krylov_solves: int           # the solver's work over the run
+    gmres_iterations: int
 
     def __post_init__(self):
         if any(d < 0 for d in self.distances):
@@ -636,9 +639,9 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
     if name == "gaussian":
         return np.exp(-0.5 * (w.grid() - p.core(0.0)) ** 2)
     if name == "B1":
-        return directions(p, 0.0, w).B1.values.copy()
+        return directions(p, 0.0, w).B1
     if name == "LambdaBeta":
-        return directions(p, 0.0, w).lambda_beta.values.copy()
+        return directions(p, 0.0, w).lambda_beta
     if name == "random":
         if rng is None:
             raise ValueError("shape 'random' needs an rng")
@@ -662,7 +665,6 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shape: str,
     the breather at t=0; the shape 'random' draws from
     np.random.default_rng(seed).  The snapshots go to track_modulation; a run
     that blows up reports its partial trajectory and carries the BlowUpError.
-    The report carries the run's solver_work.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
@@ -676,27 +678,23 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shape: str,
 
     monitors = ("M", "E", cf.energy_kind(p.order))
     try:
-        run = evolve(SampledField(w, values), cfg, monitors=monitors,
-                     snapshot_every=snapshot_every)
+        traj = evolve(SampledField(w, values), cfg, monitors=monitors,
+                      snapshot_every=snapshot_every)
     except BlowUpError as e:
-        run = e
-        report = replace(track_modulation(p, e.trajectory, eta, blown_up=True),
-                         blow_up=e)
-    else:
-        report = track_modulation(p, run, eta)
-    solves, its = solver_work(run)
-    return replace(report, krylov_solves=solves, gmres_iterations=its)
+        return track_modulation(p, e.trajectory, eta, e)
+    return track_modulation(p, traj, eta)
 
 
 def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
-                     blown_up: bool = False) -> StabilityReport:
+                     blow_up: BlowUpError | None = None) -> StabilityReport:
     """Fit each snapshot by a phase-modulated breather, seeded with the
     phases of the last two fits extrapolated linearly in time (the last
-    fit's phases at the second snapshot, zero at the first).
+    fit's phases at the second snapshot, zero at the first).  The report
+    carries the run's solver_work.
 
-    For a trajectory cut short by a BlowUpError (blown_up=True) the report
-    ends before the first snapshot whose fit fails, since the last ones
-    before a blow-up may be too far from any breather to fit.
+    For a trajectory cut short by blow_up, the BlowUpError that ended it,
+    the report ends before the first snapshot whose fit fails, since the
+    last ones before a blow-up may be too far from any breather to fit.
     """
     times, dists, xs1, xs2 = [], [], [], []
     for snap in traj:
@@ -708,7 +706,7 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
         try:
             x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed)
         except FitError:
-            if not blown_up:
+            if blow_up is None:
                 raise
             break
         times.append(snap.t)
@@ -717,7 +715,8 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
         xs2.append(x2)
 
     return StabilityReport(tuple(times), tuple(dists), tuple(xs1), tuple(xs2),
-                           functional_drifts(traj[:len(times)]), eta)
+                           functional_drifts(traj[:len(times)]), eta, blow_up,
+                           *solver_work(traj if blow_up is None else blow_up))
 
 
 # --------------------------------------------------------------------------
@@ -737,9 +736,10 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 # rigid traveling wave (5 and 9), which freezes the profile on the grid.
 # The order-7 breather genuinely oscillates (carrier and envelope counter-
 # propagate), so no frame makes it static and its Newton solves do the most
-# work.  The stability run's modulated distance at t = 0.1 (eta 0.01) moves
-# by under 1% between dt 2e-3, 1e-3 and 5e-4 for every default shape
-# (gaussian 0.0914 / 0.0920 / 0.0913).
+# work.  An order's stability run is its breather run at the stability
+# horizon (stability_run_config).  At order 5 its modulated distance at
+# t = 0.1 (eta 0.01) moves by under 1% between dt 2e-3, 1e-3 and 5e-4 for
+# every default shape (gaussian 0.0914 / 0.0920 / 0.0913).
 
 _BREATHER_RUNS = {  # order: (frame_speed, dt)
     5: (-4.0, 1e-3),
@@ -753,13 +753,9 @@ _SOLITON_RUNS = {  # order: (c, frame_speed or None for the law's, dt)
     9: (1.2, None, 2e-3),
 }
 
-_STABILITY_RUNS = {
-    5: (-4.0, 1e-3),
-}
-
 # the orders the evolve and stability suites can run
 EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))
-STABILITY_ORDERS = tuple(_STABILITY_RUNS)
+STABILITY_ORDERS = (5,)
 
 
 def breather_fidelity_config(order: int,
@@ -788,9 +784,7 @@ def soliton_speed_run(order: int,
                                t_end=0.3, frame_speed=frame)
 
 
-def stability_run_config(order: int, t_end: float = 5.0,
-                         n_points: int = 1024) -> EvolutionConfig:
-    """Long-horizon run backing the perturbed-breather experiments."""
-    frame, dt = _STABILITY_RUNS[order]
-    return EvolutionConfig(order=order, window=Window(0.0, 30.0, n_points),
-                           dt=dt, t_end=t_end, frame_speed=frame)
+def stability_run_config(order: int, t_end: float) -> EvolutionConfig:
+    """The perturbed-breather run: the order's breather_fidelity_config run
+    (window, frame and dt) to the horizon t_end."""
+    return replace(breather_fidelity_config(order), t_end=t_end)

@@ -168,10 +168,9 @@ def sample_breather(p: cf.BreatherParams, t: float, w: Window | None = None,
     return SampledField(w, j.value, tuple(j.dx))
 
 
-def default_soliton_window(sp: cf.SolitonParams, t: float,
-                           n_points: int = 2048) -> Window:
+def default_soliton_window(sp: cf.SolitonParams, t: float) -> Window:
     half = 30.0 / math.sqrt(sp.c) + 5.0
-    return Window(center=sp.speed() * t, half_width=half, n_points=n_points)
+    return Window(center=sp.speed() * t, half_width=half, n_points=2048)
 
 
 def sample_soliton(sp: cf.SolitonParams, t: float, w: Window | None = None,

@@ -84,12 +84,10 @@ def breather_samples(p: cf.BreatherParams, t: float, n_cheb: int = 256,
     return _cheb_samples(p.core(t), radius, 2.0 / p.beta, n_cheb, n_peak)
 
 
-def soliton_samples(sp: cf.SolitonParams, t: float, n_cheb: int = 256,
-                    n_peak: int = 64,
-                    radius_factor: float = 1.0) -> np.ndarray:
-    radius = (20.0 / np.sqrt(sp.c) + 2.0) * radius_factor
-    return _cheb_samples(sp.speed() * t, radius, 2.0 / np.sqrt(sp.c),
-                         n_cheb, n_peak)
+def soliton_samples(sp: cf.SolitonParams) -> np.ndarray:
+    """The soliton's samples at t = 0, where its core is at the origin."""
+    return _cheb_samples(0.0, 20.0 / np.sqrt(sp.c) + 2.0, 2.0 / np.sqrt(sp.c),
+                         256, 64)
 
 
 def _jet_data(jet: cf.Jet) -> dict:
@@ -102,10 +100,11 @@ def _report(ident, terms, data, variant="verbatim"):
     return ResidualReport(ident, float(np.max(np.abs(res))), scale, variant)
 
 
-def _breather_report(ident, p, t, terms, samples, variant="verbatim",
+def _breather_report(ident, p, t, terms, samples=None, variant="verbatim",
                      vel=None):
-    """Residual of a term list on the breather at the standard samples; vel
-    replaces the breather's velocities in the jet, not in the samples."""
+    """Residual of a term list on the breather at the samples, by default
+    the standard ones; vel replaces the breather's velocities in the jet,
+    not in the samples."""
     x = samples if samples is not None else breather_samples(p, t)
     data = _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
                                          t, x, cf.max_order(terms), vel=vel))
@@ -154,17 +153,23 @@ def corollary_terms(order: int, alpha: float, beta: float):
 # --------------------------------------------------------------------------
 # residual operations
 
-def soliton_ode_residual(p: cf.SolitonParams, level: str = "2nd",
-                         t: float = 0.0, samples=None) -> ResidualReport:
-    """Second-order profile equation, or the order-matched high ODE."""
+# the default time of the breather identity checks, and the time at which
+# the two contested readings are checked
+CHECK_T = 0.37
+
+
+def soliton_ode_residual(p: cf.SolitonParams,
+                         level: str = "2nd") -> ResidualReport:
+    """Second-order profile equation, or the order-matched high ODE, at
+    t = 0 and the soliton's samples."""
     if level == "2nd":
         terms = ((1.0, (2,)), (-p.c, (0,)), (2.0, (0, 0, 0)))
     elif level == "high":
         terms = ((-p.speed(), (0,)),) + cf.evolution_terms(p.order)
     else:
         raise ValueError(f"unknown level {level!r}")
-    x = samples if samples is not None else soliton_samples(p, t)
-    jet = cf.soliton_jet_raw(p.order, p.c, t, x, cf.max_order(terms))
+    jet = cf.soliton_jet_raw(p.order, p.c, 0.0, soliton_samples(p),
+                             cf.max_order(terms))
     return _report(f"soliton_ode_{level}", terms, _jet_data(jet))
 
 
@@ -175,13 +180,13 @@ def breather_ode_residual(p: cf.BreatherParams, t: float,
                             cf.breather_equation(p.alpha, p.beta), samples)
 
 
-def evolution_identity_residual(p: cf.BreatherParams, t: float = 0.37,
+def evolution_identity_residual(p: cf.BreatherParams, t: float = CHECK_T,
                                 samples=None) -> ResidualReport:
     terms = ((1.0, ("bt",)),) + cf.evolution_terms(p.order)
     return _breather_report("evolution_identity", p, t, terms, samples)
 
 
-def lemma21_residual(p: cf.BreatherParams, t: float = 0.37,
+def lemma21_residual(p: cf.BreatherParams, t: float = CHECK_T,
                      samples=None) -> ResidualReport:
     """Product identity of the breather's order (`lemma21_terms`)."""
     _check_identity_order(p, LEMMA21_ORDERS)
@@ -189,29 +194,27 @@ def lemma21_residual(p: cf.BreatherParams, t: float = 0.37,
                             lemma21_terms(p.order), samples)
 
 
-def lemma23_residual(p: cf.BreatherParams, t: float = 0.37,
-                     samples=None) -> ResidualReport:
+def lemma23_residual(p: cf.BreatherParams,
+                     t: float = CHECK_T) -> ResidualReport:
     """First-order-in-time identity; holds for 5th-order breathers only."""
     _check_identity_order(p, LEMMA23_ORDERS)
     # Btilde_t = d(mu E + c M)/du: the evolution identity has u_4x + f5 =
     # dE5/du, and the breather equation is d(E5 + mu E + c M)/du = 0
     return _breather_report("lemma23", p, t,
-                            corollary_terms(5, p.alpha, p.beta), samples)
+                            corollary_terms(5, p.alpha, p.beta))
 
 
-def corollary_residual(p: cf.BreatherParams, t: float = 0.37,
-                       samples=None) -> ResidualReport:
+def corollary_residual(p: cf.BreatherParams,
+                       t: float = CHECK_T) -> ResidualReport:
     """Corollary of the breather's order (`corollary_terms`)."""
     _check_identity_order(p, COROLLARY_ORDERS)
     return _breather_report(f"corollary_{p.order}th", p, t,
-                            corollary_terms(p.order, p.alpha, p.beta),
-                            samples)
+                            corollary_terms(p.order, p.alpha, p.beta))
 
 
 # --------------------------------------------------------------------------
-# the two contested readings, each on its own breather at t = 0.37
+# the two contested readings, each on its own breather at CHECK_T
 
-READINGS_T = 0.37
 DELTA9_BREATHER = cf.BreatherParams(9, 1.3, 0.7, 0.2, -0.1)
 FIRSTMKDV_BREATHER = cf.BreatherParams(7, 1.1, 0.9, 0.15, -0.25)
 
@@ -251,10 +254,10 @@ FIRSTMKDV_READINGS = (
 def run_variants(ident: str, p: cf.BreatherParams,
                  runs) -> list[ResidualReport]:
     """One report of identity `ident` per (label, terms, vel) run, in order,
-    on the breather p at READINGS_T and its standard samples; vel replaces
+    on the breather p at CHECK_T and its standard samples; vel replaces
     p's velocities in the jet, or is None."""
-    samples = breather_samples(p, READINGS_T)
-    return [_breather_report(ident, p, READINGS_T, terms, samples, label, vel)
+    samples = breather_samples(p, CHECK_T)
+    return [_breather_report(ident, p, CHECK_T, terms, samples, label, vel)
             for label, terms, vel in runs]
 
 

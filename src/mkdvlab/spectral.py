@@ -320,11 +320,14 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
 
 @dataclass(frozen=True, eq=False)
 class DirectionVectors:
-    B1: SampledField
-    B2: SampledField
-    lambda_alpha: SampledField
-    lambda_beta: SampledField
-    B0: SampledField
+    """Grid values of the breather's derivatives in x1, x2, alpha and beta,
+    and of B0, the combination of the last two that L maps to -B."""
+
+    B1: np.ndarray
+    B2: np.ndarray
+    lambda_alpha: np.ndarray
+    lambda_beta: np.ndarray
+    B0: np.ndarray
 
 
 def _imag_step(order, alpha, beta, x1, x2, t, x, m=0):
@@ -342,9 +345,7 @@ def directions(p: cf.BreatherParams, t: float, w: Window) -> DirectionVectors:
     lb = _imag_step(p.order, p.alpha, p.beta + ih, p.x1, p.x2, t, x)[0]
     b0 = (p.alpha * lb + p.beta * la) / (
         8.0 * p.alpha * p.beta * (p.alpha**2 + p.beta**2))
-    return DirectionVectors(SampledField(w, b1), SampledField(w, b2),
-                            SampledField(w, la), SampledField(w, lb),
-                            SampledField(w, b0))
+    return DirectionVectors(b1, b2, la, lb, b0)
 
 
 def b0_relations(p: cf.BreatherParams, t: float, opr: DiscreteOperator,
@@ -352,9 +353,9 @@ def b0_relations(p: cf.BreatherParams, t: float, opr: DiscreteOperator,
     """(int B0 B, (1/2) int B0 L[B0], ||L[B0] + B||_2 / ||B||_2)."""
     w = opr.window
     B = sample_breather(p, t, w, m=0).values
-    LB0 = opr.apply(dirs.B0.values)
-    lhs1 = float(w.quad(dirs.B0.values * B))
-    lhs2 = 0.5 * float(w.quad(dirs.B0.values * LB0))
+    LB0 = opr.apply(dirs.B0)
+    lhs1 = float(w.quad(dirs.B0 * B))
+    lhs2 = 0.5 * float(w.quad(dirs.B0 * LB0))
     residual = float(np.sqrt(w.quad((LB0 + B) ** 2) / w.quad(B**2)))
     return lhs1, lhs2, residual
 
@@ -405,8 +406,8 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
 
     weight = opr.window.sobolev_weight(2)
     scale = 1.0 / np.sqrt(np.concatenate([weight, weight[1:-1]]))
-    C = fourier_coordinates(np.stack([negative_eigvec, dirs.B1.values,
-                                      dirs.B2.values], axis=1)).T * scale
+    C = fourier_coordinates(np.stack([negative_eigvec, dirs.B1, dirs.B2],
+                                     axis=1)).T * scale
     C /= np.maximum(np.linalg.norm(C, axis=1), np.finfo(float).tiny)[:, None]
     blocks = opr.blocks
     bases = [_row_basis(C[:, block]) for block, _ in blocks]

@@ -29,7 +29,7 @@ def test_soliton_second_order_ode(order, c):
     rep = ide.soliton_ode_residual(cf.SolitonParams(order, c), "2nd")
     print(f"order {order} c={c}: sup {rep.sup_residual:.3e}")
     assert rep.sup_residual <= 1e-12 * max(1.0, c**1.5)
-    assert len(ide.soliton_samples(cf.SolitonParams(order, c), 0.0)) >= 200
+    assert len(ide.soliton_samples(cf.SolitonParams(order, c))) >= 200
 
 
 @pytest.mark.parametrize("order,c,tol", [
@@ -279,7 +279,8 @@ def test_residuals_stable_across_times():
 
 def test_sample_doubling_invariance():
     runs = (
-        (_p(7), ide.evolution_identity_residual),
+        (_p(7), lambda p, samples=None: ide.evolution_identity_residual(
+            p, samples=samples)),
         (_p(7), lambda p, samples=None: ide.breather_ode_residual(
             p, 0.37, samples=samples)),
     )

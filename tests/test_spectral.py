@@ -416,8 +416,7 @@ def test_kernel_directions_annihilated():
     _, opr = _default()
     dirs = sp.directions(cf.BreatherParams(5, 1.0, 1.0), 0.0, opr.window)
     for name, f in (("B1", dirs.B1), ("B2", dirs.B2)):
-        ratio = (np.linalg.norm(opr.apply(f.values))
-                 / np.linalg.norm(f.values))
+        ratio = np.linalg.norm(opr.apply(f)) / np.linalg.norm(f)
         print(f"|L {name}| / |{name}| = {ratio:.3e}")
         assert ratio <= 1e-6
 
@@ -428,7 +427,7 @@ def test_kernel_eigenvectors_span_translation_directions():
     dirs = sp.directions(cf.BreatherParams(5, 1.0, 1.0), 0.0, opr.window)
     K = summ.kernel_vectors
     for f in (dirs.B1, dirs.B2):
-        v = f.values / np.linalg.norm(f.values)
+        v = f / np.linalg.norm(f)
         coef, *_ = np.linalg.lstsq(K, v, rcond=None)
         assert np.linalg.norm(K @ coef - v) <= 1e-5
 
@@ -436,7 +435,7 @@ def test_kernel_eigenvectors_span_translation_directions():
 def test_translation_directions_independent():
     _, opr = _default()
     dirs = sp.directions(cf.BreatherParams(5, 1.0, 1.0), 0.0, opr.window)
-    C = np.stack([dirs.B1.values, dirs.B2.values])
+    C = np.stack([dirs.B1, dirs.B2])
     s = np.linalg.svd(C, compute_uv=False)
     assert s[1] / s[0] > 1e-3
 
@@ -447,8 +446,8 @@ def test_scaling_direction_quadratic_forms(alpha, beta):
     p, opr = _default(alpha, beta)
     dirs = sp.directions(p, 0.0, opr.window)
     w = opr.window
-    qa = w.quad(dirs.lambda_alpha.values * opr.apply(dirs.lambda_alpha.values))
-    qb = w.quad(dirs.lambda_beta.values * opr.apply(dirs.lambda_beta.values))
+    qa = w.quad(dirs.lambda_alpha * opr.apply(dirs.lambda_alpha))
+    qb = w.quad(dirs.lambda_beta * opr.apply(dirs.lambda_beta))
     target = 16.0 * alpha**2 * beta
     print(f"({alpha},{beta}): <L La,La> = {qa:.9f}, <L Lb,Lb> = {qb:.9f}, "
           f"target +/-{target:.9f}")
@@ -513,7 +512,7 @@ def test_coercivity_needs_kernel_constraint():
     vals, vecs = _eigensystem()
     dirs = sp.directions(p, 0.0, opr.window)
     loose = _coercivity_oracle(p, 0.0, opr.window,
-                               [vecs[:, 0], dirs.B2.values])
+                               [vecs[:, 0], dirs.B2])
     nu0 = sp.coercivity(opr, dirs, vecs[:, 0])
     print(f"without B1 constraint: {loose:.3e} (constrained {nu0:.6f})")
     assert abs(loose) <= 1e-6
@@ -524,15 +523,15 @@ def test_coercivity_rejects_degenerate_constraints():
     p, opr = _default()
     dirs = sp.directions(p, 0.0, opr.window)
     with pytest.raises(ValueError, match="rank-deficient"):
-        sp.coercivity(opr, dirs, dirs.B1.values)
+        sp.coercivity(opr, dirs, dirs.B1)
 
 
 def test_kernel_direction_has_zero_quadratic_form():
     p, opr = _default()
     dirs = sp.directions(p, 0.0, opr.window)
     w = opr.window
-    q = w.quad(dirs.B1.values * opr.apply(dirs.B1.values))
-    q /= w.quad(dirs.B1.values ** 2)
+    q = w.quad(dirs.B1 * opr.apply(dirs.B1))
+    q /= w.quad(dirs.B1 ** 2)
     assert abs(q) <= 1e-6
 
 
@@ -677,7 +676,7 @@ def test_coercivity_blocks_match_whole_space_oracle(alpha, beta, first,
            # odd like B1 and B2: the even block holds no constraint
            "odd": x * np.exp(-x ** 2)}[first]
     want = _coercivity_oracle(p, 0.0, opr.window,
-                              [vec, dirs.B1.values, dirs.B2.values])
+                              [vec, dirs.B1, dirs.B2])
     calls = _counting_eigh(monkeypatch)
     got = sp.coercivity(opr, dirs, vec)
     print(f"({alpha},{beta}) {first}: nu0 {got:.12f}, oracle {want:.12f}")
@@ -690,7 +689,7 @@ def test_coercivity_rejects_constraints_in_the_kernel_span(t):
     p = cf.BreatherParams(5, 1.2, 0.8)
     opr = sp.build_operator(p, t)
     dirs = sp.directions(p, t, opr.window)
-    for vec in (dirs.B1.values - 2.0 * dirs.B2.values,
+    for vec in (dirs.B1 - 2.0 * dirs.B2,
                 np.zeros(opr.window.n_points)):
         with pytest.raises(ValueError, match="rank-deficient"):
             sp.coercivity(opr, dirs, vec)
