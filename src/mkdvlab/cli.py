@@ -11,13 +11,14 @@ Four subcommands cover the laboratory's standing experiments:
                soliton speed law, conservation drifts
     stability  perturbed-breather experiments with modulation tracking
 
-Each subcommand reads only the config keys listed in its table (SUITES):
-a key it does not read, a value outside its domain, an empty or repeating
-sweep list, or values that fail the suite's check (a spectrum window that
-misses the breather) is a config error.  One driver (run_suite) expands
-the sweep into an ordered task list, dispatches the tasks (sequentially by
-default; set MKDVLAB_WORKERS > 1 for a process pool), and assembles
-report.json, which echoes the keys read, plus per-run CSV dumps.
+Each subcommand reads only the config keys listed in its table (SUITES),
+each set by one name in the config file: a key it does not read, a value
+outside its domain, an empty or repeating sweep list, or a run whose t_end
+is not a whole number of its steps is a config error.  One driver
+(run_suite) expands the sweep into an ordered task list, dispatches the
+tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for a process
+pool), and assembles report.json, which echoes each key read under the
+name that sets it, plus per-run CSV dumps.
 A stability task is one (order, shape), so the pool splits the shapes.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
@@ -43,14 +44,13 @@ from . import __version__
 from . import closed_forms as cf
 from . import identities as ide
 from . import spectral as spc
-from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, STABILITY_ORDERS,
-                        BlowUpError, breather_fidelity_config, evolve,
-                        functional_drifts, soliton_speed_run,
-                        stability_experiment, stability_run_config,
-                        step_count)
-from .functionals import (SampledField, Window, closed_form_energy,
-                          energy_reduction, functional,
-                          higher_energy_conjecture, require_window,
+from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, RUN_ALPHA_BETA,
+                        STABILITY_ORDERS, BlowUpError,
+                        breather_fidelity_config, evolve, functional_drifts,
+                        soliton_speed_run, stability_experiment,
+                        stability_run_config, step_count)
+from .functionals import (SampledField, closed_form_energy, energy_reduction,
+                          functional, higher_energy_conjecture,
                           sample_breather, sample_soliton, sobolev_norm,
                           term_scale)
 
@@ -137,15 +137,13 @@ class Key:
     A tuple default marks a comma-separated list, which must hold at least
     one value and no value twice.  rule is (predicate, what it asks) and
     applies to each value.  A list with `each` set gives the suite one task
-    per value, under that name; the others reach every task whole.  `echo`
-    is the key's name in report.json when it differs.
+    per value, under that name; the others reach every task whole.
     """
 
     cast: object
     default: object
     rule: tuple | None = None
     each: str | None = None
-    echo: str | None = None
 
 
 def _one_of(options: tuple) -> tuple:
@@ -167,8 +165,7 @@ class RunConfig:
     out_dir: str
 
     def echo(self) -> dict:
-        keys = SUITES[self.command].keys
-        out = {keys[k].echo or k: list(v) if isinstance(v, tuple) else v
+        out = {k: list(v) if isinstance(v, tuple) else v
                for k, v in self.values.items()}
         out.update(command=self.command, tolerances=dict(self.tolerances))
         return out
@@ -215,13 +212,10 @@ def _convert(command: str, name: str, key: Key, text: str):
     return vals if many else vals[0]
 
 
-def build_config(command: str, raw: dict, out_dir: str,
-                 seed_override: int | None = None) -> RunConfig:
+def build_config(command: str, raw: dict, out_dir: str) -> RunConfig:
     if command not in SUITES:
         raise ConfigError(f"unknown command {command!r}")
     suite = SUITES[command]
-    if seed_override is not None:
-        raw = {**raw, "seed": str(seed_override)}
     values = {k: key.default for k, key in suite.keys.items()}
     tol = dict(suite.tol)
     for k, text in raw.items():
@@ -407,33 +401,11 @@ def _adjudication_records(tol: dict) -> list:
 # --------------------------------------------------------------------------
 # spectrum
 
-def _spectrum_window(values: dict, p: cf.BreatherParams) -> Window:
-    """The breather's spectral window at t = 0, moved or resized by the
-    window keys that are set; one that misses the breather is a ConfigError."""
-    w = spc.spectral_window(p, 0.0, n_points=values["window_n"] or 1024)
-    moves = {k: values[f"window_{k}"] for k in ("center", "half_width")
-             if values[f"window_{k}"] is not None}
-    try:
-        w = replace(w, **moves)
-        require_window(w, p, 0.0)
-    except ValueError as e:
-        keys = " and ".join(f"window_{k}" for k in moves)
-        raise ConfigError(f"spectrum: the window set by {keys} misses the "
-                          f"breather at alpha = {p.alpha:g}, beta = "
-                          f"{p.beta:g}: {e}") from None
-    return w
-
-
-def _check_spectrum_windows(values: dict) -> None:
-    for a, b in itertools.product(values["alpha"], values["beta"]):
-        _spectrum_window(values, cf.BreatherParams(5, a, b))
-
-
 def _spectrum_point(task: dict) -> tuple:
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
     p = cf.BreatherParams(5, a, b)
-    w = _spectrum_window(task, p)
+    w = spc.spectral_window(p, 0.0, n_points=task["window_n"] or 1024)
     tag = {"alpha": a, "beta": b, "n": w.n_points}
     opr = spc.build_operator(p, 0.0, w)
     summary = spc.spectrum(opr)
@@ -574,7 +546,7 @@ def _evolve_point(task: dict) -> tuple:
     tag = {"order": order}
     recs, arts = [], []
 
-    p = cf.BreatherParams(order, 1.0, 1.0)
+    p = cf.BreatherParams(order, *RUN_ALPHA_BETA)
     cfg_run = _at_dt(breather_fidelity_config(order), task["dt"])
     h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed}
@@ -626,7 +598,7 @@ def _check_stability_steps(values: dict) -> None:
 def _stability_point(task: dict) -> tuple:
     order, shape, eta = task["order"], task["shape"], task["eta"]
     tol = task["tol"]
-    p = cf.BreatherParams(order, 1.0, 1.0)
+    p = cf.BreatherParams(order, *RUN_ALPHA_BETA)
     cfg_run = _at_dt(stability_run_config(order, t_end=task["t_end"]),
                      task["dt"])
     report = stability_experiment(p, eta, shape, cfg_run, seed=task["seed"])
@@ -665,8 +637,8 @@ def _orders(default: tuple, options: tuple) -> Key:
     return Key(int, default, _one_of(options), each="order")
 
 
-_ALPHA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="alpha", echo="alphas")
-_BETA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="beta", echo="betas")
+_ALPHA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="alpha")
+_BETA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="beta")
 _DT = Key(_real, None, _POSITIVE)  # None: the shipped run's time step
 _SEED = Key(int, 0, _NONNEGATIVE)
 
@@ -675,8 +647,8 @@ SUITES = {
         "orders": _orders((3, 5, 7, 9, 11), cf.ORDERS),
         "alpha": _ALPHA,
         "beta": _BETA,
-        "c": Key(_real, (0.25, 1.0, 4.0), _POSITIVE, echo="cs"),
-        "t": Key(_real, (0.0, 0.37, 1.1), echo="times"),
+        "c": Key(_real, (0.25, 1.0, 4.0), _POSITIVE),
+        "t": Key(_real, (0.0, 0.37, 1.1)),
         "seed": _SEED,
     }, {"breather_ode": 1e-8, "soliton_ode": 1e-9, "identity": 1e-7,
         # 64 ulps of the summed size of the terms (functionals.term_scale,
@@ -689,16 +661,13 @@ SUITES = {
     "spectrum": Suite(_spectrum_point, {
         "alpha": _ALPHA,
         "beta": _BETA,
-        "window_center": Key(_real, None),  # None: spectral_window's choice
-        "window_half_width": Key(_real, None, _POSITIVE),
         # the coercivity spread check runs the half grid, which must itself
         # satisfy the sampling floor of 256 points
         "window_n": Key(int, None, (lambda n: n >= 512 and (n & (n - 1)) == 0,
                                     "be a power of two >= 512")),
         "seed": _SEED,
     }, {"counts": 0.5, "edge": 0.02, "form": 1e-4, "b0": 1e-4,
-        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5},
-        check=_check_spectrum_windows),
+        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5}),
     "evolve": Suite(_evolve_point, {
         "orders": _orders((5, 7, 9), EVOLVE_ORDERS),
         "dt": _DT,
@@ -804,13 +773,11 @@ def main(argv=None) -> int:
                        help="flat key = value file; defaults used if omitted")
         q.add_argument("--out", required=True,
                        help="existing output directory")
-        q.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     args = parser.parse_args(argv)
 
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        cfg = build_config(args.command, raw, args.out, args.seed)
+        cfg = build_config(args.command, raw, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -730,22 +730,19 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #   soliton   order 5, dt 2e-3 / 1e-3:            1.4e-6 / 1.1e-7
 #             orders 7 and 9, dt 4e-3 / 2e-3 / 1e-3: 4e-12 / 4e-12 / 5e-12
 #                                                 and 3e-12 at each
-# against the evolve budget of 1e-5.  The breather runs target
-# t_end = 0.2/(alpha^2+beta^2)^2 = 0.05 at alpha = beta = 1; frame_speed
-# equals the breather translation speed for the orders whose breather is a
-# rigid traveling wave (5 and 9), which freezes the profile on the grid.
-# The order-7 breather genuinely oscillates (carrier and envelope counter-
-# propagate), so no frame makes it static and its Newton solves do the most
-# work.  An order's stability run is its breather run at the stability
-# horizon (stability_run_config).  At order 5 its modulated distance at
-# t = 0.1 (eta 0.01) moves by under 1% between dt 2e-3, 1e-3 and 5e-4 for
-# every default shape (gaussian 0.0914 / 0.0920 / 0.0913).
+# against the evolve budget of 1e-5.  The breather runs are at
+# RUN_ALPHA_BETA and target t_end = 0.2/(alpha^2+beta^2)^2 = 0.05; where the
+# breather is a rigid traveling wave (delta = gamma: orders 5 and 9 there)
+# the frame rides at its speed -gamma, which freezes the profile on the
+# grid.  The order-7 breather genuinely oscillates (carrier and envelope
+# counter-propagate), so no frame makes it static and its Newton solves do
+# the most work.  An order's stability run is its breather run at the
+# stability horizon (stability_run_config).  At order 5 its modulated
+# distance at t = 0.1 (eta 0.01) moves by under 1% between dt 2e-3, 1e-3 and
+# 5e-4 for every default shape (gaussian 0.0914 / 0.0920 / 0.0913).
 
-_BREATHER_RUNS = {  # order: (frame_speed, dt)
-    5: (-4.0, 1e-3),
-    7: (0.0, 5e-4),
-    9: (16.0, 1e-3),
-}
+RUN_ALPHA_BETA = (1.0, 1.0)  # the breather of the evolve and stability runs
+_BREATHER_RUNS = {5: 1e-3, 7: 5e-4, 9: 1e-3}  # order: dt
 
 _SOLITON_RUNS = {  # order: (c, frame_speed or None for the law's, dt)
     5: (2.0, 0.0, 1e-3),
@@ -760,10 +757,13 @@ STABILITY_ORDERS = (5,)
 
 def breather_fidelity_config(order: int,
                              n_points: int = 1024) -> EvolutionConfig:
-    """Reference run reproducing the alpha=beta=1 breather to t=0.05."""
-    frame, dt = _BREATHER_RUNS[order]
+    """Reference run reproducing the RUN_ALPHA_BETA breather to t=0.05, in
+    the frame of the breather where it is a rigid wave."""
+    vel = cf.velocities(order, *RUN_ALPHA_BETA)
+    frame = -vel.gamma if vel.delta == vel.gamma else 0.0
     return EvolutionConfig(order=order, window=Window(0.0, 30.0, n_points),
-                           dt=dt, t_end=0.05, frame_speed=frame)
+                           dt=_BREATHER_RUNS[order], t_end=0.05,
+                           frame_speed=frame)
 
 
 def soliton_speed_run(order: int,

@@ -78,19 +78,20 @@ def test_build_config_rejections(tmp_path):
         cli.build_config("spectrum", {"window_n": "256"}, out)
     with pytest.raises(cli.ConfigError):  # output directory must exist
         cli.build_config("verify", good, str(tmp_path / "missing"))
-    cfg = cli.build_config("verify", good, out, seed_override=99)
-    assert cfg.values["seed"] == 99
 
 
 # the config keys each suite reads; any other key is a config error
 READS = {
     "verify": {"command", "seed", "orders", "alpha", "beta", "c", "t"},
-    "spectrum": {"command", "seed", "alpha", "beta", "window_center",
-                 "window_half_width", "window_n"},
+    "spectrum": {"command", "seed", "alpha", "beta", "window_n"},
     "evolve": {"command", "seed", "orders", "dt"},
     "stability": {"command", "seed", "orders", "shapes", "eta", "t_end",
                   "dt"},
 }
+
+
+# keys that a suite once read and no suite reads now
+REMOVED = {"window_center", "window_half_width"}
 
 
 def _tol_keys(suite):
@@ -102,9 +103,16 @@ def test_each_suite_reads_its_table():
         == READS
 
 
+@pytest.mark.parametrize("suite", sorted(READS))
+def test_report_echoes_each_key_under_the_name_that_sets_it(tmp_path, suite):
+    cfg = cli.build_config(suite, {}, str(tmp_path))
+    assert set(cfg.echo()) == READS[suite] | {"tolerances"}
+
+
 @pytest.mark.parametrize("suite,key", [
     (suite, key) for suite in sorted(READS)
-    for key in sorted(set().union(*READS.values(), *map(_tol_keys, READS))
+    for key in sorted(set().union(*READS.values(), *map(_tol_keys, READS),
+                                  REMOVED)
                       - READS[suite] - _tol_keys(suite))])
 def test_unread_key_is_rejected(tmp_path, suite, key):
     with pytest.raises(cli.ConfigError, match=f"{suite} .*'{key}'"):
@@ -124,7 +132,7 @@ def test_unread_key_is_rejected(tmp_path, suite, key):
     ("verify", "c = 1, 0.5, 1.0", "c"),
     ("spectrum", "alpha = 0", "alpha"),
     ("spectrum", "window_n = 768", "window_n"),
-    # windows that miss the breather: rejected before any task runs
+    # removed keys: the window is spectral_window's, so they are unread
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_center = 60",
      "window_center"),
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_half_width = 3",
@@ -157,6 +165,12 @@ def test_run_that_is_not_a_whole_number_of_steps_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "t_end" in err and "dt" in err
     assert list(out.iterdir()) == []  # rejected before any task ran
+
+
+def test_seed_is_set_only_by_its_config_key(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["verify", "--out", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_zero_budget_allowed(tmp_path):
@@ -258,7 +272,6 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     out2 = tmp_path / "pool"
     out1.mkdir()
     out2.mkdir()
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     assert run_main(["verify", "--config", cfgp, "--out", str(out1)]) == 0
     monkeypatch.setenv("MKDVLAB_WORKERS", "2")
     assert run_main(["verify", "--config", cfgp, "--out", str(out2)]) == 0
@@ -314,7 +327,6 @@ def _counting_residuals(monkeypatch):
 
 def test_verify_computes_order_free_and_breather_free_checks_once(
         tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     calls = _counting_residuals(monkeypatch)
     cfg = cli.build_config("verify", cli.parse_config_file(
         write_cfg(tmp_path / "c.txt", MEMO_VERIFY)), str(tmp_path))
@@ -373,7 +385,6 @@ def test_verify_computes_rest_energies_once_per_alpha_beta(tmp_path,
     from mkdvlab import closed_forms as cf
     from mkdvlab import functionals as fn
 
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     kinds, rest_samples = [], []
 
     def counting(f, kind):
@@ -513,7 +524,6 @@ def _count_spectrum_work(tmp_path, monkeypatch, config):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     monkeypatch.setattr(spc, "build_operator",
                         counting("build", spc.build_operator))
     monkeypatch.setattr(scipy.linalg, "eigh",
@@ -538,30 +548,18 @@ def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
     assert (builds, eighs) == (2, 8)
 
 
-def test_off_centre_spectrum_point_solves_the_whole_space(tmp_path,
-                                                          monkeypatch):
-    # off the breather's centre the operator has no parity symmetry: the
-    # same four solves, one eigh each
-    builds, eighs, report = _count_spectrum_work(
-        tmp_path, monkeypatch,
-        "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\nwindow_center = 0.37\n")
-    assert len(report["records"]) == 11
-    assert (builds, eighs) == (2, 4)
-
-
 def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
                                                           monkeypatch):
+    # the half grid is the configured spectral_window at half the points
     from mkdvlab import closed_forms as cf
     from mkdvlab import spectral as spc
-    from mkdvlab.functionals import Window
 
     _, _, report = _count_spectrum_work(
-        tmp_path, monkeypatch,
-        "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\nwindow_half_width = 25\n")
+        tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     spread, = [r for r in report["records"]
                if r["id"].startswith("coercivity_spread")]
     p = cf.BreatherParams(5, 1.0, 1.0)
-    w2 = Window(0.0, 25.0, 256)
+    w2 = spc.spectral_window(p, 0.0, 256)
     opr2 = spc.build_operator(p, 0.0, w2)
     want = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
                           spc.spectrum(opr2).lowest_vector)
@@ -593,7 +591,6 @@ def test_wronskian_samples_surround_the_breather_at_its_time(tmp_path,
         seen.append((p, t, np.array(xs)))
         return original(p, t, xs)
 
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     monkeypatch.setattr(spc, "wronskian_check", capturing)
     cfgp = write_cfg(tmp_path / "s.txt",
                      "alpha = 2.0\nbeta = 0.5\nwindow_n = 512\n")
@@ -611,10 +608,9 @@ def test_wronskian_samples_surround_the_breather_at_its_time(tmp_path,
     assert wronskian["pass"]
 
 
-def test_spectrum_at_alpha_beta_3_exits_0(tmp_path, monkeypatch):
+def test_spectrum_at_alpha_beta_3_exits_0(tmp_path):
     # the Wronskian samples once sat 120 units from the core at t = 0.37,
     # where cosh 2 beta y2 overflows: the suite crashed with exit 3
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     cfgp = write_cfg(tmp_path / "s.txt", "alpha = 3\nbeta = 3\n")
     out = tmp_path / "o"
     out.mkdir()
@@ -624,10 +620,9 @@ def test_spectrum_at_alpha_beta_3_exits_0(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_spectrum_passes_on_the_7x7_grid_at_n_1024(tmp_path, monkeypatch):
+def test_spectrum_passes_on_the_7x7_grid_at_n_1024(tmp_path):
     # every point of the 0.25-step grid inside the default (alpha, beta)
     # range, at the default n: all 11 checks at each of the 49 points
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     grid = ", ".join(str(0.5 + 0.25 * i) for i in range(7))
     cfgp = write_cfg(tmp_path / "s.txt",
                      f"alpha = {grid}\nbeta = {grid}\nwindow_n = 1024\n")

@@ -616,8 +616,7 @@ def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
     assert runs == [5]  # one soliton run per evolve point
 
 
-def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+def test_stability_suite_records_and_determinism(tmp_path):
     cfgp = tmp_path / "c.txt"
     cfgp.write_text("orders = 5\nshapes = B1, LambdaBeta\neta = 0.01\n"
                     "t_end = 0.002\n", encoding="utf-8")
@@ -655,8 +654,7 @@ def test_stability_suite_records_and_determinism(tmp_path, monkeypatch):
             == (outs[1] / "report.json").read_bytes())
 
 
-def test_stability_shapes_are_independent_tasks(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+def test_stability_shapes_are_independent_tasks(tmp_path):
     common = "orders = 5\neta = 0.01\nt_end = 0.002\n"
     runs = {"both": "B1, LambdaBeta", "B1": "B1", "LambdaBeta": "LambdaBeta"}
     outs = {}
@@ -695,7 +693,6 @@ def _run_blowing_up(tmp_path, command, config):
 
 
 def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
 
     def blowing_soliton(order, n_points=1024):
         # height 4 instead of the default's sqrt(2)
@@ -726,7 +723,6 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
 
 
 def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     monkeypatch.setattr(cli, "stability_run_config", _blow_up_config)
     code, out, report = _run_blowing_up(
         tmp_path, "stability", "orders = 5\nshapes = B1\neta = 0.01\n")
@@ -773,8 +769,7 @@ def test_track_modulation_stops_at_a_failed_fit_only_after_a_blow_up(
 # full-horizon suites
 
 
-def test_full_horizon_order5_evolve_suite(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+def test_full_horizon_order5_evolve_suite(tmp_path):
     cfgp = tmp_path / "c.txt"
     cfgp.write_text("orders = 5\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -797,8 +792,7 @@ def _default_suite(tmp_path, command):
 
 
 @pytest.mark.slow
-def test_default_evolve_suite_passes(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+def test_default_evolve_suite_passes(tmp_path):
     code, records = _default_suite(tmp_path, "evolve")
     assert len(records) == 15
     assert [r["id"] for r in records if not r["pass"]] == []
@@ -806,11 +800,9 @@ def test_default_evolve_suite_passes(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_default_stability_suite_keeps_every_shape_close(tmp_path,
-                                                         monkeypatch):
+def test_default_stability_suite_keeps_every_shape_close(tmp_path):
     # the gaussian's max_phase_speed is left out: its phases drift linearly
-    # in eta, which a phase-only fit reads as a speed (ROADMAP Direction 2)
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
+    # in eta, which a phase-only fit reads as a speed (ROADMAP Direction 1)
     _, records = _default_suite(tmp_path, "stability")
     sup = [r for r in records if r["id"].startswith("sup_distance")]
     assert [r["id"].split(",")[1] for r in sup] == [

@@ -81,10 +81,9 @@ def test_soliton_run_config_has_the_fields_the_harness_reads():
     assert int(round(short.t_end / short.dt)) > 0
 
 
-def test_verify_run_calls_run_variants_twice(tmp_path, monkeypatch):
+def test_verify_run_calls_run_variants_twice(tmp_path):
     # the per-layer metric identities.run_variants.calls counts verify's two
     # adjudications; one that bypassed the function would go uncounted
-    monkeypatch.delenv("MKDVLAB_WORKERS", raising=False)
     path = tmp_path / "c.cfg"
     path.write_text("orders = 3\nalpha = 1.0\nbeta = 1.0\nc = 1.0\nt = 0.0\n",
                     encoding="utf-8")
