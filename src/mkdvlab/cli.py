@@ -18,7 +18,8 @@ is not a whole number of its steps is a config error.  One driver
 (run_suite) expands the sweep into an ordered task list, dispatches the
 tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for a process
 pool), and assembles report.json, which echoes each key read under the
-name that sets it, plus per-run CSV dumps.
+name that sets it, plus per-run artifacts: JSON summaries, and the
+snapshot fields of each evolve run as one .npy array.
 A stability task is one (order, shape), so the pool splits the shapes.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import math
 import os
@@ -458,20 +460,17 @@ def _spectrum_point(task: dict) -> tuple:
 # --------------------------------------------------------------------------
 # evolve
 
-def _value_csv(values: np.ndarray) -> str:
-    """dump_csv(("value",), [(v,) for v in values]), formatted in one pass."""
-    vals = values.tolist()
-    if np.isfinite(values).all():
-        return "value\n" + ("%.17g\n" * len(vals)) % tuple(vals)
-    return "value\n" + "".join(_fmt_float(v) + "\n" for v in vals)
-
-
 def _trajectory_artifacts(prefix: str, traj) -> list:
-    arts = [(f"{prefix}/snap_{i:04d}.csv", _value_csv(snap.field.values))
-            for i, snap in enumerate(traj)]
+    """fields.npy, the snapshots' values as the rows of one float64 array
+    (exact, and byte-deterministic), and manifest.json, each snapshot's
+    row, time, window, functionals, solver work and spectral tail."""
+    fields = io.BytesIO()
+    np.save(fields, np.stack([snap.field.values for snap in traj]),
+            allow_pickle=False)
     manifest = {
+        "values_file": "fields.npy",
         "snapshots": [
-            {"t": snap.t, "values_file": f"snap_{i:04d}.csv",
+            {"t": snap.t, "row": i, "tail": snap.tail,
              "window": {"center": snap.field.window.center,
                         "half_width": snap.field.window.half_width,
                         "n_points": snap.field.window.n_points},
@@ -481,8 +480,8 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
             for i, snap in enumerate(traj)
         ],
     }
-    arts.append((f"{prefix}/manifest.json", dump_json(manifest)))
-    return arts
+    return [(f"{prefix}/fields.npy", fields.getvalue()),
+            (f"{prefix}/manifest.json", dump_json(manifest))]
 
 
 def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
@@ -743,11 +742,12 @@ def _dispatch(fn, tasks: list):
 
 
 def _write_artifacts(out_dir: str, artifacts) -> None:
-    for relpath, text in artifacts:
+    """Write each (relative path, str or bytes) artifact; str as UTF-8."""
+    for relpath, data in artifacts:
         path = os.path.join(out_dir, relpath)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
 def write_report(report: SuiteReport, out_dir: str) -> None:

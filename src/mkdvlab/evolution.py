@@ -423,6 +423,7 @@ class Snapshot:
     functionals: dict
     krylov_solves: int = 0     # the solver's work since the previous snapshot
     gmres_iterations: int = 0
+    tail: float = 0.0          # _tail_fraction of the stepped spectrum
 
 
 def solver_work(run) -> tuple:
@@ -454,10 +455,11 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
 
     Snapshots are taken every snapshot_every steps (default: about fifty per
     run) and always include the initial and final states; each carries the
-    Krylov solves and GMRES iterations of the steps since the previous one.
-    A spectral tail above 1e-10 of the peak triggers a single
-    ResolutionWarning.  A failed step raises BlowUpError; a t_end that is
-    not a whole number of steps raises ValueError (see step_count).
+    Krylov solves and GMRES iterations of the steps since the previous one,
+    and the spectral tail of the stepped spectrum (the largest modulus in
+    its top eighth of bins over the peak).  A tail above 1e-10 triggers a
+    single ResolutionWarning.  A failed step raises BlowUpError; a t_end
+    that is not a whole number of steps raises ValueError (see step_count).
     """
     if u0.window != cfg.window:
         raise ValueError("initial field window differs from config window")
@@ -466,25 +468,38 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     if snapshot_every is None:
         snapshot_every = max(1, n_steps // 50)
 
-    vhat = np.fft.rfft(u0.values)
-    warned = _tail_fraction(vhat) > _RESOLUTION_TAIL
-    if warned:
-        warnings.warn("initial data spectral tail above 1e-10 of peak",
-                      ResolutionWarning, stacklevel=2)
+    n = cfg.window.n_points
+    # the multipliers of the derivatives the monitored densities read; every
+    # snapshot window has the spacing of cfg.window
+    top = max((cf.max_order(cf.density(kind)) for kind in monitors),
+              default=0)
+    mults = [cfg.window.derivative_multiplier(k) for k in range(1, top + 1)]
 
     def snapshot(i, spec, work):
         t = i * cfg.dt
-        f = SampledField(cfg.window_at(t),
-                         np.fft.irfft(spec, n=cfg.window.n_points))
+        f = SampledField(cfg.window_at(t), np.fft.irfft(spec, n=n))
+        # one rfft of the values serves every derivative the monitors read,
+        # bitwise those of SampledField.deriv; the snapshot keeps the plain
+        # field, so the derivatives do not outlive this call
+        jet = f
+        if mults:
+            vh = np.fft.rfft(f.values)
+            jet = SampledField(f.window, f.values,
+                               tuple(np.fft.irfft(vh * m, n=n) for m in mults))
         with warnings.catch_warnings():
             # radiation wrapping around the periodic window is legitimate
             # here and the trapezoid quadrature stays exact for it; the edge
             # check guards sampling of decaying profiles, not evolution
             warnings.simplefilter("ignore", TailWarning)
-            vals = {kind: functional(f, kind) for kind in monitors}
-        return Snapshot(t, f, vals, *work)
+            vals = {kind: functional(jet, kind) for kind in monitors}
+        return Snapshot(t, f, vals, *work, _tail_fraction(spec))
 
+    vhat = np.fft.rfft(u0.values)
     traj = [snapshot(0, vhat, (0, 0))]
+    warned = traj[0].tail > _RESOLUTION_TAIL
+    if warned:
+        warnings.warn("initial data spectral tail above 1e-10 of peak",
+                      ResolutionWarning, stacklevel=2)
     work = (0, 0)  # since the last snapshot
     for i in range(1, n_steps + 1):
         s = step(vhat)
@@ -493,13 +508,13 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
             raise BlowUpError(i * cfg.dt, s.residual, traj, *work)
         vhat = s.value
         if i % snapshot_every == 0 or i == n_steps:
-            if not warned and _tail_fraction(vhat) > _RESOLUTION_TAIL:
+            traj.append(snapshot(i, vhat, work))
+            work = (0, 0)
+            if not warned and traj[-1].tail > _RESOLUTION_TAIL:
                 warnings.warn(f"spectral tail above 1e-10 of peak at "
                               f"t={i * cfg.dt:.6g}", ResolutionWarning,
                               stacklevel=2)
                 warned = True
-            traj.append(snapshot(i, vhat, work))
-            work = (0, 0)
     return traj
 
 
@@ -731,10 +746,11 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #             orders 7 and 9, dt 4e-3 / 2e-3 / 1e-3: 4e-12 / 4e-12 / 5e-12
 #                                                 and 3e-12 at each
 # against the evolve budget of 1e-5.  The breather runs are at
-# RUN_ALPHA_BETA and target t_end = 0.2/(alpha^2+beta^2)^2 = 0.05; where the
-# breather is a rigid traveling wave (delta = gamma: orders 5 and 9 there)
-# the frame rides at its speed -gamma, which freezes the profile on the
-# grid.  The order-7 breather genuinely oscillates (carrier and envelope
+# RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number of
+# steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather
+# is a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame
+# rides at its speed -gamma, which freezes the profile on the grid.  The
+# order-7 breather genuinely oscillates (carrier and envelope
 # counter-propagate), so no frame makes it static and its Newton solves do
 # the most work.  An order's stability run is its breather run at the
 # stability horizon (stability_run_config).  At order 5 its modulated
@@ -757,13 +773,17 @@ STABILITY_ORDERS = (5,)
 
 def breather_fidelity_config(order: int,
                              n_points: int = 1024) -> EvolutionConfig:
-    """Reference run reproducing the RUN_ALPHA_BETA breather to t=0.05, in
-    the frame of the breather where it is a rigid wave."""
-    vel = cf.velocities(order, *RUN_ALPHA_BETA)
+    """Reference run reproducing the RUN_ALPHA_BETA breather, in the frame
+    of the breather where it is a rigid wave: half width 30/beta, and the
+    whole number of the order's steps nearest 0.2/(alpha^2+beta^2)^2."""
+    alpha, beta = RUN_ALPHA_BETA
+    vel = cf.velocities(order, alpha, beta)
     frame = -vel.gamma if vel.delta == vel.gamma else 0.0
-    return EvolutionConfig(order=order, window=Window(0.0, 30.0, n_points),
-                           dt=_BREATHER_RUNS[order], t_end=0.05,
-                           frame_speed=frame)
+    dt = _BREATHER_RUNS[order]
+    t_end = round(0.2 / (alpha**2 + beta**2) ** 2 / dt) * dt
+    return EvolutionConfig(order=order,
+                           window=Window(0.0, 30.0 / beta, n_points),
+                           dt=dt, t_end=t_end, frame_speed=frame)
 
 
 def soliton_speed_run(order: int,

@@ -201,17 +201,13 @@ def test_csv_writer():
     assert lines[2] == "r2,null"
 
 
-def test_snapshot_value_csv_matches_dump_csv():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal(1024) * 10.0 ** rng.integers(-300, 300, 1024)
-    values[:4] = (0.1, -0.0, 5e-324, 1.0)
-    want = cli.dump_csv(("value",), [(v,) for v in values])
-    assert cli._value_csv(values) == want
-    values[7] = float("nan")
-    text = cli._value_csv(values)
-    assert text == cli.dump_csv(("value",), [(v,) for v in values])
-    assert text.split("\n")[8] == "null"
-    assert cli._value_csv(np.array([])) == cli.dump_csv(("value",), [])
+def test_write_artifacts_writes_bytes_and_text_as_given(tmp_path):
+    text = "a,b\r\n\u03b1\n"
+    data = bytes(range(256))
+    cli._write_artifacts(str(tmp_path), [("d/t.csv", text),
+                                         ("d/e/b.npy", data)])
+    assert (tmp_path / "d" / "t.csv").read_bytes() == text.encode("utf-8")
+    assert (tmp_path / "d" / "e" / "b.npy").read_bytes() == data
 
 
 def test_report_invariant():

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -9,7 +10,8 @@ import pytest
 from mkdvlab import cli
 from mkdvlab import closed_forms as cf
 from mkdvlab import evolution as ev
-from mkdvlab.functionals import (SampledField, Window, sample_breather,
+from mkdvlab.functionals import (SampledField, TailWarning, Window,
+                                 functional, require_window, sample_breather,
                                  sample_soliton, sobolev_norm)
 
 N_SMALL = 256
@@ -235,6 +237,49 @@ def test_frame_speed_moves_snapshot_windows():
         traj = ev.evolve(sample_breather(p, 0.0, cfg.window, m=0), cfg)
     assert traj[-1].field.window.center == pytest.approx(
         cfg.frame_speed * traj[-1].t)
+
+
+def test_snapshot_monitors_and_tails_are_those_of_the_plain_field():
+    # the monitors read one rfft of each snapshot's values; the functionals
+    # are bitwise those of the stored field, and the tail is that of the
+    # stepped spectrum, which sets the one ResolutionWarning
+    p = cf.BreatherParams(5, 0.6, 0.5)
+    cfg = small_config(5, dt=1e-3, t_end=6e-3)
+    u0 = sample_breather(p, 0.0, cfg.window, m=0)
+    monitors = ("M", "E", "E5", "E9")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = ev.evolve(u0, cfg, monitors=monitors, snapshot_every=2)
+    assert [s.t for s in traj] == [0.0, 2e-3, 4e-3, 6e-3]
+    for snap in traj:
+        assert snap.field.derivs == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailWarning)
+            assert snap.functionals == {k: functional(snap.field, k)
+                                        for k in monitors}
+    assert traj[0].tail == ev._tail_fraction(np.fft.rfft(u0.values))
+    assert all(0.0 < s.tail < 1.0 for s in traj)
+    resolution = [w for w in caught
+                  if issubclass(w.category, ev.ResolutionWarning)]
+    assert len(resolution) == int(
+        max(s.tail for s in traj) > ev._RESOLUTION_TAIL)
+
+
+def test_breather_fidelity_config_follows_run_alpha_beta(monkeypatch):
+    # at (1, 1): half width 30, t_end 0.05, and the frame -gamma of the
+    # rigid orders 5 and 9
+    for order, dt, frame in ((5, 1e-3, -4.0), (7, 5e-4, 0.0),
+                             (9, 1e-3, 16.0)):
+        assert ev.breather_fidelity_config(order) == ev.EvolutionConfig(
+            order=order, window=Window(0.0, 30.0, 1024), dt=dt, t_end=0.05,
+            frame_speed=frame)
+    monkeypatch.setattr(ev, "RUN_ALPHA_BETA", (1.0, 0.5))
+    for order in ev.EVOLVE_ORDERS:
+        cfg = ev.breather_fidelity_config(order)
+        require_window(cfg.window, cf.BreatherParams(order, 1.0, 0.5), 0.0)
+        assert cfg.window.half_width == 60.0
+        assert cfg.t_end == 0.128  # 0.2 / (1 + 0.25)^2
+        assert ev.step_count(cfg.t_end, cfg.dt) * cfg.dt == cfg.t_end
 
 
 def _blowing_field(w):
@@ -616,6 +661,34 @@ def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
     assert runs == [5]  # one soliton run per evolve point
 
 
+def _load_fields(data):
+    return np.load(io.BytesIO(data), allow_pickle=False)
+
+
+def test_trajectory_artifacts_hold_the_fields_bit_for_bit():
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = small_config(5, dt=1e-3, t_end=4e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        traj = ev.evolve(sample_breather(p, 0.0, cfg.window, m=0), cfg,
+                         monitors=("M",), snapshot_every=1)
+    arts = cli._trajectory_artifacts("evolve_order5", traj)
+    assert [name for name, _ in arts] == ["evolve_order5/fields.npy",
+                                          "evolve_order5/manifest.json"]
+    assert arts == cli._trajectory_artifacts("evolve_order5", traj)
+    fields = _load_fields(arts[0][1])
+    manifest = json.loads(arts[1][1])
+    assert manifest["values_file"] == "fields.npy"
+    snaps = manifest["snapshots"]
+    assert fields.dtype == np.float64
+    assert fields.shape == (len(snaps), N_SMALL) == (len(traj), N_SMALL)
+    for i, (row, entry, snap) in enumerate(zip(fields, snaps, traj)):
+        assert row.tobytes() == snap.field.values.tobytes()
+        assert entry["row"] == i and "values_file" not in entry
+        assert entry["tail"] == snap.tail
+        assert entry["t"] == snap.t
+
+
 def test_stability_suite_records_and_determinism(tmp_path):
     cfgp = tmp_path / "c.txt"
     cfgp.write_text("orders = 5\nshapes = B1, LambdaBeta\neta = 0.01\n"
@@ -720,6 +793,10 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
     # and each snapshot says what the solver did to reach it
     work = [s["krylov_solves"] for s in manifest["snapshots"]]
     assert work[0] == 0 and len(work) >= 2 and min(work[1:]) >= 1
+    # one field row per snapshot of the partial run
+    fields = _load_fields(
+        (out / "evolve_order5" / "fields.npy").read_bytes())
+    assert fields.shape == (len(manifest["snapshots"]), N_SMALL)
 
 
 def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
