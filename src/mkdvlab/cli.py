@@ -49,7 +49,7 @@ from . import spectral as spc
 from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, RUN_ALPHA_BETA,
                         STABILITY_ORDERS, BlowUpError,
                         breather_fidelity_config, evolve, functional_drifts,
-                        soliton_speed_run, stability_experiment,
+                        solver_work, soliton_speed_run, stability_experiment,
                         stability_run_config, step_count)
 from .functionals import (SampledField, closed_form_energy, energy_reduction,
                           functional, higher_energy_conjecture,
@@ -260,7 +260,7 @@ class SuiteReport:
     @property
     def summary(self) -> dict:
         """Record counts, and the total of each solver count that records
-        carry in their params (only stability records do)."""
+        carry in their params: one record per evolve or stability run."""
         passed = sum(1 for r in self.records if r["pass"])
         out = {"total": len(self.records), "passed": passed,
                "failed": len(self.records) - passed}
@@ -485,7 +485,7 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
 
 
 def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
-    """(v_measured, v_law, error in grid cells) for a soliton run.
+    """(v_measured, v_law, error in cells, the run's _work) of a soliton run.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
@@ -505,7 +505,11 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     v_meas = scfg.frame_speed + shift * scfg.window.spacing / scfg.t_end
     v_law = cf.soliton_speed(sp_.order, sp_.c)
     cells = abs(v_meas - v_law) * scfg.t_end / scfg.window.spacing
-    return v_meas, v_law, cells
+    return v_meas, v_law, cells, _work(traj)
+
+
+def _work(run) -> dict:
+    return dict(zip(_WORK_KEYS, solver_work(run)))
 
 
 def _at_dt(cfg_run, dt):
@@ -555,15 +559,16 @@ def _evolve_point(task: dict) -> tuple:
         traj = evolve(u0, cfg_run, monitors=monitors)
     except BlowUpError as e:
         traj = e.trajectory
-        recs.append(_blown_up("breather_h2", h2_tag, tol["h2"], e))
+        recs.append(_blown_up("breather_h2", {**h2_tag, **_work(e)},
+                              tol["h2"], e))
         recs.extend(_blown_up(f"drift_{kind}", tag, tol["drift"], e)
                     for kind in sorted(monitors))
     else:
         last = traj[-1]
         ref = sample_breather(p, last.t, last.field.window, m=0)
         err = SampledField(last.field.window, last.field.values - ref.values)
-        recs.append(_record("breather_h2", h2_tag, sobolev_norm(err, 2),
-                            tol["h2"]))
+        recs.append(_record("breather_h2", {**h2_tag, **_work(traj)},
+                            sobolev_norm(err, 2), tol["h2"]))
         for kind, drift in sorted(functional_drifts(traj).items()):
             recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
     arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
@@ -572,14 +577,14 @@ def _evolve_point(task: dict) -> tuple:
     scfg = _at_dt(scfg, task["dt"])
     speed_tag = {**tag, "c": sp_.c, "dt": scfg.dt}
     try:
-        v_meas, v_law, cells = measure_soliton_speed(sp_, scfg)
+        v_meas, v_law, cells, work = measure_soliton_speed(sp_, scfg)
     except BlowUpError as e:
-        recs.append(_blown_up("soliton_speed", speed_tag, tol["speed_cells"],
-                              e))
+        recs.append(_blown_up("soliton_speed", {**speed_tag, **_work(e)},
+                              tol["speed_cells"], e))
     else:
         recs.append(_record("soliton_speed",
                             {**speed_tag, "v_measured": v_meas,
-                             "v_law": v_law},
+                             "v_law": v_law, **work},
                             cells, tol["speed_cells"]))
     return tuple(recs), tuple(arts)
 
@@ -603,8 +608,7 @@ def _stability_point(task: dict) -> tuple:
     report = stability_experiment(p, eta, shape, cfg_run, seed=task["seed"])
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-    work = {"krylov_solves": report.krylov_solves,
-            "gmres_iterations": report.gmres_iterations}
+    work = {key: getattr(report, key) for key in _WORK_KEYS}
     # the run's solver work goes on its one sup_distance record, so the
     # summary counts each run once
     checks = [("sup_distance", {**tag, **work}, report.sup_distance,

@@ -22,7 +22,7 @@ stability shapes) run them as separate tasks.
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
 dispersive, and snapshot windows ride along so grid positions are always
-physical positions.  A frame that makes the profile static (the soliton,
+physical positions.  A frame that makes the profile static (the solitons,
 and the order-5 and order-9 breathers) leaves Newton almost nothing to do.
 
 The module also carries the modulation machinery for the orbital-stability
@@ -144,7 +144,7 @@ class EvolutionConfig:
 # not finite, fails with its last relative residual.  The shipped runs take
 # at most 3 Krylov solves and 41 GMRES iterations per step (the order-7
 # breather), against caps of 10 and 300; the static order-5 breather takes
-# one solve of one iteration.
+# one solve of one iteration, and the riding order-5 soliton none.
 #
 # Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
 # the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
@@ -742,29 +742,28 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.5e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
 #             order 9, dt 2e-3 / 1e-3 / 5e-4:     1.7e-10 / 7.1e-11 / 7.9e-11
-#   soliton   order 5, dt 2e-3 / 1e-3:            1.4e-6 / 1.1e-7
+#   soliton   order 5, dt 2e-3 / 1e-3 / 5e-4:     8.5e-13 / 8.4e-13 / 9.1e-13
 #             orders 7 and 9, dt 4e-3 / 2e-3 / 1e-3: 4e-12 / 4e-12 / 5e-12
 #                                                 and 3e-12 at each
-# against the evolve budget of 1e-5.  The breather runs are at
+# against the evolve budget of 1e-5.  The soliton runs ride at the speed law,
+# where the profile is static; at order 5, dt 1e-3 is the step at which
+# Newton's start alone meets its target (no Krylov solve), and 2e-3, at one
+# solve per step, costs more per unit time.  The breather runs are at
 # RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number of
-# steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather
-# is a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame
-# rides at its speed -gamma, which freezes the profile on the grid.  The
-# order-7 breather genuinely oscillates (carrier and envelope
-# counter-propagate), so no frame makes it static and its Newton solves do
-# the most work.  An order's stability run is its breather run at the
-# stability horizon (stability_run_config).  At order 5 its modulated
-# distance at t = 0.1 (eta 0.01) moves by under 1% between dt 2e-3, 1e-3 and
-# 5e-4 for every default shape (gaussian 0.0914 / 0.0920 / 0.0913).
+# steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
+# a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides
+# at its speed -gamma, which freezes the profile on the grid.  The order-7
+# breather genuinely oscillates (carrier and envelope counter-propagate), so no
+# frame makes it static and its Newton solves do the most work.  An order's
+# stability run is its breather run at the stability horizon
+# (stability_run_config).  At order 5 its modulated distance at t = 0.1 (eta
+# 0.01) moves by under 1% between dt 2e-3, 1e-3 and 5e-4 for every default
+# shape (gaussian 0.0914 / 0.0920 / 0.0913).
 
 RUN_ALPHA_BETA = (1.0, 1.0)  # the breather of the evolve and stability runs
 _BREATHER_RUNS = {5: 1e-3, 7: 5e-4, 9: 1e-3}  # order: dt
 
-_SOLITON_RUNS = {  # order: (c, frame_speed or None for the law's, dt)
-    5: (2.0, 0.0, 1e-3),
-    7: (1.2, None, 2e-3),
-    9: (1.2, None, 2e-3),
-}
+_SOLITON_RUNS = {5: (2.0, 1e-3), 7: (1.2, 2e-3), 9: (1.2, 2e-3)}  # (c, dt)
 
 # the orders the evolve and stability suites can run
 EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))
@@ -791,17 +790,14 @@ def soliton_speed_run(order: int,
                                                      EvolutionConfig]:
     """Reference soliton run for the speed-law check over t in [0, 0.3].
 
-    The frame rides at the theoretical speed c^((order-1)/2), so any
-    discrepancy from the speed law shows up as in-frame drift of the
-    correlation peak.
+    At every order the frame rides at the theoretical speed
+    c^((order-1)/2), where the profile is static, so any discrepancy from
+    the speed law shows up as in-frame drift of the correlation peak.
     """
-    c, frame, dt = _SOLITON_RUNS[order]
-    sp = cf.SolitonParams(order, c)
-    if frame is None:
-        frame = cf.soliton_speed(order, c)
-    return sp, EvolutionConfig(order=order,
-                               window=Window(0.0, 26.0, n_points), dt=dt,
-                               t_end=0.3, frame_speed=frame)
+    c, dt = _SOLITON_RUNS[order]
+    return cf.SolitonParams(order, c), EvolutionConfig(
+        order=order, window=Window(0.0, 26.0, n_points), dt=dt, t_end=0.3,
+        frame_speed=cf.soliton_speed(order, c))
 
 
 def stability_run_config(order: int, t_end: float) -> EvolutionConfig:

@@ -216,9 +216,11 @@ def test_order5_breather_few_hundred_steps():
 
 
 def test_order5_soliton_speed_law_short_horizon():
-    # speed c^2 = 4 over t = 0.1 (100 steps); the H^2 distance between
-    # the closed-form profiles at t = 0.1 and t = 0.101 (a 1% speed error)
-    # is 2.7e-2, the stepper's error 2.7e-6
+    # the lab-frame speed-law check: the shipped soliton runs ride at the
+    # law's speed, where the profile is static, so this one steps the
+    # profile moving across the grid.  Speed c^2 = 4 over t = 0.1 (100
+    # steps); the H^2 distance between the closed-form profiles at t = 0.1
+    # and t = 0.101 (a 1% speed error) is 2.7e-2, the stepper's error 2.7e-6
     sp = cf.SolitonParams(5, 2.0)
     w = Window(0.0, 13.0, N_SMALL)
     cfg = small_config(5, dt=1e-3, t_end=0.1, window=w)
@@ -299,6 +301,21 @@ def test_blow_up_raises():
             ev.evolve(_blowing_field(w), cfg)
     assert 0.0 < err.value.t < cfg.t_end
     assert err.value.residual > ev._NEWTON_TOL
+
+
+@pytest.mark.parametrize("order", ev.EVOLVE_ORDERS)
+def test_soliton_runs_ride_at_the_speed_law(order):
+    sp, cfg = ev.soliton_speed_run(order)
+    assert cfg.frame_speed == cf.soliton_speed(order, sp.c)
+
+
+def test_riding_order5_soliton_takes_no_krylov_solve():
+    # in its frame the order-5 soliton is static, and at the shipped dt the
+    # linearly implicit start alone meets the Newton target
+    sp, cfg = ev.soliton_speed_run(5)
+    cfg = replace(cfg, t_end=20 * cfg.dt)
+    traj = ev.evolve(sample_soliton(sp, 0.0, cfg.window, m=0), cfg)
+    assert ev.solver_work(traj) == (0, 0)
 
 
 def test_static_breather_takes_one_newton_step_per_time_step():
@@ -783,6 +800,12 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
         assert not r["pass"] and r["measured"] is None
         assert 0.0 < r["params"]["t_blowup"] <= 1.0
         assert r["params"]["newton_residual"] > ev._NEWTON_TOL
+    # each failed run's solver work, the failed step's included, is on its
+    # first record
+    worked = [r for r in report["records"] if "krylov_solves" in r["params"]]
+    assert [r["id"].split("[")[0] for r in worked] == ["breather_h2",
+                                                       "soliton_speed"]
+    assert all(r["params"]["krylov_solves"] >= 1 for r in worked)
     # the partial trajectory is written, up to the last snapshot before it
     manifest = json.loads(
         (out / "evolve_order5" / "manifest.json").read_text())
@@ -852,13 +875,26 @@ def test_full_horizon_order5_evolve_suite(tmp_path):
     out = tmp_path / "o"
     out.mkdir()
     assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 0
-    records = json.loads((out / "report.json").read_text())["records"]
+    report = json.loads((out / "report.json").read_text())
+    records = report["records"]
     assert len(records) == 5
     assert all(r["pass"] for r in records)
-    # breather_h2 and the three drifts sit far below their budgets
+    # every record sits far below its budget: the soliton's speed error
+    # measured 6e-13 cells, riding at the law's speed
     for r in records:
-        if not r["id"].startswith("soliton_speed"):
-            assert r["measured"] < 1e-10, r["id"]
+        assert r["measured"] < 1e-10, r["id"]
+    # each run's solver work is on one record, and the summary totals it;
+    # the riding soliton takes no Krylov solve
+    breather, speed = records[0]["params"], records[-1]["params"]
+    assert records[-1]["id"].startswith("soliton_speed")
+    assert speed["krylov_solves"] == speed["gmres_iterations"] == 0
+    assert breather["krylov_solves"] >= 1
+    assert [r["id"].split("[")[0] for r in records
+            if "krylov_solves" in r["params"]] == ["breather_h2",
+                                                   "soliton_speed"]
+    assert (report["summary"]["krylov_solves"],
+            report["summary"]["gmres_iterations"]) == (
+                breather["krylov_solves"], breather["gmres_iterations"])
 
 
 def _default_suite(tmp_path, command):
