@@ -7,7 +7,9 @@ are advanced together by the 2-stage Gauss-Legendre method, an implicit
 Runge-Kutta method that is stable on the whole imaginary axis, so the time
 step is chosen for accuracy alone.  Newton solves the stage equations with
 the exact, padded N in the residual, each Newton step by GMRES with the
-exact inverse of the linear part as preconditioner.  The GMRES operator
+exact inverse of the linear part as preconditioner, from one fixed-point
+sweep; where that sweep's contraction predicts that a second meets Newton's
+target, the second takes the place of a Krylov solve.  The GMRES operator
 applies the Frechet derivative of N on the two-phase (2n-point) grid, which
 equals the padded one to rounding on resolved fields and costs 1/1.4,
 1/2.8 and 1/4.2 of it per apply at orders 5, 7 and 9.  The stepper notes
@@ -23,7 +25,7 @@ Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
 dispersive, and snapshot windows ride along so grid positions are always
 physical positions.  A frame that makes the profile static (the solitons,
-and the order-5 and order-9 breathers) leaves Newton almost nothing to do.
+and the order-5 and order-9 breathers) leaves Newton little to do.
 
 The module also carries the modulation machinery for the orbital-stability
 experiment: a two-parameter Gauss-Newton fit of the translation phases in the
@@ -128,23 +130,28 @@ class EvolutionConfig:
 # Solver.  Newton starts from the linearly implicit step
 # Y0 = (I - dt A (x) L)^-1 (v0 (x) 1 + dt A (N(v0) (x) 1)), which solves the
 # linear part exactly with N frozen at v0 (Hairer and Wanner, Solving ODEs
-# II, sec. IV.8, on starting values).  G(v0, v0) = -dt (A (x) I)(F(v0),
-# F(v0)) costs no further transform, and where |G(Y0)| exceeds it, as on
-# fields about to blow up, Newton starts from (v0, v0) instead.  It stops
-# once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each Krylov solve;
-# the dt |L v0| term keeps the target above the rounding of the stiff linear
-# part.  Each Newton step solves G'(Y) dY = -G by restarted GMRES to a
-# relative 1e-6, or to half the Newton target if that is reached first,
-# right-preconditioned by the exact inverse of the linear part
-# I - dt A (x) L: one 2x2 block per bin, with det = 1 - a/2 + a^2/12 for
+# II, sec. IV.8, on starting values): one sweep Y <- Y - P^-1 G(Y) of the
+# stage equations from (v0, v0), with P = I - dt A (x) L.  G(v0, v0) =
+# -dt (A (x) I)(F(v0), F(v0)) costs no further transform, and where |G(Y0)|
+# exceeds it, as on fields about to blow up, Newton starts from (v0, v0)
+# instead.  Otherwise the start's contraction rho = |G(Y0)| / |G(v0, v0)|
+# predicts what one more sweep leaves: where rho |G| meets the Newton target
+# at a check, one sweep, one evaluation of N, takes the place of a Krylov
+# solve.  It is kept only if it lowers |G|, and a step takes at most one.
+# Newton stops once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each
+# Krylov solve; the dt |L v0| term keeps the target above the rounding of
+# the stiff linear part.  Each Newton step solves G'(Y) dY = -G by
+# restarted GMRES to a relative 1e-6, or to half the Newton target if that
+# is reached first, right-preconditioned by P^-1, the exact inverse of the
+# linear part: one 2x2 block per bin, with det = 1 - a/2 + a^2/12 for
 # a = dt L_k.  N'(v) acts on the real field u = irfft(v), so it is
 # real-linear but not complex-linear, and GMRES runs over the real and
 # imaginary parts as one real vector.  Newton steps and the GMRES iterations
 # of a time step are capped; a step that reaches a cap, or whose residual is
 # not finite, fails with its last relative residual.  The shipped runs take
 # at most 3 Krylov solves and 41 GMRES iterations per step (the order-7
-# breather), against caps of 10 and 300; the static order-5 breather takes
-# one solve of one iteration, and the riding order-5 soliton none.
+# breather), against caps of 10 and 300; the static order-5 breather
+# (rho 2.6e-3, one sweep a step) and the riding order-5 soliton take none.
 #
 # Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
 # the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
@@ -256,7 +263,7 @@ def _gmres(op, b: np.ndarray, budget: int, floor: float = 0.0) -> tuple:
 class _Step:
     value: np.ndarray | None  # the spectrum one dt later; None: step failed
     stages: np.ndarray        # the last Newton iterate (Y1, Y2)
-    newton: int               # Krylov solves made
+    solves: int               # Krylov solves made
     krylov: int               # GMRES iterations, over all solves
     residual: float           # |G| / (|v0| + dt |L v0|) at the last check
 
@@ -269,8 +276,10 @@ class _Stepper:
     newton_frechet: object  # vhat -> (zhat -> N'(vhat) zhat) on the 2n
                             # grid, the N' of Newton's operator
     stage_system: object  # (Y, v0) -> (G(Y), the exact Jacobian Z -> G'(Y) Z)
-    start: object         # v0 -> Newton's start Y, G(Y) and the point of
-                          # its first operator
+    start: object         # v0 -> Newton's start Y, G(Y), the point of
+                          # its first operator, and the start's contraction
+    sweep: object         # (Y, G(Y), v0) -> Y - P^-1 G(Y) and its G, or
+                          # (Y, G(Y)) where that raises |G|
     step: object          # v0, one spectrum (bin,) -> _Step
 
 
@@ -365,33 +374,48 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
         NY, dN = linearize(Y)
         return stage_residual(Y, v0, NY), jacobian(dN)
 
+    def sweep(Y, G, v0):
+        # Y - P^-1 G(Y) = P^-1 (v0 (x) 1 + dt A N(Y)): N frozen at Y, the
+        # linear part solved exactly; kept only if it lowers |G|
+        Ys = Y - blocks(pinv, G)
+        Gs = stage_residual(Ys, v0, nonlinear(Ys))
+        return (Ys, Gs) if np.linalg.norm(Gs) < np.linalg.norm(G) else (Y, G)
+
     def start(v0):
-        # the linearly implicit start: the linear part solved exactly with N
-        # frozen at v0, unless |G| there exceeds |G(v0, v0)| = dt |c| |F(v0)|.
-        # N(v0) is evaluated once, and on that fallback Newton's first
-        # operator is taken at v0, whose slopes serve both stages
+        # the sweep from (v0, v0) and its contraction rho = |G| / |G(v0, v0)|,
+        # |G(v0, v0)| = dt |c| |F(v0)|; where rho > 1 Newton starts from
+        # (v0, v0), with rho nan.  N(v0) is evaluated once, and on that
+        # fallback Newton's first operator is taken at v0, whose slopes serve
+        # both stages
         N0 = nonlinear(v0)
         Y = blocks(pinv, v0 + dtc * N0)
         G = stage_residual(Y, v0, nonlinear(Y))
+        gnorm = np.linalg.norm(G)
         still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
-        if not np.linalg.norm(G) <= still:
+        if not gnorm <= still:
             Y = np.stack([v0, v0])
-            return Y, stage_residual(Y, v0, N0), v0
-        return Y, G, Y
+            return Y, stage_residual(Y, v0, N0), v0, math.nan
+        return Y, G, Y, gnorm / still if still else 0.0
 
     def step(v0):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        Y, G, at = start(v0)
-        krylov = 0
-        for newton in range(_NEWTON_MAX + 1):
+        Y, G, at, rho = start(v0)
+        solves = krylov = 0
+        while True:
             gnorm = np.linalg.norm(G)
             residual = gnorm / scale if gnorm else 0.0
             if gnorm <= _NEWTON_TOL * scale:
-                return _Step(v0 + math.sqrt(3.0) * (Y[1] - Y[0]), Y, newton,
+                return _Step(v0 + math.sqrt(3.0) * (Y[1] - Y[0]), Y, solves,
                              krylov, residual)
-            if (not math.isfinite(gnorm) or newton == _NEWTON_MAX
+            if (not math.isfinite(gnorm) or solves == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
+            if rho * gnorm <= _NEWTON_TOL * scale:
+                # rho predicts that a sweep meets the target; one per step
+                rho = math.nan
+                Y, G = sweep(Y, G, v0)
+                at = Y
+                continue
             # the slopes only now that a Krylov solve follows; a linear
             # residual under half the Newton target is not seen by the next
             # check
@@ -400,12 +424,13 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
                             as_real(-G), _GMRES_MAX - krylov,
                             0.5 * _NEWTON_TOL * scale)
             krylov += its
+            solves += 1
             Y = Y + blocks(pinv, as_pair(x))
             G, at = stage_residual(Y, v0, nonlinear(Y)), Y
-        return _Step(None, Y, newton, krylov, residual)
+        return _Step(None, Y, solves, krylov, residual)
 
     return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,
-                    start, step)
+                    start, sweep, step)
 
 
 def _tail_fraction(vhat: np.ndarray) -> float:
@@ -503,7 +528,7 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     work = (0, 0)  # since the last snapshot
     for i in range(1, n_steps + 1):
         s = step(vhat)
-        work = (work[0] + s.newton, work[1] + s.krylov)
+        work = (work[0] + s.solves, work[1] + s.krylov)
         if s.value is None:
             raise BlowUpError(i * cfg.dt, s.residual, traj, *work)
         vhat = s.value
@@ -741,14 +766,19 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 # the closed form at t_end (n = 1024) is
 #   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.5e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
-#             order 9, dt 2e-3 / 1e-3 / 5e-4:     1.7e-10 / 7.1e-11 / 7.9e-11
+#             order 9, dt 2e-3 / 1e-3 / 5e-4:     2.8e-10 / 6.8e-11 / 5.2e-11
 #   soliton   order 5, dt 2e-3 / 1e-3 / 5e-4:     8.5e-13 / 8.4e-13 / 9.1e-13
-#             orders 7 and 9, dt 4e-3 / 2e-3 / 1e-3: 4e-12 / 4e-12 / 5e-12
-#                                                 and 3e-12 at each
-# against the evolve budget of 1e-5.  The soliton runs ride at the speed law,
-# where the profile is static; at order 5, dt 1e-3 is the step at which
-# Newton's start alone meets its target (no Krylov solve), and 2e-3, at one
-# solve per step, costs more per unit time.  The breather runs are at
+#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.3e-12 / 6.5e-12
+#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   2.8e-12 / 3.9e-12 / 7.6e-12
+# against the evolve budget of 1e-5; the order-7 and order-9 soliton speed
+# errors are 3e-13 / 6e-13 / 0 and 1e-12 / 8e-14 / 2e-12 cells.  The soliton
+# runs ride at the speed law, where the profile is static.  At orders 7 and
+# 9 each takes the step of least solver work per unit time among those at
+# rounding-level error that divide t_end = 0.3: the Krylov solves / GMRES
+# iterations of the run are 50 / 166 and 50 / 150 at dt 6e-3, 75 / 160 and
+# 83 / 241 at 4e-3, 150 / 311 and 224 / 656 at 2e-3.  At order 5, dt 1e-3
+# takes no Krylov solve (Newton's start alone meets its target), and neither
+# does 2e-3, with one sweep a step.  The breather runs are at
 # RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number of
 # steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
 # a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides
@@ -763,7 +793,7 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 RUN_ALPHA_BETA = (1.0, 1.0)  # the breather of the evolve and stability runs
 _BREATHER_RUNS = {5: 1e-3, 7: 5e-4, 9: 1e-3}  # order: dt
 
-_SOLITON_RUNS = {5: (2.0, 1e-3), 7: (1.2, 2e-3), 9: (1.2, 2e-3)}  # (c, dt)
+_SOLITON_RUNS = {5: (2.0, 1e-3), 7: (1.2, 6e-3), 9: (1.2, 6e-3)}  # (c, dt)
 
 # the orders the evolve and stability suites can run
 EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))
