@@ -7,8 +7,10 @@ are advanced together by the 2-stage Gauss-Legendre method, an implicit
 Runge-Kutta method that is stable on the whole imaginary axis, so the time
 step is chosen for accuracy alone.  Newton solves the stage equations with
 the exact, padded N in the residual, each Newton step by GMRES with the
-exact inverse of the linear part as preconditioner, from one fixed-point
-sweep; where that sweep's contraction predicts that a second meets Newton's
+exact inverse of the linear part as preconditioner.  It starts from the
+linear part solved exactly, with N extrapolated from the previous step's
+stages, or on a run's first step frozen at v0: one fixed-point sweep, and
+where that sweep's contraction predicts that a second meets Newton's
 target, the second takes the place of a Krylov solve.  The GMRES operator
 applies the Frechet derivative of N on the two-phase (2n-point) grid, which
 equals the padded one to rounding on resolved fields and costs 1/1.4,
@@ -29,10 +31,12 @@ and the order-5 and order-9 breathers) leaves Newton little to do.
 
 The module also carries the modulation machinery for the orbital-stability
 experiment: a two-parameter Gauss-Newton fit of the translation phases in the
-H^2 norm, and a driver that evolves a perturbed breather and tracks the
-fitted phases and the modulated distance over the run.  The fit's template,
-the breather and its derivatives in x1 and x2, comes in closed form
-(closed_forms.breather_phase_derivatives), with no jets and no complex step.
+H^2 norm, with a secant correction of its matrix that a run's fits carry
+from one to the next, and a driver that evolves a perturbed breather and
+tracks the fitted phases and the modulated distance over the run.  The
+fit's template, the breather and its derivatives in x1 and x2, comes in
+closed form (closed_forms.breather_phase_derivatives), with no jets and no
+complex step.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,17 +131,24 @@ class EvolutionConfig:
 # and the new value v1 = v0 + dt (F(Y1) + F(Y2)) / 2, F = L + N, equals
 # v0 + sqrt(3) (Y2 - Y1): no further evaluation of N.
 #
-# Solver.  Newton starts from the linearly implicit step
-# Y0 = (I - dt A (x) L)^-1 (v0 (x) 1 + dt A (N(v0) (x) 1)), which solves the
-# linear part exactly with N frozen at v0 (Hairer and Wanner, Solving ODEs
-# II, sec. IV.8, on starting values): one sweep Y <- Y - P^-1 G(Y) of the
-# stage equations from (v0, v0), with P = I - dt A (x) L.  G(v0, v0) =
-# -dt (A (x) I)(F(v0), F(v0)) costs no further transform, and where |G(Y0)|
-# exceeds it, as on fields about to blow up, Newton starts from (v0, v0)
-# instead.  Otherwise the start's contraction rho = |G(Y0)| / |G(v0, v0)|
-# predicts what one more sweep leaves: where rho |G| meets the Newton target
-# at a check, one sweep, one evaluation of N, takes the place of a Krylov
-# solve.  It is kept only if it lowers |G|, and a step takes at most one.
+# Solver.  Newton starts from Y0 = P^-1 (v0 (x) 1 + dt A N0), P = I - dt A
+# (x) L, which solves the linear part exactly for a guess N0 of N at the
+# stages (Hairer and Wanner, Solving ODEs II, sec. IV.8, on starting
+# values).  evolve hands each step the N(Y1), N(Y2) of the step before,
+# those of its last residual check, so they cost no transform, and N0
+# extrapolates them linearly from their stage times c_i - 1 to c_k.  A run's
+# first step, and a step handed nothing, freeze N at v0, N0 = N(v0) (x) 1:
+# one sweep Y <- Y - P^-1 G(Y) of the stage equations from (v0, v0).
+# G(v0, v0) = -dt (A (x) I)(F(v0), F(v0)) costs no further transform, and
+# where |G(Y0)| exceeds it, as on fields about to blow up, Newton starts
+# from (v0, v0) instead.  Otherwise the frozen start's contraction rho =
+# |G(Y0)| / |G(v0, v0)| predicts what one more sweep leaves: where rho |G|
+# meets the Newton target at a check, one sweep, one evaluation of N, takes
+# the place of a Krylov solve.  It is kept only if it lowers |G|, and a
+# step takes at most one.  The carried start is no sweep: its rho is nan,
+# so the rule does not fire after it.  With the frozen start's formula in
+# its place, the order-9 breather run tried a sweep on 44 of its 50 steps
+# and kept none.
 # Newton stops once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each
 # Krylov solve; the dt |L v0| term keeps the target above the rounding of
 # the stiff linear part.  Each Newton step solves G'(Y) dY = -G by
@@ -149,9 +160,10 @@ class EvolutionConfig:
 # imaginary parts as one real vector.  Newton steps and the GMRES iterations
 # of a time step are capped; a step that reaches a cap, or whose residual is
 # not finite, fails with its last relative residual.  The shipped runs take
-# at most 3 Krylov solves and 41 GMRES iterations per step (the order-7
-# breather), against caps of 10 and 300; the static order-5 breather
-# (rho 2.6e-3, one sweep a step) and the riding order-5 soliton take none.
+# at most 3 Krylov solves and 40 GMRES iterations per step (the order-7
+# breather), against caps of 10 and 300; the static order-5 breather (its
+# first step one sweep, rho 2.6e-3) and the riding order-5 soliton take
+# none.
 #
 # Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
 # the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
@@ -266,6 +278,7 @@ class _Step:
     solves: int               # Krylov solves made
     krylov: int               # GMRES iterations, over all solves
     residual: float           # |G| / (|v0| + dt |L v0|) at the last check
+    nonlinear: np.ndarray     # N at both stages of the last iterate
 
 
 @dataclass(frozen=True)
@@ -276,11 +289,13 @@ class _Stepper:
     newton_frechet: object  # vhat -> (zhat -> N'(vhat) zhat) on the 2n
                             # grid, the N' of Newton's operator
     stage_system: object  # (Y, v0) -> (G(Y), the exact Jacobian Z -> G'(Y) Z)
-    start: object         # v0 -> Newton's start Y, G(Y), the point of
-                          # its first operator, and the start's contraction
-    sweep: object         # (Y, G(Y), v0) -> Y - P^-1 G(Y) and its G, or
-                          # (Y, G(Y)) where that raises |G|
-    step: object          # v0, one spectrum (bin,) -> _Step
+    start: object         # (v0, carried N or None) -> Newton's start Y,
+                          # G(Y), the point of its first operator, the
+                          # start's contraction, and N(Y)
+    sweep: object         # (Y, G(Y), v0, N(Y)) -> Y - P^-1 G(Y), its G and
+                          # N, or the inputs where that raises |G|
+    step: object          # (v0, one spectrum (bin,), and the previous
+                          # step's _Step.nonlinear or None) -> _Step
 
 
 @functools.lru_cache(maxsize=8)
@@ -346,6 +361,9 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
 
     dtA = dt * np.array(_GAUSS_A)[..., None]  # (2, 2, 1): one entry per bin
     dtc = dtA.sum(axis=1)                     # dt times the nodes c = A 1
+    # the line through N at the previous step's stage times c_i - 1, at c_k
+    r3 = math.sqrt(3.0)
+    extrapolate = np.array([[1.0 - r3, r3], [-r3, 1.0 + r3]])[..., None]
     a = dt * L
     # (I - dt A (x) L)^-1, one 2x2 block per bin: (2, 2, bin)
     pinv = (np.array([[1.0 - a / 4.0, dtA[0, 1] * L],
@@ -374,46 +392,57 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
         NY, dN = linearize(Y)
         return stage_residual(Y, v0, NY), jacobian(dN)
 
-    def sweep(Y, G, v0):
+    def sweep(Y, G, v0, NY):
         # Y - P^-1 G(Y) = P^-1 (v0 (x) 1 + dt A N(Y)): N frozen at Y, the
         # linear part solved exactly; kept only if it lowers |G|
         Ys = Y - blocks(pinv, G)
-        Gs = stage_residual(Ys, v0, nonlinear(Ys))
-        return (Ys, Gs) if np.linalg.norm(Gs) < np.linalg.norm(G) else (Y, G)
+        NYs = nonlinear(Ys)
+        Gs = stage_residual(Ys, v0, NYs)
+        if np.linalg.norm(Gs) < np.linalg.norm(G):
+            return Ys, Gs, NYs
+        return Y, G, NY
 
-    def start(v0):
-        # the sweep from (v0, v0) and its contraction rho = |G| / |G(v0, v0)|,
-        # |G(v0, v0)| = dt |c| |F(v0)|; where rho > 1 Newton starts from
-        # (v0, v0), with rho nan.  N(v0) is evaluated once, and on that
-        # fallback Newton's first operator is taken at v0, whose slopes serve
-        # both stages
+    def start(v0, carried=None):
+        # the linear part solved exactly for a guess of N at the stages:
+        # N(v0) at both, a sweep from (v0, v0) with contraction rho = |G| /
+        # |G(v0, v0)|, |G(v0, v0)| = dt |c| |F(v0)|; or the N of the previous
+        # step's stages, carried, with rho nan.  Where |G| > |G(v0, v0)|
+        # Newton starts from (v0, v0), with rho nan.  N(v0) is evaluated
+        # once, and on that fallback Newton's first operator is taken at v0,
+        # whose slopes serve both stages
         N0 = nonlinear(v0)
-        Y = blocks(pinv, v0 + dtc * N0)
-        G = stage_residual(Y, v0, nonlinear(Y))
+        drive = (dtc * N0 if carried is None
+                 else blocks(dtA, blocks(extrapolate, carried)))
+        Y = blocks(pinv, v0 + drive)
+        NY = nonlinear(Y)
+        G = stage_residual(Y, v0, NY)
         gnorm = np.linalg.norm(G)
         still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
         if not gnorm <= still:
             Y = np.stack([v0, v0])
-            return Y, stage_residual(Y, v0, N0), v0, math.nan
-        return Y, G, Y, gnorm / still if still else 0.0
+            return (Y, stage_residual(Y, v0, N0), v0, math.nan,
+                    np.stack([N0, N0]))
+        if carried is not None:
+            return Y, G, Y, math.nan, NY
+        return Y, G, Y, gnorm / still if still else 0.0, NY
 
-    def step(v0):
+    def step(v0, carried=None):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        Y, G, at, rho = start(v0)
+        Y, G, at, rho, NY = start(v0, carried)
         solves = krylov = 0
         while True:
             gnorm = np.linalg.norm(G)
             residual = gnorm / scale if gnorm else 0.0
             if gnorm <= _NEWTON_TOL * scale:
                 return _Step(v0 + math.sqrt(3.0) * (Y[1] - Y[0]), Y, solves,
-                             krylov, residual)
+                             krylov, residual, NY)
             if (not math.isfinite(gnorm) or solves == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
             if rho * gnorm <= _NEWTON_TOL * scale:
                 # rho predicts that a sweep meets the target; one per step
                 rho = math.nan
-                Y, G = sweep(Y, G, v0)
+                Y, G, NY = sweep(Y, G, v0, NY)
                 at = Y
                 continue
             # the slopes only now that a Krylov solve follows; a linear
@@ -426,8 +455,9 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             krylov += its
             solves += 1
             Y = Y + blocks(pinv, as_pair(x))
-            G, at = stage_residual(Y, v0, nonlinear(Y)), Y
-        return _Step(None, Y, solves, krylov, residual)
+            NY = nonlinear(Y)
+            G, at = stage_residual(Y, v0, NY), Y
+        return _Step(None, Y, solves, krylov, residual, NY)
 
     return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,
                     start, sweep, step)
@@ -526,12 +556,13 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
     work = (0, 0)  # since the last snapshot
+    carried = None
     for i in range(1, n_steps + 1):
-        s = step(vhat)
+        s = step(vhat, carried)
         work = (work[0] + s.solves, work[1] + s.krylov)
         if s.value is None:
             raise BlowUpError(i * cfg.dt, s.residual, traj, *work)
-        vhat = s.value
+        vhat, carried = s.value, s.nonlinear
         if i % snapshot_every == 0 or i == n_steps:
             traj.append(snapshot(i, vhat, work))
             work = (0, 0)
@@ -561,8 +592,34 @@ def functional_drifts(traj: list[Snapshot]) -> dict:
 _FIT_MAX = 50  # Gauss-Newton iterations per fit
 
 
+@dataclass
+class FitMemory:
+    """What a run's fits carry from one to the next: the secant correction
+    of the Gauss-Newton matrix, and the objective evaluations made so far."""
+
+    correction: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+    evaluations: int = 0
+
+
+def _psb(C: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Powell symmetric Broyden update of C to the secant condition
+    C s = y: the nearest symmetric matrix to C in the Frobenius norm."""
+    z, ss = y - C @ s, float(s @ s)
+    zs = np.outer(z, s)
+    return C + (zs + zs.T) / ss - (z @ s) * np.outer(s, s) / ss**2
+
+
+def _fit_direction(M: np.ndarray, C: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-(M + C)^-1 g where M + C is positive definite, else the Gauss-Newton
+    step -M^-1 g.  M + C is symmetric, so its trace and determinant decide."""
+    H = M + C
+    if H[0, 0] + H[1, 1] > 0.0 and H[0, 0] * H[1, 1] - H[0, 1] ** 2 > 0.0:
+        return np.linalg.solve(H, -g)
+    return np.linalg.solve(M, -g)
+
+
 def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
-                   seed: tuple = (0.0, 0.0)):
+                   seed: tuple = (0.0, 0.0), memory: FitMemory | None = None):
     """Minimize ||u - B(t; x1, x2)||_H2 over the translation phases.
 
     Gauss-Newton from the seed with backtracking; returns (x1, x2, distance)
@@ -570,33 +627,49 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     else raises FitError.  The scaling parameters stay fixed: only the two
     phases are modulated.  Each objective evaluation takes B and both phase
     derivatives from one closed-form pass (cf.breather_phase_derivatives).
+
+    The Gauss-Newton matrix M = J^T J omits the residual's curvature, which
+    a large residual makes slow (Dennis, Gay and Welsch, ACM TOMS 7 (1981)
+    348-368).  A correction C of it is updated at each iteration by the PSB
+    secant condition on the gradient change, and each step solves with
+    M + C where that is positive definite, with M alone elsewhere.  C starts
+    from memory.correction (zero for a fresh fit) and goes back there, and
+    memory.evaluations counts the objective evaluations.
     """
+    if memory is None:
+        memory = FitMemory()
     w = u.window
     x = w.grid()
     weight, inner = w.sobolev_weight(2), w.sobolev_inner
-    x1, x2 = float(seed[0]), float(seed[1])
+    xs = np.array([float(seed[0]), float(seed[1])])
 
-    def objective(a1, a2):
+    def objective(a):
         # one FFT each of the residual and the two phase derivatives serves
         # the objective, the gradient and the Gauss-Newton matrix
+        memory.evaluations += 1
         b, d1, d2 = cf.breather_phase_derivatives(p.order, p.alpha, p.beta,
-                                                  a1, a2, t, x)
+                                                  a[0], a[1], t, x)
         rh, d1h, d2h = (np.fft.rfft(v) for v in (u.values - b, d1, d2))
         return 0.5 * inner(rh, rh, weight), rh, d1h, d2h
 
-    phi, rh, d1h, d2h = objective(x1, x2)
+    phi, rh, d1h, d2h = objective(xs)
+    last = None  # the previous iteration's step and gradient
     for _ in range(_FIT_MAX):
         g = np.array([-inner(d1h, rh, weight), -inner(d2h, rh, weight)])
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-10:
-            return x1, x2, math.sqrt(max(2.0 * phi, 0.0))
         M = np.array([[inner(d1h, d1h, weight), inner(d1h, d2h, weight)],
                       [0.0, inner(d2h, d2h, weight)]])
         M[1, 0] = M[0, 1]
-        delta = np.linalg.solve(M, -g)
+        if last is not None:
+            step, g_last = last
+            memory.correction = _psb(memory.correction, step,
+                                     g - g_last - M @ step)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-10:
+            return float(xs[0]), float(xs[1]), math.sqrt(max(2.0 * phi, 0.0))
+        delta = _fit_direction(M, memory.correction, g)
         s = 1.0
         while s > 1e-8:
-            trial = objective(x1 + s * delta[0], x2 + s * delta[1])
+            trial = objective(xs + s * delta)
             # below gradient 1e-6 (noise floor) objective decreases sit
             # below rounding noise, making Armijo acceptance a coin flip that
             # can crawl on microscopic steps; the undamped step still
@@ -607,7 +680,8 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
             s /= 2.0
         else:
             raise FitError(f"line search stalled at gradient {gnorm:.3e}")
-        x1, x2 = x1 + s * delta[0], x2 + s * delta[1]
+        xs = xs + s * delta
+        last = (s * delta, g)
         phi, rh, d1h, d2h = trial
     raise FitError(f"no convergence in {_FIT_MAX} iterations; "
                    f"gradient {gnorm:.3e}")
@@ -630,6 +704,7 @@ class StabilityReport:
     blow_up: BlowUpError | None  # set when the run stopped early
     krylov_solves: int           # the solver's work over the run
     gmres_iterations: int
+    fit_evaluations: int         # objective evaluations over the run's fits
 
     def __post_init__(self):
         if any(d < 0 for d in self.distances):
@@ -664,6 +739,7 @@ class StabilityReport:
             "max_phase_speed": self.max_phase_speed,
             "krylov_solves": self.krylov_solves,
             "gmres_iterations": self.gmres_iterations,
+            "fit_evaluations": self.fit_evaluations,
         }
         if self.blow_up is not None:
             out.update(t_blowup=self.blow_up.t,
@@ -737,6 +813,7 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
     last ones before a blow-up may be too far from any breather to fit.
     """
     times, dists, xs1, xs2 = [], [], [], []
+    memory = FitMemory()
     for snap in traj:
         seed = (xs1[-1], xs2[-1]) if times else (0.0, 0.0)
         if len(times) > 1:
@@ -744,7 +821,8 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
             seed = (xs1[-1] + r * (xs1[-1] - xs1[-2]),
                     xs2[-1] + r * (xs2[-1] - xs2[-2]))
         try:
-            x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed)
+            x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed,
+                                          memory=memory)
         except FitError:
             if blow_up is None:
                 raise
@@ -756,7 +834,8 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 
     return StabilityReport(tuple(times), tuple(dists), tuple(xs1), tuple(xs2),
                            functional_drifts(traj[:len(times)]), eta, blow_up,
-                           *solver_work(traj if blow_up is None else blow_up))
+                           *solver_work(traj if blow_up is None else blow_up),
+                           memory.evaluations)
 
 
 # --------------------------------------------------------------------------
@@ -764,21 +843,25 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #
 # Each dt is an accuracy step, checked by halving it: the H^2 error against
 # the closed form at t_end (n = 1024) is
-#   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.5e-12
+#   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.8e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
-#             order 9, dt 2e-3 / 1e-3 / 5e-4:     2.8e-10 / 6.8e-11 / 5.2e-11
-#   soliton   order 5, dt 2e-3 / 1e-3 / 5e-4:     8.5e-13 / 8.4e-13 / 9.1e-13
-#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.3e-12 / 6.5e-12
-#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   2.8e-12 / 3.9e-12 / 7.6e-12
+#             order 9, dt 2e-3 / 1e-3 / 5e-4:     8.1e-11 / 1.8e-10 / 1.5e-9
+#   soliton   order 5, dt 2e-3 / 1e-3 / 5e-4:     8.8e-13 / 9.0e-13 / 1.1e-11
+#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.2e-12 / 4.5e-12
+#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   5.9e-12 / 8.0e-12 / 8.9e-12
 # against the evolve budget of 1e-5; the order-7 and order-9 soliton speed
-# errors are 3e-13 / 6e-13 / 0 and 1e-12 / 8e-14 / 2e-12 cells.  The soliton
-# runs ride at the speed law, where the profile is static.  At orders 7 and
-# 9 each takes the step of least solver work per unit time among those at
-# rounding-level error that divide t_end = 0.3: the Krylov solves / GMRES
-# iterations of the run are 50 / 166 and 50 / 150 at dt 6e-3, 75 / 160 and
-# 83 / 241 at 4e-3, 150 / 311 and 224 / 656 at 2e-3.  At order 5, dt 1e-3
-# takes no Krylov solve (Newton's start alone meets its target), and neither
-# does 2e-3, with one sweep a step.  The breather runs are at
+# errors are 8e-14 / 3e-13 / 4e-13 and 2e-11 / 1e-11 / 2e-12 cells.  Below
+# about 1e-10 the error is that of Newton's target, not of the scheme: on
+# the static order-9 breather the target, 1e-13 (|v0| + dt |L v0|), is
+# 5.5e-10 |v0| at dt 1e-3, and halving dt raises the error.
+# The soliton runs ride at the speed law, where the profile is static.  At
+# orders 7 and 9 each takes the step of least solver work per unit time
+# among those at rounding-level error that divide t_end = 0.3: the Krylov
+# solves / GMRES iterations of the run are 38 / 115 and 47 / 304 at dt
+# 6e-3, 58 / 140 and 72 / 417 at 4e-3, 108 / 220 and 146 / 809 at 2e-3
+# (50 / 166 and 50 / 150 at 6e-3 with every step's N frozen at v0).  At
+# order 5, dt 1e-3 takes no Krylov solve (Newton's start alone meets its
+# target), and neither does 2e-3.  The breather runs are at
 # RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number of
 # steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
 # a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides

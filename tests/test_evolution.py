@@ -377,9 +377,9 @@ def test_a_sweep_that_misses_hands_on_to_newton_krylov(monkeypatch):
     stepper = ev._stepper(cfg)
     v0 = np.fft.rfft(sample_soliton(sp, 0.0, cfg.window, m=0).values)
     target = _newton_target(cfg, v0)
-    Y, G, _, rho = stepper.start(v0)
+    Y, G, _, rho, NY = stepper.start(v0)
     assert rho * np.linalg.norm(G) <= target
-    Ys, Gs = stepper.sweep(Y, G, v0)
+    Ys, Gs, _ = stepper.sweep(Y, G, v0, NY)
     assert Ys is not Y and target < np.linalg.norm(Gs) < np.linalg.norm(G)
     s = stepper.step(v0)
     assert s.value is not None and s.residual <= ev._NEWTON_TOL
@@ -397,9 +397,10 @@ def test_a_sweep_that_raises_the_residual_is_not_kept(monkeypatch):
         stepper = ev._stepper(cfg)
         v0 = np.fft.rfft(sample_breather(p, 0.0, cfg.window, m=0).values)
         Y = np.stack([v0, v0])
-        G = stepper.stage_system(Y, v0)[0]
-        Ys, Gs = stepper.sweep(Y, G, v0)
-        assert (Ys is Y and Gs is G) == (order == 7)
+        G, NY = stepper.stage_system(Y, v0)[0], stepper.nonlinear(Y)
+        Ys, Gs, NYs = stepper.sweep(Y, G, v0, NY)
+        assert (Ys is Y and Gs is G and NYs is NY) == (order == 7)
+        assert np.array_equal(NYs, stepper.nonlinear(Ys))
         assert np.linalg.norm(Gs) <= np.linalg.norm(G)
     # in a step: the lab-frame order-9 soliton of height 2 at n = 256, dt
     # 4e-3, where the rule fires after four Krylov solves and the sweep
@@ -461,11 +462,12 @@ def test_newton_start_never_exceeds_the_residual_of_v0():
         stepper = ev._stepper(cfg)
         v0 = np.fft.rfft(u0)
         still = np.stack([v0, v0])
-        Y, G, _, rho = stepper.start(v0)
+        Y, G, _, rho, NY = stepper.start(v0)
         g0 = np.linalg.norm(stepper.stage_system(still, v0)[0])
         assert np.linalg.norm(G) <= g0
         assert np.array_equal(Y, still) == kept
         assert np.array_equal(G, stepper.stage_system(Y, v0)[0])
+        assert np.array_equal(NY, stepper.nonlinear(Y))
         # the start's contraction, undefined on the fallback
         if kept:
             assert math.isnan(rho)
@@ -496,7 +498,7 @@ def test_safeguarded_start_lifts_v0_once(monkeypatch):
 
     monkeypatch.setattr(cf, "eval_flux_terms", counting)
     monkeypatch.setattr(np.fft, "irfft", lifting)
-    Y, G, point, rho = stepper.start(v0)
+    Y, G, point, rho, NY = stepper.start(v0)
     monkeypatch.undo()
     assert math.isnan(rho)
     assert np.array_equal(Y, np.stack([v0, v0]))
@@ -506,10 +508,97 @@ def test_safeguarded_start_lifts_v0_once(monkeypatch):
     # the same bits as the exact residual and Newton's operator taken at
     # (v0, v0)
     assert np.array_equal(G, stepper.stage_system(Y, v0)[0])
+    assert np.array_equal(NY, stepper.nonlinear(Y))
     rng = np.random.default_rng(5)
     Z = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
     assert np.array_equal(stepper.newton_frechet(point)(Z),
                           stepper.newton_frechet(Y)(Z))
+
+
+def test_carried_start_meets_the_frozen_start_target():
+    # from the second step Newton starts from the previous step's stage
+    # nonlinearity N(Y1), N(Y2), at the stage times c_i - 1 of this step,
+    # taken on the line through them at this step's c_k.  The start solves
+    # P Y = v0 (x) 1 + dt A N0, so N0 = N(Y) + (dt A)^-1 G(Y) reads back the
+    # guess it used (measured 5e-15 relative; N frozen at N(Y2) is 8e-7 to
+    # 5e-3 away).  It is no sweep, so its rho is nan.  On each default
+    # stability member the step meets the Newton target that the frozen
+    # start meets, and the two values agree within it (measured at most
+    # 0.49 times the target)
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.0)
+    stepper = ev._stepper(cfg)
+    dtA = cfg.dt * np.array(ev._GAUSS_A)
+    c = dtA.sum(axis=1) / cfg.dt
+    for shape in DEFAULT_SHAPES:
+        first = stepper.step(np.fft.rfft(
+            _perturbed_breather(p, shape, 0.01, cfg.window)))
+        v1, target = first.value, _newton_target(cfg, first.value)
+        N1, N2 = first.nonlinear
+        want = np.stack([N1 + (ck - c[0] + 1.0) / (c[1] - c[0]) * (N2 - N1)
+                         for ck in c])
+        Y, G, _, rho, NY = stepper.start(v1, first.nonlinear)
+        assert math.isnan(rho) and not np.array_equal(Y, np.stack([v1, v1]))
+        guess = NY + np.linalg.solve(dtA, G)
+        assert np.max(np.abs(guess - want)) <= 1e-12 * np.max(np.abs(want))
+        frozen = stepper.step(v1)
+        carried = stepper.step(v1, first.nonlinear)
+        for s in (frozen, carried):
+            assert s.value is not None and s.residual <= ev._NEWTON_TOL
+            assert np.linalg.norm(stepper.stage_system(s.stages, v1)[0]) \
+                <= target
+            assert np.array_equal(s.nonlinear, stepper.nonlinear(s.stages))
+        assert np.linalg.norm(carried.value - frozen.value) <= target
+
+
+def test_a_carried_start_from_another_field_changes_speed_not_result():
+    # a carried N of another field starts Newton elsewhere: from the
+    # unperturbed breather's N the start still beats (v0, v0); from the
+    # soliton's it does not, and Newton falls back to (v0, v0).
+    # Either way the step meets the target, within it of the frozen start
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.0)
+    w = cfg.window
+    stepper = ev._stepper(cfg)
+    v0 = np.fft.rfft(_perturbed_breather(p, "gaussian", 0.01, w))
+    target = _newton_target(cfg, v0)
+    frozen = stepper.step(v0)
+    others = (sample_breather(p, 0.0, w, m=0),
+              sample_soliton(cf.SolitonParams(5, 2.0), 0.0, w, m=0))
+    for other, falls_back in zip(others, (False, True)):
+        carried = np.stack([stepper.nonlinear(np.fft.rfft(other.values))] * 2)
+        Y = stepper.start(v0, carried)[0]
+        assert np.array_equal(Y, np.stack([v0, v0])) == falls_back
+        s = stepper.step(v0, carried)
+        assert s.value is not None and s.residual <= ev._NEWTON_TOL
+        assert np.linalg.norm(s.value - frozen.value) <= target
+
+
+def test_blow_up_with_the_carried_start_raises_with_its_work(monkeypatch):
+    # evolve hands each step the stage nonlinearity of the one before; the
+    # blowing field still fails, on a step that was handed one, and the
+    # error carries every step's solves and iterations
+    w = Window(0.0, 30.0, N_SMALL)
+    cfg = small_config(5, dt=1e-3, t_end=1.0, window=w)
+    stepper = ev._stepper(cfg)
+    seen = []
+
+    def recording(v0, carried=None):
+        s = stepper.step(v0, carried)
+        seen.append((carried is not None, s.solves, s.krylov))
+        return s
+
+    monkeypatch.setattr(ev, "_stepper",
+                        lambda c: replace(stepper, step=recording))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", ev.ResolutionWarning)
+        with pytest.raises(ev.BlowUpError) as err:
+            ev.evolve(_blowing_field(w), cfg, snapshot_every=10**9)
+    assert [c for c, _, _ in seen] == [False] + [True] * (len(seen) - 1)
+    assert len(seen) >= 2
+    assert err.value.t == pytest.approx(len(seen) * cfg.dt)
+    assert ev.solver_work(err.value) == (sum(n for _, n, _ in seen),
+                                         sum(k for _, _, k in seen))
 
 
 @pytest.mark.parametrize("order", [5, 7, 9])
@@ -606,15 +695,18 @@ def test_default_shapes_solver_work_and_distances():
     # eta 0.01, t_end 0.03 (30 steps).  Newton's operator on the 2n grid
     # takes the Krylov solves and GMRES iterations of the exact padded one;
     # 165 and 1,502 in all when Newton started from (v0, v0) and GMRES ran
-    # to its relative target alone.  B1 takes two sweeps in place of two
-    # Krylov solves of one iteration each (32 and 245 without them)
+    # to its relative target alone, and (60, 489), (30, 243), (60, 330)
+    # when every step started with N frozen at v0.  The fits take 252, 63
+    # and 100 objective evaluations with no secant correction
     p = cf.BreatherParams(5, 1.0, 1.0)
     cfg = ev.stability_run_config(5, t_end=0.03)
     reports = [ev.stability_experiment(p, 0.01, shape, cfg)
                for shape in DEFAULT_SHAPES]
     assert [(r.krylov_solves, r.gmres_iterations) for r in reports] == [
-        (60, 489), (30, 243), (60, 330)]
-    for r, want in zip(reports, (0.0761158856, 9.00607254e-06, 0.0100064085)):
+        (60, 413), (30, 236), (31, 238)]
+    assert [r.fit_evaluations for r in reports] == [127, 63, 66]
+    for r, want in zip(reports, (0.0761158856, 9.00607254e-06,
+                                 0.0100064085143)):
         assert r.blow_up is None
         assert r.sup_distance == pytest.approx(want, rel=1e-9)
 
@@ -627,11 +719,11 @@ def test_snapshots_carry_the_solver_work_since_the_previous_one():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
         traj = ev.evolve(u0, cfg, snapshot_every=4)
     step = ev._stepper(cfg).step
-    v, work = np.fft.rfft(u0.values), []
+    v, carried, work = np.fft.rfft(u0.values), None, []
     for _ in range(6):
-        s = step(v)
+        s = step(v, carried)
         work.append((s.solves, s.krylov))
-        v = s.value
+        v, carried = s.value, s.nonlinear
     # snapshots after steps 0, 4 and 6
     assert [(s.krylov_solves, s.gmres_iterations) for s in traj] == [
         (0, 0), tuple(map(sum, zip(*work[:4]))),
@@ -723,6 +815,65 @@ def test_fit_modulation_makes_no_jet_calls(monkeypatch):
     x1, x2, _ = ev.fit_modulation(u, p, 0.1)
     assert len(calls) == 1
     assert (x1, x2) == pytest.approx((0.3, -0.2), abs=1e-9)
+
+
+def test_carried_fit_lands_on_the_fresh_fit(monkeypatch):
+    # on the gaussian run's snapshots, fits that carry their secant
+    # correction from one to the next land on the phases of fresh fits
+    # (measured 3.4e-12 apart) and distances (6.3e-14 relative), with
+    # fewer objective evaluations
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.03)
+    u0 = SampledField(cfg.window,
+                      _perturbed_breather(p, "gaussian", 0.01, cfg.window))
+    traj = ev.evolve(u0, cfg, snapshot_every=3)
+    carried = ev.track_modulation(p, traj, 0.01)
+    fit, evaluations = ev.fit_modulation, []
+
+    def fresh(u, p_, t, seed=(0.0, 0.0), memory=None):
+        own = ev.FitMemory()
+        out = fit(u, p_, t, seed=seed, memory=own)
+        evaluations.append(own.evaluations)
+        return out
+
+    monkeypatch.setattr(ev, "fit_modulation", fresh)
+    alone = ev.track_modulation(p, traj, 0.01)
+    assert len(carried.times) == len(alone.times) == len(traj) == 11
+    assert carried.phases_x1 + carried.phases_x2 == pytest.approx(
+        alone.phases_x1 + alone.phases_x2, abs=1e-9)
+    assert carried.distances == pytest.approx(alone.distances, rel=1e-12)
+    assert 0 < carried.fit_evaluations < sum(evaluations)
+
+
+def test_an_indefinite_corrected_matrix_falls_back_to_gauss_newton():
+    # M + C is tested by its trace and determinant: negative definite
+    # (trace < 0) and indefinite with a positive trace (det < 0) both take
+    # the Gauss-Newton step
+    M, g = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.7])
+    gauss_newton = np.linalg.solve(M, -g)
+    for C in (np.diag([-3.0, -3.0]), np.diag([2.0, -2.0])):
+        assert np.array_equal(ev._fit_direction(M, C, g), gauss_newton)
+    C = np.array([[0.4, -0.1], [-0.1, 0.2]])
+    assert np.array_equal(ev._fit_direction(M, C, g),
+                          np.linalg.solve(M + C, -g))
+    # a fit handed an indefinite correction still lands on the phases
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    u = sample_breather(replace(p, x1=0.3, x2=-0.2), 0.1,
+                        Window(0.0, 30.0, N_SMALL), m=0)
+    memory = ev.FitMemory(np.diag([5.0, -1e3]))
+    x1, x2, dist = ev.fit_modulation(u, p, 0.1, memory=memory)
+    assert (x1, x2) == pytest.approx((0.3, -0.2), abs=1e-9)
+    assert dist < 1e-10 and memory.evaluations > 0
+
+
+def test_psb_update_meets_the_secant_condition_symmetrically():
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((2, 2))
+    C = C + C.T
+    s, y = rng.standard_normal(2), rng.standard_normal(2)
+    new = ev._psb(C, s, y)
+    assert np.allclose(new @ s, y, rtol=0, atol=1e-14)
+    assert np.array_equal(new, new.T)
 
 
 def test_random_shape_is_seeded_and_resolved():
@@ -956,10 +1107,10 @@ def test_track_modulation_stops_at_a_failed_fit_only_after_a_blow_up(
             for t, mass in ((0.0, 2.0), (0.01, 2.0), (0.02, 3.0), (0.03, 9.0))]
     fit = ev.fit_modulation
 
-    def failing_third(u, p_, t, seed=(0.0, 0.0)):
+    def failing_third(u, p_, t, seed=(0.0, 0.0), memory=None):
         if t == 0.02:
             raise ev.FitError("no convergence")
-        return fit(u, p_, t, seed=seed)
+        return fit(u, p_, t, seed=seed, memory=memory)
 
     monkeypatch.setattr(ev, "fit_modulation", failing_third)
     with pytest.raises(ev.FitError):
