@@ -139,16 +139,21 @@ class EvolutionConfig:
 # extrapolates them linearly from their stage times c_i - 1 to c_k.  A run's
 # first step, and a step handed nothing, freeze N at v0, N0 = N(v0) (x) 1:
 # one sweep Y <- Y - P^-1 G(Y) of the stage equations from (v0, v0).
-# G(v0, v0) = -dt (A (x) I)(F(v0), F(v0)) costs no further transform, and
-# where |G(Y0)| exceeds it, as on fields about to blow up, Newton starts
-# from (v0, v0) instead.  Otherwise the frozen start's contraction rho =
-# |G(Y0)| / |G(v0, v0)| predicts what one more sweep leaves: where rho |G|
-# meets the Newton target at a check, one sweep, one evaluation of N, takes
-# the place of a Krylov solve.  It is kept only if it lowers |G|, and a
-# step takes at most one.  The carried start is no sweep: its rho is nan,
-# so the rule does not fire after it.  With the frozen start's formula in
-# its place, the order-9 breather run tried a sweep on 44 of its 50 steps
-# and kept none.
+# G(v0, v0) = -dt (A (x) I)(F(v0), F(v0)), and where |G(Y0)| exceeds it,
+# as on fields about to blow up, Newton starts from (v0, v0) instead.  This
+# guard costs the frozen start no further transform, since that start
+# evaluates N(v0) anyway.  The carried start does not, so there the guard,
+# and its N(v0), run only when |G(Y0)| misses the Newton target; a carried
+# start that meets it ends the step with one evaluation of N, that of Y0.
+# The guard would have kept it, unless |G(v0, v0)| < |G(Y0)|, where both
+# starts meet the target.  Where the guard keeps the frozen start, its
+# contraction rho = |G(Y0)| / |G(v0, v0)| predicts what one more sweep
+# leaves: where rho |G| meets the Newton target at a check, one sweep, one
+# evaluation of N, takes the place of a Krylov solve.  It is kept only if
+# it lowers |G|, and a step takes at most one.  The carried start is no
+# sweep: its rho is nan, so the rule does not fire after it.  With the
+# frozen start's formula in its place, the order-9 breather run tried a
+# sweep on 44 of its 50 steps and kept none.
 # Newton stops once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each
 # Krylov solve; the dt |L v0| term keeps the target above the rounding of
 # the stiff linear part.  Each Newton step solves G'(Y) dY = -G by
@@ -163,7 +168,7 @@ class EvolutionConfig:
 # at most 3 Krylov solves and 40 GMRES iterations per step (the order-7
 # breather), against caps of 10 and 300; the static order-5 breather (its
 # first step one sweep, rho 2.6e-3) and the riding order-5 soliton take
-# none.
+# none, and each of their carried steps evaluates N once.
 #
 # Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
 # the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
@@ -289,9 +294,10 @@ class _Stepper:
     newton_frechet: object  # vhat -> (zhat -> N'(vhat) zhat) on the 2n
                             # grid, the N' of Newton's operator
     stage_system: object  # (Y, v0) -> (G(Y), the exact Jacobian Z -> G'(Y) Z)
-    start: object         # (v0, carried N or None) -> Newton's start Y,
-                          # G(Y), the point of its first operator, the
-                          # start's contraction, and N(Y)
+    start: object         # (v0, carried N or None, target) -> Newton's
+                          # start Y, G(Y), the point of its first operator,
+                          # the start's contraction, and N(Y); a carried
+                          # start meeting target skips the guard
     sweep: object         # (Y, G(Y), v0, N(Y)) -> Y - P^-1 G(Y), its G and
                           # N, or the inputs where that raises |G|
     step: object          # (v0, one spectrum (bin,), and the previous
@@ -402,48 +408,60 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             return Ys, Gs, NYs
         return Y, G, NY
 
-    def start(v0, carried=None):
+    def begin(v0, carried, target):
         # the linear part solved exactly for a guess of N at the stages:
         # N(v0) at both, a sweep from (v0, v0) with contraction rho = |G| /
         # |G(v0, v0)|, |G(v0, v0)| = dt |c| |F(v0)|; or the N of the previous
         # step's stages, carried, with rho nan.  Where |G| > |G(v0, v0)|
         # Newton starts from (v0, v0), with rho nan.  N(v0) is evaluated
         # once, and on that fallback Newton's first operator is taken at v0,
-        # whose slopes serve both stages
-        N0 = nonlinear(v0)
-        drive = (dtc * N0 if carried is None
-                 else blocks(dtA, blocks(extrapolate, carried)))
+        # whose slopes serve both stages.  A carried start whose |G| meets
+        # target returns before N(v0), which only the guard reads.  Returns
+        # (Y, G, |G|, the point of Newton's first operator, rho, N(Y))
+        if carried is None:
+            N0 = nonlinear(v0)
+            drive = dtc * N0
+        else:
+            drive = blocks(dtA, blocks(extrapolate, carried))
         Y = blocks(pinv, v0 + drive)
         NY = nonlinear(Y)
         G = stage_residual(Y, v0, NY)
         gnorm = np.linalg.norm(G)
+        if carried is not None:
+            if gnorm <= target:
+                return Y, G, gnorm, Y, math.nan, NY
+            N0 = nonlinear(v0)
         still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
         if not gnorm <= still:
             Y = np.stack([v0, v0])
-            return (Y, stage_residual(Y, v0, N0), v0, math.nan,
-                    np.stack([N0, N0]))
+            G = stage_residual(Y, v0, N0)
+            return Y, G, np.linalg.norm(G), v0, math.nan, np.stack([N0, N0])
         if carried is not None:
-            return Y, G, Y, math.nan, NY
-        return Y, G, Y, gnorm / still if still else 0.0, NY
+            return Y, G, gnorm, Y, math.nan, NY
+        return Y, G, gnorm, Y, gnorm / still if still else 0.0, NY
+
+    def start(v0, carried=None, target=0.0):
+        Y, G, _, at, rho, NY = begin(v0, carried, target)
+        return Y, G, at, rho, NY
 
     def step(v0, carried=None):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        Y, G, at, rho, NY = start(v0, carried)
+        target = _NEWTON_TOL * scale
+        Y, G, gnorm, at, rho, NY = begin(v0, carried, target)
         solves = krylov = 0
         while True:
-            gnorm = np.linalg.norm(G)
             residual = gnorm / scale if gnorm else 0.0
-            if gnorm <= _NEWTON_TOL * scale:
+            if gnorm <= target:
                 return _Step(v0 + math.sqrt(3.0) * (Y[1] - Y[0]), Y, solves,
                              krylov, residual, NY)
             if (not math.isfinite(gnorm) or solves == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
-            if rho * gnorm <= _NEWTON_TOL * scale:
+            if rho * gnorm <= target:
                 # rho predicts that a sweep meets the target; one per step
                 rho = math.nan
                 Y, G, NY = sweep(Y, G, v0, NY)
-                at = Y
+                gnorm, at = np.linalg.norm(G), Y
                 continue
             # the slopes only now that a Krylov solve follows; a linear
             # residual under half the Newton target is not seen by the next
@@ -457,6 +475,7 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             Y = Y + blocks(pinv, as_pair(x))
             NY = nonlinear(Y)
             G, at = stage_residual(Y, v0, NY), Y
+            gnorm = np.linalg.norm(G)
         return _Step(None, Y, solves, krylov, residual, NY)
 
     return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,

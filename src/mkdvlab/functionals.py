@@ -146,16 +146,6 @@ class SampledField:
         return spectral_derivative(self.values, self.window, k)
 
 
-def spectral_consistency(f: SampledField) -> float:
-    """Max relative mismatch between stored derivatives and FFT differentiation."""
-    worst = 0.0
-    for k in range(1, len(f.derivs) + 1):
-        ref = spectral_derivative(f.values, f.window, k)
-        scale = max(1.0, float(np.max(np.abs(f.derivs[k - 1]))))
-        worst = max(worst, float(np.max(np.abs(ref - f.derivs[k - 1]))) / scale)
-    return worst
-
-
 def zero_field(w: Window) -> SampledField:
     return SampledField(w, np.zeros(w.n_points))
 

@@ -216,10 +216,15 @@ def spectral_window(p: cf.BreatherParams, t: float,
                     n_points: int = 1024) -> Window:
     """Window balancing periodization tails against interior resolution.
 
-    The breather's nearest complex singularity sits at height ~0.7/beta, so
-    the resolvable bandwidth and the tail decay both scale with beta; a
+    For alpha <= beta the breather's nearest complex singularity sits at
+    height ~0.7/beta (0.703 at (1, 1), 0.368 at (0.5, 2)), so the
+    resolvable bandwidth and the tail decay both scale with beta; a
     half-width of 28/beta at n=1024 keeps fourth-derivative errors near
-    1e-7 while the tails stay at machine level.
+    1e-7 while the tails stay at machine level.  For alpha > beta the
+    height no longer follows 0.7/beta: it is 0.680 at (4, 0.5), not 1.4,
+    and 0.986 at (2, 0.5), so this window under-resolves the carrier at
+    large alpha / beta (the strict xfail
+    test_b0_inversion_resolved_at_alpha_4_beta_half pins (4, 0.5)).
     """
     half = 28.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0
     return Window(p.core(t), half, n_points)

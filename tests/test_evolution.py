@@ -342,19 +342,32 @@ def _newton_target(cfg, v0):
                              + cfg.dt * np.linalg.norm(L * v0))
 
 
-def _steps_with_sweeps(cfg, v, n_steps, monkeypatch):
-    # [(Krylov solves, GMRES iterations, sweeps)] of n_steps steps from v.
-    # Each evaluation of N (not of its slopes) is counted: the start makes
-    # two, and each Krylov solve and each sweep one more
-    flux, original = cf.flux_terms(cfg.order), cf.eval_flux_terms
-    calls = []
+def _count_fluxes_and_lifts(order, monkeypatch):
+    # records, from now until monkeypatch.undo(), each cf.eval_flux_terms
+    # call (True for the flux, False for a slope or density) and each irfft
+    flux, original, irfft = (cf.flux_terms(order), cf.eval_flux_terms,
+                             np.fft.irfft)
+    calls, lifts = [], []
 
     def counting(terms, rows):
         calls.append(terms == flux)
         return original(terms, rows)
 
-    step = ev._stepper(cfg).step
+    def lifting(a, *args, **kwargs):
+        lifts.append(a.shape)
+        return irfft(a, *args, **kwargs)
+
     monkeypatch.setattr(cf, "eval_flux_terms", counting)
+    monkeypatch.setattr(np.fft, "irfft", lifting)
+    return calls, lifts
+
+
+def _steps_with_sweeps(cfg, v, n_steps, monkeypatch):
+    # [(Krylov solves, GMRES iterations, sweeps)] of n_steps steps from v.
+    # Each evaluation of N (not of its slopes) is counted: the start makes
+    # two, and each Krylov solve and each sweep one more
+    step = ev._stepper(cfg).step
+    calls, _ = _count_fluxes_and_lifts(cfg.order, monkeypatch)
     work = []
     for _ in range(n_steps):
         calls.clear()
@@ -572,6 +585,91 @@ def test_a_carried_start_from_another_field_changes_speed_not_result():
         s = stepper.step(v0, carried)
         assert s.value is not None and s.residual <= ev._NEWTON_TOL
         assert np.linalg.norm(s.value - frozen.value) <= target
+
+
+def _order5_static_runs():
+    # the static order-5 breather and the riding order-5 soliton: (cfg, u0)
+    cfg = ev.breather_fidelity_config(5)
+    breather = sample_breather(cf.BreatherParams(5, 1.0, 1.0), 0.0,
+                               cfg.window, m=0)
+    sp, scfg = ev.soliton_speed_run(5)
+    return [(cfg, breather),
+            (scfg, sample_soliton(sp, 0.0, scfg.window, m=0))]
+
+
+@pytest.mark.parametrize("run", [0, 1], ids=["breather", "soliton"])
+def test_a_carried_step_that_meets_the_target_evaluates_n_once(run,
+                                                               monkeypatch):
+    # the carried start meets the Newton target at once on these runs, so
+    # the step lifts once and evaluates the flux once, at Y0, and not at v0
+    # for the guard.  Its value, stages and N are bitwise those of the start
+    # that always runs the guard (target 0), which keeps Y0
+    cfg, u0 = _order5_static_runs()[run]
+    stepper = ev._stepper(cfg)
+    first = stepper.step(np.fft.rfft(u0.values))
+    v1, carried = first.value, first.nonlinear
+    target = _newton_target(cfg, v1)
+    calls, lifts = _count_fluxes_and_lifts(5, monkeypatch)
+    s = stepper.step(v1, carried)
+    assert (calls, len(lifts)) == ([True], 1)
+    calls.clear()
+    stepper.start(v1, carried, target)
+    assert calls == [True]
+    calls.clear()
+    Y, G, _, rho, NY = stepper.start(v1, carried)
+    assert calls == [True, True]
+    monkeypatch.undo()
+    assert (s.solves, s.krylov) == (0, 0) and s.residual <= ev._NEWTON_TOL
+    assert np.linalg.norm(G) <= target and math.isnan(rho)
+    assert not np.array_equal(Y, np.stack([v1, v1]))
+    assert np.array_equal(s.stages, Y) and np.array_equal(s.nonlinear, NY)
+    assert np.array_equal(s.value, v1 + math.sqrt(3.0) * (Y[1] - Y[0]))
+
+
+@pytest.mark.parametrize("run", [0, 1], ids=["breather", "soliton"])
+def test_static_order5_runs_evaluate_n_once_per_carried_step(run,
+                                                             monkeypatch):
+    # over 20 steps of evolve: the first step's frozen start evaluates N at
+    # v0 and at Y0 (and the breather's one sweep at its result), and every
+    # later step once
+    cfg, u0 = _order5_static_runs()[run]
+    cfg = replace(cfg, t_end=20 * cfg.dt)
+    calls, _ = _count_fluxes_and_lifts(5, monkeypatch)
+    traj = ev.evolve(u0, cfg)
+    monkeypatch.undo()
+    assert ev.solver_work(traj) == (0, 0)
+    assert calls == [True] * ((3, 2)[run] + 19)
+
+
+def test_a_carried_start_that_misses_the_target_still_runs_the_guard(
+        monkeypatch):
+    # on the gaussian-perturbed breather the carried start misses the
+    # target, so it evaluates N(v0) for the guard, and its values are
+    # bitwise those of the start that always runs the guard.  Carried from
+    # the step before the guard keeps Y0; carried from the soliton it falls
+    # back to (v0, v0)
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.0)
+    stepper = ev._stepper(cfg)
+    first = stepper.step(np.fft.rfft(
+        _perturbed_breather(p, "gaussian", 0.01, cfg.window)))
+    v1 = first.value
+    target = _newton_target(cfg, v1)
+    soliton = sample_soliton(cf.SolitonParams(5, 2.0), 0.0, cfg.window, m=0)
+    others = (first.nonlinear,
+              np.stack([stepper.nonlinear(np.fft.rfft(soliton.values))] * 2))
+    for carried, falls_back in zip(others, (False, True)):
+        calls, lifts = _count_fluxes_and_lifts(5, monkeypatch)
+        got = stepper.start(v1, carried, target)
+        monkeypatch.undo()
+        assert (calls, len(lifts)) == ([True, True], 2)
+        want = stepper.start(v1, carried)
+        assert np.linalg.norm(want[1]) > target
+        assert np.array_equal(got[0], np.stack([v1, v1])) == falls_back
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        s = stepper.step(v1, carried)
+        assert s.value is not None and s.solves >= 1
 
 
 def test_blow_up_with_the_carried_start_raises_with_its_work(monkeypatch):

@@ -209,10 +209,20 @@ def test_sobolev_matches_quadrature():
     assert abs(fn.sobolev_norm(f, 1) - direct) < 1e-10
 
 
+def spectral_consistency(f: fn.SampledField) -> float:
+    """Max relative mismatch between stored derivatives and FFT differentiation."""
+    worst = 0.0
+    for k in range(1, len(f.derivs) + 1):
+        ref = fn.spectral_derivative(f.values, f.window, k)
+        scale = max(1.0, float(np.max(np.abs(f.derivs[k - 1]))))
+        worst = max(worst, float(np.max(np.abs(ref - f.derivs[k - 1]))) / scale)
+    return worst
+
+
 def test_sampled_field_spectral_consistency():
     p = cf.BreatherParams(order=5, alpha=1.0, beta=1.0)
     f = fn.sample_breather(p, 0.2, m=4)
-    err = fn.spectral_consistency(f)
+    err = spectral_consistency(f)
     print(err)
     assert err < 1e-8
 
