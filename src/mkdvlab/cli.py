@@ -449,7 +449,7 @@ def _spectrum_point(task: dict) -> tuple:
     w2 = replace(w, n_points=w.n_points // 2)
     opr2 = spc.build_operator(p, 0.0, w2)
     nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
-                           spc.spectrum(opr2).lowest_vector)
+                           spc.lowest_vector(opr2))
     recs.append(_record("coercivity_spread", {**tag, "nu0_half": nu0_2},
                         abs(nu0 - nu0_2), tol["spread"]))
     artifact = (f"spectrum_a{a:g}_b{b:g}.json",

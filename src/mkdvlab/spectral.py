@@ -44,6 +44,15 @@ even and the translation directions are odd, so the constraints split by
 parity as well; constraints that do not split send coercivity to the whole
 space.
 
+Coercivity and `lowest_vector` need only the minimum over the blocks.  The
+first block is solved; a later block that cannot hold a lower eigenvalue is
+proved so by one Cholesky factorization of (block - minimum so far * I),
+which succeeds exactly when that matrix is positive definite (`_exceeds`),
+and is not solved.  Only a block that fails the proof gets its eigensolve.
+At an even background the even (cos) block holds the negative direction
+and the minimum, so the sin block costs a factorization, about a quarter
+of its solve.
+
 `derivative_matrix` and `sobolev_gram` are the physical circulants of the
 same multipliers, kept as dense references; the solvers do not use them.
 
@@ -54,9 +63,9 @@ Wronskian check (`wronskian_check`), which returns its normalized residual
 against the closed form as a float.
 
 scipy.linalg is imported inside the functions that run dense LAPACK
-(_circulant, spectrum, coercivity, _reflect), so that the suites that never
-call them (verify, evolve, stability) start without it: its import takes
-longer than the whole of a small verify run.
+(_circulant, _bottom, _exceeds, coercivity, _reflect), so that the suites
+that never call them (verify, evolve, stability) start without it: its
+import takes longer than the whole of a small verify run.
 """
 
 from __future__ import annotations
@@ -285,6 +294,39 @@ class SpectrumSummary:
         }
 
 
+def _bottom(A: np.ndarray, tol: float) -> tuple:
+    """The k lowest eigenpairs of the symmetric A, k doubling from 8 until
+    the largest clears tol or k reaches the size of A."""
+    import scipy.linalg
+
+    m = len(A)
+    k = min(8, m)
+    while True:
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
+        if vals[-1] > tol or k == m:
+            return vals, vecs
+        k = min(2 * k, m)
+
+
+def _exceeds(A: np.ndarray, value: float) -> bool:
+    """Whether every eigenvalue of the symmetric A lies above value: the
+    Cholesky factorization of A - value I succeeds exactly when that matrix
+    is positive definite, up to a backward error of the dense solver's own
+    order (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    Like `eigh` it reads the lower triangle.  One factorization costs about
+    a quarter of the lowest eigenvalue's solve."""
+    import scipy.linalg
+
+    shifted = np.array(A, order="F")
+    diag = np.arange(len(A))
+    shifted[diag, diag] -= value
+    _, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0,
+                                         overwrite_a=1)
+    if info < 0:
+        raise RuntimeError(f"dpotrf failed with info={info}")
+    return info == 0
+
+
 def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     """Classify the bottom of the spectrum, block by block (`opr.blocks`).
 
@@ -293,21 +335,13 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     continuum edge) or k reaches the block size.  The blocks' eigenpairs
     are merged in ascending order (stable); the lowest and kernel vectors
     are returned as grid values."""
-    import scipy.linalg
-
     tol = kernel_tolerance(opr.alpha, opr.beta)
     n = opr.window.n_points
     vals, vecs = [], []
     for block, A in opr.blocks:
-        m = len(A)
-        k = min(8, m)
-        while True:
-            bvals, bvecs = scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
-            if bvals[-1] > tol or k == m:
-                break
-            k = min(2 * k, m)
+        bvals, bvecs = _bottom(A, tol)
         vals.append(bvals)
-        full = np.zeros((n, k))
+        full = np.zeros((n, len(bvals)))
         full[block] = bvecs
         vecs.append(full)
     vals = np.concatenate(vals)
@@ -321,6 +355,25 @@ def spectrum(opr: DiscreteOperator) -> SpectrumSummary:
     kept = grid_values(np.hstack([vecs[:, :1], vecs[:, kmask]]))
     return SpectrumSummary(tuple(neg), tuple(vals[kmask]), kept[:, 1:],
                            kept[:, 0], edge, lambda0_sq, tol)
+
+
+def lowest_vector(opr: DiscreteOperator) -> np.ndarray:
+    """`spectrum(opr).lowest_vector`, solving only the blocks that can hold
+    it.  The first block is solved as `spectrum` solves it; a later block
+    is solved, the same way, only when it cannot be proved to lie above the
+    lowest eigenvalue found so far (`_exceeds`), and it wins only below
+    that value, as in `spectrum`'s stable merge."""
+    tol = kernel_tolerance(opr.alpha, opr.beta)
+    low = None
+    for block, A in opr.blocks:
+        if low is not None and _exceeds(A, low):
+            continue
+        bvals, bvecs = _bottom(A, tol)
+        if low is None or bvals[0] < low:
+            low = bvals[0]
+            vec = np.zeros((opr.window.n_points, 1))
+            vec[block] = bvecs[:, :1]
+    return grid_values(vec)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,8 +458,10 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
     is normalized over its full row, then restricted to each block of
     `opr.blocks`; each block keeps the singular directions of its
     restriction above 1e-8.  When those ranks add up to 3 the constraints
-    split by parity, and the minimum is taken block by block; otherwise
-    the whole space is the one block."""
+    split by parity, and the minimum is taken block by block: the first
+    block is solved, and a later block only when a Cholesky factorization
+    does not prove it to lie above the minimum so far (`_exceeds`).
+    Otherwise the whole space is the one block."""
     import scipy.linalg
 
     weight = opr.window.sobolev_weight(2)
@@ -422,16 +477,19 @@ def coercivity(opr: DiscreteOperator, dirs: DirectionVectors,
         bases = [_row_basis(C)]
         if len(bases[0]) < 3:
             raise ValueError("orthogonality constraints are rank-deficient")
-    nu0 = []
+    nu0 = None
     for (block, A), Y in zip(blocks, bases):
         A = A * np.multiply.outer(scale[block], scale[block])
         r = len(Y)
         if r:  # a block may hold no constraint
             (qr, tau), _ = scipy.linalg.qr(Y.T, mode="raw")
             A = _reflect(qr, tau, A)[r:, r:]
-        nu0.append(scipy.linalg.eigh(A, subset_by_index=[0, 0],
-                                     eigvals_only=True)[0])
-    return float(min(nu0))
+        if nu0 is not None and _exceeds(A, nu0):
+            continue  # this block cannot lower the minimum
+        low = scipy.linalg.eigh(A, subset_by_index=[0, 0],
+                                eigvals_only=True)[0]
+        nu0 = low if nu0 is None else min(nu0, low)
+    return float(nu0)
 
 
 def _row_basis(C: np.ndarray) -> np.ndarray:

@@ -507,12 +507,13 @@ def test_verify_evolve_and_stability_run_without_scipy(tmp_path):
 
 
 def _count_spectrum_work(tmp_path, monkeypatch, config):
-    """Run one spectrum point; (build_operator calls, eigh calls, report)."""
+    """Run one spectrum point; (build_operator calls, eigh calls, dpotrf
+    calls, report)."""
     import scipy.linalg
 
     from mkdvlab import spectral as spc
 
-    counts = {"build": 0, "eigh": 0}
+    counts = {"build": 0, "eigh": 0, "dpotrf": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -524,24 +525,29 @@ def _count_spectrum_work(tmp_path, monkeypatch, config):
                         counting("build", spc.build_operator))
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counting("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+                        counting("dpotrf", scipy.linalg.lapack.dpotrf))
     cfgp = write_cfg(tmp_path / "s.txt", config)
     out = tmp_path / "o"
     out.mkdir()
     run_main(["spectrum", "--config", cfgp, "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
-    return counts["build"], counts["eigh"], report
+    return counts["build"], counts["eigh"], counts["dpotrf"], report
 
 
-def test_spectrum_point_builds_two_operators_and_solves_four(tmp_path,
-                                                             monkeypatch):
-    # one operator at n and one at n/2; four solves: bottom-k spectrum and
-    # coercivity at each of the two sizes.  The breather is centred, so
-    # each solve is one eigh per parity block.  The default window is
-    # under-resolved at n=512, so some budgets fail: only the work is checked.
-    builds, eighs, report = _count_spectrum_work(
+def test_spectrum_point_solves_five_blocks_and_certifies_three(tmp_path,
+                                                               monkeypatch):
+    # one operator at n and one at n/2.  The breather is centred, so each
+    # operator is a cos and a sin block.  At n the bottom-k spectrum solves
+    # both blocks; coercivity at n and at n/2, and the lowest vector at
+    # n/2, solve the cos block, which holds the minimum, and prove the sin
+    # block above it with one Cholesky factorization.  The default window
+    # is under-resolved at n=512, so some budgets fail: only the work is
+    # checked.
+    builds, eighs, potrfs, report = _count_spectrum_work(
         tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     assert len(report["records"]) == 11
-    assert (builds, eighs) == (2, 8)
+    assert (builds, eighs, potrfs) == (2, 5, 3)
 
 
 def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
@@ -550,7 +556,7 @@ def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
     from mkdvlab import closed_forms as cf
     from mkdvlab import spectral as spc
 
-    _, _, report = _count_spectrum_work(
+    *_, report = _count_spectrum_work(
         tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     spread, = [r for r in report["records"]
                if r["id"].startswith("coercivity_spread")]
@@ -558,7 +564,7 @@ def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
     w2 = spc.spectral_window(p, 0.0, 256)
     opr2 = spc.build_operator(p, 0.0, w2)
     want = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
-                          spc.spectrum(opr2).lowest_vector)
+                          spc.lowest_vector(opr2))
     assert spread["params"]["nu0_half"] == want
 
 

@@ -630,15 +630,15 @@ def test_a_carried_step_that_meets_the_target_evaluates_n_once(run,
 def test_static_order5_runs_evaluate_n_once_per_carried_step(run,
                                                              monkeypatch):
     # over 20 steps of evolve: the first step's frozen start evaluates N at
-    # v0 and at Y0 (and the breather's one sweep at its result), and every
-    # later step once
+    # v0 and at Y0, and one sweep at its result (at the shipped dt both
+    # runs take it), and every later step once
     cfg, u0 = _order5_static_runs()[run]
     cfg = replace(cfg, t_end=20 * cfg.dt)
     calls, _ = _count_fluxes_and_lifts(5, monkeypatch)
     traj = ev.evolve(u0, cfg)
     monkeypatch.undo()
     assert ev.solver_work(traj) == (0, 0)
-    assert calls == [True] * ((3, 2)[run] + 19)
+    assert calls == [True] * (3 + 19)
 
 
 def test_a_carried_start_that_misses_the_target_still_runs_the_guard(

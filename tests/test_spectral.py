@@ -582,9 +582,10 @@ def test_coercivity_refinement_and_phase_covariance():
 # --------------------------------------------------------------------------
 # parity blocks
 
-def test_spectrum_merges_the_blocks_in_ascending_order():
-    # the sin block holds the lowest eigenvalue and the continuum edge, so
-    # the classification must come from the merged, sorted eigenpairs
+def _sin_lowest_operator():
+    """A two-block operator on 256 points whose sin block holds the lowest
+    eigenvalue, -3, and the continuum edge, 2; the cos block holds -1 and
+    5 upward.  Returns the operator and the sin block's eigenvectors."""
     n = 256
     h = n // 2
     rng = np.random.default_rng(5)
@@ -597,6 +598,15 @@ def test_spectrum_merges_the_blocks_in_ascending_order():
                               ((slice(0, h + 1), (cos + cos.T) / 2.0),
                                (slice(h + 1, n), (sin + sin.T) / 2.0)),
                               1.0, 1.0)
+    return opr, Ro
+
+
+def test_spectrum_merges_the_blocks_in_ascending_order():
+    # the sin block holds the lowest eigenvalue and the continuum edge, so
+    # the classification must come from the merged, sorted eigenpairs
+    opr, Ro = _sin_lowest_operator()
+    n = opr.window.n_points
+    h = n // 2
     summ = sp.spectrum(opr)
     close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     close(summ.negative_eigenvalues, [-3.0, -1.0])
@@ -626,16 +636,26 @@ def test_parity_blocks_detected_from_the_coefficients():
                      "off-centre": (512,), "zero": (257, 255)}
 
 
-def _counting_eigh(monkeypatch):
+def _counting(monkeypatch, module, name):
+    """Rebind module.name to record the size of its first argument, call
+    by call; returns the list of sizes."""
     calls = []
-    eigh = scipy.linalg.eigh
+    fn = getattr(module, name)
 
     def counting(a, *args, **kwargs):
         calls.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _counting_eigh(monkeypatch):
+    return _counting(monkeypatch, scipy.linalg, "eigh")
+
+
+def _counting_dpotrf(monkeypatch):
+    return _counting(monkeypatch, scipy.linalg.lapack, "dpotrf")
 
 
 @pytest.mark.parametrize("t,center", [(0.45, None), (0.0, 0.37)])
@@ -694,10 +714,16 @@ def test_coercivity_blocks_match_whole_space_oracle(alpha, beta, first,
     want = _coercivity_oracle(p, 0.0, opr.window,
                               [vec, dirs.B1, dirs.B2])
     calls = _counting_eigh(monkeypatch)
+    potrfs = _counting_dpotrf(monkeypatch)
     got = sp.coercivity(opr, dirs, vec)
     print(f"({alpha},{beta}) {first}: nu0 {got:.12f}, oracle {want:.12f}")
-    assert len(calls) == blocks
+    # one eigh on the first block (or the whole space); where the
+    # constraints split, the sin block is proved above it, not solved
+    assert (len(calls), len(potrfs)) == (1, blocks - 1)
     assert abs(got - want) <= 1e-9 * abs(want)
+    # bitwise the minimum of an eigh on every block
+    monkeypatch.setattr(sp, "_exceeds", lambda A, value: False)
+    assert got == sp.coercivity(opr, dirs, vec)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.45])
@@ -709,3 +735,91 @@ def test_coercivity_rejects_constraints_in_the_kernel_span(t):
                 np.zeros(opr.window.n_points)):
         with pytest.raises(ValueError, match="rank-deficient"):
             sp.coercivity(opr, dirs, vec)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 0.8), (0.75, 2.0)])
+def test_coercivity_solves_a_sin_block_below_the_cos_block(alpha, beta,
+                                                          monkeypatch):
+    # three even constraints leave the kernel, in the sin block,
+    # unconstrained: the sin block's minimum (zero to rounding) lies below
+    # the cos block's, so its certificate fails and it gets its eigh
+    p = cf.BreatherParams(5, alpha, beta)
+    opr = sp.build_operator(p, 0.0, Window(0.0, 20.0 / beta + 1.0, 512))
+    x = opr.window.grid()
+    dirs = replace(sp.directions(p, 0.0, opr.window), B1=np.exp(-x ** 2),
+                   B2=x ** 2 * np.exp(-x ** 2))
+    vec = sp.spectrum(opr).lowest_vector
+    want = _coercivity_oracle(p, 0.0, opr.window, [vec, dirs.B1, dirs.B2])
+    calls = _counting_eigh(monkeypatch)
+    potrfs = _counting_dpotrf(monkeypatch)
+    got = sp.coercivity(opr, dirs, vec)
+    print(f"({alpha},{beta}): nu0 {got:.3e}, oracle {want:.3e}")
+    assert (calls, potrfs) == ([257 - 3, 255], [255])
+    assert abs(got - want) <= 1e-10
+    monkeypatch.setattr(sp, "_exceeds", lambda A, value: False)
+    assert got == sp.coercivity(opr, dirs, vec)
+
+
+def _certified_coercivity_block(monkeypatch):
+    """The constrained, whitened sin block that coercivity proves to lie
+    above the cos block's minimum at the default breather."""
+    seen = []
+    exceeds = sp._exceeds
+
+    def capturing(A, value):
+        seen.append(np.array(A))
+        return exceeds(A, value)
+
+    p, opr = _default()
+    dirs = sp.directions(p, 0.0, opr.window)
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_exceeds", capturing)
+        sp.coercivity(opr, dirs, sp.spectrum(opr).lowest_vector)
+    block, = seen
+    return block
+
+
+@pytest.mark.parametrize("case", ["random-5", "random-60", "random-300",
+                                  "coercivity"])
+def test_exceeds_agrees_with_eigvalsh_around_the_minimum(case, monkeypatch):
+    if case == "coercivity":
+        A = _certified_coercivity_block(monkeypatch)
+    else:
+        m = int(case.split("-")[1])
+        G = np.random.default_rng(m).normal(size=(m, m))
+        A = (G + G.T) / 2.0
+    before = A.copy()
+    vals = np.linalg.eigvalsh(A)
+    gap = 1e-9 * np.max(np.abs(vals))
+    assert sp._exceeds(A, vals[0] - gap)
+    assert not sp._exceeds(A, vals[0] + gap)
+    assert not sp._exceeds(A, vals[len(vals) // 2])
+    # the argument is left as it was
+    assert np.array_equal(A, before)
+
+
+@pytest.mark.parametrize("alpha,beta,t", [(1.0, 1.0, 0.0), (1.2, 0.8, 0.0),
+                                          (0.75, 2.0, 0.0), (2.0, 0.5, 0.0),
+                                          (1.2, 0.8, 0.45)])
+def test_lowest_vector_is_the_spectrums(alpha, beta, t, monkeypatch):
+    # at the centred breather (t = 0) the cos block holds the negative
+    # eigenvalue: it gets spectrum's solve, and the sin block one
+    # factorization.  Without the symmetry the one block is solved
+    p = cf.BreatherParams(5, alpha, beta)
+    opr = sp.build_operator(p, t, sp.spectral_window(p, t, 512))
+    want = sp.spectrum(opr).lowest_vector
+    calls = _counting_eigh(monkeypatch)
+    potrfs = _counting_dpotrf(monkeypatch)
+    got = sp.lowest_vector(opr)
+    assert (calls, potrfs) == (([512], []) if t else ([257], [255]))
+    assert np.array_equal(got, want)
+
+
+def test_lowest_vector_solves_a_later_block_that_holds_it(monkeypatch):
+    opr, _ = _sin_lowest_operator()
+    want = sp.spectrum(opr).lowest_vector
+    calls = _counting_eigh(monkeypatch)
+    potrfs = _counting_dpotrf(monkeypatch)
+    got = sp.lowest_vector(opr)
+    assert (calls, potrfs) == ([129, 127], [127])
+    assert np.array_equal(got, want)
