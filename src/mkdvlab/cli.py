@@ -75,6 +75,13 @@ def _fmt_float(x: float) -> str:
 
 
 def _dump(obj, indent: int = 0) -> str:
+    # the exact built-in types of nearly every value first; numpy scalars,
+    # bools, None and subclasses take the isinstance chain
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if kind is str:
+        return _quote(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -95,7 +102,11 @@ def _dump(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
+    return _quote(str(obj))
+
+
+def _quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
@@ -348,19 +359,26 @@ def _verify_point(task: dict) -> tuple:
     recs = []
     tag = {"order": order, "alpha": a, "beta": b}
     p = cf.BreatherParams(order, a, b)
+    # one sample of the breather at CHECK_T serves every check there; it
+    # lives for this task only
+    at_check = ide.check_sample(p)
     for t in task["t"]:
-        measured = (_breather_ode_at_rest(a, b) if t == 0.0
-                    else ide.breather_ode_residual(p, t).normalized)
+        if t == 0.0:
+            measured = _breather_ode_at_rest(a, b)
+        else:
+            sample = at_check if t == ide.CHECK_T else None
+            measured = ide.breather_ode_residual(p, t,
+                                                 sample=sample).normalized
         recs.append(_record("breather_ode", {**tag, "t": t}, measured,
                             tol["breather_ode"]))
-    rep = ide.evolution_identity_residual(p)
+    rep = ide.evolution_identity_residual(p, sample=at_check)
     recs.append(_record("evolution_identity", tag, rep.normalized,
                         tol["identity"]))
     for orders, residual in ((ide.LEMMA21_ORDERS, ide.lemma21_residual),
                              (ide.LEMMA23_ORDERS, ide.lemma23_residual),
                              (ide.COROLLARY_ORDERS, ide.corollary_residual)):
         if order in orders:
-            rep = residual(p)
+            rep = residual(p, sample=at_check)
             recs.append(_record(rep.identity_id, tag, rep.normalized,
                                 tol["identity"]))
     kinds = ["M", "E"] + ([cf.energy_kind(order)] if order in (5, 7, 9) else [])

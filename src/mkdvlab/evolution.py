@@ -189,7 +189,17 @@ class EvolutionConfig:
 # with the padded G'.  The slopes are evaluated only once a Krylov solve
 # follows, so the step that converges computes none.  The padded apply
 # stays as linearize and stage_system, the exact G' that the tests take as
-# oracle.
+# oracle.  One phase, the n-point grid itself, is not enough, though it
+# was measured to cost a third of the time (an order-9 apply of two stages
+# at n = 1024 on a 2-vCPU virtual machine: 185 against 553 us) and to
+# leave the shipped solver work nearly as it is (stability at order 5,
+# t_end 0.03, three shapes: 121 Krylov solves and 887 GMRES iterations
+# either way; default evolve: 333 / 3,176 against 331 / 3,193).  An n-point
+# transform folds every mode of slope times a band-k_N vector above k_N
+# back into the band, so that operator is an aliased G': it misses the
+# exact apply by 64-95 % of its size on a random band-k_N vector on the
+# n = 1024 window, and on under-resolved n = 256 runs Newton reaches its
+# cap and the step fails.
 #
 # Polyphase lift.  The padded grid has pad * n points, and padded point
 # pad * m + s is coarse point m shifted by s h / pad (h the coarse spacing).

@@ -5,7 +5,11 @@ Every identity is a list of terms (coefficient, symbols); a symbol is either
 an integer k for the k-th x-derivative of the profile (0 for the profile
 itself) or one of the tags "bt" (time derivative of the antiderivative
 profile) and "mt" (time derivative of the partial mass).  The sample set is
-a plain array of nodes (`breather_samples`, `soliton_samples`).  A
+a plain array of nodes (`breather_samples`, `soliton_samples`).  Sampling
+the breather is kept apart from evaluating a term list on it: a
+BreatherSample is one jet of one breather at one time, and every check of a
+breather at CHECK_T reads the one sample `check_sample` takes, one per
+(point, time), to the highest derivative any of them reads.  A
 ResidualReport holds the identity's id, the sup of the residual over the
 samples, rel_scale (the sup of the largest constituent term, so thresholds
 are meaningful across parameter sweeps) and the label of the reading it
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,11 +63,14 @@ def _eval_terms(terms, data):
     total = 0.0
     scale = 0.0
     for coeff, syms in terms:
-        prod = np.full_like(data[0], coeff)
-        for s in syms:
-            prod = prod * data[s]
-        total = total + prod
-        scale = max(scale, float(np.max(np.abs(prod))))
+        if syms:
+            prod = coeff * data[syms[0]]
+            for s in syms[1:]:
+                prod *= data[s]
+        else:
+            prod = np.full_like(data[0], coeff)
+        total += prod
+        scale = max(scale, float(np.abs(prod).max()))
     return total, scale
 
 
@@ -95,22 +103,56 @@ def _jet_data(jet: cf.Jet) -> dict:
             **{k: d for k, d in enumerate(jet.dx, start=1)}}
 
 
+class BreatherSample(NamedTuple):
+    """The breather p at time t on one set of nodes, as the data every
+    breather term list reads: B and its x-derivatives 1..m under 0..m,
+    Btilde_t under "bt" and, if sampled with the mass, M_t under "mt".
+    (A NamedTuple: every suite imports this module, and a frozen dataclass
+    takes about 1 ms more to create.)"""
+    p: cf.BreatherParams
+    t: float
+    data: dict
+
+
+def breather_sample(p: cf.BreatherParams, t: float, m: int, mass: bool,
+                    samples=None, vel=None) -> BreatherSample:
+    """One jet of the breather to order m at the samples, by default the
+    standard ones; vel replaces the breather's velocities in the jet, not
+    in the samples or in M_t."""
+    x = samples if samples is not None else breather_samples(p, t)
+    jet = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, m,
+                              vel=vel)
+    data = _jet_data(jet)
+    if mass:
+        data["mt"] = cf.partial_mass_t(p, t, x)
+    return BreatherSample(p, t, data)
+
+
+def _own_sample(p, t, terms, samples, vel=None) -> BreatherSample:
+    """A sample of p at t for one term list alone: to its highest
+    derivative, with M_t if it reads it."""
+    return breather_sample(p, t, cf.max_order(terms),
+                           any("mt" in syms for _, syms in terms), samples,
+                           vel)
+
+
 def _report(ident, terms, data, variant="verbatim"):
     res, scale = _eval_terms(terms, data)
     return ResidualReport(ident, float(np.max(np.abs(res))), scale, variant)
 
 
-def _breather_report(ident, p, t, terms, samples=None, variant="verbatim",
-                     vel=None):
-    """Residual of a term list on the breather at the samples, by default
-    the standard ones; vel replaces the breather's velocities in the jet,
-    not in the samples."""
-    x = samples if samples is not None else breather_samples(p, t)
-    data = _jet_data(cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2,
-                                         t, x, cf.max_order(terms), vel=vel))
-    if any("mt" in syms for _, syms in terms):
-        data["mt"] = cf.partial_mass_t(p, t, x)
-    return _report(ident, terms, data, variant)
+def _breather_report(ident, p, t, terms, samples, sample):
+    """Residual of a term list on the breather p at time t.  Evaluating
+    terms is kept apart from sampling the breather: sample, if given, is a
+    sample of p at t that several term lists share (CHECK_T's, one per
+    (point, time)); otherwise the term list gets a sample of its own at
+    the samples."""
+    if sample is None:
+        sample = _own_sample(p, t, terms, samples)
+    elif samples is not None or (sample.p, sample.t) != (p, t):
+        raise ValueError("a shared sample must be of the breather and time "
+                         "checked, and replaces the samples")
+    return _report(ident, terms, sample.data)
 
 
 # --------------------------------------------------------------------------
@@ -173,43 +215,61 @@ def soliton_ode_residual(p: cf.SolitonParams,
     return _report(f"soliton_ode_{level}", terms, _jet_data(jet))
 
 
-def breather_ode_residual(p: cf.BreatherParams, t: float,
-                          samples=None) -> ResidualReport:
+def check_sample(p: cf.BreatherParams) -> BreatherSample:
+    """The one sample of p at CHECK_T that every check of p there reads:
+    the jet to the breather equation's 4th derivative or the evolution
+    identity's (order - 1)th, whichever is higher (no product identity or
+    corollary reads beyond it), and M_t at the orders of a product
+    identity."""
+    return breather_sample(p, CHECK_T, max(4, p.order - 1),
+                           p.order in LEMMA21_ORDERS)
+
+
+# Each residual below samples the breather on its own, or reads sample, a
+# BreatherSample of p at t (`check_sample` at CHECK_T) shared with the
+# other checks of p at that time.
+
+def breather_ode_residual(p: cf.BreatherParams, t: float, samples=None,
+                          sample=None) -> ResidualReport:
     """Fourth-order stationary equation; holds for every order at fixed t."""
     return _breather_report("breather_ode", p, t,
-                            cf.breather_equation(p.alpha, p.beta), samples)
+                            cf.breather_equation(p.alpha, p.beta), samples,
+                            sample)
 
 
 def evolution_identity_residual(p: cf.BreatherParams, t: float = CHECK_T,
-                                samples=None) -> ResidualReport:
+                                samples=None,
+                                sample=None) -> ResidualReport:
     terms = ((1.0, ("bt",)),) + cf.evolution_terms(p.order)
-    return _breather_report("evolution_identity", p, t, terms, samples)
+    return _breather_report("evolution_identity", p, t, terms, samples,
+                            sample)
 
 
 def lemma21_residual(p: cf.BreatherParams, t: float = CHECK_T,
-                     samples=None) -> ResidualReport:
+                     samples=None, sample=None) -> ResidualReport:
     """Product identity of the breather's order (`lemma21_terms`)."""
     _check_identity_order(p, LEMMA21_ORDERS)
     return _breather_report(f"lemma21_{p.order}th", p, t,
-                            lemma21_terms(p.order), samples)
+                            lemma21_terms(p.order), samples, sample)
 
 
-def lemma23_residual(p: cf.BreatherParams,
-                     t: float = CHECK_T) -> ResidualReport:
+def lemma23_residual(p: cf.BreatherParams, t: float = CHECK_T,
+                     sample=None) -> ResidualReport:
     """First-order-in-time identity; holds for 5th-order breathers only."""
     _check_identity_order(p, LEMMA23_ORDERS)
     # Btilde_t = d(mu E + c M)/du: the evolution identity has u_4x + f5 =
     # dE5/du, and the breather equation is d(E5 + mu E + c M)/du = 0
     return _breather_report("lemma23", p, t,
-                            corollary_terms(5, p.alpha, p.beta))
+                            corollary_terms(5, p.alpha, p.beta), None, sample)
 
 
-def corollary_residual(p: cf.BreatherParams,
-                       t: float = CHECK_T) -> ResidualReport:
+def corollary_residual(p: cf.BreatherParams, t: float = CHECK_T,
+                       sample=None) -> ResidualReport:
     """Corollary of the breather's order (`corollary_terms`)."""
     _check_identity_order(p, COROLLARY_ORDERS)
     return _breather_report(f"corollary_{p.order}th", p, t,
-                            corollary_terms(p.order, p.alpha, p.beta))
+                            corollary_terms(p.order, p.alpha, p.beta), None,
+                            sample)
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +317,8 @@ def run_variants(ident: str, p: cf.BreatherParams,
     on the breather p at CHECK_T and its standard samples; vel replaces
     p's velocities in the jet, or is None."""
     samples = breather_samples(p, CHECK_T)
-    return [_breather_report(ident, p, CHECK_T, terms, samples, label, vel)
+    return [_report(ident, terms,
+                    _own_sample(p, CHECK_T, terms, samples, vel).data, label)
             for label, terms, vel in runs]
 
 

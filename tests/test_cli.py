@@ -193,6 +193,45 @@ def test_float_formatting():
     assert cli.dump_json({"z": 1, "a": 2}) == '{\n  "a": 2,\n  "z": 1\n}\n'
 
 
+def test_json_writer_golden_string():
+    # every branch of the writer: exact built-in types, numpy scalars,
+    # non-finite floats, empty containers, tuples, unsorted keys, escapes
+    obj = {"z": [1.5, np.float64(0.1), np.int64(-3), np.bool_(True), False,
+                 None],
+           "a": {"nan": float("nan"), "inf": -math.inf,
+                 "npinf": np.float64("inf")},
+           "m": {"empty_list": [], "empty_dict": {}, "empty_tuple": (),
+                 "tuple": (2, 1.0 / 3.0), "int": 7},
+           "s": 'say "hi" \\ back\\slash'}
+    assert cli.dump_json(obj) == (
+        '{\n'
+        '  "a": {\n'
+        '    "inf": null,\n'
+        '    "nan": null,\n'
+        '    "npinf": null\n'
+        '  },\n'
+        '  "m": {\n'
+        '    "empty_dict": {},\n'
+        '    "empty_list": [],\n'
+        '    "empty_tuple": [],\n'
+        '    "int": 7,\n'
+        '    "tuple": [\n'
+        '      2,\n'
+        '      0.33333333333333331\n'
+        '    ]\n'
+        '  },\n'
+        '  "s": "say \\"hi\\" \\\\ back\\\\slash",\n'
+        '  "z": [\n'
+        '    1.5,\n'
+        '    0.10000000000000001,\n'
+        '    -3,\n'
+        '    true,\n'
+        '    false,\n'
+        '    null\n'
+        '  ]\n'
+        '}\n')
+
+
 def test_csv_writer():
     text = cli.dump_csv(("id", "x"), [("r1", 1.5), ("r2", float("nan"))])
     lines = text.strip().split("\n")
@@ -418,6 +457,68 @@ def test_verify_computes_rest_energies_once_per_alpha_beta(tmp_path,
                                  / fn.term_scale(f, kind)), r["id"]
         checked += 1
     assert checked == 4 * (2 * 4 + 2)
+
+
+SHARED_VERIFY = """
+orders = 3, 5, 9, 11
+alpha = 0.75
+beta = 1.25
+c = 1.0
+t = 0.0, 0.37, 1.1
+"""
+
+
+def test_verify_samples_each_breather_once_per_time(tmp_path, monkeypatch):
+    from mkdvlab import closed_forms as cf
+    from mkdvlab import identities as ide
+
+    jets = []
+    raw = cf.breather_jet_raw
+
+    def counting(order, alpha, beta, x1, x2, t, x, m, vel=None):
+        jets.append((order, alpha, beta, x1, x2, t))
+        return raw(order, alpha, beta, x1, x2, t, x, m, vel=vel)
+
+    monkeypatch.setattr(cf, "breather_jet_raw", counting)
+    cfg = cli.build_config("verify", cli.parse_config_file(
+        write_cfg(tmp_path / "c.txt", SHARED_VERIFY)), str(tmp_path))
+    report = cli.run_suite(cfg)
+    monkeypatch.undo()
+
+    # one jet per task and time t != 0; the others are the rest samples
+    # (t = 0), the energy reductions' (t = 0.2) and the two adjudicated
+    # breathers'
+    adjudicated = {(q.order, q.alpha, q.beta, q.x1, q.x2)
+                   for q in (ide.DELTA9_BREATHER, ide.FIRSTMKDV_BREATHER)}
+    per_time = [j for j in jets
+                if j[:5] not in adjudicated and j[5] not in (0.0, 0.2)]
+    assert sorted(per_time) == [(o, 0.75, 1.25, 0.0, 0.0, t)
+                                for o in (3, 5, 9, 11) for t in (0.37, 1.1)]
+
+    # each CHECK_T record is its residual on the shared sample, bitwise, and
+    # within rounding of the residual on a jet of the check's own; the
+    # bound is test_identities' SHARED_SAMPLE_ROUNDING
+    residuals = {"breather_ode": lambda p, **kw: ide.breather_ode_residual(
+                     p, ide.CHECK_T, **kw),
+                 "evolution_identity": ide.evolution_identity_residual,
+                 "lemma21": ide.lemma21_residual,
+                 "lemma23": ide.lemma23_residual,
+                 "corollary": ide.corollary_residual}
+    checked = []
+    for r in report.records:
+        name, q = r["id"].split("[")[0], r["params"]
+        residual = residuals.get(name) or residuals.get(name.split("_")[0])
+        if residual is None or q.get("t", ide.CHECK_T) != ide.CHECK_T:
+            continue
+        p = cf.BreatherParams(q["order"], q["alpha"], q["beta"])
+        assert r["measured"] == residual(
+            p, sample=ide.check_sample(p)).normalized, r["id"]
+        assert abs(r["measured"] - residual(p).normalized) \
+            <= 16 * np.finfo(float).eps, r["id"]
+        checked.append(name)
+    assert sorted(checked) == sorted(
+        ["breather_ode", "evolution_identity"] * 4
+        + ["lemma21_5th", "lemma23", "lemma21_9th", "corollary_9th"])
 
 
 def test_each_finished_task_prints_one_progress_line(tmp_path, monkeypatch,

@@ -326,3 +326,109 @@ def test_report_field_invariants():
     for sup, scale in ((-1.0, 1.0), (float("nan"), 1.0), (0.0, 0.0)):
         with pytest.raises(ValueError):
             ide.ResidualReport("x", sup, scale)
+
+
+# --------------------------------------------------------------------------
+# term evaluation and the shared sample
+
+
+def _eval_terms_reference(terms, data):
+    """The plain loop: every product starts from a constant array."""
+    total, scale = 0.0, 0.0
+    for coeff, syms in terms:
+        prod = np.full_like(data[0], coeff)
+        for s in syms:
+            prod = prod * data[s]
+        total = total + prod
+        scale = max(scale, float(np.max(np.abs(prod))))
+    return total, scale
+
+
+def test_eval_terms_is_bitwise_the_plain_loop():
+    rng = np.random.default_rng(5)
+    data = {k: rng.standard_normal(257) * 10.0 ** rng.integers(-3, 4)
+            for k in (*range(9), "bt", "mt")}
+    terms = ((-0.37, ()), (2.5, (1,)), (1.0, ("bt",)), (-2.0, (0, "bt")),
+             (2.0, ("mt",)), (7.0 / 3.0, (1, 1, 2, 4)), (-1e-3, (0, 0, 0)),
+             (0.1, (3, "mt")))
+    res, scale = ide._eval_terms(terms, data)
+    ref, ref_scale = _eval_terms_reference(terms, data)
+    assert (res == ref).all()
+    assert scale == ref_scale
+    # a constant-only list and the derived identity tables too
+    for terms in (((4.0, ()),), ide.lemma21_terms(9),
+                  ide.corollary_terms(7, 1.1, 0.9)):
+        res, scale = ide._eval_terms(terms, data)
+        ref, ref_scale = _eval_terms_reference(terms, data)
+        assert (res == ref).all() and scale == ref_scale
+
+
+def _checks_at(p):
+    """The residual function of every check of p at CHECK_T."""
+    checks = [lambda p, **kw: ide.breather_ode_residual(p, ide.CHECK_T,
+                                                        **kw),
+              ide.evolution_identity_residual]
+    for orders, residual in ((ide.LEMMA21_ORDERS, ide.lemma21_residual),
+                             (ide.LEMMA23_ORDERS, ide.lemma23_residual),
+                             (ide.COROLLARY_ORDERS, ide.corollary_residual)):
+        if p.order in orders:
+            checks.append(residual)
+    return checks
+
+
+# The shared sample's jet runs to a higher order than a check's own, which
+# changes the jet's row count and, through the matrix product of
+# closed_forms._taylor, can move its lower rows by an ulp.  The residual,
+# relative to its largest term, then moves by a few ulps of that term; at
+# seven (alpha, beta) points per order the largest move is 0.66 eps (lemma23).
+SHARED_SAMPLE_ROUNDING = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("order", cf.ORDERS)
+def test_check_sample_serves_every_check_at_check_t(order):
+    p = _p(order)
+    shared = ide.check_sample(p)
+    assert (shared.p, shared.t) == (p, ide.CHECK_T)
+    for residual in _checks_at(p):
+        on_shared, own = residual(p, sample=shared), residual(p)
+        assert on_shared.identity_id == own.identity_id
+        assert abs(on_shared.normalized - own.normalized) \
+            <= SHARED_SAMPLE_ROUNDING, on_shared.identity_id
+        # a second use of the same sample gives the same bits
+        assert residual(p, sample=shared) == on_shared
+
+
+def test_a_sample_to_a_checks_own_order_is_its_own_evaluation():
+    # handing a residual a sample to exactly its own order is the same
+    # evaluation as no sample at all
+    def own(p, terms):
+        return ide.breather_sample(p, ide.CHECK_T, cf.max_order(terms),
+                                   any("mt" in s for _, s in terms))
+
+    p5, p7 = _p(5), _p(7)
+    assert ide.lemma23_residual(p5, sample=own(
+        p5, ide.corollary_terms(5, p5.alpha, p5.beta))) \
+        == ide.lemma23_residual(p5)
+    assert ide.corollary_residual(p7, sample=own(
+        p7, ide.corollary_terms(7, p7.alpha, p7.beta))) \
+        == ide.corollary_residual(p7)
+    assert ide.lemma21_residual(p7, sample=own(p7, ide.lemma21_terms(7))) \
+        == ide.lemma21_residual(p7)
+
+
+def test_a_shared_sample_must_fit_the_check():
+    p = _p(9)
+    shared = ide.check_sample(p)
+    with pytest.raises(ValueError):      # another time
+        ide.breather_ode_residual(p, 0.2, sample=shared)
+    with pytest.raises(ValueError):      # another breather
+        ide.evolution_identity_residual(_p(9, alpha=1.2), sample=shared)
+    with pytest.raises(ValueError):      # samples and a sample at once
+        ide.lemma21_residual(p, samples=ide.breather_samples(p, ide.CHECK_T),
+                             sample=shared)
+    short = ide.breather_sample(p, ide.CHECK_T, 4, False)
+    with pytest.raises(KeyError):        # derivatives beyond the jet
+        ide.evolution_identity_residual(p, sample=short)
+    no_mass = ide.breather_sample(p, ide.CHECK_T, 8, False)
+    with pytest.raises(KeyError):        # M_t not sampled
+        ide.lemma21_residual(p, sample=no_mass)
