@@ -51,10 +51,10 @@ from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, RUN_ALPHA_BETA,
                         breather_fidelity_config, evolve, functional_drifts,
                         solver_work, soliton_speed_run, stability_experiment,
                         stability_run_config, step_count)
-from .functionals import (SampledField, closed_form_energy, energy_reduction,
-                          functional, higher_energy_conjecture,
-                          sample_breather, sample_soliton, sobolev_norm,
-                          term_scale)
+from .functionals import (REDUCTION_FACTORS, SampledField, closed_form_energy,
+                          energy_reduction, functional,
+                          higher_energy_conjecture, sample_breather,
+                          sample_soliton, sobolev_norm, term_scale)
 
 class ConfigError(ValueError):
     """Bad config file, bad key, or unusable output directory."""
@@ -381,14 +381,15 @@ def _verify_point(task: dict) -> tuple:
             rep = residual(p, sample=at_check)
             recs.append(_record(rep.identity_id, tag, rep.normalized,
                                 tol["identity"]))
-    kinds = ["M", "E"] + ([cf.energy_kind(order)] if order in (5, 7, 9) else [])
+    reduced = order in REDUCTION_FACTORS
+    kinds = ["M", "E"] + ([cf.energy_kind(order)] if reduced else [])
     at_rest = _energies_at_rest(a, b)
     for kind in kinds:
         value, scale = at_rest[kind]
         recs.append(_record(f"energy_{kind}", tag,
                             abs(value - closed_form_energy(kind, a, b)) / scale,
                             tol["energy"]))
-    if order in (5, 7, 9):
+    if reduced:
         e, red = energy_reduction(order, a, b, t=0.2)
         recs.append(_record(f"reduction_E{order}", tag, _rel(e, red),
                             tol["reduction"]))

@@ -42,10 +42,12 @@ plus a remainder free of total derivatives) and its case `integrate`, the
 Euler operator, the Frechet derivative, the second variation (Olver,
 Applications of Lie Groups to Differential Equations, sections 4-5), and
 `eliminate`, which rewrites every derivative at or above an equation's
-order by that equation.  No hierarchy coefficient is typed in: from u, the
-first flow, the recursion operator gives every u_{2n x} + f_{2n+1}, the
-homotopy formula the densities M, E, E5, ..., E11, and those the breather
-equation dH/du = 0, H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
+order by that equation (by the breather equation once per order, its
+weights left symbolic: `reduced_evolution_terms`).  No hierarchy
+coefficient is typed in: from u, the first flow, the recursion operator
+gives every u_{2n x} + f_{2n+1}, the homotopy formula the densities M, E,
+E5, ..., E11, and those the breather equation dH/du = 0,
+H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
 """
 
 from __future__ import annotations
@@ -128,11 +130,13 @@ class SolitonParams:
 
 @dataclass(frozen=True)
 class Jet:
-    """Value, spatial derivatives 1..m, and d/dt of the antiderivative profile."""
+    """Value, spatial derivatives 1..m, d/dt of the antiderivative profile
+    and, if asked for, d/dt of the breather's partial mass."""
 
     value: np.ndarray
     dx: np.ndarray
     dt_tilde: np.ndarray
+    mass_t: np.ndarray | None = None
 
 
 def eval_velocity_terms(terms, alpha, beta):
@@ -198,9 +202,11 @@ def _phases(order, alpha, beta, x1, x2, t, x, vel=None):
     return np.sin(ay1), np.cos(ay1), np.sinh(by2), np.cosh(by2), vel
 
 
-def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None) -> Jet:
+def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None,
+                     mass=False) -> Jet:
     """breather_jet with unvalidated scalar parameters; alpha/beta may be complex
-    (complex-step parameter derivatives)."""
+    (complex-step parameter derivatives).  With mass, the jet also holds
+    partial_mass_t, from the same phases and under vel."""
     S, C, sh, ch, vel = _phases(order, alpha, beta, x1, x2, t, x, vel)
     r = beta / alpha
     a2, b2 = 2.0 * alpha, 2.0 * beta
@@ -215,19 +221,29 @@ def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None) -> Jet:
     # form biases B by about an ulp, and at (alpha, beta) = (0.5, 2) the E9
     # integral, 2e-6 of the summed size of its terms, then misses its
     # closed form by 5e-10, not 7e-11
+    cos2, sin2, cosh2, sinh2 = angles = (C * C - S * S, 2.0 * S * C,
+                                         ch * ch + sh * sh, 2.0 * sh * ch)
     den = _taylor((-0.5 * r * r, 0.0, 0.5, 0.0),
                   np.array([[0.0, -a2, 0.0, 0.0], [a2, 0.0, 0.0, 0.0],
                             [0.0, 0.0, 0.0, b2], [0.0, 0.0, b2, 0.0]]),
-                  np.stack((C * C - S * S, 2.0 * S * C, ch * ch + sh * sh,
-                            2.0 * sh * ch)), m + 1)
-    den[0] = r * r * S * S + ch * ch
+                  np.stack(angles), m + 1)
+    D = den[0] = r * r * S * S + ch * ch
     # Btilde_t = pval/nval, delta d/dy1 + gamma d/dy2 applied to the
     # antiderivative profile
     nval = alpha**2 * ch * ch + beta**2 * S * S
     pval = 2.0 * (alpha**2 * beta * vel.delta * ch * C
                   - alpha * beta**2 * vel.gamma * sh * S)
+    mass_t = None
+    if mass:
+        # M_t = (1/2) d/dx d/dt log D = (W'D - WD')/D^2, where W = G G_t +
+        # F F_t = (beta^2 delta/2 alpha) sin 2 alpha y1 + (beta gamma/2)
+        # sinh 2 beta y2 lies in D's basis
+        D1 = r * beta * sin2 + beta * sinh2
+        W = 0.5 * beta * (r * vel.delta * sin2 + vel.gamma * sinh2)
+        W1 = beta * beta * (vel.delta * cos2 + vel.gamma * cosh2)
+        mass_t = (W1 * D - W * D1) / (D * D)
     B = _quotient_derivatives(num, den)
-    return Jet(value=B[0], dx=B[1:], dt_tilde=pval / nval)
+    return Jet(value=B[0], dx=B[1:], dt_tilde=pval / nval, mass_t=mass_t)
 
 
 def breather_jet(p: BreatherParams, t: float, x, m: int = 4) -> Jet:
@@ -282,19 +298,10 @@ def partial_mass(p: BreatherParams, t: float, x):
 
 
 def partial_mass_t(p: BreatherParams, t: float, x):
-    """Time derivative of the partial mass, (1/2) d/dx d/dt log D = (W'D - WD')/D^2,
-    where W = (G G_t + F F_t) = (beta^2 delta/2 alpha) sin 2 alpha y1
-    + (beta gamma/2) sinh 2 beta y2 lies in D's basis."""
-    S, C, sh, ch, vel = _phases(p.order, p.alpha, p.beta, p.x1, p.x2, t, x)
-    a, b = p.alpha, p.beta
-    r = b / a
-    sin2, cos2 = 2.0 * S * C, C * C - S * S
-    sinh2, cosh2 = 2.0 * sh * ch, ch * ch + sh * sh
-    D = r * r * S * S + ch * ch
-    D1 = r * b * sin2 + b * sinh2
-    W = 0.5 * b * (r * vel.delta * sin2 + vel.gamma * sinh2)
-    W1 = b * b * (vel.delta * cos2 + vel.gamma * cosh2)
-    return (W1 * D - W * D1) / (D * D)
+    """Time derivative of the partial mass, (1/2) d/dx d/dt log D, from the
+    breather's jet (`breather_jet_raw` with mass)."""
+    return breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 0,
+                            mass=True).mass_t
 
 
 # --------------------------------------------------------------------------
@@ -513,10 +520,70 @@ def breather_weights(alpha, beta):
     return ((1.0, "E5"), (2.0 * (b2 - a2), "E"), ((a2 + b2) ** 2, "M"))
 
 
+def _weighted_euler(weights):
+    return sum((scale(w, euler(density(kind))) for w, kind in weights), ())
+
+
 def breather_equation(alpha, beta):
     """dH/du = 0, the stationary fourth-order breather equation."""
-    return sum((scale(w, euler(density(kind)))
-                for w, kind in breather_weights(alpha, beta)), ())
+    return _weighted_euler(breather_weights(alpha, beta))
+
+
+class _Weights(dict):
+    """A polynomial {(i, j): c} in the weights w_E = 2(beta^2 - alpha^2) and
+    w_M = (alpha^2 + beta^2)^2 of H, for the sum of c w_E^i w_M^j, with no
+    zero terms.  It has the arithmetic that combine, product and eliminate
+    ask of a coefficient, so a term list may carry it."""
+
+    def __add__(self, other):
+        if not isinstance(other, _Weights):
+            if not other:
+                return self
+            other = {(0, 0): other}
+        out = dict(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0.0) + c
+        return _Weights((key, c) for key, c in out.items() if c)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Weights):
+            return _Weights({key: c * other for key, c in self.items()}
+                            if other else {})
+        out = {}
+        for (i, j), c in self.items():
+            for (k, l), d in other.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0.0) + c * d
+        return _Weights((key, c) for key, c in out.items() if c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def monomials(self):
+        """((c, i, j), ...), the form eval_velocity_terms evaluates."""
+        return tuple((c, i, j) for (i, j), c in sorted(self.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def reduced_evolution_terms(order: int):
+    """evolution_terms(order) with every u_{kx}, k >= 4, eliminated by the
+    breather equation, once for every (alpha, beta): the equation's u_4x
+    comes from E5 alone, so each coefficient is a polynomial in (w_E, w_M),
+    a tuple of monomials (c, i, j) for c w_E^i w_M^j.  `at_weights`
+    evaluates it at a point."""
+    symbolic = ((1.0, "E5"), (_Weights({(1, 0): 1.0}), "E"),
+                (_Weights({(0, 1): 1.0}), "M"))
+    reduced = eliminate(evolution_terms(order), _weighted_euler(symbolic))
+    return tuple((w.monomials() if isinstance(w, _Weights) else ((w, 0, 0),),
+                  orders) for w, orders in reduced)
+
+
+def at_weights(terms, alpha, beta):
+    """A term list of reduced_evolution_terms with its coefficients evaluated
+    at the weights of (alpha, beta); the terms that vanish there (w_E = 0 at
+    alpha = beta) dropped, as eliminate drops them."""
+    _, (w_e, _), (w_m, _) = breather_weights(alpha, beta)
+    evaluated = ((eval_velocity_terms(monos, w_e, w_m), orders)
+                 for monos, orders in terms)
+    return tuple(term for term in evaluated if term[0])
 
 
 def _weighted(alpha, beta, derive):

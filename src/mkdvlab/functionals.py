@@ -123,8 +123,10 @@ def spectral_derivative(values: np.ndarray, w: Window, k: int = 1) -> np.ndarray
 class SampledField:
     """Field values on a window, with optional exact derivative arrays.
 
-    derivs[k-1] holds the k-th x-derivative.  Missing derivatives are
-    computed spectrally on demand (valid while the field stays resolved).
+    derivs[k-1] holds the k-th x-derivative.  A field without them has its
+    derivatives computed spectrally on demand (valid while the field stays
+    resolved); one with them has no derivative beyond the last, rather than
+    a quietly less accurate spectral one.
     """
 
     window: Window
@@ -143,6 +145,9 @@ class SampledField:
             return self.values
         if len(self.derivs) >= k:
             return self.derivs[k - 1]
+        if self.derivs:
+            raise ValueError(f"derivative {k} is beyond the field's jet of "
+                             f"{len(self.derivs)} derivatives")
         return spectral_derivative(self.values, self.window, k)
 
 
@@ -251,15 +256,17 @@ REDUCTION_FACTORS = {order: (-1) ** ((order + 1) // 2) / order
 
 def energy_reduction(order: int, alpha: float, beta: float,
                      t: float = 0.0) -> tuple[float, float]:
-    """(quadrature energy, reduction value s_n/(2n+1) * int (M)_t dx)."""
+    """(quadrature energy, reduction value s_n/(2n+1) * int (M)_t dx), both
+    from one jet, to the highest derivative the energy density reads."""
     if order not in REDUCTION_FACTORS:
         raise ValueError("reduction defined for orders 5, 7, 9")
     p = cf.BreatherParams(order=order, alpha=alpha, beta=beta)
     w = default_window(p, t, n_points=4096)
-    f = sample_breather(p, t, w, m=4)
-    e = functional(f, cf.energy_kind(order))
-    mt = cf.partial_mass_t(p, t, w.grid())
-    return e, REDUCTION_FACTORS[order] * w.quad(mt)
+    kind = cf.energy_kind(order)
+    j = cf.breather_jet_raw(order, alpha, beta, 0.0, 0.0, t, w.grid(),
+                            cf.max_order(cf.density(kind)), mass=True)
+    e = functional(SampledField(w, j.value, tuple(j.dx)), kind)
+    return e, REDUCTION_FACTORS[order] * w.quad(j.mass_t)
 
 
 def higher_energy_conjecture(order: int, alpha: float,

@@ -19,7 +19,9 @@ Btilde_t + evolution_terms = 0 and the breather equation: the product
 identities of Lemma 2.1 are -2 int B_x (evolution identity), by
 `closed_forms.integrate`; the corollaries, and Lemma 2.3 at order 5, are
 the evolution identity with every u_{kx}, k >= 4, eliminated by the
-breather equation (`closed_forms.eliminate`).  The paper's printed tables are the test oracle.
+breather equation, derived once per order with coefficients polynomial in
+the breather's weights (`closed_forms.reduced_evolution_terms`) and
+evaluated per point.  The paper's printed tables are the test oracle.
 
 Two printed readings are contested: the delta exponent in the 9th-order
 velocity pair, and one term (plus one coefficient) of the 7th-order product
@@ -77,12 +79,18 @@ def _eval_terms(terms, data):
 # --------------------------------------------------------------------------
 # sampling
 
+@functools.lru_cache(maxsize=None)
+def _cheb_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev nodes on [-1, 1], which no breather enters; read-only."""
+    nodes = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    nodes.flags.writeable = False
+    return nodes
+
+
 def _cheb_samples(core, radius, peak, n_cheb, n_peak):
     """Chebyshev nodes over the decay window + a cluster at the core."""
-    def nodes(r, n):
-        return core + r * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    return np.sort(np.concatenate([nodes(radius, n_cheb),
-                                   nodes(peak, n_peak)]))
+    return np.sort(np.concatenate([core + radius * _cheb_nodes(n_cheb),
+                                   core + peak * _cheb_nodes(n_peak)]))
 
 
 def breather_samples(p: cf.BreatherParams, t: float, n_cheb: int = 256,
@@ -99,8 +107,11 @@ def soliton_samples(sp: cf.SolitonParams) -> np.ndarray:
 
 
 def _jet_data(jet: cf.Jet) -> dict:
-    return {0: jet.value, "bt": jet.dt_tilde,
+    data = {0: jet.value, "bt": jet.dt_tilde,
             **{k: d for k, d in enumerate(jet.dx, start=1)}}
+    if jet.mass_t is not None:
+        data["mt"] = jet.mass_t
+    return data
 
 
 class BreatherSample(NamedTuple):
@@ -118,12 +129,13 @@ def breather_sample(p: cf.BreatherParams, t: float, m: int, mass: bool,
                     samples=None, vel=None) -> BreatherSample:
     """One jet of the breather to order m at the samples, by default the
     standard ones; vel replaces the breather's velocities in the jet, not
-    in the samples or in M_t."""
+    in the samples or in M_t.  M_t comes from the jet's own phases unless
+    vel replaces them."""
     x = samples if samples is not None else breather_samples(p, t)
     jet = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, m,
-                              vel=vel)
+                              vel=vel, mass=mass and vel is None)
     data = _jet_data(jet)
-    if mass:
+    if mass and vel is not None:
         data["mt"] = cf.partial_mass_t(p, t, x)
     return BreatherSample(p, t, data)
 
@@ -187,9 +199,11 @@ def lemma21_terms(order: int):
 
 def corollary_terms(order: int, alpha: float, beta: float):
     """The evolution identity with every u_{kx}, k >= 4, eliminated by the
-    breather equation.  At order 5 it is Lemma 2.3."""
-    return ((1.0, ("bt",)),) + cf.eliminate(cf.evolution_terms(order),
-                                           cf.breather_equation(alpha, beta))
+    breather equation.  At order 5 it is Lemma 2.3.  The elimination is
+    derived once per order (`cf.reduced_evolution_terms`); only its
+    coefficients are evaluated at (alpha, beta)."""
+    return ((1.0, ("bt",)),) + cf.at_weights(cf.reduced_evolution_terms(order),
+                                             alpha, beta)
 
 
 # --------------------------------------------------------------------------
@@ -315,10 +329,13 @@ def run_variants(ident: str, p: cf.BreatherParams,
                  runs) -> list[ResidualReport]:
     """One report of identity `ident` per (label, terms, vel) run, in order,
     on the breather p at CHECK_T and its standard samples; vel replaces
-    p's velocities in the jet, or is None."""
+    p's velocities in the jet, or is None.  The runs with p's own
+    velocities share one sample, to the highest derivative any reads."""
     samples = breather_samples(p, CHECK_T)
-    return [_report(ident, terms,
-                    _own_sample(p, CHECK_T, terms, samples, vel).data, label)
+    own = sum((terms for _, terms, vel in runs if vel is None), ())
+    shared = own and _own_sample(p, CHECK_T, own, samples)
+    return [_report(ident, terms, (shared if vel is None else _own_sample(
+                p, CHECK_T, terms, samples, vel)).data, label)
             for label, terms, vel in runs]
 
 

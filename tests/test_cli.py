@@ -475,9 +475,9 @@ def test_verify_samples_each_breather_once_per_time(tmp_path, monkeypatch):
     jets = []
     raw = cf.breather_jet_raw
 
-    def counting(order, alpha, beta, x1, x2, t, x, m, vel=None):
+    def counting(order, alpha, beta, x1, x2, t, x, m, vel=None, mass=False):
         jets.append((order, alpha, beta, x1, x2, t))
-        return raw(order, alpha, beta, x1, x2, t, x, m, vel=vel)
+        return raw(order, alpha, beta, x1, x2, t, x, m, vel=vel, mass=mass)
 
     monkeypatch.setattr(cf, "breather_jet_raw", counting)
     cfg = cli.build_config("verify", cli.parse_config_file(
@@ -519,6 +519,30 @@ def test_verify_samples_each_breather_once_per_time(tmp_path, monkeypatch):
     assert sorted(checked) == sorted(
         ["breather_ode", "evolution_identity"] * 4
         + ["lemma21_5th", "lemma23", "lemma21_9th", "corollary_9th"])
+
+
+def test_verify_derives_each_corollary_order_once(tmp_path, monkeypatch):
+    # lemma23 and the corollaries of every (alpha, beta) read one
+    # elimination per order, derived on first use
+    from mkdvlab import closed_forms as cf
+
+    eliminated = []
+    eliminate = cf.eliminate
+
+    def counting(terms, equation):
+        eliminated.append(cf.max_order(terms) + 1)
+        return eliminate(terms, equation)
+
+    cf.reduced_evolution_terms.cache_clear()
+    monkeypatch.setattr(cf, "eliminate", counting)
+    text = MEMO_VERIFY.replace("orders = 5, 7", "orders = 5, 7, 9")
+    cfg = cli.build_config("verify", cli.parse_config_file(
+        write_cfg(tmp_path / "c.txt", text)), str(tmp_path))
+    report = cli.run_suite(cfg)
+    assert sorted(eliminated) == [5, 7, 9]
+    reduced = [r for r in report.records
+               if r["id"].startswith(("lemma23", "corollary_"))]
+    assert len(reduced) == 3 * 4 and all(r["pass"] for r in reduced)
 
 
 def test_each_finished_task_prints_one_progress_line(tmp_path, monkeypatch,

@@ -195,6 +195,38 @@ def test_partial_mass_t_integral(order):
     assert abs(val - want) < 1e-8 * max(1.0, abs(want))
 
 
+def _mass_t_reference(p, t, x):
+    """M_t = (W'D - WD')/D^2 from its own pass over the phases."""
+    S, C, sh, ch, vel = cf._phases(p.order, p.alpha, p.beta, p.x1, p.x2, t, x)
+    a, b = p.alpha, p.beta
+    r = b / a
+    sin2, cos2 = 2.0 * S * C, C * C - S * S
+    sinh2, cosh2 = 2.0 * sh * ch, ch * ch + sh * sh
+    D = r * r * S * S + ch * ch
+    D1 = r * b * sin2 + b * sinh2
+    W = 0.5 * b * (r * vel.delta * sin2 + vel.gamma * sinh2)
+    W1 = b * b * (vel.delta * cos2 + vel.gamma * cosh2)
+    return (W1 * D - W * D1) / (D * D)
+
+
+@pytest.mark.parametrize("order", cf.ORDERS)
+def test_jet_mass_t_is_a_second_phase_pass_bitwise(order):
+    # a jet asked for the mass takes M_t from its own phases, and gets the
+    # bits of a second pass over them; the rest of the jet does not move
+    p = cf.BreatherParams(order=order, alpha=1.3, beta=0.7, x1=0.2, x2=-0.1)
+    x = np.linspace(-30.0, 30.0, 257)
+    args = (order, p.alpha, p.beta, p.x1, p.x2, 0.37, x, 5)
+    plain, with_mass = cf.breather_jet_raw(*args), cf.breather_jet_raw(
+        *args, mass=True)
+    want = _mass_t_reference(p, 0.37, x)
+    assert plain.mass_t is None
+    assert (with_mass.mass_t == want).all()
+    assert (cf.partial_mass_t(p, 0.37, x) == want).all()
+    assert (with_mass.value == plain.value).all()
+    assert (with_mass.dx == plain.dx).all()
+    assert (with_mass.dt_tilde == plain.dt_tilde).all()
+
+
 FLUX_AT_UNIT_JET = {5: 26.0, 7: 412.0, 9: 9186.0, 11: 278024.0}
 FLUX_AT_CONSTANT_ONE = {3: 2.0, 5: 6.0, 7: 20.0, 9: 70.0, 11: 252.0}
 

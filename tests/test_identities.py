@@ -172,6 +172,26 @@ def test_corollaries_are_the_printed_ones(order, printed, alpha, beta):
     assert cf.max_order(ide.corollary_terms(order, alpha, beta)) == 3
 
 
+@pytest.mark.parametrize("order", [5, 7, 9])
+def test_corollary_terms_are_the_elimination_at_the_point(order):
+    # one derivation per order, evaluated at a point, against the
+    # elimination by that point's own breather equation
+    for alpha, beta in [(1.1, 0.9), (0.7, 1.3), (1.5, 0.5), (0.5, 2.0),
+                        (1.0, 1.0), (1.3, 1.3)]:
+        got = _as_dict(ide.corollary_terms(order, alpha, beta))
+        want = _as_dict(((1.0, ("bt",)),) + cf.eliminate(
+            cf.evolution_terms(order), cf.breather_equation(alpha, beta)))
+        largest = max(abs(c) for c in want.values())
+        worst = max(abs(got.get(k, 0.0) - want.get(k, 0.0))
+                    for k in got.keys() | want.keys())
+        print(f"order {order} ({alpha}, {beta}): {worst / largest:.2e}")
+        assert worst <= 1e-13 * largest
+        if alpha == beta:
+            # w_E = 0: its terms drop out of both, and the same ones
+            assert got.keys() == want.keys()
+            assert len(got) < len(ide.corollary_terms(order, alpha, 1.1))
+
+
 def test_lemma21_5th():
     rep = ide.lemma21_residual(cf.BreatherParams(5, 1.0, 1.0), t=0.0)
     print(f"5th symmetric: normalized {rep.normalized:.3e}")
@@ -191,6 +211,27 @@ def test_firstmkdv_adjudication():
     assert by_label["degree-fixed"] > 1e-3
     passing = [r.variant for r in reps if r.normalized <= 1e-8]
     assert passing == ["derived"]
+
+
+def test_firstmkdv_readings_share_one_sample(monkeypatch):
+    # the three readings read the breather's own velocities, so one jet of
+    # FIRSTMKDV_BREATHER serves them all, and each residual is the one on a
+    # sample of the reading's own
+    p, jets = ide.FIRSTMKDV_BREATHER, []
+    raw = cf.breather_jet_raw
+
+    def counting(*args, **kwargs):
+        jets.append(args[:6])
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "breather_jet_raw", counting)
+    reps = ide.adjudicate_firstmkdv()
+    monkeypatch.undo()
+    assert jets == [(p.order, p.alpha, p.beta, p.x1, p.x2, ide.CHECK_T)]
+    samples = ide.breather_samples(p, ide.CHECK_T)
+    assert reps == [ide._report("lemma21_7th", terms, ide._own_sample(
+        p, ide.CHECK_T, terms, samples).data, label)
+        for label, terms in ide.FIRSTMKDV_READINGS]
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.8), (1.1, 0.9)])
