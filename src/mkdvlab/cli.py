@@ -14,12 +14,15 @@ Four subcommands cover the laboratory's standing experiments:
 Each subcommand reads only the config keys listed in its table (SUITES),
 each set by one name in the config file: a key it does not read, a value
 outside its domain, an empty or repeating sweep list, or a run whose t_end
-is not a whole number of its steps is a config error.  One driver
-(run_suite) expands the sweep into an ordered task list, dispatches the
-tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for a process
-pool), and assembles report.json, which echoes each key read under the
-name that sets it, plus per-run artifacts: JSON summaries, and the
-snapshot fields of each evolve run as one .npy array.
+is not a whole number of its steps is a config error.  A suite loads its
+library, the modules its tasks run (identities, spectral, evolution, as
+SUITES names them), when its config is built, and loads no other suite's.
+One driver (run_suite) expands the sweep into an ordered task list,
+dispatches the tasks (sequentially by default; set MKDVLAB_WORKERS > 1 for
+a process pool; a value that is not an integer >= 1 is a config error),
+and assembles report.json, which echoes each key read under the name that
+sets it, plus per-run artifacts: JSON summaries, and the snapshot fields
+of each evolve run as one .npy array.
 A stability task is one (order, shape), so the pool splits the shapes.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import io
 import itertools
 import math
@@ -44,20 +48,14 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms as cf
-from . import identities as ide
-from . import spectral as spc
-from .evolution import (EVOLVE_ORDERS, PERTURBATION_SHAPES, RUN_ALPHA_BETA,
-                        STABILITY_ORDERS, BlowUpError,
-                        breather_fidelity_config, evolve, functional_drifts,
-                        solver_work, soliton_speed_run, stability_experiment,
-                        stability_run_config, step_count)
 from .functionals import (REDUCTION_FACTORS, SampledField, closed_form_energy,
                           energy_reduction, functional,
                           higher_energy_conjecture, sample_breather,
                           sample_soliton, sobolev_norm, term_scale)
 
 class ConfigError(ValueError):
-    """Bad config file, bad key, or unusable output directory."""
+    """Bad config file, bad key, unusable output directory, or bad
+    MKDVLAB_WORKERS."""
 
 
 # --------------------------------------------------------------------------
@@ -148,19 +146,29 @@ class Key:
     """One config key a suite reads.
 
     A tuple default marks a comma-separated list, which must hold at least
-    one value and no value twice.  rule is (predicate, what it asks) and
-    applies to each value.  A list with `each` set gives the suite one task
-    per value, under that name; the others reach every task whole.
+    one value and no value twice.  rule is (predicate, what it asks), or a
+    function that returns it where it reads a table of the suite's library,
+    and applies to each value.  A list with `each` set gives the suite one
+    task per value, under that name; the others reach every task whole.
     """
 
     cast: object
     default: object
-    rule: tuple | None = None
+    rule: object = None
     each: str | None = None
 
 
 def _one_of(options: tuple) -> tuple:
     return (lambda v: v in options), f"be one of {', '.join(map(str, options))}"
+
+
+def _one_of_evolution(table: str) -> object:
+    """Rule: one of evolution's `table`.  It is built when a value is
+    checked, once build_config has loaded evolution, and not at import."""
+    def rule():
+        from . import evolution as ev
+        return _one_of(getattr(ev, table))
+    return rule
 
 
 _POSITIVE = (lambda v: v > 0, "be positive")
@@ -176,6 +184,7 @@ class RunConfig:
     values: dict       # config key -> value, for every key the suite reads
     tolerances: dict
     out_dir: str
+    workers: int       # MKDVLAB_WORKERS; reports do not depend on it
 
     def echo(self) -> dict:
         out = {k: list(v) if isinstance(v, tuple) else v
@@ -218,9 +227,10 @@ def _convert(command: str, name: str, key: Key, text: str):
     if len(set(vals)) < len(vals):
         raise ConfigError(f"{command}: {name} repeats a value: {text}")
     if key.rule is not None:
-        bad = [v for v in vals if not key.rule[0](v)]
+        ok, asks = key.rule() if callable(key.rule) else key.rule
+        bad = [v for v in vals if not ok(v)]
         if bad:
-            raise ConfigError(f"{command}: {name} must {key.rule[1]}, "
+            raise ConfigError(f"{command}: {name} must {asks}, "
                               f"got {', '.join(map(str, bad))}")
     return vals if many else vals[0]
 
@@ -229,6 +239,8 @@ def build_config(command: str, raw: dict, out_dir: str) -> RunConfig:
     if command not in SUITES:
         raise ConfigError(f"unknown command {command!r}")
     suite = SUITES[command]
+    for name in suite.library:
+        importlib.import_module(f".{name}", __package__)
     values = {k: key.default for k, key in suite.keys.items()}
     tol = dict(suite.tol)
     for k, text in raw.items():
@@ -247,7 +259,15 @@ def build_config(command: str, raw: dict, out_dir: str) -> RunConfig:
     suite.check(values)
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    return RunConfig(command, values, tol, out_dir)
+    return RunConfig(command, values, tol, out_dir, _workers())
+
+
+def _workers() -> int:
+    """The task pool size MKDVLAB_WORKERS sets; unset is 1, sequential."""
+    text = os.environ.get("MKDVLAB_WORKERS", "1")
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise ConfigError(f"MKDVLAB_WORKERS must be an integer >= 1, got {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -330,6 +350,7 @@ def _breather_ode_at_rest(alpha: float, beta: float) -> float:
     at every order and the velocities enter the jet only as velocity * t, so
     at t = 0 the samples and the jet, and so the residual, are bitwise those
     of every order."""
+    from . import identities as ide
     p = cf.BreatherParams(cf.ORDERS[0], alpha, beta)
     return ide.breather_ode_residual(p, 0.0).normalized
 
@@ -349,11 +370,13 @@ def _energies_at_rest(alpha: float, beta: float) -> dict:
 @functools.lru_cache(maxsize=None)
 def _soliton_ode(order: int, c: float, level: str) -> float:
     """The soliton ODE residual, which no breather parameter enters."""
+    from . import identities as ide
     return ide.soliton_ode_residual(cf.SolitonParams(order, c),
                                     level).normalized
 
 
 def _verify_point(task: dict) -> tuple:
+    from . import identities as ide
     order, a, b = task["order"], task["alpha"], task["beta"]
     tol = task["tol"]
     recs = []
@@ -409,6 +432,7 @@ def _verify_point(task: dict) -> tuple:
 def _adjudication_records(tol: dict) -> list:
     """One record per contested transcription: measured is the distance of
     the passing-variant count from one, variant residuals ride in params."""
+    from . import identities as ide
     recs = []
     for label, reports in (("delta9", ide.adjudicate_delta9()),
                            ("firstmkdv", ide.adjudicate_firstmkdv())):
@@ -423,6 +447,7 @@ def _adjudication_records(tol: dict) -> list:
 # spectrum
 
 def _spectrum_point(task: dict) -> tuple:
+    from . import spectral as spc
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
     p = cf.BreatherParams(5, a, b)
@@ -510,9 +535,10 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     against the initial one, with parabolic sub-cell refinement of the
     correlation peak.
     """
+    from . import evolution as ev
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
-    traj = evolve(s0, scfg, monitors=(),
-                  snapshot_every=step_count(scfg.t_end, scfg.dt))
+    traj = ev.evolve(s0, scfg, monitors=(),
+                     snapshot_every=ev.step_count(scfg.t_end, scfg.dt))
     a0, aT = traj[0].field.values, traj[-1].field.values
     corr = np.fft.irfft(np.fft.rfft(aT) * np.conj(np.fft.rfft(a0)),
                         n=len(a0))
@@ -528,7 +554,8 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
 
 
 def _work(run) -> dict:
-    return dict(zip(_WORK_KEYS, solver_work(run)))
+    from . import evolution as ev
+    return dict(zip(_WORK_KEYS, ev.solver_work(run)))
 
 
 def _at_dt(cfg_run, dt):
@@ -538,45 +565,49 @@ def _at_dt(cfg_run, dt):
 
 def _require_whole_steps(command: str, what: str, cfg_run) -> None:
     """ConfigError unless the run's t_end is a whole number of its steps."""
+    from . import evolution as ev
     try:
-        step_count(cfg_run.t_end, cfg_run.dt)
+        ev.step_count(cfg_run.t_end, cfg_run.dt)
     except ValueError as e:
         raise ConfigError(f"{command}: the {what} run's {e}") from None
 
 
 def _check_evolve_steps(values: dict) -> None:
+    from . import evolution as ev
     # the shipped runs' time steps divide their horizons
     if values["dt"] is None:
         return
     for order in values["orders"]:
-        runs = (("breather fidelity", breather_fidelity_config(order)),
-                ("soliton speed", soliton_speed_run(order)[1]))
+        runs = (("breather fidelity", ev.breather_fidelity_config(order)),
+                ("soliton speed", ev.soliton_speed_run(order)[1]))
         for what, cfg_run in runs:
             _require_whole_steps("evolve", what,
                                  replace(cfg_run, dt=values["dt"]))
 
 
-def _blown_up(rid: str, params: dict, budget: float, err: BlowUpError) -> dict:
-    """The failed record of a check whose run stopped at a blow-up."""
+def _blown_up(rid: str, params: dict, budget: float, err) -> dict:
+    """The failed record of a check whose run stopped at a blow-up, err (an
+    evolution.BlowUpError)."""
     return _record(rid, {**params, "t_blowup": err.t,
                          "newton_residual": err.residual}, math.inf, budget)
 
 
 def _evolve_point(task: dict) -> tuple:
+    from . import evolution as ev
     order = task["order"]
     tol = task["tol"]
     tag = {"order": order}
     recs, arts = [], []
 
-    p = cf.BreatherParams(order, *RUN_ALPHA_BETA)
-    cfg_run = _at_dt(breather_fidelity_config(order), task["dt"])
+    p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
+    cfg_run = _at_dt(ev.breather_fidelity_config(order), task["dt"])
     h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed}
     monitors = ("M", "E", cf.energy_kind(order))
     u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
     try:
-        traj = evolve(u0, cfg_run, monitors=monitors)
-    except BlowUpError as e:
+        traj = ev.evolve(u0, cfg_run, monitors=monitors)
+    except ev.BlowUpError as e:
         traj = e.trajectory
         recs.append(_blown_up("breather_h2", {**h2_tag, **_work(e)},
                               tol["h2"], e))
@@ -588,16 +619,16 @@ def _evolve_point(task: dict) -> tuple:
         err = SampledField(last.field.window, last.field.values - ref.values)
         recs.append(_record("breather_h2", {**h2_tag, **_work(traj)},
                             sobolev_norm(err, 2), tol["h2"]))
-        for kind, drift in sorted(functional_drifts(traj).items()):
+        for kind, drift in sorted(ev.functional_drifts(traj).items()):
             recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
     arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
 
-    sp_, scfg = soliton_speed_run(order)
+    sp_, scfg = ev.soliton_speed_run(order)
     scfg = _at_dt(scfg, task["dt"])
     speed_tag = {**tag, "c": sp_.c, "dt": scfg.dt}
     try:
         v_meas, v_law, cells, work = measure_soliton_speed(sp_, scfg)
-    except BlowUpError as e:
+    except ev.BlowUpError as e:
         recs.append(_blown_up("soliton_speed", {**speed_tag, **_work(e)},
                               tol["speed_cells"], e))
     else:
@@ -612,19 +643,22 @@ def _evolve_point(task: dict) -> tuple:
 # stability
 
 def _check_stability_steps(values: dict) -> None:
+    from . import evolution as ev
     for order in values["orders"]:
-        cfg_run = stability_run_config(order, t_end=values["t_end"])
+        cfg_run = ev.stability_run_config(order, t_end=values["t_end"])
         _require_whole_steps("stability", f"order-{order}",
                              _at_dt(cfg_run, values["dt"]))
 
 
 def _stability_point(task: dict) -> tuple:
+    from . import evolution as ev
     order, shape, eta = task["order"], task["shape"], task["eta"]
     tol = task["tol"]
-    p = cf.BreatherParams(order, *RUN_ALPHA_BETA)
-    cfg_run = _at_dt(stability_run_config(order, t_end=task["t_end"]),
+    p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
+    cfg_run = _at_dt(ev.stability_run_config(order, t_end=task["t_end"]),
                      task["dt"])
-    report = stability_experiment(p, eta, shape, cfg_run, seed=task["seed"])
+    report = ev.stability_experiment(p, eta, shape, cfg_run,
+                                     seed=task["seed"])
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
     work = {key: getattr(report, key) for key in _WORK_KEYS}
@@ -650,13 +684,14 @@ class Suite:
     point: object        # task dict -> (records, artifacts)
     keys: dict           # config key -> Key, for every key the suite reads
     tol: dict            # budget name -> default, set by tol_<name>
+    library: tuple       # the modules the tasks run, loaded by build_config
     tail: object = None  # tolerances -> records that follow the tasks'
     check: object = lambda values: None  # values -> None or ConfigError
     memos: tuple = ()    # lru_cache'd helpers, cleared when run_suite returns
 
 
-def _orders(default: tuple, options: tuple) -> Key:
-    return Key(int, default, _one_of(options), each="order")
+def _orders(default: tuple, rule) -> Key:
+    return Key(int, default, rule, each="order")
 
 
 _ALPHA = Key(_real, (0.5, 1.0, 2.0), _POSITIVE, each="alpha")
@@ -666,7 +701,7 @@ _SEED = Key(int, 0, _NONNEGATIVE)
 
 SUITES = {
     "verify": Suite(_verify_point, {
-        "orders": _orders((3, 5, 7, 9, 11), cf.ORDERS),
+        "orders": _orders((3, 5, 7, 9, 11), _one_of(cf.ORDERS)),
         "alpha": _ALPHA,
         "beta": _BETA,
         "c": Key(_real, (0.25, 1.0, 4.0), _POSITIVE),
@@ -678,7 +713,7 @@ SUITES = {
         # products of up to 10 jet factors and of a 2048-point sum, which
         # measured at most 2.6 ulps on the 0.25-step grid of [0.5, 2]^2
         "energy": 64 * 2.0**-52, "reduction": 1e-7, "unique": 0.5},
-        tail=_adjudication_records,
+        library=("identities",), tail=_adjudication_records,
         memos=(_breather_ode_at_rest, _energies_at_rest, _soliton_ode)),
     "spectrum": Suite(_spectrum_point, {
         "alpha": _ALPHA,
@@ -689,17 +724,18 @@ SUITES = {
                                     "be a power of two >= 512")),
         "seed": _SEED,
     }, {"counts": 0.5, "edge": 0.02, "form": 1e-4, "b0": 1e-4,
-        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5}),
+        "wronskian": 1e-8, "coercivity": 1e-12, "spread": 1e-5},
+        library=("spectral",)),
     "evolve": Suite(_evolve_point, {
-        "orders": _orders((5, 7, 9), EVOLVE_ORDERS),
+        "orders": _orders((5, 7, 9), _one_of_evolution("EVOLVE_ORDERS")),
         "dt": _DT,
         "seed": _SEED,
     }, {"h2": 1e-5, "drift": 1e-7, "speed_cells": 1.0},
-        check=_check_evolve_steps),
+        library=("evolution",), check=_check_evolve_steps),
     "stability": Suite(_stability_point, {
-        "orders": _orders((5,), STABILITY_ORDERS),
+        "orders": _orders((5,), _one_of_evolution("STABILITY_ORDERS")),
         "shapes": Key(str, ("gaussian", "B1", "LambdaBeta"),
-                      _one_of(PERTURBATION_SHAPES), each="shape"),
+                      _one_of_evolution("PERTURBATION_SHAPES"), each="shape"),
         "eta": Key(_real, 1e-2, (lambda v: 0.0 <= v <= 0.1,
                                    "lie in [0, 0.1]")),
         # t_end = 0 takes no step, and its checks would pass vacuously
@@ -707,7 +743,7 @@ SUITES = {
         "dt": _DT,
         "seed": _SEED,
     }, {"sup_factor": 10.0, "quotient_factor": 10.0, "floor": 1e-5},
-        check=_check_stability_steps),
+        library=("evolution", "spectral"), check=_check_stability_steps),
 }
 
 
@@ -725,7 +761,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     records, artifacts = [], []
     try:
         for i, (task, (recs, arts), secs) in enumerate(
-                _dispatch(suite.point, tasks), start=1):
+                _dispatch(suite.point, tasks, cfg.workers), start=1):
             coords = " ".join(_slug(k, task[k]) for k in names)
             print(f"{cfg.command} {i}/{len(tasks)} {coords} {secs:.3f} s",
                   file=sys.stderr)
@@ -749,10 +785,9 @@ def _timed(fn, task: dict) -> tuple:
     return out, time.perf_counter() - start
 
 
-def _dispatch(fn, tasks: list):
+def _dispatch(fn, tasks: list, workers: int):
     """Yield (task, fn(task), seconds) in task order as the tasks finish."""
     timed = functools.partial(_timed, fn)
-    workers = int(os.environ.get("MKDVLAB_WORKERS", "1"))
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 

@@ -51,7 +51,6 @@ import numpy as np
 from . import closed_forms as cf
 from .functionals import (SampledField, TailWarning, Window, functional,
                           sobolev_norm)
-from .spectral import directions
 
 _RESOLUTION_TAIL = 1e-10
 
@@ -781,6 +780,7 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
     """Raw perturbation profiles: a unit-width bump at the breather core, the
     kernel direction B1, the scaling direction along beta, or a seeded random
     superposition of the lowest Fourier modes under a gaussian envelope."""
+    from .spectral import directions
     if name == "gaussian":
         return np.exp(-0.5 * (w.grid() - p.core(0.0)) ** 2)
     if name == "B1":

@@ -328,6 +328,43 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     for name in names:
         assert ((outs["1"] / name).read_bytes()
                 == (outs["2"] / name).read_bytes())
+    # an evolve task is one order; its report and arrays are the same bytes
+    evolve = write_cfg(tmp_path / "e.txt", "orders = 5, 7\ndt = 0.01\n")
+    outs, codes = {}, []
+    for workers in ("1", "2"):
+        outs[workers] = out = tmp_path / f"evolve{workers}"
+        out.mkdir()
+        monkeypatch.setenv("MKDVLAB_WORKERS", workers)
+        codes.append(run_main(["evolve", "--config", evolve,
+                               "--out", str(out)]))
+    assert codes[0] == codes[1]
+    names = ["report.json"] + [f"evolve_order{order}/{name}"
+                               for order in (5, 7)
+                               for name in ("fields.npy", "manifest.json")]
+    for name in names:
+        assert ((outs["1"] / name).read_bytes()
+                == (outs["2"] / name).read_bytes())
+
+
+def test_worker_count_must_be_an_integer_of_at_least_one(tmp_path, monkeypatch,
+                                                        capsys):
+    cfgp = write_cfg(tmp_path / "c.txt", SMALL_VERIFY)
+    for workers in ("abc", "0", "-3"):
+        monkeypatch.setenv("MKDVLAB_WORKERS", workers)
+        assert run_main(["verify", "--config", cfgp,
+                         "--out", str(tmp_path)]) == 2
+        # one line naming the variable and its value, and no task ran
+        assert capsys.readouterr().err == (
+            f"config error: MKDVLAB_WORKERS must be an integer >= 1, "
+            f"got {workers!r}\n")
+        assert not (tmp_path / "report.json").exists()
+    raw = cli.parse_config_file(cfgp)
+    for workers, want in (("2", 2), ("1", 1), (None, 1)):
+        if workers is None:
+            monkeypatch.delenv("MKDVLAB_WORKERS")
+        else:
+            monkeypatch.setenv("MKDVLAB_WORKERS", workers)
+        assert cli.build_config("verify", raw, str(tmp_path)).workers == want
 
 
 # orders 5 and 7, a 2 x 2 (alpha, beta) grid and two soliton parameters
@@ -597,38 +634,66 @@ def test_report_structure(tmp_path):
     assert os.path.getsize(out / "records.csv") > 0
 
 
-_NO_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
+suite = sys.argv[1]
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.split(".")[0] == prefix)
 from mkdvlab import cli
-codes = [cli.main([suite, "--config", suite + ".txt", "--out", suite])
-         for suite in ("verify", "evolve", "stability")]
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+imported = loaded("mkdvlab")
+cli.build_config(suite, cli.parse_config_file(suite + ".txt"), suite)
+built = loaded("mkdvlab")
+code = cli.main([suite, "--config", suite + ".txt", "--out", suite])
+print(json.dumps({"imported": imported, "built": built, "code": code,
+                  "ran": loaded("mkdvlab"), "scipy": loaded("scipy")}))
 """
 
+# what the cli itself imports, before any suite loads its library
+_CLI_MODULES = ["mkdvlab", "mkdvlab.cli", "mkdvlab.closed_forms",
+                "mkdvlab.functionals"]
 
-def test_verify_evolve_and_stability_run_without_scipy(tmp_path):
-    # only spectrum runs dense LAPACK; the other suites must not pay for
-    # importing scipy.linalg at start-up
-    configs = {"verify": SMALL_VERIFY, "evolve": "orders = 5\ndt = 0.01\n",
-               "stability": "t_end = 0.004\n"}
-    for suite, text in configs.items():
-        write_cfg(tmp_path / f"{suite}.txt", text)
-        (tmp_path / suite).mkdir()
+
+def _import_probe(tmp_path, suite: str, config: str) -> dict:
+    """Run one suite in a fresh interpreter; the mkdvlab modules loaded once
+    cli is imported, once the config is built and once the suite has run,
+    the scipy modules loaded by then, and the exit code."""
+    write_cfg(tmp_path / f"{suite}.txt", config)
+    (tmp_path / suite).mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))),
         MKDVLAB_WORKERS="1")
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, suite],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["scipy"] == []
-    assert all(code in (0, 1) for code in got["codes"])
-    for suite in configs:
-        report = json.loads((tmp_path / suite / "report.json").read_text())
-        assert report["command"] == suite and report["records"]
+    report = json.loads((tmp_path / suite / "report.json").read_text())
+    assert report["command"] == suite and report["records"]
+    assert got["code"] in (0, 1)
+    # a suite compiles its own library only, and nothing once it runs
+    assert got["imported"] == _CLI_MODULES
+    assert got["ran"] == got["built"]
+    return got
+
+
+def test_verify_evolve_and_stability_run_without_scipy(tmp_path):
+    # only spectrum runs dense LAPACK; the other suites must not pay for
+    # importing scipy.linalg at start-up, nor for another suite's library
+    configs = {"verify": (SMALL_VERIFY, ["identities"]),
+               "evolve": ("orders = 5\ndt = 0.01\n", ["evolution"]),
+               "stability": ("t_end = 0.004\n", ["evolution", "spectral"])}
+    for suite, (text, library) in configs.items():
+        got = _import_probe(tmp_path, suite, text)
+        assert got["scipy"] == []
+        assert got["built"] == sorted(
+            _CLI_MODULES + [f"mkdvlab.{name}" for name in library])
+
+
+def test_spectrum_loads_spectral_alone(tmp_path):
+    got = _import_probe(tmp_path, "spectrum",
+                        "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
+    assert got["built"] == sorted(_CLI_MODULES + ["mkdvlab.spectral"])
 
 
 def _count_spectrum_work(tmp_path, monkeypatch, config):

@@ -1011,7 +1011,7 @@ def test_random_shape_stability_run_is_deterministic():
 
 def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
     runs = []
-    fidelity, soliton = cli.breather_fidelity_config, cli.soliton_speed_run
+    fidelity, soliton = ev.breather_fidelity_config, ev.soliton_speed_run
 
     def short_fidelity(order, n_points=1024):
         return replace(fidelity(order, n_points), t_end=2e-5)
@@ -1021,8 +1021,8 @@ def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
         sp, cfg = soliton(order, n_points)
         return sp, replace(cfg, t_end=2e-5)
 
-    monkeypatch.setattr(cli, "breather_fidelity_config", short_fidelity)
-    monkeypatch.setattr(cli, "soliton_speed_run", short_soliton)
+    monkeypatch.setattr(ev, "breather_fidelity_config", short_fidelity)
+    monkeypatch.setattr(ev, "soliton_speed_run", short_soliton)
     tol = cli.build_config("evolve", {}, ".").tolerances
     recs, _ = cli._evolve_point({"order": 5, "dt": 1e-6, "tol": tol})
     tagged = {r["id"].split("[")[0]: r for r in recs if "dt" in r["params"]}
@@ -1143,8 +1143,8 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
         # height 4 instead of the default's sqrt(2)
         return cf.SolitonParams(order, 16.0), _blow_up_config(order)
 
-    monkeypatch.setattr(cli, "breather_fidelity_config", _blow_up_config)
-    monkeypatch.setattr(cli, "soliton_speed_run", blowing_soliton)
+    monkeypatch.setattr(ev, "breather_fidelity_config", _blow_up_config)
+    monkeypatch.setattr(ev, "soliton_speed_run", blowing_soliton)
     code, out, report = _run_blowing_up(tmp_path, "evolve", "orders = 5\n")
     assert code == 1
     # the usual ids, all failed, each saying when and where
@@ -1178,7 +1178,7 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
 
 
 def test_stability_blow_up_becomes_failed_records(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "stability_run_config", _blow_up_config)
+    monkeypatch.setattr(ev, "stability_run_config", _blow_up_config)
     code, out, report = _run_blowing_up(
         tmp_path, "stability", "orders = 5\nshapes = B1\neta = 0.01\n")
     assert code == 1
