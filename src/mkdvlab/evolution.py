@@ -49,8 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import closed_forms as cf
-from .functionals import (SampledField, TailWarning, Window, functional,
-                          sobolev_norm)
+from .functionals import SampledField, Window, sobolev_norm
 
 _RESOLUTION_TAIL = 1e-10
 
@@ -543,6 +542,12 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     its top eighth of bins over the peak).  A tail above 1e-10 triggers a
     single ResolutionWarning.  A failed step raises BlowUpError; a t_end
     that is not a whole number of steps raises ValueError (see step_count).
+
+    Each monitor (a kind of closed_forms.density) is integrated as
+    functionals.functional integrates it, on the snapshot's values and
+    their spectral derivatives, bitwise its value on the stored field, but
+    with no edge-tail check: radiation that wraps around the periodic
+    window is legitimate here, and the trapezoid sum stays exact for it.
     """
     if u0.window != cfg.window:
         raise ValueError("initial field window differs from config window")
@@ -552,30 +557,28 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
         snapshot_every = max(1, n_steps // 50)
 
     n = cfg.window.n_points
-    # the multipliers of the derivatives the monitored densities read; every
-    # snapshot window has the spacing of cfg.window
-    top = max((cf.max_order(cf.density(kind)) for kind in monitors),
-              default=0)
-    mults = [cfg.window.derivative_multiplier(k) for k in range(1, top + 1)]
+    # each monitor's density, and the multipliers of the derivatives they
+    # read; every snapshot window has the spacing, so the quadrature, of
+    # cfg.window
+    densities = [(kind, cf.density(kind)) for kind in monitors]
+    top = max((cf.max_order(terms) for _, terms in densities), default=0)
+    mults = np.array([cfg.window.derivative_multiplier(k)
+                      for k in range(1, top + 1)])
 
     def snapshot(i, spec, work):
         t = i * cfg.dt
-        f = SampledField(cfg.window_at(t), np.fft.irfft(spec, n=n))
-        # one rfft of the values serves every derivative the monitors read,
-        # bitwise those of SampledField.deriv; the snapshot keeps the plain
-        # field, so the derivatives do not outlive this call
-        jet = f
-        if mults:
-            vh = np.fft.rfft(f.values)
-            jet = SampledField(f.window, f.values,
-                               tuple(np.fft.irfft(vh * m, n=n) for m in mults))
-        with warnings.catch_warnings():
-            # radiation wrapping around the periodic window is legitimate
-            # here and the trapezoid quadrature stays exact for it; the edge
-            # check guards sampling of decaying profiles, not evolution
-            warnings.simplefilter("ignore", TailWarning)
-            vals = {kind: functional(jet, kind) for kind in monitors}
-        return Snapshot(t, f, vals, *work, _tail_fraction(spec))
+        values = np.fft.irfft(spec, n=n)
+        # the rows u, u_x, ... from one rfft of the values and one stacked
+        # irfft, bitwise those of SampledField.deriv; the snapshot keeps the
+        # plain field, so the derivatives do not outlive this call
+        rows = values[None]
+        if top:
+            rows = np.concatenate(
+                (rows, np.fft.irfft(np.fft.rfft(values) * mults, n=n)))
+        vals = {kind: cfg.window.quad(cf.eval_flux_terms(terms, rows))
+                for kind, terms in densities}
+        return Snapshot(t, SampledField(cfg.window_at(t), values), vals,
+                        *work, _tail_fraction(spec))
 
     vhat = np.fft.rfft(u0.values)
     traj = [snapshot(0, vhat, (0, 0))]
@@ -672,12 +675,12 @@ def fit_modulation(u: SampledField, p: cf.BreatherParams, t: float,
     xs = np.array([float(seed[0]), float(seed[1])])
 
     def objective(a):
-        # one FFT each of the residual and the two phase derivatives serves
-        # the objective, the gradient and the Gauss-Newton matrix
+        # one stacked FFT of the residual and the two phase derivatives
+        # serves the objective, the gradient and the Gauss-Newton matrix
         memory.evaluations += 1
         b, d1, d2 = cf.breather_phase_derivatives(p.order, p.alpha, p.beta,
                                                   a[0], a[1], t, x)
-        rh, d1h, d2h = (np.fft.rfft(v) for v in (u.values - b, d1, d2))
+        rh, d1h, d2h = np.fft.rfft(np.stack((u.values - b, d1, d2)))
         return 0.5 * inner(rh, rh, weight), rh, d1h, d2h
 
     phi, rh, d1h, d2h = objective(xs)
@@ -875,26 +878,30 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.8e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
 #             order 9, dt 2e-3 / 1e-3 / 5e-4:     8.1e-11 / 1.8e-10 / 1.5e-9
-#   soliton   order 5, dt 2e-3 / 1e-3 / 5e-4:     8.8e-13 / 9.0e-13 / 1.1e-11
+#   soliton   order 5, dt 1e-2 / 5e-3 / 2.5e-3:   8.5e-13 / 8.8e-13 / 8.9e-13
 #             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.2e-12 / 4.5e-12
 #             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   5.9e-12 / 8.0e-12 / 8.9e-12
-# against the evolve budget of 1e-5; the order-7 and order-9 soliton speed
-# errors are 8e-14 / 3e-13 / 4e-13 and 2e-11 / 1e-11 / 2e-12 cells.  Below
-# about 1e-10 the error is that of Newton's target, not of the scheme: on
-# the static order-9 breather the target, 1e-13 (|v0| + dt |L v0|), is
-# 5.5e-10 |v0| at dt 1e-3, and halving dt raises the error.
-# The soliton runs ride at the speed law, where the profile is static.  At
-# orders 7 and 9 each takes the step of least solver work per unit time
-# among those at rounding-level error that divide t_end = 0.3: the Krylov
-# solves / GMRES iterations of the run are 38 / 115 and 47 / 304 at dt
-# 6e-3, 58 / 140 and 72 / 417 at 4e-3, 108 / 220 and 146 / 809 at 2e-3
-# (50 / 166 and 50 / 150 at 6e-3 with every step's N frozen at v0).  At
-# order 5 no dt tried from 1e-3 to 1e-2 takes a Krylov solve (Newton's
-# start alone meets its target, and after the first step one evaluation of
-# N ends each step), and each is at rounding-level error: the run takes the
-# largest step of its halving row above, 2e-3 (150 steps, 152 evaluations
-# of N; speed error 7e-14 cells, 6e-13 at 1e-3).  The breather runs are at
-# RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number of
+# against the evolve budget of 1e-5; the order-5, 7 and 9 soliton speed
+# errors are 1.1e-13 / 1.8e-13 / 7.3e-14, 8e-14 / 3e-13 / 4e-13 and 2e-11 /
+# 1e-11 / 2e-12 cells.  Below about 1e-10 the error is that of Newton's
+# target, not of the scheme: on the static order-9 breather the target,
+# 1e-13 (|v0| + dt |L v0|), is 5.5e-10 |v0| at dt 1e-3, and halving dt
+# raises the error.
+# The soliton runs ride at the speed law, where the profile is static, and
+# each takes the step of least solver work per unit time (Krylov solves and
+# GMRES iterations, then steps) among those at rounding-level error that
+# divide t_end = 0.3.  At orders 7 and 9 the Krylov solves / GMRES
+# iterations of the run are 38 / 115 and 47 / 304 at dt 6e-3, 58 / 140 and
+# 72 / 417 at 4e-3, 108 / 220 and 146 / 809 at 2e-3 (50 / 166 and 50 / 150
+# at 6e-3 with every step's N frozen at v0).  At order 5 no dt tried from
+# 1e-3 to 1e-2 takes a Krylov solve (Newton's start alone meets its target,
+# and after the first step one evaluation of N ends each step), so the
+# fewest steps win: 1e-2 (30 steps, 32 evaluations of N), the largest step
+# that also divides the 0.01 horizon to which perfbench's evolve-o5
+# workload cuts this run.  Halving does not lower the error of any of the
+# three rows by 2x, against 16x for a fourth-order scheme above the floor
+# (a -m slow test checks it).  The breather runs are at RUN_ALPHA_BETA, on
+# a window of half width 30/beta, to the whole number of
 # steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
 # a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides
 # at its speed -gamma, which freezes the profile on the grid.  The order-7
@@ -908,7 +915,7 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 RUN_ALPHA_BETA = (1.0, 1.0)  # the breather of the evolve and stability runs
 _BREATHER_RUNS = {5: 1e-3, 7: 5e-4, 9: 1e-3}  # order: dt
 
-_SOLITON_RUNS = {5: (2.0, 2e-3), 7: (1.2, 6e-3), 9: (1.2, 6e-3)}  # (c, dt)
+_SOLITON_RUNS = {5: (2.0, 1e-2), 7: (1.2, 6e-3), 9: (1.2, 6e-3)}  # (c, dt)
 
 # the orders the evolve and stability suites can run
 EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))

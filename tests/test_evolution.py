@@ -267,6 +267,50 @@ def test_snapshot_monitors_and_tails_are_those_of_the_plain_field():
         max(s.tail for s in traj) > ev._RESOLUTION_TAIL)
 
 
+def _monitors_from_a_derivative_jet(field, monitors):
+    # the construction evolve made before it integrated the densities
+    # itself: a SampledField holding one spectral derivative per row, read
+    # through functional with the edge-tail check silenced
+    w = field.window
+    top = max(cf.max_order(cf.density(kind)) for kind in monitors)
+    vh = np.fft.rfft(field.values)
+    jet = SampledField(w, field.values, tuple(
+        np.fft.irfft(vh * w.derivative_multiplier(k), n=w.n_points)
+        for k in range(1, top + 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailWarning)
+        return {kind: functional(jet, kind) for kind in monitors}
+
+
+@pytest.mark.parametrize("order, bump", [(5, 1e-3), (7, 0.0), (9, 0.0)])
+def test_snapshot_monitors_are_functional_on_a_derivative_jet(order, bump):
+    # bitwise, snapshot by snapshot, on short runs of the shipped breather
+    # configs; the order-5 run adds a bump centred on the window edge, so
+    # its field is far above functional's edge threshold at every snapshot,
+    # where evolve itself warns of nothing but the resolution
+    p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
+    cfg = ev.breather_fidelity_config(order, n_points=512)
+    cfg = replace(cfg, t_end=4 * cfg.dt)
+    w = cfg.window
+    edge = w.center - w.half_width
+    values = sample_breather(p, 0.0, w, m=0).values + bump * (
+        np.exp(-(w.grid() - edge) ** 2)
+        + np.exp(-(w.grid() - edge - w.length) ** 2))
+    monitors = ("M", "E", "E5", cf.energy_kind(order))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = ev.evolve(SampledField(w, values), cfg, monitors=monitors,
+                         snapshot_every=1)
+    assert len(traj) == 5
+    assert not [c for c in caught if not issubclass(c.category,
+                                                    ev.ResolutionWarning)]
+    for snap in traj:
+        assert snap.functionals == _monitors_from_a_derivative_jet(
+            snap.field, monitors)
+        at_edge = max(abs(snap.field.values[0]), abs(snap.field.values[-1]))
+        assert (at_edge > 1e-5) == (bump > 0.0)
+
+
 def test_breather_fidelity_config_follows_run_alpha_beta(monkeypatch):
     # at (1, 1): half width 30, t_end 0.05, and the frame -gamma of the
     # rigid orders 5 and 9
@@ -1235,7 +1279,7 @@ def test_full_horizon_order5_evolve_suite(tmp_path):
     assert len(records) == 5
     assert all(r["pass"] for r in records)
     # every record sits far below its budget: the soliton's speed error
-    # measured 6e-13 cells, riding at the law's speed
+    # measured 1.1e-13 cells, riding at the law's speed
     for r in records:
         assert r["measured"] < 1e-10, r["id"]
     # each run's solver work is on one record, and the summary totals it;
@@ -1282,3 +1326,27 @@ def test_default_stability_suite_keeps_every_shape_close(tmp_path):
     # 244,710 GMRES iterations
     assert sum(r["params"]["krylov_solves"] for r in sup) < 26941
     assert sum(r["params"]["gmres_iterations"] for r in sup) < 244710
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", ev.EVOLVE_ORDERS)
+def test_soliton_run_steps_at_the_rounding_floor(order):
+    # the shipped soliton run's halving row (dt, dt/2, dt/4) to its t_end
+    # 0.3: a fourth-order scheme lowers the H^2 error 16x per halving, so a
+    # row that halving lowers by less than 2x sits at the rounding floor,
+    # where a smaller step buys nothing.  The order-5 run takes no Krylov
+    # solve
+    sp, cfg = ev.soliton_speed_run(order)
+    errors = []
+    for k in (1, 2, 4):
+        run = replace(cfg, dt=cfg.dt / k)
+        traj = ev.evolve(sample_soliton(sp, 0.0, run.window, m=0), run,
+                         snapshot_every=ev.step_count(run.t_end, run.dt))
+        last = traj[-1]
+        ref = sample_soliton(sp, last.t, last.field.window, m=0)
+        errors.append(sobolev_norm(SampledField(
+            last.field.window, last.field.values - ref.values), 2))
+        if order == 5 and k == 1:
+            assert ev.solver_work(traj) == (0, 0)
+    assert max(errors) < 1e-10
+    assert errors[1] > errors[0] / 2 and errors[2] > errors[1] / 2, errors

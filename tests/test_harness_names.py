@@ -74,11 +74,12 @@ def test_workload_configs_build(tmp_path, name):
 
 def test_soliton_run_config_has_the_fields_the_harness_reads():
     # child.py shortens the run with dataclasses.replace(cfg, t_end=...) and
-    # the tracer counts round(t_end / dt) steps per evolve call
+    # the tracer counts round(t_end / dt) steps per evolve call; evolve
+    # raises unless the shortened horizon is a whole number of steps
     sp, cfg = evolution.soliton_speed_run(5, 256)
-    short = dataclasses.replace(cfg, t_end=0.01)
+    short = dataclasses.replace(cfg, t_end=_WORKLOADS.EVOLVE_SOLITON_T_END)
     assert (short.t_end, short.dt) == (0.01, cfg.dt)
-    assert int(round(short.t_end / short.dt)) > 0
+    assert evolution.step_count(short.t_end, short.dt) > 0
 
 
 def test_verify_run_calls_run_variants_twice(tmp_path):
