@@ -9,12 +9,11 @@ step is chosen for accuracy alone.  Newton solves the stage equations with
 the exact, padded N in the residual, each Newton step by GMRES with the
 exact inverse of the linear part as preconditioner.  It starts from the
 linear part solved exactly, with N extrapolated from the previous step's
-stages, or on a run's first step frozen at v0: one fixed-point sweep, and
-where that sweep's contraction predicts that a second meets Newton's
-target, the second takes the place of a Krylov solve.  The GMRES operator
-applies the Frechet derivative of N on the two-phase (2n-point) grid, which
-equals the padded one to rounding on resolved fields and costs 1/1.4,
-1/2.8 and 1/4.2 of it per apply at orders 5, 7 and 9.  The stepper notes
+stages; a run's first step extrapolates N(v0) at both, which freezes N at
+v0.  The GMRES operator applies the Frechet derivative of N on the
+two-phase (2n-point) grid, which equals the padded one to rounding on
+resolved fields and costs 1/1.4, 1/2.8 and 1/4.2 of it per apply at orders
+5, 7 and 9.  The stepper notes
 below give the scheme, the solver's stopping rules and caps, Newton's
 operator, and the polyphase lift with its Nyquist rule.  Multipliers and
 the fit's H^2 inner product come from functionals.Window.
@@ -135,23 +134,16 @@ class EvolutionConfig:
 # values).  evolve hands each step the N(Y1), N(Y2) of the step before,
 # those of its last residual check, so they cost no transform, and N0
 # extrapolates them linearly from their stage times c_i - 1 to c_k.  A run's
-# first step, and a step handed nothing, freeze N at v0, N0 = N(v0) (x) 1:
-# one sweep Y <- Y - P^-1 G(Y) of the stage equations from (v0, v0).
-# G(v0, v0) = -dt (A (x) I)(F(v0), F(v0)), and where |G(Y0)| exceeds it,
-# as on fields about to blow up, Newton starts from (v0, v0) instead.  This
-# guard costs the frozen start no further transform, since that start
-# evaluates N(v0) anyway.  The carried start does not, so there the guard,
-# and its N(v0), run only when |G(Y0)| misses the Newton target; a carried
-# start that meets it ends the step with one evaluation of N, that of Y0.
-# The guard would have kept it, unless |G(v0, v0)| < |G(Y0)|, where both
-# starts meet the target.  Where the guard keeps the frozen start, its
-# contraction rho = |G(Y0)| / |G(v0, v0)| predicts what one more sweep
-# leaves: where rho |G| meets the Newton target at a check, one sweep, one
-# evaluation of N, takes the place of a Krylov solve.  It is kept only if
-# it lowers |G|, and a step takes at most one.  The carried start is no
-# sweep: its rho is nan, so the rule does not fire after it.  With the
-# frozen start's formula in its place, the order-9 breather run tried a
-# sweep on 44 of its 50 steps and kept none.
+# first step, and a step handed nothing, carry (N(v0), N(v0)); each row of
+# the extrapolation sums to 1, so N0 = N(v0) (x) 1 to rounding, N frozen at
+# v0.  Where |G(Y0)| misses the Newton target, a guard compares it with
+# |G(v0, v0)|, G(v0, v0) = -dt (A (x) I)(F(v0), F(v0)), and where |G(Y0)|
+# exceeds that, as on fields about to blow up and on the order-7 breather's
+# first step, Newton starts from (v0, v0) instead.  The guard reads N(v0),
+# which a first step has evaluated for its start; a carried step evaluates
+# it only on a miss, so a carried start that meets the target ends the step
+# with one evaluation of N, that of Y0.  The guard would have kept it,
+# unless |G(v0, v0)| < |G(Y0)|, where both starts meet the target.
 # Newton stops once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each
 # Krylov solve; the dt |L v0| term keeps the target above the rounding of
 # the stiff linear part.  Each Newton step solves G'(Y) dY = -G by
@@ -164,9 +156,10 @@ class EvolutionConfig:
 # of a time step are capped; a step that reaches a cap, or whose residual is
 # not finite, fails with its last relative residual.  The shipped runs take
 # at most 3 Krylov solves and 40 GMRES iterations per step (the order-7
-# breather), against caps of 10 and 300; the static order-5 breather (its
-# first step one sweep, rho 2.6e-3) and the riding order-5 soliton take
-# none, and each of their carried steps evaluates N once.
+# breather), against caps of 10 and 300.  The static order-5 breather and
+# the riding order-5 soliton, whose first starts leave 1.04 and 3.8 times
+# the target, take one Krylov solve of one GMRES iteration, on the first
+# step, and each of their carried steps evaluates N once.
 #
 # Newton's operator.  GMRES applies N' on the 2n-point grid, two phases of
 # the polyphase lift below, not on the padded one: the slopes dP/du_{kx}
@@ -191,8 +184,8 @@ class EvolutionConfig:
 # was measured to cost a third of the time (an order-9 apply of two stages
 # at n = 1024 on a 2-vCPU virtual machine: 185 against 553 us) and to
 # leave the shipped solver work nearly as it is (stability at order 5,
-# t_end 0.03, three shapes: 121 Krylov solves and 887 GMRES iterations
-# either way; default evolve: 333 / 3,176 against 331 / 3,193).  An n-point
+# t_end 0.03, three shapes: 122 Krylov solves and 888 GMRES iterations
+# either way; default evolve: 342 / 3,204 against 331 / 3,188).  An n-point
 # transform folds every mode of slope times a band-k_N vector above k_N
 # back into the band, so that operator is an aliased G': it misses the
 # exact apply by 64-95 % of its size on a random band-k_N vector on the
@@ -303,11 +296,8 @@ class _Stepper:
                             # grid, the N' of Newton's operator
     stage_system: object  # (Y, v0) -> (G(Y), the exact Jacobian Z -> G'(Y) Z)
     start: object         # (v0, carried N or None, target) -> Newton's
-                          # start Y, G(Y), the point of its first operator,
-                          # the start's contraction, and N(Y); a carried
-                          # start meeting target skips the guard
-    sweep: object         # (Y, G(Y), v0, N(Y)) -> Y - P^-1 G(Y), its G and
-                          # N, or the inputs where that raises |G|
+                          # start Y, G(Y) and N(Y); a start meeting target
+                          # skips the guard
     step: object          # (v0, one spectrum (bin,), and the previous
                           # step's _Step.nonlinear or None) -> _Step
 
@@ -406,56 +396,35 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
         NY, dN = linearize(Y)
         return stage_residual(Y, v0, NY), jacobian(dN)
 
-    def sweep(Y, G, v0, NY):
-        # Y - P^-1 G(Y) = P^-1 (v0 (x) 1 + dt A N(Y)): N frozen at Y, the
-        # linear part solved exactly; kept only if it lowers |G|
-        Ys = Y - blocks(pinv, G)
-        NYs = nonlinear(Ys)
-        Gs = stage_residual(Ys, v0, NYs)
-        if np.linalg.norm(Gs) < np.linalg.norm(G):
-            return Ys, Gs, NYs
-        return Y, G, NY
-
-    def begin(v0, carried, target):
-        # the linear part solved exactly for a guess of N at the stages:
-        # N(v0) at both, a sweep from (v0, v0) with contraction rho = |G| /
-        # |G(v0, v0)|, |G(v0, v0)| = dt |c| |F(v0)|; or the N of the previous
-        # step's stages, carried, with rho nan.  Where |G| > |G(v0, v0)|
-        # Newton starts from (v0, v0), with rho nan.  N(v0) is evaluated
-        # once, and on that fallback Newton's first operator is taken at v0,
-        # whose slopes serve both stages.  A carried start whose |G| meets
-        # target returns before N(v0), which only the guard reads.  Returns
-        # (Y, G, |G|, the point of Newton's first operator, rho, N(Y))
+    def start(v0, carried=None, target=0.0):
+        # the linear part solved exactly for the N of the previous step's
+        # stages, carried, extrapolated to this step's; handed nothing, N
+        # frozen at v0, carried = (N(v0), N(v0)).  A start whose |G| meets
+        # target returns before the guard, which alone reads N(v0) on a
+        # carried step: where |G| > |G(v0, v0)| = dt |c| |F(v0)|, Newton
+        # starts from (v0, v0).  Returns (Y, G(Y), N(Y))
+        N0 = None
         if carried is None:
             N0 = nonlinear(v0)
-            drive = dtc * N0
-        else:
-            drive = blocks(dtA, blocks(extrapolate, carried))
-        Y = blocks(pinv, v0 + drive)
+            carried = np.stack([N0, N0])
+        Y = blocks(pinv, v0 + blocks(dtA, blocks(extrapolate, carried)))
         NY = nonlinear(Y)
         G = stage_residual(Y, v0, NY)
         gnorm = np.linalg.norm(G)
-        if carried is not None:
-            if gnorm <= target:
-                return Y, G, gnorm, Y, math.nan, NY
+        if gnorm <= target:
+            return Y, G, NY
+        if N0 is None:
             N0 = nonlinear(v0)
-        still = np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0)
-        if not gnorm <= still:
-            Y = np.stack([v0, v0])
-            G = stage_residual(Y, v0, N0)
-            return Y, G, np.linalg.norm(G), v0, math.nan, np.stack([N0, N0])
-        if carried is not None:
-            return Y, G, gnorm, Y, math.nan, NY
-        return Y, G, gnorm, Y, gnorm / still if still else 0.0, NY
-
-    def start(v0, carried=None, target=0.0):
-        Y, G, _, at, rho, NY = begin(v0, carried, target)
-        return Y, G, at, rho, NY
+        if not gnorm <= np.linalg.norm(dtc) * np.linalg.norm(L * v0 + N0):
+            Y, NY = np.stack([v0, v0]), np.stack([N0, N0])
+            G = stage_residual(Y, v0, NY)
+        return Y, G, NY
 
     def step(v0, carried=None):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
         target = _NEWTON_TOL * scale
-        Y, G, gnorm, at, rho, NY = begin(v0, carried, target)
+        Y, G, NY = start(v0, carried, target)
+        gnorm = np.linalg.norm(G)
         solves = krylov = 0
         while True:
             residual = gnorm / scale if gnorm else 0.0
@@ -465,16 +434,10 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             if (not math.isfinite(gnorm) or solves == _NEWTON_MAX
                     or krylov >= _GMRES_MAX):
                 break
-            if rho * gnorm <= target:
-                # rho predicts that a sweep meets the target; one per step
-                rho = math.nan
-                Y, G, NY = sweep(Y, G, v0, NY)
-                gnorm, at = np.linalg.norm(G), Y
-                continue
             # the slopes only now that a Krylov solve follows; a linear
             # residual under half the Newton target is not seen by the next
             # check
-            jac = jacobian(newton_frechet(at))
+            jac = jacobian(newton_frechet(Y))
             x, its = _gmres(lambda z: as_real(jac(blocks(pinv, as_pair(z)))),
                             as_real(-G), _GMRES_MAX - krylov,
                             0.5 * _NEWTON_TOL * scale)
@@ -482,12 +445,12 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             solves += 1
             Y = Y + blocks(pinv, as_pair(x))
             NY = nonlinear(Y)
-            G, at = stage_residual(Y, v0, NY), Y
+            G = stage_residual(Y, v0, NY)
             gnorm = np.linalg.norm(G)
         return _Step(None, Y, solves, krylov, residual, NY)
 
     return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,
-                    start, sweep, step)
+                    start, step)
 
 
 def _tail_fraction(vhat: np.ndarray) -> float:
@@ -875,34 +838,35 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
 #
 # Each dt is an accuracy step, checked by halving it: the H^2 error against
 # the closed form at t_end (n = 1024) is
-#   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.5e-12 / 1.8e-12
+#   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.6e-12 / 1.8e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
-#             order 9, dt 2e-3 / 1e-3 / 5e-4:     8.1e-11 / 1.8e-10 / 1.5e-9
-#   soliton   order 5, dt 1e-2 / 5e-3 / 2.5e-3:   8.5e-13 / 8.8e-13 / 8.9e-13
-#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.2e-12 / 4.5e-12
-#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   5.9e-12 / 8.0e-12 / 8.9e-12
+#             order 9, dt 2e-3 / 1e-3 / 5e-4:     2.3e-10 / 1.6e-10 / 1.2e-9
+#   soliton   order 5, dt 1e-2 / 5e-3 / 2.5e-3:   8.9e-13 / 8.5e-13 / 9.0e-13
+#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.3e-12 / 4.5e-12
+#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   6.6e-12 / 7.4e-12 / 9.5e-12
 # against the evolve budget of 1e-5; the order-5, 7 and 9 soliton speed
-# errors are 1.1e-13 / 1.8e-13 / 7.3e-14, 8e-14 / 3e-13 / 4e-13 and 2e-11 /
-# 1e-11 / 2e-12 cells.  Below about 1e-10 the error is that of Newton's
+# errors are 1.1e-13 / 1.8e-13 / 1.5e-13, 8e-14 / 3e-13 / 6e-13 and 2e-11 /
+# 2e-11 / 2e-12 cells.  Below about 1e-10 the error is that of Newton's
 # target, not of the scheme: on the static order-9 breather the target,
-# 1e-13 (|v0| + dt |L v0|), is 5.5e-10 |v0| at dt 1e-3, and halving dt
+# 1e-13 (|v0| + dt |L v0|), is 5.5e-10 |v0| at dt 1e-3, and halving that dt
 # raises the error.
 # The soliton runs ride at the speed law, where the profile is static, and
-# each takes the step of least solver work per unit time (Krylov solves and
-# GMRES iterations, then steps) among those at rounding-level error that
-# divide t_end = 0.3.  At orders 7 and 9 the Krylov solves / GMRES
-# iterations of the run are 38 / 115 and 47 / 304 at dt 6e-3, 58 / 140 and
-# 72 / 417 at 4e-3, 108 / 220 and 146 / 809 at 2e-3 (50 / 166 and 50 / 150
-# at 6e-3 with every step's N frozen at v0).  At order 5 no dt tried from
-# 1e-3 to 1e-2 takes a Krylov solve (Newton's start alone meets its target,
-# and after the first step one evaluation of N ends each step), so the
-# fewest steps win: 1e-2 (30 steps, 32 evaluations of N), the largest step
-# that also divides the 0.01 horizon to which perfbench's evolve-o5
-# workload cuts this run.  Halving does not lower the error of any of the
-# three rows by 2x, against 16x for a fourth-order scheme above the floor
-# (a -m slow test checks it).  The breather runs are at RUN_ALPHA_BETA, on
-# a window of half width 30/beta, to the whole number of
-# steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
+# each takes the step of least stepper work per unit time (evaluations of N
+# plus GMRES iterations) among those at rounding-level error that divide
+# t_end = 0.3.  At orders 7 and 9 the Krylov solves / GMRES iterations of
+# the run are 38 / 115 and 47 / 305 at dt 6e-3, 58 / 141 and 71 / 380 at
+# 4e-3, 91 / 177 and 146 / 808 at 2e-3 (50 / 166 and 50 / 150 at 6e-3 with
+# every step's N frozen at v0), and the stepper work 241 and 449, 332 and
+# 597, 509 and 1,250.  At order 5 the first step takes one Krylov solve of
+# one GMRES iteration at every dt tried from 2e-3 to 1e-2 (none at 1e-3),
+# and each later step one evaluation of N, so the fewest steps win: 1e-2
+# (30 steps, 32 evaluations of N and 1 GMRES iteration, against 301 at
+# 1e-3), the largest step that also divides the 0.01 horizon to which
+# perfbench's evolve-o5 workload cuts this run.  Halving does not lower the
+# error of any of the three rows by 2x, against 16x for a fourth-order
+# scheme above the floor (a -m slow test checks it).  The breather runs are
+# at RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number
+# of steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
 # a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides
 # at its speed -gamma, which freezes the profile on the grid.  The order-7
 # breather genuinely oscillates (carrier and envelope counter-propagate), so no
