@@ -24,6 +24,8 @@ and assembles report.json, which echoes each key read under the name that
 sets it, plus per-run artifacts: JSON summaries, and the snapshot fields
 of each evolve run as one .npy array.
 A stability task is one (order, shape), so the pool splits the shapes.
+A check is one row, (record id, measured, budget[, params]), in its suite's
+task body; _records makes its record, failed if its run blew up.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
 
@@ -319,18 +321,34 @@ class SuiteReport:
 _SLUG_KEYS = ("order", "alpha", "beta", "c", "t", "shape", "eta", "dt")
 
 
+def _short(x: float) -> str:
+    """x at %g where that reads back as x, else its repr, so that close
+    float values keep distinct record ids and artifact names."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+
 def _slug(key: str, value) -> str:
-    return f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+    return f"{key}={_short(value) if isinstance(value, float) else value}"
 
 
-def _record(rid: str, params: dict, measured: float, budget: float) -> dict:
-    # sweep coordinates join the id so every record line is unique
-    parts = [_slug(k, params[k]) for k in _SLUG_KEYS if k in params]
-    if parts:
-        rid = rid + "[" + ",".join(parts) + "]"
-    measured = float(measured)
-    return {"id": rid, "params": params, "measured": measured,
-            "budget": float(budget), "pass": bool(measured <= budget)}
+def _records(tag: dict, rows, blow_up=None) -> list:
+    """One record per (record id, measured, budget[, params]) row, its params
+    the tag's and the row's.  The sweep coordinates among them join the id,
+    so every record line is unique.  Given blow_up, the evolution.BlowUpError
+    that stopped the run, every row fails and says when and how."""
+    stop = {} if blow_up is None else {"t_blowup": blow_up.t,
+                                       "newton_residual": blow_up.residual}
+    recs = []
+    for rid, measured, budget, *extra in rows:
+        params = {**tag, **dict(*extra), **stop}
+        coords = ",".join(_slug(k, params[k]) for k in _SLUG_KEYS
+                          if k in params)
+        measured = math.inf if stop else float(measured)
+        recs.append({"id": f"{rid}[{coords}]" if coords else rid,
+                     "params": params, "measured": measured,
+                     "budget": float(budget),
+                     "pass": bool(measured <= budget)})
+    return recs
 
 
 def _rel(got: float, want: float) -> float:
@@ -379,12 +397,11 @@ def _verify_point(task: dict) -> tuple:
     from . import identities as ide
     order, a, b = task["order"], task["alpha"], task["beta"]
     tol = task["tol"]
-    recs = []
-    tag = {"order": order, "alpha": a, "beta": b}
     p = cf.BreatherParams(order, a, b)
     # one sample of the breather at CHECK_T serves every check there; it
     # lives for this task only
     at_check = ide.check_sample(p)
+    rows = []
     for t in task["t"]:
         if t == 0.0:
             measured = _breather_ode_at_rest(a, b)
@@ -392,55 +409,49 @@ def _verify_point(task: dict) -> tuple:
             sample = at_check if t == ide.CHECK_T else None
             measured = ide.breather_ode_residual(p, t,
                                                  sample=sample).normalized
-        recs.append(_record("breather_ode", {**tag, "t": t}, measured,
-                            tol["breather_ode"]))
+        rows.append(("breather_ode", measured, tol["breather_ode"], {"t": t}))
     rep = ide.evolution_identity_residual(p, sample=at_check)
-    recs.append(_record("evolution_identity", tag, rep.normalized,
-                        tol["identity"]))
+    rows.append(("evolution_identity", rep.normalized, tol["identity"]))
     for orders, residual in ((ide.LEMMA21_ORDERS, ide.lemma21_residual),
                              (ide.LEMMA23_ORDERS, ide.lemma23_residual),
                              (ide.COROLLARY_ORDERS, ide.corollary_residual)):
         if order in orders:
             rep = residual(p, sample=at_check)
-            recs.append(_record(rep.identity_id, tag, rep.normalized,
-                                tol["identity"]))
+            rows.append((rep.identity_id, rep.normalized, tol["identity"]))
     reduced = order in REDUCTION_FACTORS
     kinds = ["M", "E"] + ([cf.energy_kind(order)] if reduced else [])
     at_rest = _energies_at_rest(a, b)
     for kind in kinds:
         value, scale = at_rest[kind]
-        recs.append(_record(f"energy_{kind}", tag,
-                            abs(value - closed_form_energy(kind, a, b)) / scale,
-                            tol["energy"]))
+        rows.append((f"energy_{kind}",
+                     abs(value - closed_form_energy(kind, a, b)) / scale,
+                     tol["energy"]))
     if reduced:
         e, red = energy_reduction(order, a, b, t=0.2)
-        recs.append(_record(f"reduction_E{order}", tag, _rel(e, red),
-                            tol["reduction"]))
+        rows.append((f"reduction_E{order}", _rel(e, red), tol["reduction"]))
         conj, lemma, scale = higher_energy_conjecture(order, a, b)
         # the two columns anti-align; their sum is the reconciled check
-        recs.append(_record(f"conjecture_sign_E{order}", tag,
-                            abs(conj + lemma) / scale, tol["energy"]))
+        rows.append((f"conjecture_sign_E{order}", abs(conj + lemma) / scale,
+                     tol["energy"]))
     if order != 11:
-        for c in task["c"]:
-            for level in ("2nd", "high"):
-                recs.append(_record(f"soliton_ode_{level}", {**tag, "c": c},
-                                    _soliton_ode(order, c, level),
-                                    tol["soliton_ode"]))
-    return tuple(recs), ()
+        rows.extend((f"soliton_ode_{level}", _soliton_ode(order, c, level),
+                     tol["soliton_ode"], {"c": c})
+                    for c in task["c"] for level in ("2nd", "high"))
+    return _records({"order": order, "alpha": a, "beta": b}, rows), ()
 
 
 def _adjudication_records(tol: dict) -> list:
     """One record per contested transcription: measured is the distance of
     the passing-variant count from one, variant residuals ride in params."""
     from . import identities as ide
-    recs = []
+    rows = []
     for label, reports in (("delta9", ide.adjudicate_delta9()),
                            ("firstmkdv", ide.adjudicate_firstmkdv())):
         residuals = {rep.variant: rep.normalized for rep in reports}
         passing = sum(1 for r in residuals.values() if r <= tol["identity"])
-        recs.append(_record(f"adjudicate_{label}", residuals,
-                            float(abs(passing - 1)), tol["unique"]))
-    return recs
+        rows.append((f"adjudicate_{label}", abs(passing - 1), tol["unique"],
+                     residuals))
+    return _records({}, rows)
 
 
 # --------------------------------------------------------------------------
@@ -452,53 +463,44 @@ def _spectrum_point(task: dict) -> tuple:
     tol = task["tol"]
     p = cf.BreatherParams(5, a, b)
     w = spc.spectral_window(p, 0.0, n_points=task["window_n"] or 1024)
-    tag = {"alpha": a, "beta": b, "n": w.n_points}
     opr = spc.build_operator(p, 0.0, w)
     summary = spc.spectrum(opr)
     dirs = spc.directions(p, 0.0, w)
-    recs = [
-        _record("negative_count", tag,
-                float(abs(len(summary.negative_eigenvalues) - 1)),
-                tol["counts"]),
-        _record("kernel_dimension", tag,
-                float(abs(summary.kernel_dimension - 2)), tol["counts"]),
-    ]
-    edge_want = spc.continuum_edge(a, b)
-    recs.append(_record("continuum_edge", tag,
-                        abs(summary.continuum_edge_estimate - edge_want)
-                        / edge_want, tol["edge"]))
+    edge = spc.continuum_edge(a, b)
     target = 16.0 * a**2 * b
     qa = w.quad(dirs.lambda_alpha * opr.apply(dirs.lambda_alpha))
     qb = w.quad(dirs.lambda_beta * opr.apply(dirs.lambda_beta))
-    recs.append(_record("form_lambda_alpha", tag, abs(qa - target) / target,
-                        tol["form"]))
-    recs.append(_record("form_lambda_beta", tag, abs(qb + target) / target,
-                        tol["form"]))
     lhs1, lhs2, b0_resid = spc.b0_relations(p, 0.0, opr, dirs)
     b0_want = 1.0 / (4.0 * b * (a**2 + b**2))
-    recs.append(_record("b0_mass", tag, abs(lhs1 - b0_want) / b0_want,
-                        tol["b0"]))
-    recs.append(_record("b0_quadratic", tag,
-                        abs(lhs2 + 0.5 * b0_want) / b0_want, tol["b0"]))
-    recs.append(_record("b0_inversion", tag, b0_resid, tol["b0"]))
     # sampled around the envelope centre at the time of the check
     t_w = 0.37
     rng = np.random.default_rng(task["seed"])
     xs = p.core(t_w) + rng.uniform(-6.0 / b, 6.0 / b, size=200)
-    recs.append(_record("wronskian", tag, spc.wronskian_check(p, t_w, xs),
-                        tol["wronskian"]))
     nu0 = spc.coercivity(opr, dirs, summary.lowest_vector)
-    recs.append(_record("coercivity_positive", {**tag, "nu0": nu0},
-                        max(0.0, -nu0), tol["coercivity"]))
     w2 = replace(w, n_points=w.n_points // 2)
     opr2 = spc.build_operator(p, 0.0, w2)
     nu0_2 = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
                            spc.lowest_vector(opr2))
-    recs.append(_record("coercivity_spread", {**tag, "nu0_half": nu0_2},
-                        abs(nu0 - nu0_2), tol["spread"]))
-    artifact = (f"spectrum_a{a:g}_b{b:g}.json",
-                dump_json(summary.to_json_dict()))
-    return tuple(recs), (artifact,)
+    rows = [
+        ("negative_count", abs(len(summary.negative_eigenvalues) - 1),
+         tol["counts"]),
+        ("kernel_dimension", abs(summary.kernel_dimension - 2), tol["counts"]),
+        ("continuum_edge", abs(summary.continuum_edge_estimate - edge) / edge,
+         tol["edge"]),
+        ("form_lambda_alpha", abs(qa - target) / target, tol["form"]),
+        ("form_lambda_beta", abs(qb + target) / target, tol["form"]),
+        ("b0_mass", abs(lhs1 - b0_want) / b0_want, tol["b0"]),
+        ("b0_quadratic", abs(lhs2 + 0.5 * b0_want) / b0_want, tol["b0"]),
+        ("b0_inversion", b0_resid, tol["b0"]),
+        ("wronskian", spc.wronskian_check(p, t_w, xs), tol["wronskian"]),
+        ("coercivity_positive", max(0.0, -nu0), tol["coercivity"],
+         {"nu0": nu0}),
+        ("coercivity_spread", abs(nu0 - nu0_2), tol["spread"],
+         {"nu0_half": nu0_2}),
+    ]
+    name = f"spectrum_a{_short(a)}_b{_short(b)}.json"
+    return (_records({"alpha": a, "beta": b, "n": w.n_points}, rows),
+            ((name, dump_json(summary.to_json_dict())),))
 
 
 # --------------------------------------------------------------------------
@@ -529,7 +531,8 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
 
 
 def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
-    """(v_measured, v_law, error in cells, the run's _work) of a soliton run.
+    """(error in cells, params: v_measured, v_law and the run's _work) of a
+    soliton run.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
@@ -550,7 +553,7 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     v_meas = scfg.frame_speed + shift * scfg.window.spacing / scfg.t_end
     v_law = cf.soliton_speed(sp_.order, sp_.c)
     cells = abs(v_meas - v_law) * scfg.t_end / scfg.window.spacing
-    return v_meas, v_law, cells, _work(traj)
+    return cells, {"v_measured": v_meas, "v_law": v_law, **_work(traj)}
 
 
 def _work(run) -> dict:
@@ -585,58 +588,42 @@ def _check_evolve_steps(values: dict) -> None:
                                  replace(cfg_run, dt=values["dt"]))
 
 
-def _blown_up(rid: str, params: dict, budget: float, err) -> dict:
-    """The failed record of a check whose run stopped at a blow-up, err (an
-    evolution.BlowUpError)."""
-    return _record(rid, {**params, "t_blowup": err.t,
-                         "newton_residual": err.residual}, math.inf, budget)
-
-
 def _evolve_point(task: dict) -> tuple:
     from . import evolution as ev
     order = task["order"]
     tol = task["tol"]
     tag = {"order": order}
-    recs, arts = [], []
 
     p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
     cfg_run = _at_dt(ev.breather_fidelity_config(order), task["dt"])
-    h2_tag = {**tag, "t_end": cfg_run.t_end, "dt": cfg_run.dt,
-              "frame_speed": cfg_run.frame_speed}
     monitors = ("M", "E", cf.energy_kind(order))
     u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
     try:
-        traj = ev.evolve(u0, cfg_run, monitors=monitors)
+        traj, blow_up = ev.evolve(u0, cfg_run, monitors=monitors), None
     except ev.BlowUpError as e:
-        traj = e.trajectory
-        recs.append(_blown_up("breather_h2", {**h2_tag, **_work(e)},
-                              tol["h2"], e))
-        recs.extend(_blown_up(f"drift_{kind}", tag, tol["drift"], e)
-                    for kind in sorted(monitors))
-    else:
-        last = traj[-1]
-        ref = sample_breather(p, last.t, last.field.window, m=0)
-        err = SampledField(last.field.window, last.field.values - ref.values)
-        recs.append(_record("breather_h2", {**h2_tag, **_work(traj)},
-                            sobolev_norm(err, 2), tol["h2"]))
-        for kind, drift in sorted(ev.functional_drifts(traj).items()):
-            recs.append(_record(f"drift_{kind}", tag, drift, tol["drift"]))
-    arts.extend(_trajectory_artifacts(f"evolve_order{order}", traj))
+        traj, blow_up = e.trajectory, e
+    # a run that blew up is measured up to its last snapshot; _records
+    # fails its rows
+    last = traj[-1]
+    ref = sample_breather(p, last.t, last.field.window, m=0)
+    err = SampledField(last.field.window, last.field.values - ref.values)
+    rows = [("breather_h2", sobolev_norm(err, 2), tol["h2"],
+             {"t_end": cfg_run.t_end, "dt": cfg_run.dt,
+              "frame_speed": cfg_run.frame_speed,
+              **_work(traj if blow_up is None else blow_up)})]
+    rows.extend((f"drift_{kind}", drift, tol["drift"])
+                for kind, drift in sorted(ev.functional_drifts(traj).items()))
+    recs = _records(tag, rows, blow_up)
 
     sp_, scfg = ev.soliton_speed_run(order)
     scfg = _at_dt(scfg, task["dt"])
-    speed_tag = {**tag, "c": sp_.c, "dt": scfg.dt}
     try:
-        v_meas, v_law, cells, work = measure_soliton_speed(sp_, scfg)
+        cells, speed, blow_up = *measure_soliton_speed(sp_, scfg), None
     except ev.BlowUpError as e:
-        recs.append(_blown_up("soliton_speed", {**speed_tag, **_work(e)},
-                              tol["speed_cells"], e))
-    else:
-        recs.append(_record("soliton_speed",
-                            {**speed_tag, "v_measured": v_meas,
-                             "v_law": v_law, **work},
-                            cells, tol["speed_cells"]))
-    return tuple(recs), tuple(arts)
+        cells, speed, blow_up = None, _work(e), e
+    recs += _records(tag, [("soliton_speed", cells, tol["speed_cells"],
+                            {"c": sp_.c, "dt": scfg.dt, **speed})], blow_up)
+    return recs, _trajectory_artifacts(f"evolve_order{order}", traj)
 
 
 # --------------------------------------------------------------------------
@@ -661,19 +648,17 @@ def _stability_point(task: dict) -> tuple:
                                      seed=task["seed"])
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-    work = {key: getattr(report, key) for key in _WORK_KEYS}
     # the run's solver work goes on its one sup_distance record, so the
     # summary counts each run once
-    checks = [("sup_distance", {**tag, **work}, report.sup_distance,
-               tol["sup_factor"] * eta if eta > 0 else tol["floor"])]
+    rows = [("sup_distance", report.sup_distance,
+             tol["sup_factor"] * eta if eta > 0 else tol["floor"],
+             {key: getattr(report, key) for key in _WORK_KEYS})]
     if eta > 0:
-        checks.append(("max_phase_speed", tag, report.max_phase_speed,
-                       tol["quotient_factor"] * eta))
-    recs = [_record(rid, params, measured, budget) if report.blow_up is None
-            else _blown_up(rid, params, budget, report.blow_up)
-            for rid, params, measured, budget in checks]
-    name = f"stability_order{order}_{shape}_eta{eta:g}.json"
-    return tuple(recs), ((name, dump_json(report.to_json_dict())),)
+        rows.append(("max_phase_speed", report.max_phase_speed,
+                     tol["quotient_factor"] * eta))
+    name = f"stability_order{order}_{shape}_eta{_short(eta)}.json"
+    return (_records(tag, rows, report.blow_up),
+            ((name, dump_json(report.to_json_dict())),))
 
 
 # --------------------------------------------------------------------------

@@ -634,6 +634,39 @@ def test_report_structure(tmp_path):
     assert os.path.getsize(out / "records.csv") > 0
 
 
+# two alphas that print alike at %g, which keeps six significant digits
+CLOSE_ALPHAS = "alpha = 1.0000001, 1.0000002\nbeta = 1.0\n"
+
+
+def test_close_float_sweep_values_keep_distinct_record_ids(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path / "c.txt",
+                     "orders = 3\n" + CLOSE_ALPHAS + "c = 1.0\nt = 0.0\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    run_main(["verify", "--config", cfgp, "--out", str(out)])
+    ids = [r["id"] for r in
+           json.loads((out / "report.json").read_text())["records"]]
+    assert len(ids) == 14 and len(set(ids)) == 14
+    assert sum("alpha=1.0000001," in i for i in ids) == 6
+    assert sum("alpha=1.0000002," in i for i in ids) == 6
+    progress = capsys.readouterr().err.splitlines()
+    assert [line.split()[3] for line in progress] == ["alpha=1.0000001",
+                                                      "alpha=1.0000002"]
+
+
+def test_close_float_sweep_values_keep_distinct_artifacts(tmp_path):
+    # window_n 512 under-resolves the default window; only the names count
+    cfgp = write_cfg(tmp_path / "s.txt", CLOSE_ALPHAS + "window_n = 512\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    run_main(["spectrum", "--config", cfgp, "--out", str(out)])
+    names = sorted(path.name for path in out.glob("spectrum_*.json"))
+    assert names == ["spectrum_a1.0000001_b1.json",
+                     "spectrum_a1.0000002_b1.json"]
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert len(records) == len({r["id"] for r in records}) == 22
+
+
 _IMPORT_PROBE = """
 import json, sys
 suite = sys.argv[1]

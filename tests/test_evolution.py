@@ -353,7 +353,7 @@ def test_soliton_runs_ride_at_the_speed_law(order):
     assert cfg.frame_speed == cf.soliton_speed(order, sp.c)
 
 
-def test_riding_order5_soliton_takes_no_krylov_solve():
+def test_riding_order5_soliton_solves_once_on_its_first_step():
     # in its frame the order-5 soliton is static: at the shipped dt the
     # start from N frozen at v0 leaves one Krylov solve of one GMRES
     # iteration to the first step, and every carried start after it meets
@@ -365,7 +365,7 @@ def test_riding_order5_soliton_takes_no_krylov_solve():
     assert [ev.solver_work(traj[:k + 1]) for k in (1, 20)] == [(1, 1)] * 2
 
 
-def test_static_breather_takes_no_krylov_solve():
+def test_static_breather_solves_once_on_its_first_step():
     # in its frame the order-5 breather is a steady state: the start from N
     # frozen at v0 leaves 1.04 times the Newton target, and one Krylov solve
     # of one GMRES iteration meets it; from the second step the carried
