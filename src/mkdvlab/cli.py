@@ -25,7 +25,9 @@ sets it, plus per-run artifacts: JSON summaries, and the snapshot fields
 of each evolve run as one .npy array.
 A stability task is one (order, shape), so the pool splits the shapes.
 A check is one row, (record id, measured, budget[, params]), in its suite's
-task body; _records makes its record, failed if its run blew up.
+task body; _records makes its record, failed if its run stopped at a failed
+step.  Each budget is a program constant in the suite's table (Suite.tol),
+and every record carries its budget; no config key changes one.
 Reports carry no timestamps, keys are sorted, and floats are printed at 17
 significant digits, so rerunning a config reproduces the bytes exactly.
 
@@ -174,24 +176,20 @@ def _one_of_evolution(table: str) -> object:
 
 
 _POSITIVE = (lambda v: v > 0, "be positive")
-# zero is allowed for a budget: an impossible budget is the documented way to
-# force every check to fail (exercises the exit-1 path)
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
-_TOLERANCE = Key(_real, None, _NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     values: dict       # config key -> value, for every key the suite reads
-    tolerances: dict
     out_dir: str
     workers: int       # MKDVLAB_WORKERS; reports do not depend on it
 
     def echo(self) -> dict:
         out = {k: list(v) if isinstance(v, tuple) else v
                for k, v in self.values.items()}
-        out.update(command=self.command, tolerances=dict(self.tolerances))
+        out["command"] = self.command
         return out
 
 
@@ -244,7 +242,6 @@ def build_config(command: str, raw: dict, out_dir: str) -> RunConfig:
     for name in suite.library:
         importlib.import_module(f".{name}", __package__)
     values = {k: key.default for k, key in suite.keys.items()}
-    tol = dict(suite.tol)
     for k, text in raw.items():
         if k == "command":
             if text != command:
@@ -252,16 +249,13 @@ def build_config(command: str, raw: dict, out_dir: str) -> RunConfig:
                     f"config says command = {text!r}, invoked {command!r}")
         elif k in suite.keys:
             values[k] = _convert(command, k, suite.keys[k], text)
-        elif k.startswith("tol_") and k[4:] in tol:
-            tol[k[4:]] = _convert(command, k, _TOLERANCE, text)
         else:
-            reads = ["command", *suite.keys, *(f"tol_{n}" for n in tol)]
             raise ConfigError(f"{command} does not read config key {k!r}; "
-                              f"it reads {', '.join(reads)}")
+                              f"it reads {', '.join(['command', *suite.keys])}")
     suite.check(values)
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    return RunConfig(command, values, tol, out_dir, _workers())
+    return RunConfig(command, values, out_dir, _workers())
 
 
 def _workers() -> int:
@@ -331,19 +325,20 @@ def _slug(key: str, value) -> str:
     return f"{key}={_short(value) if isinstance(value, float) else value}"
 
 
-def _records(tag: dict, rows, blow_up=None) -> list:
+def _records(tag: dict, rows, stop=None) -> list:
     """One record per (record id, measured, budget[, params]) row, its params
     the tag's and the row's.  The sweep coordinates among them join the id,
-    so every record line is unique.  Given blow_up, the evolution.BlowUpError
-    that stopped the run, every row fails and says when and how."""
-    stop = {} if blow_up is None else {"t_blowup": blow_up.t,
-                                       "newton_residual": blow_up.residual}
+    so every record line is unique.  Given stop, the (t, residual) of the
+    failed step that stopped the run (evolution.Run.stop), every row fails
+    and says when and how."""
+    stopped = {} if stop is None else {"t_blowup": stop[0],
+                                       "newton_residual": stop[1]}
     recs = []
     for rid, measured, budget, *extra in rows:
-        params = {**tag, **dict(*extra), **stop}
+        params = {**tag, **dict(*extra), **stopped}
         coords = ",".join(_slug(k, params[k]) for k in _SLUG_KEYS
                           if k in params)
-        measured = math.inf if stop else float(measured)
+        measured = math.inf if stopped else float(measured)
         recs.append({"id": f"{rid}[{coords}]" if coords else rid,
                      "params": params, "measured": measured,
                      "budget": float(budget),
@@ -531,8 +526,9 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
 
 
 def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
-    """(error in cells, params: v_measured, v_law and the run's _work) of a
-    soliton run.
+    """(error in cells, params: v_measured, v_law and the run's work, the
+    run's stop) of a soliton run.  A run that stopped has no final field:
+    its params hold only its work, and its error is None.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
@@ -540,9 +536,12 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     """
     from . import evolution as ev
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
-    traj = ev.evolve(s0, scfg, monitors=(),
-                     snapshot_every=ev.step_count(scfg.t_end, scfg.dt))
-    a0, aT = traj[0].field.values, traj[-1].field.values
+    run = ev.evolve(s0, scfg, monitors=(),
+                    snapshot_every=ev.step_count(scfg.t_end, scfg.dt))
+    work = dict(zip(_WORK_KEYS, run.work))
+    if run.stop is not None:
+        return None, work, run.stop
+    a0, aT = run.snapshots[0].field.values, run.snapshots[-1].field.values
     corr = np.fft.irfft(np.fft.rfft(aT) * np.conj(np.fft.rfft(a0)),
                         n=len(a0))
     i = int(np.argmax(corr))
@@ -553,12 +552,7 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     v_meas = scfg.frame_speed + shift * scfg.window.spacing / scfg.t_end
     v_law = cf.soliton_speed(sp_.order, sp_.c)
     cells = abs(v_meas - v_law) * scfg.t_end / scfg.window.spacing
-    return cells, {"v_measured": v_meas, "v_law": v_law, **_work(traj)}
-
-
-def _work(run) -> dict:
-    from . import evolution as ev
-    return dict(zip(_WORK_KEYS, ev.solver_work(run)))
+    return cells, {"v_measured": v_meas, "v_law": v_law, **work}, None
 
 
 def _at_dt(cfg_run, dt):
@@ -597,32 +591,27 @@ def _evolve_point(task: dict) -> tuple:
     p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
     cfg_run = _at_dt(ev.breather_fidelity_config(order), task["dt"])
     monitors = ("M", "E", cf.energy_kind(order))
-    u0 = sample_breather(p, 0.0, cfg_run.window, m=0)
-    try:
-        traj, blow_up = ev.evolve(u0, cfg_run, monitors=monitors), None
-    except ev.BlowUpError as e:
-        traj, blow_up = e.trajectory, e
-    # a run that blew up is measured up to its last snapshot; _records
-    # fails its rows
+    run = ev.evolve(sample_breather(p, 0.0, cfg_run.window, m=0), cfg_run,
+                    monitors=monitors)
+    # a run that stopped is measured up to its last snapshot; _records fails
+    # its rows
+    traj = run.snapshots
     last = traj[-1]
     ref = sample_breather(p, last.t, last.field.window, m=0)
     err = SampledField(last.field.window, last.field.values - ref.values)
     rows = [("breather_h2", sobolev_norm(err, 2), tol["h2"],
              {"t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed,
-              **_work(traj if blow_up is None else blow_up)})]
+              **dict(zip(_WORK_KEYS, run.work))})]
     rows.extend((f"drift_{kind}", drift, tol["drift"])
                 for kind, drift in sorted(ev.functional_drifts(traj).items()))
-    recs = _records(tag, rows, blow_up)
+    recs = _records(tag, rows, run.stop)
 
     sp_, scfg = ev.soliton_speed_run(order)
     scfg = _at_dt(scfg, task["dt"])
-    try:
-        cells, speed, blow_up = *measure_soliton_speed(sp_, scfg), None
-    except ev.BlowUpError as e:
-        cells, speed, blow_up = None, _work(e), e
+    cells, speed, stop = measure_soliton_speed(sp_, scfg)
     recs += _records(tag, [("soliton_speed", cells, tol["speed_cells"],
-                            {"c": sp_.c, "dt": scfg.dt, **speed})], blow_up)
+                            {"c": sp_.c, "dt": scfg.dt, **speed})], stop)
     return recs, _trajectory_artifacts(f"evolve_order{order}", traj)
 
 
@@ -657,7 +646,7 @@ def _stability_point(task: dict) -> tuple:
         rows.append(("max_phase_speed", report.max_phase_speed,
                      tol["quotient_factor"] * eta))
     name = f"stability_order{order}_{shape}_eta{_short(eta)}.json"
-    return (_records(tag, rows, report.blow_up),
+    return (_records(tag, rows, report.stop),
             ((name, dump_json(report.to_json_dict())),))
 
 
@@ -668,9 +657,10 @@ def _stability_point(task: dict) -> tuple:
 class Suite:
     point: object        # task dict -> (records, artifacts)
     keys: dict           # config key -> Key, for every key the suite reads
-    tol: dict            # budget name -> default, set by tol_<name>
+    tol: dict            # budget name -> budget, a program constant that no
+                         # config sets; each record carries its own
     library: tuple       # the modules the tasks run, loaded by build_config
-    tail: object = None  # tolerances -> records that follow the tasks'
+    tail: object = None  # tol -> records that follow the tasks'
     check: object = lambda values: None  # values -> None or ConfigError
     memos: tuple = ()    # lru_cache'd helpers, cleared when run_suite returns
 
@@ -741,7 +731,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     swept = [k for k, key in suite.keys.items() if key.each]
     names = [suite.keys[k].each for k in swept]
     whole = {k: v for k, v in cfg.values.items() if k not in swept}
-    tasks = [{**whole, **dict(zip(names, vals)), "tol": cfg.tolerances}
+    tasks = [{**whole, **dict(zip(names, vals)), "tol": suite.tol}
              for vals in itertools.product(*(cfg.values[k] for k in swept))]
     records, artifacts = [], []
     try:
@@ -756,7 +746,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         for memo in suite.memos:
             memo.cache_clear()
     if suite.tail is not None:
-        records.extend(suite.tail(cfg.tolerances))
+        records.extend(suite.tail(suite.tol))
     _write_artifacts(cfg.out_dir, artifacts)
     return SuiteReport(cfg.command, tuple(records), cfg.echo())
 

@@ -18,9 +18,10 @@ below give the scheme, the solver's stopping rules and caps, Newton's
 operator, and the polyphase lift with its Nyquist rule.  Multipliers and
 the fit's H^2 inner product come from functionals.Window.
 
-Each run steps one field.  A failed step raises BlowUpError, which carries
-the trajectory up to it; the experiments that run several fields (the
-stability shapes) run them as separate tasks.
+Each run steps one field and returns a Run: its snapshots, the stop of a
+failed step (its time and relative Newton residual) or None, and its solver
+work.  The experiments that run several fields (the stability shapes) run
+them as separate tasks.
 
 Runs may use a uniformly translating window (EvolutionConfig.frame_speed).
 The advected term joins the constant-coefficient symbol, which stays purely
@@ -51,26 +52,6 @@ from . import closed_forms as cf
 from .functionals import SampledField, Window, sobolev_norm
 
 _RESOLUTION_TAIL = 1e-10
-
-
-class BlowUpError(RuntimeError):
-    """A time step failed: the Newton solve for its stage values reached an
-    iteration cap, or its residual turned non-finite.
-
-    Carries the time t the step was to reach, the relative Newton residual
-    |G| / (|v0| + dt |L v0|) at the last check (inf or nan for a non-finite
-    state; see the stepper notes), the trajectory of snapshots taken before
-    it, and the Krylov solves and GMRES iterations made since the last of
-    them, the failed step's included.
-    """
-
-    def __init__(self, t: float, residual: float, trajectory: list,
-                 krylov_solves: int, gmres_iterations: int):
-        super().__init__(f"time step to t={t:.6g} failed: relative Newton "
-                         f"residual {residual:.3g}")
-        self.t, self.residual, self.trajectory = t, residual, trajectory
-        self.krylov_solves = krylov_solves
-        self.gmres_iterations = gmres_iterations
 
 
 class FitError(RuntimeError):
@@ -471,14 +452,17 @@ class Snapshot:
     tail: float = 0.0          # _tail_fraction of the stepped spectrum
 
 
-def solver_work(run) -> tuple:
-    """(Krylov solves, GMRES iterations) of a whole run, given its
-    trajectory or the BlowUpError that ended it."""
-    if isinstance(run, BlowUpError):
-        solves, its = solver_work(run.trajectory)
-        return solves + run.krylov_solves, its + run.gmres_iterations
-    return (sum(s.krylov_solves for s in run),
-            sum(s.gmres_iterations for s in run))
+@dataclass(frozen=True)
+class Run:
+    """What evolve returns.  stop is (t, residual) of a failed step: the
+    time it was to reach and its relative Newton residual |G| / (|v0| + dt
+    |L v0|) at the last check (inf or nan for a non-finite state), or None
+    for a run that reached t_end.  work is the whole run's (Krylov solves,
+    GMRES iterations), the failed step's included."""
+
+    snapshots: list
+    stop: tuple | None
+    work: tuple
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -494,17 +478,19 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
-           snapshot_every: int | None = None) -> list:
-    """Run u0 to t_end and return its trajectory: snapshots with the
-    monitored functionals.
+           snapshot_every: int | None = None) -> Run:
+    """Run u0 to t_end, or to its first failed step, and return the Run:
+    snapshots with the monitored functionals, the stop and the work.
 
     Snapshots are taken every snapshot_every steps (default: about fifty per
     run) and always include the initial and final states; each carries the
     Krylov solves and GMRES iterations of the steps since the previous one,
     and the spectral tail of the stepped spectrum (the largest modulus in
     its top eighth of bins over the peak).  A tail above 1e-10 triggers a
-    single ResolutionWarning.  A failed step raises BlowUpError; a t_end
-    that is not a whole number of steps raises ValueError (see step_count).
+    single ResolutionWarning.  A step fails where its Newton solve reaches
+    an iteration cap or its residual turns non-finite; the run then stops
+    there, with the snapshots taken before it.  A t_end that is not a whole
+    number of steps raises ValueError (see step_count).
 
     Each monitor (a kind of closed_forms.density) is integrated as
     functionals.functional integrates it, on the snapshot's values and
@@ -550,12 +536,13 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
     work = (0, 0)  # since the last snapshot
-    carried = None
+    carried = stop = None
     for i in range(1, n_steps + 1):
         s = step(vhat, carried)
         work = (work[0] + s.solves, work[1] + s.krylov)
         if s.value is None:
-            raise BlowUpError(i * cfg.dt, s.residual, traj, *work)
+            stop = (i * cfg.dt, s.residual)
+            break
         vhat, carried = s.value, s.nonlinear
         if i % snapshot_every == 0 or i == n_steps:
             traj.append(snapshot(i, vhat, work))
@@ -565,7 +552,8 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
                               f"t={i * cfg.dt:.6g}", ResolutionWarning,
                               stacklevel=2)
                 warned = True
-    return traj
+    return Run(traj, stop, (sum(s.krylov_solves for s in traj) + work[0],
+                            sum(s.gmres_iterations for s in traj) + work[1]))
 
 
 def functional_drifts(traj: list[Snapshot]) -> dict:
@@ -695,7 +683,7 @@ class StabilityReport:
     phases_x2: tuple
     drifts: dict
     eta: float
-    blow_up: BlowUpError | None  # set when the run stopped early
+    stop: tuple | None           # the evolve Run's stop
     krylov_solves: int           # the solver's work over the run
     gmres_iterations: int
     fit_evaluations: int         # objective evaluations over the run's fits
@@ -735,9 +723,8 @@ class StabilityReport:
             "gmres_iterations": self.gmres_iterations,
             "fit_evaluations": self.fit_evaluations,
         }
-        if self.blow_up is not None:
-            out.update(t_blowup=self.blow_up.t,
-                       newton_residual=self.blow_up.residual)
+        if self.stop is not None:
+            out.update(t_blowup=self.stop[0], newton_residual=self.stop[1])
         return out
 
 
@@ -774,8 +761,8 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shape: str,
 
     The perturbation is L2-normalized, scaled to H^2 size eta, and added to
     the breather at t=0; the shape 'random' draws from
-    np.random.default_rng(seed).  The snapshots go to track_modulation; a run
-    that blows up reports its partial trajectory and carries the BlowUpError.
+    np.random.default_rng(seed).  The run goes to track_modulation; a run
+    that stops early reports its snapshots before the stop, and the stop.
     """
     if not 0.0 <= eta <= 0.1:
         raise ValueError("eta must lie in [0, 0.1]")
@@ -788,28 +775,25 @@ def stability_experiment(p: cf.BreatherParams, eta: float, shape: str,
         values = values + bump * (eta / sobolev_norm(SampledField(w, bump), 2))
 
     monitors = ("M", "E", cf.energy_kind(p.order))
-    try:
-        traj = evolve(SampledField(w, values), cfg, monitors=monitors,
-                      snapshot_every=snapshot_every)
-    except BlowUpError as e:
-        return track_modulation(p, e.trajectory, eta, e)
-    return track_modulation(p, traj, eta)
+    return track_modulation(p, evolve(SampledField(w, values), cfg,
+                                      monitors=monitors,
+                                      snapshot_every=snapshot_every), eta)
 
 
-def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
-                     blow_up: BlowUpError | None = None) -> StabilityReport:
-    """Fit each snapshot by a phase-modulated breather, seeded with the
-    phases of the last two fits extrapolated linearly in time (the last
-    fit's phases at the second snapshot, zero at the first).  The report
-    carries the run's solver_work.
+def track_modulation(p: cf.BreatherParams, run: Run,
+                     eta: float) -> StabilityReport:
+    """Fit each snapshot of an evolve Run by a phase-modulated breather,
+    seeded with the phases of the last two fits extrapolated linearly in
+    time (the last fit's phases at the second snapshot, zero at the first).
+    The report carries the run's stop and work.
 
-    For a trajectory cut short by blow_up, the BlowUpError that ended it,
-    the report ends before the first snapshot whose fit fails, since the
-    last ones before a blow-up may be too far from any breather to fit.
+    For a run that stopped at a failed step, the report ends before the
+    first snapshot whose fit fails, since the last ones before a blow-up
+    may be too far from any breather to fit.
     """
     times, dists, xs1, xs2 = [], [], [], []
     memory = FitMemory()
-    for snap in traj:
+    for snap in run.snapshots:
         seed = (xs1[-1], xs2[-1]) if times else (0.0, 0.0)
         if len(times) > 1:
             r = (snap.t - times[-1]) / (times[-1] - times[-2])
@@ -819,7 +803,7 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
             x1, x2, dist = fit_modulation(snap.field, p, snap.t, seed=seed,
                                           memory=memory)
         except FitError:
-            if blow_up is None:
+            if run.stop is None:
                 raise
             break
         times.append(snap.t)
@@ -828,9 +812,8 @@ def track_modulation(p: cf.BreatherParams, traj: list, eta: float,
         xs2.append(x2)
 
     return StabilityReport(tuple(times), tuple(dists), tuple(xs1), tuple(xs2),
-                           functional_drifts(traj[:len(times)]), eta, blow_up,
-                           *solver_work(traj if blow_up is None else blow_up),
-                           memory.evaluations)
+                           functional_drifts(run.snapshots[:len(times)]),
+                           eta, run.stop, *run.work, memory.evaluations)
 
 
 # --------------------------------------------------------------------------

@@ -42,8 +42,9 @@ def test_parse_flat_file(tmp_path):
     assert cfg.values["orders"] == (5,)
     assert cfg.values["alpha"] == (1.1,)
     assert cfg.values["t"] == (0.0, 0.37)
-    # unset knobs fall back to the command defaults
-    assert cfg.tolerances["breather_ode"] == 1e-8
+    # the budgets are the suite's table, which no config reaches
+    assert not hasattr(cfg, "tolerances")
+    assert cli.SUITES["verify"].tol["breather_ode"] == 1e-8
 
 
 def test_parse_errors(tmp_path):
@@ -66,12 +67,6 @@ def test_build_config_rejections(tmp_path):
         cli.build_config("verify", {"orders": ""}, out)
     with pytest.raises(cli.ConfigError):  # command mismatch inside the file
         cli.build_config("verify", {"command": "spectrum"}, out)
-    with pytest.raises(cli.ConfigError):  # unknown tolerance name
-        cli.build_config("verify", {"tol_bogus": "1e-3"}, out)
-    with pytest.raises(cli.ConfigError):  # negative budget
-        cli.build_config("verify", {"tol_breather_ode": "-1"}, out)
-    with pytest.raises(cli.ConfigError):  # non-finite budget
-        cli.build_config("verify", {"tol_breather_ode": "inf"}, out)
     with pytest.raises(cli.ConfigError):  # eta is capped
         cli.build_config("stability", {"eta": "0.5"}, out)
     with pytest.raises(cli.ConfigError):  # spread check halves the window
@@ -90,12 +85,16 @@ READS = {
 }
 
 
-# keys that a suite once read and no suite reads now
-REMOVED = {"window_center", "window_half_width"}
-
-
-def _tol_keys(suite):
-    return {f"tol_{name}" for name in cli.SUITES[suite].tol}
+# keys that a suite once read and no suite reads now: the window keys, and
+# the tol_<name> keys that once reset each budget of each suite
+REMOVED = {"window_center", "window_half_width"} | {
+    f"tol_{name}" for name in (
+        "breather_ode", "soliton_ode", "identity", "energy", "reduction",
+        "unique",                                               # verify
+        "counts", "edge", "form", "b0", "wronskian", "coercivity",
+        "spread",                                               # spectrum
+        "h2", "drift", "speed_cells",                           # evolve
+        "sup_factor", "quotient_factor", "floor")}              # stability
 
 
 def test_each_suite_reads_its_table():
@@ -106,14 +105,12 @@ def test_each_suite_reads_its_table():
 @pytest.mark.parametrize("suite", sorted(READS))
 def test_report_echoes_each_key_under_the_name_that_sets_it(tmp_path, suite):
     cfg = cli.build_config(suite, {}, str(tmp_path))
-    assert set(cfg.echo()) == READS[suite] | {"tolerances"}
+    assert set(cfg.echo()) == READS[suite]
 
 
 @pytest.mark.parametrize("suite,key", [
     (suite, key) for suite in sorted(READS)
-    for key in sorted(set().union(*READS.values(), *map(_tol_keys, READS),
-                                  REMOVED)
-                      - READS[suite] - _tol_keys(suite))])
+    for key in sorted(set().union(*READS.values(), REMOVED) - READS[suite])])
 def test_unread_key_is_rejected(tmp_path, suite, key):
     with pytest.raises(cli.ConfigError, match=f"{suite} .*'{key}'"):
         cli.build_config(suite, {key: "1"}, str(tmp_path))
@@ -171,12 +168,6 @@ def test_seed_is_set_only_by_its_config_key(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_main(["verify", "--out", str(tmp_path), "--seed", "1"])
     assert exc.value.code == 2
-
-
-def test_zero_budget_allowed(tmp_path):
-    # a zero budget is the documented way to force a red run
-    cfg = cli.build_config("verify", {"tol_identity": "0"}, str(tmp_path))
-    assert cfg.tolerances["identity"] == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -287,17 +278,18 @@ def test_verify_run_and_determinism(tmp_path):
         assert math.isfinite(r["measured"])
 
 
-def test_zero_budget_run_fails(tmp_path):
-    text = SMALL_VERIFY + "".join(
-        f"tol_{name} = 0\n"
-        for name in ("breather_ode", "soliton_ode", "identity", "energy",
-                     "reduction", "unique"))
-    cfgp = write_cfg(tmp_path / "c.txt", text)
+def test_zero_budget_run_fails(tmp_path, monkeypatch):
+    # the exit-1 path: with every budget of the suite's table at zero, no
+    # check passes
+    for name in list(cli.SUITES["verify"].tol):
+        monkeypatch.setitem(cli.SUITES["verify"].tol, name, 0.0)
+    cfgp = write_cfg(tmp_path / "c.txt", SMALL_VERIFY)
     out = tmp_path / "o"
     out.mkdir()
     assert run_main(["verify", "--config", cfgp, "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert not any(r["pass"] for r in report["records"])
+    assert {r["budget"] for r in report["records"]} == {0.0}
 
 
 def test_worker_pool_matches_sequential(tmp_path, monkeypatch):

@@ -205,7 +205,7 @@ def test_order5_breather_few_hundred_steps():
     p = cf.BreatherParams(5, 0.6, 0.5)
     cfg = small_config(5, dt=5e-4, t_end=300 * 5e-4)
     u0 = sample_breather(p, 0.0, cfg.window, m=0)
-    traj = ev.evolve(u0, cfg, monitors=("M", "E"))
+    traj = ev.evolve(u0, cfg, monitors=("M", "E")).snapshots
     last = traj[-1]
     assert last.t == pytest.approx(0.15)
     ref = sample_breather(p, last.t, last.field.window, m=0)
@@ -224,7 +224,7 @@ def test_order5_soliton_speed_law_short_horizon():
     sp = cf.SolitonParams(5, 2.0)
     w = Window(0.0, 13.0, N_SMALL)
     cfg = small_config(5, dt=1e-3, t_end=0.1, window=w)
-    traj = ev.evolve(sample_soliton(sp, 0.0, w, m=0), cfg)
+    traj = ev.evolve(sample_soliton(sp, 0.0, w, m=0), cfg).snapshots
     ref = sample_soliton(sp, 0.1, w, m=0)
     err = SampledField(w, traj[-1].field.values - ref.values)
     assert sobolev_norm(err, 2) < 1e-4
@@ -236,7 +236,8 @@ def test_frame_speed_moves_snapshot_windows():
     cfg = replace(cfg, t_end=10 * cfg.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
-        traj = ev.evolve(sample_breather(p, 0.0, cfg.window, m=0), cfg)
+        traj = ev.evolve(sample_breather(p, 0.0, cfg.window, m=0),
+                         cfg).snapshots
     assert traj[-1].field.window.center == pytest.approx(
         cfg.frame_speed * traj[-1].t)
 
@@ -251,7 +252,8 @@ def test_snapshot_monitors_and_tails_are_those_of_the_plain_field():
     monitors = ("M", "E", "E5", "E9")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        traj = ev.evolve(u0, cfg, monitors=monitors, snapshot_every=2)
+        traj = ev.evolve(u0, cfg, monitors=monitors,
+                         snapshot_every=2).snapshots
     assert [s.t for s in traj] == [0.0, 2e-3, 4e-3, 6e-3]
     for snap in traj:
         assert snap.field.derivs == ()
@@ -300,7 +302,7 @@ def test_snapshot_monitors_are_functional_on_a_derivative_jet(order, bump):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         traj = ev.evolve(SampledField(w, values), cfg, monitors=monitors,
-                         snapshot_every=1)
+                         snapshot_every=1).snapshots
     assert len(traj) == 5
     assert not [c for c in caught if not issubclass(c.category,
                                                     ev.ResolutionWarning)]
@@ -331,20 +333,32 @@ def test_breather_fidelity_config_follows_run_alpha_beta(monkeypatch):
 def _blowing_field(w):
     # on 256 points at dt 1e-3 the order-5 Newton solve takes more Krylov
     # solves each step and reaches the GMRES cap at the third step (relative
-    # residual ~4e2), so the error carries a trajectory of several
-    # snapshots; a taller bump such as 10 exp(-x^2) fails at the first step
+    # residual ~4e2), so the run stops with several snapshots; a taller bump
+    # such as 10 exp(-x^2) fails at the first step
     return SampledField(w, 4.0 * np.exp(-w.grid() ** 2))
 
 
-def test_blow_up_raises():
+def _blowing_run(snapshot_every=None):
     w = Window(0.0, 30.0, N_SMALL)
     cfg = small_config(5, dt=1e-3, t_end=1.0, window=w)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", ev.ResolutionWarning)
-        with pytest.raises(ev.BlowUpError, match="time step to t=") as err:
-            ev.evolve(_blowing_field(w), cfg)
-    assert 0.0 < err.value.t < cfg.t_end
-    assert err.value.residual > ev._NEWTON_TOL
+        return cfg, ev.evolve(_blowing_field(w), cfg,
+                              snapshot_every=snapshot_every)
+
+
+def _work(snapshots):
+    # the (Krylov solves, GMRES iterations) that reached these snapshots
+    return (sum(s.krylov_solves for s in snapshots),
+            sum(s.gmres_iterations for s in snapshots))
+
+
+def test_blow_up_stops_the_run():
+    cfg, run = _blowing_run()
+    t, residual = run.stop
+    assert 0.0 < t < cfg.t_end
+    assert residual > ev._NEWTON_TOL
+    assert run.snapshots[-1].t < t
 
 
 @pytest.mark.parametrize("order", ev.EVOLVE_ORDERS)
@@ -360,9 +374,10 @@ def test_riding_order5_soliton_solves_once_on_its_first_step():
     # the Newton target alone
     sp, cfg = ev.soliton_speed_run(5)
     cfg = replace(cfg, t_end=20 * cfg.dt)
-    traj = ev.evolve(sample_soliton(sp, 0.0, cfg.window, m=0), cfg,
-                     snapshot_every=1)
-    assert [ev.solver_work(traj[:k + 1]) for k in (1, 20)] == [(1, 1)] * 2
+    run = ev.evolve(sample_soliton(sp, 0.0, cfg.window, m=0), cfg,
+                    snapshot_every=1)
+    assert [_work(run.snapshots[:k + 1]) for k in (1, 20)] == [(1, 1)] * 2
+    assert run.stop is None and run.work == (1, 1)
 
 
 def test_static_breather_solves_once_on_its_first_step():
@@ -687,9 +702,9 @@ def test_static_order5_runs_evaluate_n_once_per_carried_step(run,
     cfg, u0 = _shipped_runs()[run]
     cfg = replace(cfg, t_end=20 * cfg.dt)
     calls, _ = _count_fluxes_and_lifts(5, monkeypatch)
-    traj = ev.evolve(u0, cfg)
+    evolved = ev.evolve(u0, cfg)
     monkeypatch.undo()
-    assert ev.solver_work(traj) == (1, 1)
+    assert evolved.work == (1, 1)
     assert calls == [True] * 2 + [False] * 3 + [True] * (1 + 19)
 
 
@@ -724,10 +739,10 @@ def test_a_carried_start_that_misses_the_target_still_runs_the_guard(
         assert s.value is not None and s.solves >= 1
 
 
-def test_blow_up_with_the_carried_start_raises_with_its_work(monkeypatch):
+def test_blow_up_with_the_carried_start_stops_with_its_work(monkeypatch):
     # evolve hands each step the stage nonlinearity of the one before; the
     # blowing field still fails, on a step that was handed one, and the
-    # error carries every step's solves and iterations
+    # stopped run carries every step's solves and iterations
     w = Window(0.0, 30.0, N_SMALL)
     cfg = small_config(5, dt=1e-3, t_end=1.0, window=w)
     stepper = ev._stepper(cfg)
@@ -742,13 +757,12 @@ def test_blow_up_with_the_carried_start_raises_with_its_work(monkeypatch):
                         lambda c: replace(stepper, step=recording))
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", ev.ResolutionWarning)
-        with pytest.raises(ev.BlowUpError) as err:
-            ev.evolve(_blowing_field(w), cfg, snapshot_every=10**9)
+        run = ev.evolve(_blowing_field(w), cfg, snapshot_every=10**9)
     assert [c for c, _, _ in seen] == [False] + [True] * (len(seen) - 1)
     assert len(seen) >= 2
-    assert err.value.t == pytest.approx(len(seen) * cfg.dt)
-    assert ev.solver_work(err.value) == (sum(n for _, n, _ in seen),
-                                         sum(k for _, _, k in seen))
+    assert run.stop[0] == pytest.approx(len(seen) * cfg.dt)
+    assert run.work == (sum(n for _, n, _ in seen),
+                        sum(k for _, _, k in seen))
 
 
 @pytest.mark.parametrize("order", [5, 7, 9])
@@ -857,7 +871,7 @@ def test_default_shapes_solver_work_and_distances():
     assert [r.fit_evaluations for r in reports] == [126, 63, 67]
     for r, want in zip(reports, (0.0761158856, 9.00607254e-06,
                                  0.0100064085143)):
-        assert r.blow_up is None
+        assert r.stop is None
         assert r.sup_distance == pytest.approx(want, rel=1e-9)
 
 
@@ -867,7 +881,7 @@ def test_snapshots_carry_the_solver_work_since_the_previous_one():
     u0 = sample_breather(p, 0.0, cfg.window, m=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
-        traj = ev.evolve(u0, cfg, snapshot_every=4)
+        run = ev.evolve(u0, cfg, snapshot_every=4)
     step = ev._stepper(cfg).step
     v, carried, work = np.fft.rfft(u0.values), None, []
     for _ in range(6):
@@ -875,32 +889,27 @@ def test_snapshots_carry_the_solver_work_since_the_previous_one():
         work.append((s.solves, s.krylov))
         v, carried = s.value, s.nonlinear
     # snapshots after steps 0, 4 and 6
-    assert [(s.krylov_solves, s.gmres_iterations) for s in traj] == [
-        (0, 0), tuple(map(sum, zip(*work[:4]))),
-        tuple(map(sum, zip(*work[4:])))]
+    assert [(s.krylov_solves, s.gmres_iterations) for s in run.snapshots] \
+        == [(0, 0), tuple(map(sum, zip(*work[:4]))),
+            tuple(map(sum, zip(*work[4:])))]
     assert all(n >= 1 and k >= n for n, k in work)
-    assert ev.solver_work(traj) == tuple(map(sum, zip(*work)))
+    assert run.work == tuple(map(sum, zip(*work)))
 
 
 def test_blow_up_carries_the_work_after_its_last_snapshot():
-    w = Window(0.0, 30.0, N_SMALL)
-    cfg = small_config(5, dt=1e-3, t_end=1.0, window=w)
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", ev.ResolutionWarning)
-        with pytest.raises(ev.BlowUpError) as every:
-            ev.evolve(_blowing_field(w), cfg, snapshot_every=1)
-        with pytest.raises(ev.BlowUpError) as first:
-            ev.evolve(_blowing_field(w), cfg, snapshot_every=10**9)
-    # the failed step's own solves and iterations, up to a cap
-    err = every.value
-    assert err.krylov_solves >= 1 and err.gmres_iterations >= 1
-    assert (err.krylov_solves == ev._NEWTON_MAX
-            or err.gmres_iterations >= ev._GMRES_MAX
-            or not math.isfinite(err.residual))
-    # with no snapshot after the start, the error holds the whole run's work
-    assert len(first.value.trajectory) == 1
-    assert ev.solver_work(first.value) == ev.solver_work(err) == (
-        first.value.krylov_solves, first.value.gmres_iterations)
+    _, every = _blowing_run(snapshot_every=1)
+    _, first = _blowing_run(snapshot_every=10**9)
+    # the failed step's own solves and iterations, the run's work beyond
+    # that of its snapshots, up to a cap
+    solves, its = (a - b for a, b in zip(every.work, _work(every.snapshots)))
+    assert solves >= 1 and its >= 1
+    assert (solves == ev._NEWTON_MAX or its >= ev._GMRES_MAX
+            or not math.isfinite(every.stop[1]))
+    # with no snapshot after the start, none of the run's work is a
+    # snapshot's
+    assert len(first.snapshots) == 1 and _work(first.snapshots) == (0, 0)
+    assert first.work == every.work
+    assert first.stop == every.stop
 
 
 def test_config_rejections():
@@ -976,8 +985,8 @@ def test_carried_fit_lands_on_the_fresh_fit(monkeypatch):
     cfg = ev.stability_run_config(5, t_end=0.03)
     u0 = SampledField(cfg.window,
                       _perturbed_breather(p, "gaussian", 0.01, cfg.window))
-    traj = ev.evolve(u0, cfg, snapshot_every=3)
-    carried = ev.track_modulation(p, traj, 0.01)
+    run = ev.evolve(u0, cfg, snapshot_every=3)
+    carried = ev.track_modulation(p, run, 0.01)
     fit, evaluations = ev.fit_modulation, []
 
     def fresh(u, p_, t, seed=(0.0, 0.0), memory=None):
@@ -987,8 +996,8 @@ def test_carried_fit_lands_on_the_fresh_fit(monkeypatch):
         return out
 
     monkeypatch.setattr(ev, "fit_modulation", fresh)
-    alone = ev.track_modulation(p, traj, 0.01)
-    assert len(carried.times) == len(alone.times) == len(traj) == 11
+    alone = ev.track_modulation(p, run, 0.01)
+    assert len(carried.times) == len(alone.times) == len(run.snapshots) == 11
     assert carried.phases_x1 + carried.phases_x2 == pytest.approx(
         alone.phases_x1 + alone.phases_x2, abs=1e-9)
     assert carried.distances == pytest.approx(alone.distances, rel=1e-12)
@@ -1052,7 +1061,7 @@ def test_random_shape_stability_run_is_deterministic():
         a, b = [ev.stability_experiment(p, 0.01, "random", cfg,
                                         snapshot_every=5, seed=11)
                 for _ in range(2)]
-    assert a.blow_up is None and len(a.times) == 3
+    assert a.stop is None and len(a.times) == 3
     assert a.to_json_dict() == b.to_json_dict()
     assert a.distances == b.distances
 
@@ -1075,8 +1084,8 @@ def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
 
     monkeypatch.setattr(ev, "breather_fidelity_config", short_fidelity)
     monkeypatch.setattr(ev, "soliton_speed_run", short_soliton)
-    tol = cli.build_config("evolve", {}, ".").tolerances
-    recs, _ = cli._evolve_point({"order": 5, "dt": 1e-6, "tol": tol})
+    recs, _ = cli._evolve_point({"order": 5, "dt": 1e-6,
+                                 "tol": cli.SUITES["evolve"].tol})
     tagged = {r["id"].split("[")[0]: r for r in recs if "dt" in r["params"]}
     assert sorted(tagged) == ["breather_h2", "soliton_speed"]
     for r in tagged.values():
@@ -1095,7 +1104,7 @@ def test_trajectory_artifacts_hold_the_fields_bit_for_bit():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
         traj = ev.evolve(sample_breather(p, 0.0, cfg.window, m=0), cfg,
-                         monitors=("M",), snapshot_every=1)
+                         monitors=("M",), snapshot_every=1).snapshots
     arts = cli._trajectory_artifacts("evolve_order5", traj)
     assert [name for name, _ in arts] == ["evolve_order5/fields.npy",
                                           "evolve_order5/manifest.json"]
@@ -1213,6 +1222,11 @@ def test_evolve_blow_up_becomes_failed_records(tmp_path, monkeypatch):
     assert [r["id"].split("[")[0] for r in worked] == ["breather_h2",
                                                        "soliton_speed"]
     assert all(r["params"]["krylov_solves"] >= 1 for r in worked)
+    # the stopped soliton run keeps only its first snapshot, so nothing
+    # measures its speed: its record holds the run's work and no speed
+    speed = worked[1]["params"]
+    assert "gmres_iterations" in speed
+    assert "v_measured" not in speed and "v_law" not in speed
     # the partial trajectory is written, up to the last snapshot before it
     manifest = json.loads(
         (out / "evolve_order5" / "manifest.json").read_text())
@@ -1264,10 +1278,10 @@ def test_track_modulation_stops_at_a_failed_fit_only_after_a_blow_up(
 
     monkeypatch.setattr(ev, "fit_modulation", failing_third)
     with pytest.raises(ev.FitError):
-        ev.track_modulation(p, traj, 0.01)
-    report = ev.track_modulation(p, traj, 0.01,
-                                 ev.BlowUpError(0.04, 1.0, traj, 0, 0))
+        ev.track_modulation(p, ev.Run(traj, None, (0, 0)), 0.01)
+    report = ev.track_modulation(p, ev.Run(traj, (0.04, 1.0), (0, 0)), 0.01)
     assert report.times == (0.0, 0.01)
+    assert report.stop == (0.04, 1.0)
     assert report.sup_distance < 1e-10
     assert report.drifts == {"M": 0.0}  # over the fitted snapshots only
 
@@ -1320,8 +1334,10 @@ def test_default_evolve_suite_passes(tmp_path):
 
 @pytest.mark.slow
 def test_default_stability_suite_keeps_every_shape_close(tmp_path):
-    # the gaussian's max_phase_speed is left out: its phases drift linearly
-    # in eta, which a phase-only fit reads as a speed (ROADMAP Direction 1)
+    # the gaussian's max_phase_speed is left out: its fitted phases drift at
+    # the shifted breather's velocity change, (-0.126, +0.052) per unit time,
+    # 17.8 eta against a 10 eta budget (ROADMAP Probe M); Direction 17 step 2
+    # replaces that check
     _, records = _default_suite(tmp_path, "stability")
     sup = [r for r in records if r["id"].startswith("sup_distance")]
     assert [r["id"].split(",")[1] for r in sup] == [
@@ -1346,14 +1362,14 @@ def test_soliton_run_steps_at_the_rounding_floor(order):
     sp, cfg = ev.soliton_speed_run(order)
     errors = []
     for k in (1, 2, 4):
-        run = replace(cfg, dt=cfg.dt / k)
-        traj = ev.evolve(sample_soliton(sp, 0.0, run.window, m=0), run,
-                         snapshot_every=ev.step_count(run.t_end, run.dt))
-        last = traj[-1]
+        halved = replace(cfg, dt=cfg.dt / k)
+        run = ev.evolve(sample_soliton(sp, 0.0, halved.window, m=0), halved,
+                        snapshot_every=ev.step_count(halved.t_end, halved.dt))
+        last = run.snapshots[-1]
         ref = sample_soliton(sp, last.t, last.field.window, m=0)
         errors.append(sobolev_norm(SampledField(
             last.field.window, last.field.values - ref.values), 2))
         if order == 5 and k == 1:
-            assert ev.solver_work(traj) == (1, 1)
+            assert run.work == (1, 1)
     assert max(errors) < 1e-10
     assert errors[1] > errors[0] / 2 and errors[2] > errors[1] / 2, errors
