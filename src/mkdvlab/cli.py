@@ -718,7 +718,7 @@ SUITES = {
         "dt": _DT,
         "seed": _SEED,
     }, {"sup_factor": 10.0, "quotient_factor": 10.0, "floor": 1e-5},
-        library=("evolution", "spectral"), check=_check_stability_steps),
+        library=("evolution",), check=_check_stability_steps),
 }
 
 

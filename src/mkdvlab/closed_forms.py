@@ -27,7 +27,8 @@ cosh(beta y2) and r = beta/alpha, the breather is B = 2N/D with
 and the rows of B follow from one Taylor-quotient recurrence; the soliton
 sqrt(c)/cosh z is the same quotient on (cosh z, sinh z).  Every coefficient
 is a polynomial in alpha and beta and every basis function is analytic, so
-complex steps in x1, x2, alpha or beta give exact parameter derivatives.
+complex steps in x1, x2, alpha or beta give exact parameter derivatives
+(`breather_derivative`).
 cosh 2 beta y2 overflows past |beta y2| ~ 354.
 
 The velocity pairs obey
@@ -39,15 +40,16 @@ one contested delta_9 exponent empirically.
 
 Differential polynomials are term lists with d/dx, `reduce_terms` (d/dx F
 plus a remainder free of total derivatives) and its case `integrate`, the
-Euler operator, the Frechet derivative, the second variation (Olver,
-Applications of Lie Groups to Differential Equations, sections 4-5), and
-`eliminate`, which rewrites every derivative at or above an equation's
-order by that equation (by the breather equation once per order, its
-weights left symbolic: `reduced_evolution_terms`).  No hierarchy
-coefficient is typed in: from u, the first flow, the recursion operator
-gives every u_{2n x} + f_{2n+1}, the homotopy formula the densities M, E,
-E5, ..., E11, and those the breather equation dH/du = 0,
-H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M.
+Euler operator, the Frechet derivative (Olver, Applications of Lie Groups
+to Differential Equations, sections 4-5), and `eliminate`, which rewrites
+every derivative at or above an equation's order by that equation (by the
+breather equation once per order, its weights left symbolic:
+`reduced_evolution_terms`).  No hierarchy coefficient is typed in: from u,
+the first flow, the recursion operator gives every u_{2n x} + f_{2n+1}, the
+homotopy formula the densities M, E, E5, ..., E11, and those the breather
+equation dH/du = 0, H = E5 + 2(beta^2 - alpha^2) E + (alpha^2 + beta^2)^2 M,
+whose Frechet derivative is the one linearization L
+(`breather_linearization`): H's second variation at B is Q[z] = <z, L z>.
 """
 
 from __future__ import annotations
@@ -304,6 +306,20 @@ def partial_mass_t(p: BreatherParams, t: float, x):
                             mass=True).mass_t
 
 
+_CSTEP = 1e-150
+
+
+def breather_derivative(p: BreatherParams, name: str, t: float, x,
+                        m: int = 0) -> np.ndarray:
+    """Rows 0..m of the derivative of the breather's jet in the parameter
+    `name` (x1, x2, alpha or beta), by an imaginary step of 1e-150: exact
+    to rounding, with no difference quotient to tune."""
+    params = {"alpha": p.alpha, "beta": p.beta, "x1": p.x1, "x2": p.x2}
+    params[name] = params[name] + 1j * _CSTEP
+    jet = breather_jet_raw(p.order, t=t, x=x, m=m, **params)
+    return np.vstack((jet.value, jet.dx)).imag / _CSTEP
+
+
 # --------------------------------------------------------------------------
 # soliton evaluation
 
@@ -471,14 +487,6 @@ def frechet(terms):
 
 
 @functools.lru_cache(maxsize=None)
-def second_variation(terms):
-    """d^2/ds^2 of the density at u + s z, as ((j, k), coefficient of
-    z_{jx} z_{kx}) pairs over j <= k."""
-    return tuple(((j, k), scale(1.0 if j == k else 2.0, q))
-                 for j, p in frechet(terms) for k, q in frechet(p) if j <= k)
-
-
-@functools.lru_cache(maxsize=None)
 def evolution_terms(order: int):
     """F_order = u_{(order-1)x} + f_order of the flow u_t = -d/dx F_order,
     any odd order, from F_1 = u by the mKdV recursion operator (Olver,
@@ -586,23 +594,14 @@ def at_weights(terms, alpha, beta):
     return tuple(term for term in evaluated if term[0])
 
 
-def _weighted(alpha, beta, derive):
-    """{key: sum over H's weights of w derive(density)[key]}."""
+def breather_linearization(alpha, beta):
+    """L = (dH/du)' as {k: coefficient of z_{kx}}, functions of u: the
+    second variation of H, Q[z] = <z, L z>."""
     out = {}
     for w, kind in breather_weights(alpha, beta):
-        for key, terms in derive(density(kind)):
-            out[key] = out.get(key, ()) + scale(w, terms)
+        for k, terms in frechet(euler(density(kind))):
+            out[k] = out.get(k, ()) + scale(w, terms)
     return out
-
-
-def breather_linearization(alpha, beta):
-    """L = (dH/du)' as {k: coefficient of z_{kx}}, functions of u."""
-    return _weighted(alpha, beta, lambda terms: frechet(euler(terms)))
-
-
-def breather_hessian(alpha, beta):
-    """The second variation of H's density, {(j, k): coefficient}."""
-    return _weighted(alpha, beta, second_variation)
 
 
 @functools.lru_cache(maxsize=None)

@@ -733,13 +733,12 @@ def perturbation_shape(name: str, p: cf.BreatherParams, w: Window,
     """Raw perturbation profiles: a unit-width bump at the breather core, the
     kernel direction B1, the scaling direction along beta, or a seeded random
     superposition of the lowest Fourier modes under a gaussian envelope."""
-    from .spectral import directions
     if name == "gaussian":
         return np.exp(-0.5 * (w.grid() - p.core(0.0)) ** 2)
     if name == "B1":
-        return directions(p, 0.0, w).B1
+        return cf.breather_derivative(p, "x1", 0.0, w.grid())[0]
     if name == "LambdaBeta":
-        return directions(p, 0.0, w).lambda_beta
+        return cf.breather_derivative(p, "beta", 0.0, w.grid())[0]
     if name == "random":
         if rng is None:
             raise ValueError("shape 'random' needs an rng")

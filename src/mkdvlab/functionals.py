@@ -1,11 +1,13 @@
 """Conserved functionals evaluated by quadrature on windowed samples.
 
 Mass M, energy E, the higher-order energies E5 to E11, the breather
-functional H (`lyapunov`), Sobolev norms, and the second-order expansion of
-H around a breather.  Integrals over the real line are truncated to a
-uniform periodic window; the integrands decay super-exponentially inside
-properly sized windows, so the plain rectangle (periodic trapezoid) sum
-converges spectrally.
+functional H (`lyapunov`), Sobolev norms, the coefficients of H's
+linearization L at a breather (`linearization_coefficients`, which
+`spectral` assembles), and the expansion of H around a breather, whose
+quadratic part is Q[z]/2 = (1/2) int z L[z].  Integrals over the real line
+are truncated to a uniform periodic window; the integrands decay
+super-exponentially inside properly sized windows, so the plain rectangle
+(periodic trapezoid) sum converges spectrally.
 
 `Window` owns the Fourier calculus of every module: rfft wavenumbers, the
 multipliers (i k)^m with their Nyquist rule, and the H^s weight and inner
@@ -163,15 +165,8 @@ def sample_breather(p: cf.BreatherParams, t: float, w: Window | None = None,
     return SampledField(w, j.value, tuple(j.dx))
 
 
-def default_soliton_window(sp: cf.SolitonParams, t: float) -> Window:
-    half = 30.0 / math.sqrt(sp.c) + 5.0
-    return Window(center=sp.speed() * t, half_width=half, n_points=2048)
-
-
-def sample_soliton(sp: cf.SolitonParams, t: float, w: Window | None = None,
+def sample_soliton(sp: cf.SolitonParams, t: float, w: Window,
                    m: int = 4) -> SampledField:
-    if w is None:
-        w = default_soliton_window(sp, t)
     j = cf.soliton_jet(sp, t, w.grid(), m=m)
     return SampledField(w, j.value, tuple(j.dx))
 
@@ -291,23 +286,28 @@ def higher_energy_conjecture(order: int, alpha: float,
 
 
 # --------------------------------------------------------------------------
-# expansion of H around the breather
+# the linearization L at the breather and the expansion of H around it
 
-def quadratic_form_density(p: cf.BreatherParams, t: float, x: np.ndarray,
-                           z: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Integrand of Q[z], the second variation of H at B, in the
-    integrated-by-parts layout (equals int z L z after two parts steps)."""
-    hessian = cf.breather_hessian(p.alpha, p.beta)
-    j = cf.breather_jet(p, t, x, m=max(map(cf.max_order, hessian.values())))
-    B = [j.value, *j.dx]
-    zs = (z, z1, z2)
-    return sum(cf.eval_flux_terms(terms, B) * zs[a] * zs[b]
-               for (a, b), terms in hessian.items())
+def linearization_coefficients(p: cf.BreatherParams, t: float, w: Window,
+                               background: SampledField | None) -> dict:
+    """{k: c_k} with L[z] = sum_k c_k z_{kx}, L = (dH/du)' of
+    closed_forms.breather_linearization, sampled on w from the jet of the
+    background field, or, for None, of the breather p at time t.  The one
+    evaluation of L: spectral.build_operator assembles it, and
+    expansion_remainder's Q[z] = <z, L z> reads it."""
+    terms = cf.breather_linearization(p.alpha, p.beta)
+    m = max(map(cf.max_order, terms.values()))
+    if background is None:
+        background = sample_breather(p, t, w, m=m)
+    jet = [background.deriv(k) for k in range(m + 1)]
+    return {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
+            for k, c in terms.items()}
 
 
 def expansion_remainder(p: cf.BreatherParams, z: SampledField,
                         t: float) -> tuple[float, float]:
-    """Split H[B+z] - H[B] into (quadratic = Q[z]/2, cubic-order remainder).
+    """Split H[B+z] - H[B] into (quadratic = Q[z]/2 = (1/2) int z L[z],
+    cubic-order remainder).
 
     The remainder obeys |N[z]| <= K ||z||_H2^3 for small z; callers verify
     the cubic order by a Richardson ratio.  Raises for ||z||_H2 > 0.1 where
@@ -317,11 +317,12 @@ def expansion_remainder(p: cf.BreatherParams, z: SampledField,
     if nz > 0.1:
         raise ValueError(f"perturbation H2 norm {nz:.3g} exceeds 0.1")
     w = z.window
-    x = w.grid()
-    zv, z1, z2 = z.values, z.deriv(1), z.deriv(2)
-    quadratic = 0.5 * w.quad(quadratic_form_density(p, t, x, zv, z1, z2))
-    j = cf.breather_jet(p, t, x, m=2)
-    fB = SampledField(w, j.value, (j.dx[0], j.dx[1]))
-    fBz = SampledField(w, j.value + zv, (j.dx[0] + z1, j.dx[1] + z2))
+    fB = sample_breather(p, t, w, m=2)
+    Lz = sum(c * z.deriv(k)
+             for k, c in linearization_coefficients(p, t, w, fB).items())
+    quadratic = 0.5 * w.quad(z.values * Lz)
+    fBz = SampledField(w, fB.values + z.values,
+                       tuple(d + z.deriv(k)
+                             for k, d in enumerate(fB.derivs, 1)))
     dH = lyapunov(fBz, p.alpha, p.beta) - lyapunov(fB, p.alpha, p.beta)
     return quadratic, dH - quadratic

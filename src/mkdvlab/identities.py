@@ -129,15 +129,12 @@ def breather_sample(p: cf.BreatherParams, t: float, m: int, mass: bool,
                     samples=None, vel=None) -> BreatherSample:
     """One jet of the breather to order m at the samples, by default the
     standard ones; vel replaces the breather's velocities in the jet, not
-    in the samples or in M_t.  M_t comes from the jet's own phases unless
-    vel replaces them."""
+    in the samples.  With mass, M_t comes from the same jet: from its
+    phases, under vel when vel is given."""
     x = samples if samples is not None else breather_samples(p, t)
     jet = cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, m,
-                              vel=vel, mass=mass and vel is None)
-    data = _jet_data(jet)
-    if mass and vel is not None:
-        data["mt"] = cf.partial_mass_t(p, t, x)
-    return BreatherSample(p, t, data)
+                              vel=vel, mass=mass)
+    return BreatherSample(p, t, _jet_data(jet))
 
 
 def _own_sample(p, t, terms, samples, vel=None) -> BreatherSample:

@@ -2,7 +2,9 @@
 linearizing the stationary breather equation.
 
 The operator is the Frechet derivative of dH/du, H = E5 + 2(b^2-a^2) E +
-(a^2+b^2)^2 M, at the breather B (closed_forms.breather_linearization):
+(a^2+b^2)^2 M, at the breather B (closed_forms.breather_linearization),
+with its coefficients sampled by functionals.linearization_coefficients,
+which also gives functionals.expansion_remainder its Q[z] = <z, L z>:
 
     L[z] = z_4x - 2(b^2-a^2) z_xx + (a^2+b^2)^2 z
            + 10 B^2 z_xx + 20 B B_x z_x
@@ -56,11 +58,11 @@ of its solve.
 `derivative_matrix` and `sobolev_gram` are the physical circulants of the
 same multipliers, kept as dense references; the solvers do not use them.
 
-Parameter derivatives (the scaling directions) are taken with an imaginary
-step of 1e-150, which is exact to machine precision; no difference-quotient
-tuning is involved.  The translation directions, so taken, also give the
-Wronskian check (`wronskian_check`), which returns its normalized residual
-against the closed form as a float.
+Parameter derivatives (the scaling directions) are the complex steps of
+closed_forms.breather_derivative, exact to machine precision.  The
+translation directions, so taken, also give the Wronskian check
+(`wronskian_check`), which returns its normalized residual against the
+closed form as a float.
 
 scipy.linalg is imported inside the functions that run dense LAPACK
 (_circulant, _bottom, _exceeds, coercivity, _reflect), so that the suites
@@ -75,9 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms as cf
-from .functionals import SampledField, Window, require_window, sample_breather
-
-_CSTEP = 1e-150
+from .functionals import (SampledField, Window, linearization_coefficients,
+                          require_window, sample_breather)
 
 
 def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
@@ -232,8 +233,8 @@ def spectral_window(p: cf.BreatherParams, t: float,
     1e-7 while the tails stay at machine level.  For alpha > beta the
     height no longer follows 0.7/beta: it is 0.680 at (4, 0.5), not 1.4,
     and 0.986 at (2, 0.5), so this window under-resolves the carrier at
-    large alpha / beta (the strict xfail
-    test_b0_inversion_resolved_at_alpha_4_beta_half pins (4, 0.5)).
+    large alpha / beta; n_points = 512 under-resolves (1, 1).  The strict
+    xfail test_b0_inversion_resolved_on_coarse_grids pins both.
     """
     half = 28.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0
     return Window(p.core(t), half, n_points)
@@ -246,13 +247,7 @@ def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
     if w is None:
         w = spectral_window(p, t)
     require_window(w, p, t)
-    terms = cf.breather_linearization(p.alpha, p.beta)
-    m = max(map(cf.max_order, terms.values()))
-    if background is None:
-        background = sample_breather(p, t, w, m=m)
-    jet = [background.deriv(k) for k in range(m + 1)]
-    coeffs = {k: np.broadcast_to(cf.eval_flux_terms(c, jet), w.n_points)
-              for k, c in terms.items()}
+    coeffs = linearization_coefficients(p, t, w, background)
     return DiscreteOperator(w, _assemble(w, coeffs), p.alpha, p.beta)
 
 
@@ -388,19 +383,10 @@ class DirectionVectors:
     B0: np.ndarray
 
 
-def _imag_step(order, alpha, beta, x1, x2, t, x, m=0):
-    """Rows 0..m of the jet's imaginary part over the step."""
-    jet = cf.breather_jet_raw(order, alpha, beta, x1, x2, t, x, m)
-    return np.vstack((jet.value, jet.dx)).imag / _CSTEP
-
-
 def directions(p: cf.BreatherParams, t: float, w: Window) -> DirectionVectors:
     x = w.grid()
-    ih = 1j * _CSTEP
-    b1 = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, x)[0]
-    b2 = _imag_step(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, x)[0]
-    la = _imag_step(p.order, p.alpha + ih, p.beta, p.x1, p.x2, t, x)[0]
-    lb = _imag_step(p.order, p.alpha, p.beta + ih, p.x1, p.x2, t, x)[0]
+    b1, b2, la, lb = (cf.breather_derivative(p, name, t, x)[0]
+                      for name in ("x1", "x2", "alpha", "beta"))
     b0 = (p.alpha * lb + p.beta * la) / (
         8.0 * p.alpha * p.beta * (p.alpha**2 + p.beta**2))
     return DirectionVectors(b1, b2, la, lb, b0)
@@ -436,9 +422,8 @@ def wronskian_check(p: cf.BreatherParams, t: float, xs: np.ndarray) -> float:
     against its closed form at the points xs: sup |det - closed| over the
     larger of sup |det| and sup |closed|."""
     xs = np.asarray(xs, dtype=float)
-    ih = 1j * _CSTEP
-    b1, b1x = _imag_step(p.order, p.alpha, p.beta, p.x1 + ih, p.x2, t, xs, 1)
-    b2, b2x = _imag_step(p.order, p.alpha, p.beta, p.x1, p.x2 + ih, t, xs, 1)
+    b1, b1x = cf.breather_derivative(p, "x1", t, xs, 1)
+    b2, b2x = cf.breather_derivative(p, "x2", t, xs, 1)
     det = b1 * b2x - b2 * b1x
     closed = wronskian_closed_form(p, t, xs)
     sup = float(np.max(np.abs(det - closed)))

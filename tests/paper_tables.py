@@ -3,6 +3,10 @@ and 9th-order corollaries, transcribed: the oracle for the lists that
 `identities` derives.  DENSITIES and FLUX_11 are the hierarchy's
 transcribed tables, the oracle for what `closed_forms` derives from u: the
 conserved densities M, E, E5, E7, E9, and the 28-term order-11 flux.
+`quadratic_form` is the second variation of H = E5 + 2(beta^2 - alpha^2) E
++ (alpha^2 + beta^2)^2 M at u as printed, in the integrated-by-parts
+layout: the oracle for the Q[z] = <z, L z> that closed_forms'
+linearization L gives.
 
 Term lists follow closed_forms: (coefficient, factor orders), with the tags
 "bt" (Btilde_t) and "mt" (the time derivative of the partial mass).
@@ -124,3 +128,14 @@ def corollary9(alpha: float, beta: float):
         (-4.0, (1, 2, 3)),
         (-2.0, (3, 3, 0)),
     )
+
+
+def quadratic_form(alpha: float, beta: float):
+    """{(j, k): coefficient of z_{jx} z_{kx}}, j <= k, of the density whose
+    integral is Q[z]: d^2/ds^2 of H's density at u + s z."""
+    mu, c = 2.0 * (beta**2 - alpha**2), (alpha**2 + beta**2) ** 2
+    return {(2, 2): ((1.0, ()),),
+            (1, 1): ((mu, ()), (-10.0, (0, 0))),
+            (0, 1): ((-40.0, (0, 1)),),
+            (0, 0): ((c, ()), (-10.0, (1, 1)), (30.0, (0, 0, 0, 0)),
+                     (-6.0 * mu, (0, 0)))}

@@ -707,7 +707,7 @@ def test_verify_evolve_and_stability_run_without_scipy(tmp_path):
     # importing scipy.linalg at start-up, nor for another suite's library
     configs = {"verify": (SMALL_VERIFY, ["identities"]),
                "evolve": ("orders = 5\ndt = 0.01\n", ["evolution"]),
-               "stability": ("t_end = 0.004\n", ["evolution", "spectral"])}
+               "stability": ("t_end = 0.004\n", ["evolution"])}
     for suite, (text, library) in configs.items():
         got = _import_probe(tmp_path, suite, text)
         assert got["scipy"] == []

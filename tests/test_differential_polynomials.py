@@ -1,6 +1,6 @@
 """The term-list core of closed_forms: d/dx and reduce_terms, the Euler
-operator, the Frechet derivative and the second variation, and the tables
-derived with them from u alone.
+operator and the Frechet derivative, and the tables derived with them from
+u alone.
 
 Three checks hold the derived hierarchy, each exact: the densities and the
 order-11 flux equal the tables once transcribed (paper_tables), the Euler
@@ -96,20 +96,6 @@ def test_breather_linearization_matches_printed_operator():
     assert set(got) == set(printed)
     for k, terms in printed.items():
         assert cf.combine((1.0, got[k]), (-1.0, terms)) == ()
-
-
-def test_breather_hessian_matches_printed_form():
-    a, b = 0.7, 1.3
-    mu, c = 2.0 * (b**2 - a**2), (a**2 + b**2) ** 2
-    printed = {(2, 2): ((1.0, ()),),
-               (1, 1): ((mu, ()), (-10.0, (0, 0))),
-               (0, 1): ((-40.0, (0, 1)),),
-               (0, 0): ((c, ()), (-10.0, (1, 1)), (30.0, (0, 0, 0, 0)),
-                        (-6.0 * mu, (0, 0)))}
-    got = cf.breather_hessian(a, b)
-    assert set(got) == set(printed)
-    for key, terms in printed.items():
-        assert cf.combine((1.0, got[key]), (-1.0, terms)) == ()
 
 
 def test_frechet_matches_complex_step():

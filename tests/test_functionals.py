@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import paper_tables as paper
 import pytest
 
 from mkdvlab import closed_forms as cf
@@ -43,7 +46,8 @@ def test_require_window():
 
 def test_mass_oracles():
     for c, want in [(1.0, 1.0), (0.25, 0.5), (4.0, 2.0)]:
-        f = fn.sample_soliton(cf.SolitonParams(order=3, c=c), 0.0)
+        w = fn.Window(0.0, 30.0 / np.sqrt(c) + 5.0, 2048)
+        f = fn.sample_soliton(cf.SolitonParams(order=3, c=c), 0.0, w)
         assert abs(fn.functional(f, "M") - want) < 1e-10
     f = fn.sample_breather(cf.BreatherParams(order=5, alpha=1.0, beta=2.0), 0.0)
     assert abs(fn.functional(f, "M") - 4.0) < 1e-10
@@ -51,7 +55,8 @@ def test_mass_oracles():
 
 
 def test_energy_oracles():
-    f = fn.sample_soliton(cf.SolitonParams(order=3, c=1.0), 0.0)
+    f = fn.sample_soliton(cf.SolitonParams(order=3, c=1.0), 0.0,
+                          fn.Window(0.0, 35.0, 2048))
     assert abs(fn.functional(f, "E") + 1.0 / 3.0) < 1e-10
     f = fn.sample_breather(cf.BreatherParams(order=5, alpha=1.0, beta=1.0), 0.0)
     assert abs(fn.functional(f, "E") - 4.0 / 3.0) < 1e-10
@@ -233,7 +238,8 @@ def test_sobolev_norm():
     # Parseval: norm squared is half the window length
     assert abs(fn.sobolev_norm(f, 0) ** 2 - np.pi) < 1e-12
     assert abs(fn.sobolev_norm(f, 2) ** 2 - np.pi * (1 + 9) ** 2) < 1e-10
-    sech = fn.sample_soliton(cf.SolitonParams(order=3, c=1.0), 0.0)
+    sech = fn.sample_soliton(cf.SolitonParams(order=3, c=1.0), 0.0,
+                             fn.Window(0.0, 35.0, 2048))
     assert fn.sobolev_norm(sech, 2) >= fn.sobolev_norm(sech, 0)
     with pytest.raises(ValueError):
         fn.sobolev_norm(sech, 3)
@@ -280,6 +286,44 @@ def test_conjecture_comparison():
             assert abs(conj + lemma) < 1e-12 * max(1.0, abs(lemma))
             assert abs(conj + lemma) <= 16 * 2.0**-52 * scale
             assert conj != 0.0 and scale >= abs(conj)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.7, 1.3), (1.2, 0.8), (2.0, 0.5)])
+def test_printed_quadratic_form_is_z_L_z(alpha, beta):
+    # the printed density of Q[z] against int z L[z] of the linearization's
+    # coefficients, on trigonometric z with exact derivatives.  Both are
+    # integrals of smooth periodic data, equal up to rounding: each term
+    # takes at most 8 roundings (6 factors, its coefficient, the z's), a
+    # side sums at most 10 terms, and the quadrature's pairwise sum adds
+    # log2(n); every rounding is relative to the summed size of the terms
+    p = cf.BreatherParams(order=5, alpha=alpha, beta=beta)
+    w = fn.default_window(p, 0.0)
+    x = w.grid()
+    printed = paper.quadratic_form(alpha, beta)
+    linear = cf.breather_linearization(alpha, beta)
+    coeffs = fn.linearization_coefficients(p, 0.0, w, None)
+    B = fn.sample_breather(p, 0.0, w, m=2)
+    jet = [B.deriv(k) for k in range(3)]
+    rounds = 8 + 10 + math.log2(w.n_points)
+
+    def size(terms, za, zb):
+        return np.abs(za * zb) * cf.eval_flux_terms(
+            tuple((abs(c), orders) for c, orders in terms), np.abs(jet))
+
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        omega = 2.0 * np.pi / w.length * rng.integers(1, 9, size=4)
+        amp, phase = rng.normal(size=4), rng.uniform(0, 2 * np.pi, size=4)
+        z = [sum(a * o**j * np.cos(o * x + f + j * np.pi / 2)
+                 for a, o, f in zip(amp, omega, phase)) for j in range(5)]
+        q_printed = w.quad(sum(cf.eval_flux_terms(terms, jet) * z[j] * z[k]
+                               for (j, k), terms in printed.items()))
+        q_zlz = w.quad(z[0] * sum(c * z[k] for k, c in coeffs.items()))
+        scale = w.quad(sum(size(terms, z[j], z[k])
+                           for (j, k), terms in printed.items())
+                       + sum(size(terms, z[0], z[k])
+                             for k, terms in linear.items()))
+        assert abs(q_printed - q_zlz) <= rounds * np.finfo(float).eps * scale
 
 
 def _gaussian_z(w, eps):
