@@ -11,7 +11,6 @@ from .closed_forms import (
     flux,
     flux_terms,
     partial_mass,
-    partial_mass_t,
     soliton_jet,
     soliton_speed,
     velocities,
@@ -28,7 +27,6 @@ __all__ = [
     "flux",
     "flux_terms",
     "partial_mass",
-    "partial_mass_t",
     "soliton_jet",
     "soliton_speed",
     "velocities",

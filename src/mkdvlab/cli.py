@@ -526,9 +526,10 @@ def _trajectory_artifacts(prefix: str, traj) -> list:
 
 
 def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
-    """(error in cells, params: v_measured, v_law and the run's work, the
-    run's stop) of a soliton run.  A run that stopped has no final field:
-    its params hold only its work, and its error is None.
+    """(error in cells, params: v_measured, v_law, the run's work and
+    step_error, the run's stop) of a soliton run.  A run that stopped has no
+    final field: its params hold only its work and step_error, and its error
+    is None.
 
     Speed comes from the circular cross-correlation of the final field
     against the initial one, with parabolic sub-cell refinement of the
@@ -538,7 +539,7 @@ def measure_soliton_speed(sp_: cf.SolitonParams, scfg) -> tuple:
     s0 = sample_soliton(sp_, 0.0, scfg.window, m=0)
     run = ev.evolve(s0, scfg, monitors=(),
                     snapshot_every=ev.step_count(scfg.t_end, scfg.dt))
-    work = dict(zip(_WORK_KEYS, run.work))
+    work = {**dict(zip(_WORK_KEYS, run.work)), "step_error": run.step_error}
     if run.stop is not None:
         return None, work, run.stop
     a0, aT = run.snapshots[0].field.values, run.snapshots[-1].field.values
@@ -602,7 +603,8 @@ def _evolve_point(task: dict) -> tuple:
     rows = [("breather_h2", sobolev_norm(err, 2), tol["h2"],
              {"t_end": cfg_run.t_end, "dt": cfg_run.dt,
               "frame_speed": cfg_run.frame_speed,
-              **dict(zip(_WORK_KEYS, run.work))})]
+              **dict(zip(_WORK_KEYS, run.work)),
+              "step_error": run.step_error})]
     rows.extend((f"drift_{kind}", drift, tol["drift"])
                 for kind, drift in sorted(ev.functional_drifts(traj).items()))
     recs = _records(tag, rows, run.stop)
@@ -637,11 +639,12 @@ def _stability_point(task: dict) -> tuple:
                                      seed=task["seed"])
     tag = {"order": order, "shape": shape, "eta": eta,
            "t_end": cfg_run.t_end, "dt": cfg_run.dt}
-    # the run's solver work goes on its one sup_distance record, so the
-    # summary counts each run once
+    # the run's solver work and step_error go on its one sup_distance
+    # record, so the summary counts each run once
     rows = [("sup_distance", report.sup_distance,
              tol["sup_factor"] * eta if eta > 0 else tol["floor"],
-             {key: getattr(report, key) for key in _WORK_KEYS})]
+             {key: getattr(report, key)
+              for key in _WORK_KEYS + ("step_error",)})]
     if eta > 0:
         rows.append(("max_phase_speed", report.max_phase_speed,
                      tol["quotient_factor"] * eta))

@@ -208,7 +208,8 @@ def breather_jet_raw(order, alpha, beta, x1, x2, t, x, m, vel=None,
                      mass=False) -> Jet:
     """breather_jet with unvalidated scalar parameters; alpha/beta may be complex
     (complex-step parameter derivatives).  With mass, the jet also holds
-    partial_mass_t, from the same phases and under vel."""
+    mass_t, the time derivative of partial_mass, (1/2) d/dx d/dt log D,
+    from the same phases and under vel."""
     S, C, sh, ch, vel = _phases(order, alpha, beta, x1, x2, t, x, vel)
     r = beta / alpha
     a2, b2 = 2.0 * alpha, 2.0 * beta
@@ -297,13 +298,6 @@ def partial_mass(p: BreatherParams, t: float, x):
     D = r * r * S * S + ch * ch
     D1 = 2.0 * (r * p.beta * S * C + p.beta * sh * ch)
     return p.beta + 0.5 * D1 / D
-
-
-def partial_mass_t(p: BreatherParams, t: float, x):
-    """Time derivative of the partial mass, (1/2) d/dx d/dt log D, from the
-    breather's jet (`breather_jet_raw` with mass)."""
-    return breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 0,
-                            mass=True).mass_t
 
 
 _CSTEP = 1e-150

@@ -10,13 +10,15 @@ the exact, padded N in the residual, each Newton step by GMRES with the
 exact inverse of the linear part as preconditioner.  It starts from the
 linear part solved exactly, with N extrapolated from the previous step's
 stages; a run's first step extrapolates N(v0) at both, which freezes N at
-v0.  The GMRES operator applies the Frechet derivative of N on the
-two-phase (2n-point) grid, which equals the padded one to rounding on
-resolved fields and costs 1/1.4, 1/2.8 and 1/4.2 of it per apply at orders
-5, 7 and 9.  The stepper notes
-below give the scheme, the solver's stopping rules and caps, Newton's
-operator, and the polyphase lift with its Nyquist rule.  Multipliers and
-the fit's H^2 inner product come from functionals.Window.
+v0.  It stops at a hundredth of the step's local error, which evolve
+estimates from the fifth backward difference of the stepped spectra, or
+at a rounding floor, whichever is larger.  The GMRES operator applies the
+Frechet derivative of N on the two-phase (2n-point) grid, which equals the
+padded one to rounding on resolved fields and costs 1/1.4, 1/2.8 and 1/4.2
+of it per apply at orders 5, 7 and 9.  The stepper notes below give the
+scheme, the solver's stopping rules and caps, Newton's operator, and the
+polyphase lift with its Nyquist rule.  Multipliers and the fit's H^2 inner
+product come from functionals.Window.
 
 Each run steps one field and returns a Run: its snapshots, the stop of a
 failed step (its time and relative Newton residual) or None, and its solver
@@ -125,9 +127,24 @@ class EvolutionConfig:
 # it only on a miss, so a carried start that meets the target ends the step
 # with one evaluation of N, that of Y0.  The guard would have kept it,
 # unless |G(v0, v0)| < |G(Y0)|, where both starts meet the target.
-# Newton stops once |G| <= 1e-13 (|v0| + dt |L v0|), checked before each
-# Krylov solve; the dt |L v0| term keeps the target above the rounding of
-# the stiff linear part.  Each Newton step solves G'(Y) dY = -G by
+# Newton stops once |G| <= max(1e-13 (|v0| + dt |L v0|), kappa est /
+# sqrt(6)), checked before each Krylov solve.  The first term is the floor:
+# its dt |L v0| keeps the target above the rounding of the stiff linear
+# part.  est is the step's local error estimate that evolve hands it, zero
+# for a step handed none: the fifth backward difference of the last six
+# stepped spectra over 720, since e^z - R(z) = z^5/720 + O(z^6) for the
+# stability function R of the 2-stage Gauss method, so dt^5 v^(5) / 720,
+# the leading local error, is read off the trajectory itself.  A stage
+# residual G moves v1 = v0 + sqrt(3) (Y2 - Y1) by at most sqrt(6) |G|
+# where P^-1 is close to I, so Newton's error in v1 stays under kappa est:
+# Newton stops at a fixed fraction of the local error (inexact Newton:
+# Dembo, Eisenstat and Steihaug, below; Hairer and Wanner, sec. IV.8), and
+# kappa = 1e-2 keeps that error at a hundredth of the step's own.  On exact
+# runs est sits at rounding, far under the floor, and the target is the
+# floor's bit for bit.  On the order-5 stability shapes (eta 0.01) it reads
+# up to 6e-6 (gaussian) and 1e-9 (B1, LambdaBeta) of |v|, 20-50x under the
+# step-doubling estimate of the same step, and lifts the target up to 1.7e5
+# and 30 times above the floor.  Each Newton step solves G'(Y) dY = -G by
 # restarted GMRES to a relative 1e-6, or to half the Newton target if that
 # is reached first, right-preconditioned by P^-1, the exact inverse of the
 # linear part: one 2x2 block per bin, with det = 1 - a/2 + a^2/12 for
@@ -200,7 +217,8 @@ class EvolutionConfig:
 
 _GAUSS_A = ((0.25, 0.25 - math.sqrt(3.0) / 6.0),
             (0.25 + math.sqrt(3.0) / 6.0, 0.25))
-_NEWTON_TOL = 1e-13
+_NEWTON_TOL = 1e-13   # the floor of Newton's target, relative
+_KAPPA = 1e-2         # Newton's error over the step's estimated own error
 _NEWTON_MAX = 10      # Krylov solves per time step
 _GMRES_RTOL = 1e-6
 _GMRES_RESTART = 30
@@ -279,8 +297,9 @@ class _Stepper:
     start: object         # (v0, carried N or None, target) -> Newton's
                           # start Y, G(Y) and N(Y); a start meeting target
                           # skips the guard
-    step: object          # (v0, one spectrum (bin,), and the previous
-                          # step's _Step.nonlinear or None) -> _Step
+    step: object          # (v0, one spectrum (bin,), the previous step's
+                          # _Step.nonlinear or None, and the step's local
+                          # error estimate or 0) -> _Step
 
 
 @functools.lru_cache(maxsize=8)
@@ -401,9 +420,9 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             G = stage_residual(Y, v0, NY)
         return Y, G, NY
 
-    def step(v0, carried=None):
+    def step(v0, carried=None, error=0.0):
         scale = np.linalg.norm(v0) + dt * np.linalg.norm(L * v0)
-        target = _NEWTON_TOL * scale
+        target = max(_NEWTON_TOL * scale, _KAPPA * error / math.sqrt(6.0))
         Y, G, NY = start(v0, carried, target)
         gnorm = np.linalg.norm(G)
         solves = krylov = 0
@@ -420,8 +439,7 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
             # check
             jac = jacobian(newton_frechet(Y))
             x, its = _gmres(lambda z: as_real(jac(blocks(pinv, as_pair(z)))),
-                            as_real(-G), _GMRES_MAX - krylov,
-                            0.5 * _NEWTON_TOL * scale)
+                            as_real(-G), _GMRES_MAX - krylov, 0.5 * target)
             krylov += its
             solves += 1
             Y = Y + blocks(pinv, as_pair(x))
@@ -442,6 +460,21 @@ def _tail_fraction(vhat: np.ndarray) -> float:
     return float(np.max(np.abs(vhat[cut:]))) / peak
 
 
+# row k: the weights of the fifth backward difference of six values held in
+# cyclic order with the newest at k, (-1, 5, -10, 10, -5, 1) oldest first
+_FIFTH_DIFFERENCES = np.array([np.roll([-1.0, 5.0, -10.0, 10.0, -5.0, 1.0],
+                                       k + 1) for k in range(6)])
+
+
+def _local_error(spectra, newest: int) -> float:
+    """The local error estimate of a step from the last six stepped
+    spectra, in cyclic order with the newest at row `newest` (5 for oldest
+    first): the norm of their fifth backward difference over 720 (see the
+    stepper notes)."""
+    d = _FIFTH_DIFFERENCES[newest] @ np.asarray(spectra)
+    return math.sqrt(np.vdot(d, d).real) / 720.0
+
+
 @dataclass(frozen=True)
 class Snapshot:
     t: float
@@ -458,11 +491,15 @@ class Run:
     time it was to reach and its relative Newton residual |G| / (|v0| + dt
     |L v0|) at the last check (inf or nan for a non-finite state), or None
     for a run that reached t_end.  work is the whole run's (Krylov solves,
-    GMRES iterations), the failed step's included."""
+    GMRES iterations), the failed step's included.  step_error is the
+    largest local error estimate of its steps, from the fifth step on,
+    relative to the norm of the initial spectrum, which the flow and the
+    Gauss method conserve; None for a shorter run."""
 
     snapshots: list
     stop: tuple | None
     work: tuple
+    step_error: float | None
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -491,6 +528,11 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
     an iteration cap or its residual turns non-finite; the run then stops
     there, with the snapshots taken before it.  A t_end that is not a whole
     number of steps raises ValueError (see step_count).
+
+    From the sixth step on, each step is handed the local error estimate of
+    the last six stepped spectra (the initial one counts), which sets where
+    its Newton solve stops (see the stepper notes); the Run keeps the
+    largest (Run.step_error).
 
     Each monitor (a kind of closed_forms.density) is integrated as
     functionals.functional integrates it, on the snapshot's values and
@@ -536,14 +578,20 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
         warnings.warn("initial data spectral tail above 1e-10 of peak",
                       ResolutionWarning, stacklevel=2)
     work = (0, 0)  # since the last snapshot
-    carried = stop = None
+    carried = stop = worst = None
+    recent = np.tile(vhat, (6, 1))  # the stepped spectrum i in row i % 6
+    error, size = 0.0, float(np.linalg.norm(vhat))
     for i in range(1, n_steps + 1):
-        s = step(vhat, carried)
+        s = step(vhat, carried, error)
         work = (work[0] + s.solves, work[1] + s.krylov)
         if s.value is None:
             stop = (i * cfg.dt, s.residual)
             break
         vhat, carried = s.value, s.nonlinear
+        recent[i % 6] = vhat
+        if i >= 5:
+            error = _local_error(recent, i % 6)
+            worst = max(worst or 0.0, error)
         if i % snapshot_every == 0 or i == n_steps:
             traj.append(snapshot(i, vhat, work))
             work = (0, 0)
@@ -553,7 +601,8 @@ def evolve(u0: SampledField, cfg: EvolutionConfig, monitors: tuple = (),
                               stacklevel=2)
                 warned = True
     return Run(traj, stop, (sum(s.krylov_solves for s in traj) + work[0],
-                            sum(s.gmres_iterations for s in traj) + work[1]))
+                            sum(s.gmres_iterations for s in traj) + work[1]),
+               None if worst is None else worst / size)
 
 
 def functional_drifts(traj: list[Snapshot]) -> dict:
@@ -687,6 +736,7 @@ class StabilityReport:
     krylov_solves: int           # the solver's work over the run
     gmres_iterations: int
     fit_evaluations: int         # objective evaluations over the run's fits
+    step_error: float | None     # the evolve Run's step_error
 
     def __post_init__(self):
         if any(d < 0 for d in self.distances):
@@ -722,6 +772,7 @@ class StabilityReport:
             "krylov_solves": self.krylov_solves,
             "gmres_iterations": self.gmres_iterations,
             "fit_evaluations": self.fit_evaluations,
+            "step_error": self.step_error,
         }
         if self.stop is not None:
             out.update(t_blowup=self.stop[0], newton_residual=self.stop[1])
@@ -784,7 +835,7 @@ def track_modulation(p: cf.BreatherParams, run: Run,
     """Fit each snapshot of an evolve Run by a phase-modulated breather,
     seeded with the phases of the last two fits extrapolated linearly in
     time (the last fit's phases at the second snapshot, zero at the first).
-    The report carries the run's stop and work.
+    The report carries the run's stop, work and step_error.
 
     For a run that stopped at a failed step, the report ends before the
     first snapshot whose fit fails, since the last ones before a blow-up
@@ -812,7 +863,8 @@ def track_modulation(p: cf.BreatherParams, run: Run,
 
     return StabilityReport(tuple(times), tuple(dists), tuple(xs1), tuple(xs2),
                            functional_drifts(run.snapshots[:len(times)]),
-                           eta, run.stop, *run.work, memory.evaluations)
+                           eta, run.stop, *run.work, memory.evaluations,
+                           run.step_error)
 
 
 # --------------------------------------------------------------------------

@@ -168,12 +168,18 @@ def test_partial_mass_against_cumulative_quadrature():
     assert err < 1e-8
 
 
+def _jet_mass_t(p, t, x):
+    # M_t, d/dt of the partial mass, as a jet asked for the mass holds it
+    return cf.breather_jet_raw(p.order, p.alpha, p.beta, p.x1, p.x2, t, x, 0,
+                               mass=True).mass_t
+
+
 @pytest.mark.parametrize("order", cf.ORDERS)
 def test_partial_mass_t(order):
     p = cf.BreatherParams(order=order, alpha=1.2, beta=0.8, x1=-0.1, x2=0.3)
     x = np.linspace(-5, 5, 21)
     ht = 1e-7
-    pmt = cf.partial_mass_t(p, 0.45, x)
+    pmt = _jet_mass_t(p, 0.45, x)
     fd = (cf.partial_mass(p, 0.45 + ht, x) - cf.partial_mass(p, 0.45 - ht, x)) / (2 * ht)
     scale = max(1.0, np.max(np.abs(pmt)))
     err = np.max(np.abs(pmt - fd)) / scale
@@ -189,7 +195,7 @@ def test_partial_mass_t_integral(order):
     t = 0.2
     c = -v.gamma * t
     x = np.linspace(c - 45.0, c + 45.0, 4097)
-    val = np.trapezoid(cf.partial_mass_t(p, t, x), x)
+    val = np.trapezoid(_jet_mass_t(p, t, x), x)
     want = 2.0 * p.beta * v.gamma
     print(order, val, want)
     assert abs(val - want) < 1e-8 * max(1.0, abs(want))
@@ -221,7 +227,7 @@ def test_jet_mass_t_is_a_second_phase_pass_bitwise(order):
     want = _mass_t_reference(p, 0.37, x)
     assert plain.mass_t is None
     assert (with_mass.mass_t == want).all()
-    assert (cf.partial_mass_t(p, 0.37, x) == want).all()
+    assert (_jet_mass_t(p, 0.37, x) == want).all()
     assert (with_mass.value == plain.value).all()
     assert (with_mass.dx == plain.dx).all()
     assert (with_mass.dt_tilde == plain.dt_tilde).all()

@@ -748,8 +748,8 @@ def test_blow_up_with_the_carried_start_stops_with_its_work(monkeypatch):
     stepper = ev._stepper(cfg)
     seen = []
 
-    def recording(v0, carried=None):
-        s = stepper.step(v0, carried)
+    def recording(v0, carried=None, error=0.0):
+        s = stepper.step(v0, carried, error)
         seen.append((carried is not None, s.solves, s.krylov))
         return s
 
@@ -763,6 +763,90 @@ def test_blow_up_with_the_carried_start_stops_with_its_work(monkeypatch):
     assert run.stop[0] == pytest.approx(len(seen) * cfg.dt)
     assert run.work == (sum(n for _, n, _ in seen),
                         sum(k for _, _, k in seen))
+
+
+def _gaussian_second_step():
+    # the stepper of the order-5 stability run and its gaussian member after
+    # one step: (stepper, v1, the N carried from the first step)
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.0)
+    stepper = ev._stepper(cfg)
+    first = stepper.step(np.fft.rfft(
+        _perturbed_breather(p, "gaussian", 0.01, cfg.window)))
+    return cfg, stepper, first.value, first.nonlinear
+
+
+def _same_step(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("value", "stages", "solves", "krylov", "residual",
+                         "nonlinear"))
+
+
+def test_a_step_handed_an_estimate_under_the_floor_does_todays_work():
+    # kappa est / sqrt(6) under the floor 1e-13 (|v0| + dt |L v0|) leaves
+    # the target, and so the step, bit for bit that of a step handed none,
+    # from the frozen start and from the carried one
+    cfg, stepper, v1, carried = _gaussian_second_step()
+    floor = _newton_target(cfg, v1)
+    under = 0.5 * floor * math.sqrt(6.0) / ev._KAPPA
+    for handed in (None, carried):
+        plain = stepper.step(v1, handed)
+        assert plain.solves >= 1
+        assert _same_step(stepper.step(v1, handed, under), plain)
+        assert _same_step(stepper.step(v1, handed, 0.0), plain)
+
+
+def test_a_large_estimate_stops_newton_at_its_fraction():
+    # handed an estimate of 1e-6 |v|, Newton stops once |G| <= kappa est /
+    # sqrt(6), with fewer GMRES iterations than at the floor, and the value
+    # stays within kappa est of the floor's
+    cfg, stepper, v1, carried = _gaussian_second_step()
+    est = 1e-6 * np.linalg.norm(v1)
+    target = ev._KAPPA * est / math.sqrt(6.0)
+    assert target > 1e3 * _newton_target(cfg, v1)
+    tight, loose = stepper.step(v1, carried), stepper.step(v1, carried, est)
+    assert loose.value is not None
+    assert np.linalg.norm(stepper.stage_system(loose.stages, v1)[0]) <= target
+    assert loose.krylov < tight.krylov
+    assert np.linalg.norm(loose.value - tight.value) <= ev._KAPPA * est
+
+
+def test_a_run_shorter_than_six_steps_never_loosens(monkeypatch):
+    # evolve hands a step an estimate only once six stepped spectra (the
+    # initial one counts) give a fifth difference: a five-step run steps as
+    # plain carried steps do, bit for bit, and a seven-step run hands its
+    # sixth and seventh steps the estimate of the six spectra before each
+    p = cf.BreatherParams(5, 1.0, 1.0)
+    cfg = ev.stability_run_config(5, t_end=0.0)
+    u0 = SampledField(cfg.window,
+                      _perturbed_breather(p, "gaussian", 0.01, cfg.window))
+    stepper = ev._stepper(cfg)
+    handed = []
+
+    def recording(v0, carried=None, error=0.0):
+        handed.append((v0, error))
+        return stepper.step(v0, carried, error)
+
+    monkeypatch.setattr(ev, "_stepper",
+                        lambda c: replace(stepper, step=recording))
+    short = ev.evolve(u0, replace(cfg, t_end=5 * cfg.dt), snapshot_every=1)
+    assert [e for _, e in handed] == [0.0] * 5
+    v, carried = np.fft.rfft(u0.values), None
+    for snap in short.snapshots[1:]:
+        s = stepper.step(v, carried)
+        v, carried = s.value, s.nonlinear
+        assert np.array_equal(snap.field.values, np.fft.irfft(v, n=1024))
+    handed.clear()
+    longer = ev.evolve(u0, replace(cfg, t_end=7 * cfg.dt), snapshot_every=1)
+    spectra = [v0 for v0, _ in handed]
+    assert [e for _, e in handed[:5]] == [0.0] * 5
+    for k in (5, 6):
+        assert handed[k][1] > 0.0
+        assert handed[k][1] == pytest.approx(
+            ev._local_error(spectra[k - 5:k + 1], 5), rel=1e-12)
+    # the run keeps its largest estimate relative to |v0|
+    assert short.step_error is not None and longer.step_error is not None
+    assert longer.step_error >= short.step_error > 0.0
 
 
 @pytest.mark.parametrize("order", [5, 7, 9])
@@ -859,18 +943,20 @@ def test_default_shapes_solver_work_and_distances():
     # eta 0.01, t_end 0.03 (30 steps).  Newton's operator on the 2n grid
     # takes the Krylov solves and GMRES iterations of the exact padded one;
     # 165 and 1,502 in all when Newton started from (v0, v0) and GMRES ran
-    # to its relative target alone, and (60, 489), (30, 243), (60, 330)
-    # when every step started with N frozen at v0.  The fits take 252, 63
-    # and 100 objective evaluations with no secant correction
+    # to its relative target alone, (60, 489), (30, 243), (60, 330) when
+    # every step started with N frozen at v0, and (60, 413), (31, 237),
+    # (31, 238) when every step stopped at the 1e-13 floor, not at a
+    # hundredth of the step's estimated error.  The fits take 252, 63 and
+    # 100 objective evaluations with no secant correction
     p = cf.BreatherParams(5, 1.0, 1.0)
     cfg = ev.stability_run_config(5, t_end=0.03)
     reports = [ev.stability_experiment(p, 0.01, shape, cfg)
                for shape in DEFAULT_SHAPES]
     assert [(r.krylov_solves, r.gmres_iterations) for r in reports] == [
-        (60, 413), (31, 237), (31, 238)]
-    assert [r.fit_evaluations for r in reports] == [126, 63, 67]
-    for r, want in zip(reports, (0.0761158856, 9.00607254e-06,
-                                 0.0100064085143)):
+        (39, 219), (31, 188), (31, 191)]
+    assert [r.fit_evaluations for r in reports] == [125, 63, 67]
+    for r, want in zip(reports, (0.0761159537796, 9.00607254e-06,
+                                 0.0100064085726)):
         assert r.stop is None
         assert r.sup_distance == pytest.approx(want, rel=1e-9)
 
@@ -884,10 +970,15 @@ def test_snapshots_carry_the_solver_work_since_the_previous_one():
         run = ev.evolve(u0, cfg, snapshot_every=4)
     step = ev._stepper(cfg).step
     v, carried, work = np.fft.rfft(u0.values), None, []
+    spectra, error = [v], 0.0
     for _ in range(6):
-        s = step(v, carried)
+        # from the sixth step on, evolve hands each step its estimate
+        s = step(v, carried, error)
         work.append((s.solves, s.krylov))
         v, carried = s.value, s.nonlinear
+        spectra.append(v)
+        if len(spectra) >= 6:
+            error = ev._local_error(spectra[-6:], 5)
     # snapshots after steps 0, 4 and 6
     assert [(s.krylov_solves, s.gmres_iterations) for s in run.snapshots] \
         == [(0, 0), tuple(map(sum, zip(*work[:4]))),
@@ -1156,6 +1247,10 @@ def test_stability_suite_records_and_determinism(tmp_path):
         summary = json.loads(
             (outs[0] / f"stability_order5_{shape}_eta0.01.json").read_text())
         assert (summary["krylov_solves"], summary["gmres_iterations"]) == want
+        # two steps give no fifth difference, so no step error estimate
+        assert summary["step_error"] is None
+    assert [r["params"].get("step_error", "absent") for r in records] == [
+        None, "absent"] * 2
     assert ((outs[0] / "report.json").read_bytes()
             == (outs[1] / "report.json").read_bytes())
 
@@ -1278,8 +1373,9 @@ def test_track_modulation_stops_at_a_failed_fit_only_after_a_blow_up(
 
     monkeypatch.setattr(ev, "fit_modulation", failing_third)
     with pytest.raises(ev.FitError):
-        ev.track_modulation(p, ev.Run(traj, None, (0, 0)), 0.01)
-    report = ev.track_modulation(p, ev.Run(traj, (0.04, 1.0), (0, 0)), 0.01)
+        ev.track_modulation(p, ev.Run(traj, None, (0, 0), None), 0.01)
+    report = ev.track_modulation(p, ev.Run(traj, (0.04, 1.0), (0, 0), None),
+                                 0.01)
     assert report.times == (0.0, 0.01)
     assert report.stop == (0.04, 1.0)
     assert report.sup_distance < 1e-10
@@ -1316,6 +1412,13 @@ def test_full_horizon_order5_evolve_suite(tmp_path):
                                                    "soliton_speed"]
     assert (report["summary"]["krylov_solves"],
             report["summary"]["gmres_iterations"]) == (2, 2)
+    # both runs are exact: their step error estimates sit at rounding, so
+    # under the 1e-13 Newton floor, which no step leaves
+    assert [r["id"].split("[")[0] for r in records
+            if "step_error" in r["params"]] == ["breather_h2",
+                                                "soliton_speed"]
+    assert 0.0 < breather["step_error"] < 1e-13
+    assert 0.0 < speed["step_error"] < 1e-13
 
 
 def _default_suite(tmp_path, command):
@@ -1349,6 +1452,52 @@ def test_default_stability_suite_keeps_every_shape_close(tmp_path):
     # 244,710 GMRES iterations
     assert sum(r["params"]["krylov_solves"] for r in sup) < 26941
     assert sum(r["params"]["gmres_iterations"] for r in sup) < 244710
+
+
+def _evolved_spectra(cfg, values):
+    # every stepped spectrum of a run from values to cfg.t_end, each step
+    # handed what evolve hands it (to rounding: evolve sums the difference
+    # over its cyclic rows)
+    step = ev._stepper(cfg).step
+    v, carried, error = np.fft.rfft(values), None, 0.0
+    spectra = [v]
+    for _ in range(ev.step_count(cfg.t_end, cfg.dt)):
+        s = step(v, carried, error)
+        v, carried = s.value, s.nonlinear
+        spectra.append(v)
+        if len(spectra) >= 6:
+            error = ev._local_error(spectra[-6:], 5)
+    return spectra
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", list(DEFAULT_SHAPES) + ["breather7",
+                                                         "breather5"])
+def test_fifth_difference_estimate_is_under_the_step_doubling_error(case):
+    # at t = 0.02 the estimate of the next step from the last six spectra
+    # stays at or under the step-doubling (Richardson) estimate of that
+    # step's error, 16/15 |one step - two half steps| for a fourth-order
+    # scheme, each stepped to the 1e-13 floor: on the order-5 stability
+    # shapes at eta 0.01, the oscillating order-7 breather and the static
+    # order-5 one.  Measured 6.1e-6 / 1.3e-4 (gaussian), 1.1e-9 / 4.5e-8
+    # (B1), 9.0e-10 / 4.3e-8 (LambdaBeta), 7.6e-12 / 7.3e-9 (order 7) and
+    # 4e-17 / 5e-15 (order 5) of |v|, so Newton stopping at a hundredth of
+    # the estimate stops at most at a hundredth of the step's error
+    if case in DEFAULT_SHAPES:
+        p = cf.BreatherParams(5, 1.0, 1.0)
+        cfg = ev.stability_run_config(5, t_end=0.02)
+        u0 = _perturbed_breather(p, case, 0.01, cfg.window)
+    else:
+        p = cf.BreatherParams(int(case[-1]), 1.0, 1.0)
+        cfg = replace(ev.breather_fidelity_config(p.order), t_end=0.02)
+        u0 = sample_breather(p, 0.0, cfg.window, m=0).values
+    spectra = _evolved_spectra(cfg, u0)
+    v = spectra[-1]
+    one = ev._stepper(cfg).step(v).value
+    half = ev._stepper(replace(cfg, dt=cfg.dt / 2)).step
+    two = half(half(v).value).value
+    assert ev._local_error(spectra[-6:], 5) <= 16.0 / 15.0 * np.linalg.norm(
+        one - two)
 
 
 @pytest.mark.slow

@@ -144,7 +144,8 @@ def test_energy_reduction(order):
 def test_energy_reduction_jet_rows_are_the_m4_rows(order):
     # the reduction samples its jet only to the derivative its density
     # reads; the rows it keeps are bitwise those of the m = 4 jet, and its
-    # M_t is partial_mass_t, so both columns are those of an m = 4 sample
+    # M_t is that of an m = 0 jet, so both columns are those of an m = 4
+    # sample
     a, b, t = 1.1, 0.9, 0.2
     p = cf.BreatherParams(order, a, b)
     w = fn.default_window(p, t, n_points=4096)
@@ -157,7 +158,8 @@ def test_energy_reduction_jet_rows_are_the_m4_rows(order):
     assert (short.dx == full.dx[:m]).all()
     f = fn.sample_breather(p, t, w, m=4)
     want = (fn.functional(f, kind), fn.REDUCTION_FACTORS[order]
-            * w.quad(cf.partial_mass_t(p, t, w.grid())))
+            * w.quad(cf.breather_jet_raw(order, a, b, 0.0, 0.0, t, w.grid(),
+                                         0, mass=True).mass_t))
     assert fn.energy_reduction(order, a, b, t) == want
 
 
