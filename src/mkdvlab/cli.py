@@ -54,8 +54,9 @@ from . import __version__
 from . import closed_forms as cf
 from .functionals import (REDUCTION_FACTORS, SampledField, closed_form_energy,
                           energy_reduction, functional,
-                          higher_energy_conjecture, sample_breather,
-                          sample_soliton, sobolev_norm, term_scale)
+                          higher_energy_conjecture, resolved_window,
+                          sample_breather, sample_soliton, sobolev_norm,
+                          term_scale)
 
 class ConfigError(ValueError):
     """Bad config file, bad key, unusable output directory, or bad
@@ -457,7 +458,7 @@ def _spectrum_point(task: dict) -> tuple:
     a, b = task["alpha"], task["beta"]
     tol = task["tol"]
     p = cf.BreatherParams(5, a, b)
-    w = spc.spectral_window(p, 0.0, n_points=task["window_n"] or 1024)
+    w = resolved_window(p, 0.0, task["window_n"] or 1024)
     opr = spc.build_operator(p, 0.0, w)
     summary = spc.spectrum(opr)
     dirs = spc.directions(p, 0.0, w)

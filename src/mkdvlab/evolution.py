@@ -51,9 +51,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import closed_forms as cf
-from .functionals import SampledField, Window, sobolev_norm
-
-_RESOLUTION_TAIL = 1e-10
+from .functionals import (_RESOLUTION_TAIL, SampledField, Window,
+                          _tail_fraction, resolved_window, sobolev_norm)
 
 
 class FitError(RuntimeError):
@@ -450,14 +449,6 @@ def _stepper(cfg: EvolutionConfig) -> _Stepper:
 
     return _Stepper(lift, nonlinear, linearize, newton_frechet, stage_system,
                     start, step)
-
-
-def _tail_fraction(vhat: np.ndarray) -> float:
-    peak = float(np.max(np.abs(vhat)))
-    if peak == 0.0:
-        return 0.0
-    cut = (7 * (vhat.size - 1)) // 8
-    return float(np.max(np.abs(vhat[cut:]))) / peak
 
 
 # row k: the weights of the fifth backward difference of six values held in
@@ -875,12 +866,12 @@ def track_modulation(p: cf.BreatherParams, run: Run,
 #   breather  order 5, dt 2e-3 / 1e-3 / 5e-4:     1.4e-12 / 1.6e-12 / 1.8e-12
 #             order 7, dt 1e-3 / 5e-4 / 2.5e-4:   2.1e-5 / 3.5e-6 / 5.0e-7
 #             order 9, dt 2e-3 / 1e-3 / 5e-4:     2.3e-10 / 1.6e-10 / 1.2e-9
-#   soliton   order 5, dt 1e-2 / 5e-3 / 2.5e-3:   8.9e-13 / 8.5e-13 / 9.0e-13
-#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   4.0e-12 / 4.3e-12 / 4.5e-12
-#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   6.6e-12 / 7.4e-12 / 9.5e-12
+#   soliton   order 5, dt 1e-2 / 5e-3 / 2.5e-3:   1.5e-12 / 1.7e-12 / 4.2e-12
+#             order 7, dt 6e-3 / 3e-3 / 1.5e-3:   1.2e-12 / 1.7e-12 / 2.7e-12
+#             order 9, dt 6e-3 / 3e-3 / 1.5e-3:   7.4e-12 / 6.5e-12 / 5.2e-12
 # against the evolve budget of 1e-5; the order-5, 7 and 9 soliton speed
-# errors are 1.1e-13 / 1.8e-13 / 1.5e-13, 8e-14 / 3e-13 / 6e-13 and 2e-11 /
-# 2e-11 / 2e-12 cells.  Below about 1e-10 the error is that of Newton's
+# errors are 9e-14 / 9e-14 / 7e-13, 1e-12 / 1e-12 / 2e-13 and 2e-11 /
+# 9e-12 / 1e-12 cells.  Below about 1e-10 the error is that of Newton's
 # target, not of the scheme: on the static order-9 breather the target,
 # 1e-13 (|v0| + dt |L v0|), is 5.5e-10 |v0| at dt 1e-3, and halving that dt
 # raises the error.
@@ -888,19 +879,20 @@ def track_modulation(p: cf.BreatherParams, run: Run,
 # each takes the step of least stepper work per unit time (evaluations of N
 # plus GMRES iterations) among those at rounding-level error that divide
 # t_end = 0.3.  At orders 7 and 9 the Krylov solves / GMRES iterations of
-# the run are 38 / 115 and 47 / 305 at dt 6e-3, 58 / 141 and 71 / 380 at
-# 4e-3, 91 / 177 and 146 / 808 at 2e-3 (50 / 166 and 50 / 150 at 6e-3 with
-# every step's N frozen at v0), and the stepper work 241 and 449, 332 and
-# 597, 509 and 1,250.  At order 5 the first step takes one Krylov solve of
-# one GMRES iteration at every dt tried from 2e-3 to 1e-2 (none at 1e-3),
-# and each later step one evaluation of N, so the fewest steps win: 1e-2
-# (30 steps, 32 evaluations of N and 1 GMRES iteration, against 301 at
-# 1e-3), the largest step that also divides the 0.01 horizon to which
-# perfbench's evolve-o5 workload cuts this run.  Halving does not lower the
-# error of any of the three rows by 2x, against 16x for a fourth-order
-# scheme above the floor (a -m slow test checks it).  The breather runs are
-# at RUN_ALPHA_BETA, on a window of half width 30/beta, to the whole number
-# of steps nearest 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
+# the run are 5 / 10 and 39 / 231 at dt 6e-3, 19 / 37 and 57 / 307 at
+# 4e-3, 45 / 87 and 117 / 531 at 2e-3 (50 / 100 and 50 / 150 at 6e-3 with
+# every step's N frozen at v0), and the stepper work 70 and 359, 150 and
+# 496, 327 and 915.  At order 5 the first step takes one Krylov solve of
+# one GMRES iteration at every dt tried from 4e-3 to 1e-2 (4 / 4 in the
+# run at 2e-3, 64 / 76 at 1e-3), and each later step one evaluation of N,
+# so the fewest steps win: 1e-2 (30 steps, 32 evaluations of N and 1 GMRES
+# iteration, against 428 and 76 at 1e-3), the largest step that also
+# divides the 0.01 horizon to which perfbench's evolve-o5 workload cuts this
+# run.  Halving does not lower the error of any of the three rows by 2x,
+# against 16x for a fourth-order scheme above the floor (a -m slow test
+# checks it).  The breather runs are at RUN_ALPHA_BETA, on the breather's
+# resolved_window, to the whole number of steps nearest
+# 0.2/(alpha^2+beta^2)^2 (0.05 at (1, 1)); where the breather is
 # a rigid traveling wave (delta = gamma: orders 5 and 9 there) the frame rides
 # at its speed -gamma, which freezes the profile on the grid.  The order-7
 # breather genuinely oscillates (carrier and envelope counter-propagate), so no
@@ -920,19 +912,19 @@ EVOLVE_ORDERS = tuple(sorted(_BREATHER_RUNS.keys() & _SOLITON_RUNS.keys()))
 STABILITY_ORDERS = (5,)
 
 
-def breather_fidelity_config(order: int,
-                             n_points: int = 1024) -> EvolutionConfig:
+def breather_fidelity_config(order: int) -> EvolutionConfig:
     """Reference run reproducing the RUN_ALPHA_BETA breather, in the frame
-    of the breather where it is a rigid wave: half width 30/beta, and the
-    whole number of the order's steps nearest 0.2/(alpha^2+beta^2)^2."""
+    of the breather where it is a rigid wave: its resolved_window at t = 0
+    (half width 30 at (1, 1)), and the whole number of the order's steps
+    nearest 0.2/(alpha^2+beta^2)^2."""
     alpha, beta = RUN_ALPHA_BETA
     vel = cf.velocities(order, alpha, beta)
     frame = -vel.gamma if vel.delta == vel.gamma else 0.0
     dt = _BREATHER_RUNS[order]
     t_end = round(0.2 / (alpha**2 + beta**2) ** 2 / dt) * dt
-    return EvolutionConfig(order=order,
-                           window=Window(0.0, 30.0 / beta, n_points),
-                           dt=dt, t_end=t_end, frame_speed=frame)
+    return EvolutionConfig(order=order, window=resolved_window(
+        cf.BreatherParams(order, alpha, beta)), dt=dt, t_end=t_end,
+        frame_speed=frame)
 
 
 def soliton_speed_run(order: int,
@@ -945,9 +937,10 @@ def soliton_speed_run(order: int,
     the speed law shows up as in-frame drift of the correlation peak.
     """
     c, dt = _SOLITON_RUNS[order]
-    return cf.SolitonParams(order, c), EvolutionConfig(
-        order=order, window=Window(0.0, 26.0, n_points), dt=dt, t_end=0.3,
-        frame_speed=cf.soliton_speed(order, c))
+    sp = cf.SolitonParams(order, c)
+    return sp, EvolutionConfig(
+        order=order, window=resolved_window(sp, 0.0, n_points), dt=dt,
+        t_end=0.3, frame_speed=sp.speed())
 
 
 def stability_run_config(order: int, t_end: float) -> EvolutionConfig:

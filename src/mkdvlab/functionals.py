@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,22 +86,50 @@ class Window:
         return self.spacing * float(np.sum(values))
 
 
+_RESOLUTION_TAIL = 1e-10  # of the peak: the spectral tail where evolve warns
+
+
+def _tail_fraction(vhat: np.ndarray) -> float:
+    peak = float(np.max(np.abs(vhat)))
+    if peak == 0.0:
+        return 0.0
+    cut = (7 * (vhat.size - 1)) // 8
+    return float(np.max(np.abs(vhat[cut:]))) / peak
+
+
+def _span(p, t: float) -> tuple[float, float]:
+    # (core, 28/decay + 2 beyond the breather's phases), decay beta or, for a
+    # soliton, sqrt(c); + 0.0 keeps a centre of -0.0 out of the reports
+    if isinstance(p, cf.SolitonParams):
+        return p.speed() * t + 0.0, 28.0 / math.sqrt(p.c) + 2.0
+    return p.core(t) + 0.0, 28.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0
+
+
 def default_window(p: cf.BreatherParams, t: float,
                    n_points: int = 2048) -> Window:
-    """Window tracking the envelope core, wide enough for <1e-12 tails.
-
-    n_points is doubled until there are at least five points per 1/alpha:
-    the densities up to E9 carry products of ten carrier factors
-    cos(alpha y1), which the trapezoid aliases on a coarser grid.  At
-    (alpha, beta) = (6, 0.25), 2048 points (1.4 per 1/alpha) miss E9 by 6e5
-    ulps of term_scale; with the floor, functional is within 11 ulps of
-    term_scale for M to E9 over beta in [0.1, 8] and alpha / beta in
-    [1/8, 32].
-    """
-    half = 30.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 5.0
+    """The quadrature window of the breather's functionals: its _span, with
+    n_points doubled to at least five points per 1/alpha.  The densities to
+    E9 carry products of ten carrier factors cos(alpha y1), which the
+    trapezoid aliases on a coarser grid though B's spectral tail does not
+    show it: at (6, 0.25) 2048 points miss E9 by 6e5 ulps of term_scale."""
+    center, half = _span(p, t)
     while n_points < 10.0 * half * p.alpha:
         n_points *= 2
-    return Window(center=p.core(t), half_width=half, n_points=n_points)
+    return Window(center, half, n_points)
+
+
+def resolved_window(p, t: float = 0.0, n_points: int = 1024) -> Window:
+    """The collocation window of a breather or soliton p at time t: its
+    _span, n_points as a floor doubled until the spectral tail of p on the
+    grid is at most _RESOLUTION_TAIL.  The error falls as e^(-d k_max), d the
+    analyticity strip, which the decay rate does not set."""
+    w = Window(*_span(p, t), n_points)
+    sample = (sample_soliton if isinstance(p, cf.SolitonParams)
+              else sample_breather)
+    while _tail_fraction(np.fft.rfft(sample(p, t, w, m=0).values)) \
+            > _RESOLUTION_TAIL:
+        w = replace(w, n_points=2 * w.n_points)
+    return w
 
 
 def require_window(w: Window, p: cf.BreatherParams, t: float) -> None:

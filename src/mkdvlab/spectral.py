@@ -11,7 +11,8 @@ which also gives functionals.expansion_remainder its Q[z] = <z, L z>:
            + [10 B_x^2 + 20 B B_xx + 30 B^4 - 12(b^2-a^2) B^2] z
 
 It is the symmetrized Fourier collocation operator (A + A^T)/2 with
-A = sum_k diag(c_k) D_k on a periodic window of n points, c_k the sampled
+A = sum_k diag(c_k) D_k on a periodic window of n points (by default
+functionals.resolved_window, n doubled until B is resolved), c_k the sampled
 coefficients and D_k the multiplier Window.derivative_multiplier(k).  Only
 the bottom of the spectrum is computed.  Expected: one simple negative
 eigenvalue, a two-dimensional kernel spanned by the translation directions,
@@ -78,7 +79,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from .functionals import (SampledField, Window, linearization_coefficients,
-                          require_window, sample_breather)
+                          require_window, resolved_window, sample_breather)
 
 
 def _circulant(symbol: np.ndarray, odd: bool) -> np.ndarray:
@@ -222,37 +223,19 @@ class DiscreteOperator:
                                            for block, A in self.blocks]))
 
 
-def spectral_window(p: cf.BreatherParams, t: float,
-                    n_points: int = 1024) -> Window:
-    """Window balancing periodization tails against interior resolution.
-
-    For alpha <= beta the breather's nearest complex singularity sits at
-    height ~0.7/beta (0.703 at (1, 1), 0.368 at (0.5, 2)), so the
-    resolvable bandwidth and the tail decay both scale with beta; a
-    half-width of 28/beta at n=1024 keeps fourth-derivative errors near
-    1e-7 while the tails stay at machine level.  For alpha > beta the
-    height no longer follows 0.7/beta: it is 0.680 at (4, 0.5), not 1.4,
-    and 0.986 at (2, 0.5), so this window under-resolves the carrier at
-    large alpha / beta; n_points = 512 under-resolves (1, 1).  The strict
-    xfail test_b0_inversion_resolved_on_coarse_grids pins both.
-    """
-    half = 28.0 / p.beta + max(abs(p.x1), abs(p.x2)) + 2.0
-    return Window(p.core(t), half, n_points)
-
-
 def build_operator(p: cf.BreatherParams, t: float, w: Window | None = None,
                    background: SampledField | None = None) -> DiscreteOperator:
     """Assemble the linearized operator at the breather, or at an explicit
     background field (pass a zero field for the constant-coefficient part)."""
     if w is None:
-        w = spectral_window(p, t)
+        w = resolved_window(p, t)
     require_window(w, p, t)
     coeffs = linearization_coefficients(p, t, w, background)
     return DiscreteOperator(w, _assemble(w, coeffs), p.alpha, p.beta)
 
 
 def kernel_tolerance(alpha: float, beta: float) -> float:
-    # separates the kernel pair from the discrete continuum at n in {512, 1024}
+    # separates the kernel pair from the discrete continuum at n = 512 to 2048
     return 1e-6 * (alpha**2 + beta**2) ** 2
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_unread_key_is_rejected(tmp_path, suite, key):
     ("verify", "c = 1, 0.5, 1.0", "c"),
     ("spectrum", "alpha = 0", "alpha"),
     ("spectrum", "window_n = 768", "window_n"),
-    # removed keys: the window is spectral_window's, so they are unread
+    # removed keys: the window is resolved_window's, so they are unread
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_center = 60",
      "window_center"),
     ("spectrum", "alpha = 1\nbeta = 1\nwindow_n = 512\nwindow_half_width = 3",
@@ -279,8 +280,9 @@ def test_verify_run_and_determinism(tmp_path):
 
 
 def test_zero_budget_run_fails(tmp_path, monkeypatch):
-    # the exit-1 path: with every budget of the suite's table at zero, no
-    # check passes
+    # the exit-1 path: with every budget of the suite's table at zero, only
+    # a check whose measured error is exactly 0 passes (energy_M here: the
+    # trapezoid sum of B^2 rounds to 2 beta)
     for name in list(cli.SUITES["verify"].tol):
         monkeypatch.setitem(cli.SUITES["verify"].tol, name, 0.0)
     cfgp = write_cfg(tmp_path / "c.txt", SMALL_VERIFY)
@@ -288,7 +290,8 @@ def test_zero_budget_run_fails(tmp_path, monkeypatch):
     out.mkdir()
     assert run_main(["verify", "--config", cfgp, "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
-    assert not any(r["pass"] for r in report["records"])
+    assert [r["pass"] for r in report["records"]] == [
+        r["measured"] == 0.0 for r in report["records"]]
     assert {r["budget"] for r in report["records"]} == {0.0}
 
 
@@ -647,7 +650,7 @@ def test_close_float_sweep_values_keep_distinct_record_ids(tmp_path, capsys):
 
 
 def test_close_float_sweep_values_keep_distinct_artifacts(tmp_path):
-    # window_n 512 under-resolves the default window; only the names count
+    # two points a rounding apart; only the names count
     cfgp = write_cfg(tmp_path / "s.txt", CLOSE_ALPHAS + "window_n = 512\n")
     out = tmp_path / "o"
     out.mkdir()
@@ -756,9 +759,8 @@ def test_spectrum_point_solves_five_blocks_and_certifies_three(tmp_path,
     # operator is a cos and a sin block.  At n the bottom-k spectrum solves
     # both blocks; coercivity at n and at n/2, and the lowest vector at
     # n/2, solve the cos block, which holds the minimum, and prove the sin
-    # block above it with one Cholesky factorization.  The default window
-    # is under-resolved at n=512, so some budgets fail: only the work is
-    # checked.
+    # block above it with one Cholesky factorization.  window_n = 512 is a
+    # floor, which the resolved window doubles at (1, 1).
     builds, eighs, potrfs, report = _count_spectrum_work(
         tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     assert len(report["records"]) == 11
@@ -767,20 +769,42 @@ def test_spectrum_point_solves_five_blocks_and_certifies_three(tmp_path,
 
 def test_half_grid_coercivity_uses_the_configured_window(tmp_path,
                                                           monkeypatch):
-    # the half grid is the configured spectral_window at half the points
+    # the half grid is the configured window at half its points, not
+    # resolved again: at (1, 1) window_n = 512 gives 1024 points, so 512
     from mkdvlab import closed_forms as cf
     from mkdvlab import spectral as spc
+    from mkdvlab.functionals import resolved_window
 
     *_, report = _count_spectrum_work(
         tmp_path, monkeypatch, "alpha = 1.0\nbeta = 1.0\nwindow_n = 512\n")
     spread, = [r for r in report["records"]
                if r["id"].startswith("coercivity_spread")]
     p = cf.BreatherParams(5, 1.0, 1.0)
-    w2 = spc.spectral_window(p, 0.0, 256)
+    w = resolved_window(p, 0.0, 512)
+    assert spread["params"]["n"] == w.n_points == 1024
+    w2 = replace(w, n_points=512)
     opr2 = spc.build_operator(p, 0.0, w2)
     want = spc.coercivity(opr2, spc.directions(p, 0.0, w2),
                           spc.lowest_vector(opr2))
     assert spread["params"]["nu0_half"] == want
+
+
+def test_window_n_is_a_floor(tmp_path):
+    # taken as they are, window_n = 512 at (1, 1) and the default 1024 at
+    # (4, 0.5) under-resolve the breather (b0_inversion 6.3e-3 and 3.6e-3,
+    # against 1e-4); the resolved window doubles them, every check passes,
+    # and the config echoes the key as given
+    for config, n, echo in (("alpha = 1\nbeta = 1\nwindow_n = 512\n", 1024,
+                             512), ("alpha = 4\nbeta = 0.5\n", 2048, None)):
+        cfgp = write_cfg(tmp_path / f"{n}.txt", config)
+        out = tmp_path / str(n)
+        out.mkdir()
+        assert run_main(["spectrum", "--config", cfgp, "--out",
+                         str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["window_n"] == echo
+        assert len(report["records"]) == 11
+        assert {r["params"]["n"] for r in report["records"]} == {n}
 
 
 def test_verify_order7_point_passes(tmp_path):

@@ -23,6 +23,11 @@ def small_config(order, dt=1e-4, t_end=0.0, window=None):
                               dt=dt, t_end=t_end)
 
 
+def _coarse(cfg, n=N_SMALL):
+    # cfg on its window cut to n points, below the resolved grid on purpose
+    return replace(cfg, window=replace(cfg.window, n_points=n))
+
+
 def term_by_term(terms, d):
     total = 0.0
     for coef, orders in terms:
@@ -175,11 +180,11 @@ def test_linearized_step_is_stable_and_symplectic():
     # the exact one-step map linearized about the order-7 soliton in its
     # frame, assembled from the Newton Jacobian: G'(Y) dY = (dv0, dv0) and
     # dv1 = dv0 + sqrt(3) (dY2 - dY1).  Gauss methods are symplectic, so its
-    # eigenvalues come in reciprocal pairs; the largest measured 1 + 6.0e-8,
-    # paired with 1 - 6.0e-8 (the translation kernel's Jordan block, split at
+    # eigenvalues come in reciprocal pairs; the largest measured 1 + 1.6e-7,
+    # paired with 1 - 1.6e-7 (the translation kernel's Jordan block, split at
     # rounding level)
-    sp, cfg = ev.soliton_speed_run(7, n_points=N_SMALL)
-    cfg = replace(cfg, dt=1e-3)
+    sp, cfg = ev.soliton_speed_run(7)
+    cfg = replace(_coarse(cfg), dt=1e-3)
     stepper = ev._stepper(cfg)
     v0 = np.fft.rfft(sample_soliton(sp, 0.0, cfg.window, m=0).values)
     s = stepper.step(v0)
@@ -232,7 +237,7 @@ def test_order5_soliton_speed_law_short_horizon():
 
 def test_frame_speed_moves_snapshot_windows():
     p = cf.BreatherParams(5, 1.0, 1.0)
-    cfg = ev.breather_fidelity_config(5, n_points=N_SMALL)
+    cfg = _coarse(ev.breather_fidelity_config(5))
     cfg = replace(cfg, t_end=10 * cfg.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ev.ResolutionWarning)
@@ -291,7 +296,7 @@ def test_snapshot_monitors_are_functional_on_a_derivative_jet(order, bump):
     # its field is far above functional's edge threshold at every snapshot,
     # where evolve itself warns of nothing but the resolution
     p = cf.BreatherParams(order, *ev.RUN_ALPHA_BETA)
-    cfg = ev.breather_fidelity_config(order, n_points=512)
+    cfg = _coarse(ev.breather_fidelity_config(order), 512)
     cfg = replace(cfg, t_end=4 * cfg.dt)
     w = cfg.window
     edge = w.center - w.half_width
@@ -314,8 +319,8 @@ def test_snapshot_monitors_are_functional_on_a_derivative_jet(order, bump):
 
 
 def test_breather_fidelity_config_follows_run_alpha_beta(monkeypatch):
-    # at (1, 1): half width 30, t_end 0.05, and the frame -gamma of the
-    # rigid orders 5 and 9
+    # at (1, 1): half width 28/beta + 2 = 30 at 1024 points, t_end 0.05,
+    # and the frame -gamma of the rigid orders 5 and 9
     for order, dt, frame in ((5, 1e-3, -4.0), (7, 5e-4, 0.0),
                              (9, 1e-3, 16.0)):
         assert ev.breather_fidelity_config(order) == ev.EvolutionConfig(
@@ -325,7 +330,7 @@ def test_breather_fidelity_config_follows_run_alpha_beta(monkeypatch):
     for order in ev.EVOLVE_ORDERS:
         cfg = ev.breather_fidelity_config(order)
         require_window(cfg.window, cf.BreatherParams(order, 1.0, 0.5), 0.0)
-        assert cfg.window.half_width == 60.0
+        assert cfg.window.half_width == 58.0
         assert cfg.t_end == 0.128  # 0.2 / (1 + 0.25)^2
         assert ev.step_count(cfg.t_end, cfg.dt) * cfg.dt == cfg.t_end
 
@@ -365,6 +370,9 @@ def test_blow_up_stops_the_run():
 def test_soliton_runs_ride_at_the_speed_law(order):
     sp, cfg = ev.soliton_speed_run(order)
     assert cfg.frame_speed == cf.soliton_speed(order, sp.c)
+    # half width 28/sqrt(c) + 2, the soliton's decay rate being sqrt(c); the
+    # profile is resolved at the 1024-point floor (tail 2.6e-16 at c = 1.2)
+    assert cfg.window == Window(0.0, 28.0 / math.sqrt(sp.c) + 2.0, 1024)
 
 
 def test_riding_order5_soliton_solves_once_on_its_first_step():
@@ -1165,8 +1173,8 @@ def test_evolve_point_tags_records_with_the_dt_it_ran(monkeypatch):
     runs = []
     fidelity, soliton = ev.breather_fidelity_config, ev.soliton_speed_run
 
-    def short_fidelity(order, n_points=1024):
-        return replace(fidelity(order, n_points), t_end=2e-5)
+    def short_fidelity(order):
+        return replace(fidelity(order), t_end=2e-5)
 
     def short_soliton(order, n_points=1024):
         runs.append(order)
@@ -1276,7 +1284,7 @@ def test_stability_shapes_are_independent_tasks(tmp_path):
                 == (outs[shape] / name).read_bytes())
 
 
-def _blow_up_config(order, t_end=1.0, n_points=1024):
+def _blow_up_config(order, t_end=1.0):
     # at this dt the Newton solve for a breather of height 2 on 256 points
     # converges for the first step and not for the second
     return small_config(order, dt=0.125, t_end=t_end)
@@ -1397,7 +1405,7 @@ def test_full_horizon_order5_evolve_suite(tmp_path):
     assert len(records) == 5
     assert all(r["pass"] for r in records)
     # every record sits far below its budget: the soliton's speed error
-    # measured 1.1e-13 cells, riding at the law's speed
+    # measured 8.8e-14 cells, riding at the law's speed
     for r in records:
         assert r["measured"] < 1e-10, r["id"]
     # each run's solver work is on one record, and the summary totals it;

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import paper_tables as paper
@@ -42,6 +43,45 @@ def test_require_window():
     with pytest.raises(ValueError):
         fn.require_window(fn.Window(0.0, 45.0, 1024), p, 2.0)  # core 5.1
     fn.require_window(fn.Window(p.core(2.0), 45.0, 1024), p, 2.0)
+
+
+def _tail(p, w):
+    return fn._tail_fraction(np.fft.rfft(fn.sample_breather(p, 0.0, w,
+                                                            m=0).values))
+
+
+def test_resolved_window_keeps_the_resolved_grid():
+    # every point of the 0.25-step grid of [0.5, 2]^2 is resolved at the
+    # 1024-point floor (the worst tail 8.7e-11, at (2, 0.5)): the window is
+    # the half width 28/beta + 2 about the core, at the floor
+    grid = [0.5 + 0.25 * i for i in range(7)]
+    for a in grid:
+        for b in grid:
+            assert (fn.resolved_window(cf.BreatherParams(5, a, b))
+                    == fn.Window(0.0, 28.0 / b + 2.0, 1024)), (a, b)
+
+
+@pytest.mark.parametrize("alpha,beta,n", [(4.0, 0.5, 1024), (1.0, 1.0, 512)])
+def test_resolved_window_doubles_an_under_resolved_floor(alpha, beta, n):
+    # tails 3.5e-8 and 1.3e-7 at the floor, 6e-15 and 9e-15 at twice it
+    p = cf.BreatherParams(5, alpha, beta)
+    w = fn.resolved_window(p, 0.0, n)
+    assert w == fn.Window(0.0, 28.0 / beta + 2.0, 2 * n)
+    assert _tail(p, replace(w, n_points=n)) > fn._RESOLUTION_TAIL
+    assert _tail(p, w) <= fn._RESOLUTION_TAIL
+
+
+def test_resolved_window_follows_the_core_and_the_decay():
+    # the phases widen a breather's window and move its core; a soliton's
+    # decay rate is sqrt(c), and its core rides at its speed
+    p = cf.BreatherParams(5, 1.2, 0.8, x1=0.3, x2=-0.5)
+    w = fn.resolved_window(p, 0.45)
+    assert (w.center, w.half_width) == (p.core(0.45), 28.0 / 0.8 + 0.5 + 2.0)
+    for c in (1.2, 2.0, 4.0):
+        sp = cf.SolitonParams(5, c)
+        w = fn.resolved_window(sp, 0.1)
+        assert (w.center, w.half_width) == (0.1 * sp.speed(),
+                                            28.0 / math.sqrt(c) + 2.0)
 
 
 def test_mass_oracles():

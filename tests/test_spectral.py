@@ -12,9 +12,9 @@ import scipy.linalg
 from mkdvlab import closed_forms as cf
 from mkdvlab import spectral as sp
 from mkdvlab.functionals import (SampledField, Window, expansion_remainder,
-                                 linearization_coefficients, sample_breather,
-                                 sobolev_norm, spectral_derivative,
-                                 zero_field)
+                                 linearization_coefficients, resolved_window,
+                                 sample_breather, sobolev_norm,
+                                 spectral_derivative, zero_field)
 
 
 @functools.lru_cache(maxsize=8)
@@ -22,6 +22,12 @@ def _default(alpha=1.0, beta=1.0, t=0.0):
     p = cf.BreatherParams(5, alpha, beta)
     opr = sp.build_operator(p, t)
     return p, opr
+
+
+def _coarse(p, t, n=512):
+    """The resolved window of p at time t cut to n points: the dense
+    oracles and the block counts run below the resolved grid on purpose."""
+    return replace(resolved_window(p, t), n_points=n)
 
 
 def _physical_matrix(p, t, w):
@@ -191,7 +197,7 @@ def _asymmetry_on_smooth_probes(p, w):
 @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (1.2, 0.8)])
 def test_recorded_asymmetry_within_budget(alpha, beta):
     p = cf.BreatherParams(5, alpha, beta)
-    asymmetry = _asymmetry_on_smooth_probes(p, sp.spectral_window(p, 0.0))
+    asymmetry = _asymmetry_on_smooth_probes(p, resolved_window(p))
     print(f"asymmetry ({alpha},{beta}): {asymmetry:.3e}")
     assert asymmetry <= 1e-10
 
@@ -229,9 +235,9 @@ def test_blocks_match_dense_oracle(alpha, beta, t, center, blocks):
     # centred: the cos and sin blocks of Q^T A Q; off-centre or t != 0: the
     # whole of Q^T A Q, cos-sin coupling included
     p = cf.BreatherParams(5, alpha, beta)
-    w = sp.spectral_window(p, t, 512)
+    w = _coarse(p, t)
     if center is not None:
-        w = Window(center, w.half_width, 512)
+        w = replace(w, center=center)
     opr = sp.build_operator(p, t, w)
     A = _physical_matrix(p, t, w)
     Q = _dense_fourier_basis(512)
@@ -283,7 +289,7 @@ def test_zero_background_reduces_to_constant_coefficients():
     # with B = 0 the spectrum is the symbol on the k-grid: no negatives,
     # no kernel, floor exactly at the continuum edge
     p = cf.BreatherParams(5, 1.0, 1.0)
-    w = sp.spectral_window(p, 0.0)
+    w = resolved_window(p)
     opr = sp.build_operator(p, 0.0, w, background=zero_field(w))
     summ = sp.spectrum(opr)
     assert len(summ.negative_eigenvalues) == 0
@@ -474,14 +480,12 @@ def test_b0_relations(alpha, beta):
     assert abs(lhs2 + 0.5 * lhs1) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="spectral_window sizes the window by "
-                   "beta alone, with n from the config: both grids "
-                   "under-resolve the breather (d k_max 18.8-18.9, against "
-                   "27.3 or more at every default point)")
 @pytest.mark.parametrize("alpha,beta,n", [(4.0, 0.5, 1024), (1.0, 1.0, 512)])
 def test_b0_inversion_resolved_on_coarse_grids(alpha, beta, n):
+    # both grids, taken as they are, under-resolve the breather (b0_inversion
+    # 3.6e-3 and 6.3e-3); the resolved window doubles their points
     p = cf.BreatherParams(5, alpha, beta)
-    w = sp.spectral_window(p, 0.0, n)
+    w = resolved_window(p, 0.0, n)
     opr = sp.build_operator(p, 0.0, w)
     assert sp.b0_relations(p, 0.0, opr, sp.directions(p, 0.0, w))[2] <= 1e-4
 
@@ -573,14 +577,14 @@ def test_coercivity_refinement_and_phase_covariance():
     t, v = 0.45, p.velocities()
     assert abs(v.delta - v.gamma) > 1.0
     moved = replace(p, x1=p.x1 + v.delta * t, x2=p.x2 + v.gamma * t)
-    w = sp.spectral_window(moved, 0.0, 512)
+    w = _coarse(moved, 0.0)
     at_t, at_0 = _nu0(p, t, w), _nu0(moved, 0.0, w)
     print(f"nu0 at t={t}: {at_t:.15f}, at the moved phases: {at_0:.15f}")
     assert abs(at_t - at_0) <= 1e-9 * at_0
     # nu0 is pi/alpha-periodic and even in theta: both ends of [0, pi/(2 alpha)]
     for x1 in (0.0, math.pi / (2.0 * p.alpha)):
         q = cf.BreatherParams(5, p.alpha, p.beta, x1=x1)
-        nu = _nu0(q, 0.0, sp.spectral_window(q, 0.0, 512))
+        nu = _nu0(q, 0.0, _coarse(q, 0.0))
         print(f"nu0 at theta={x1:.6f}: {nu:.6f}")
         assert nu > 0
 
@@ -629,13 +633,13 @@ def test_parity_blocks_detected_from_the_coefficients():
     # (alpha, beta) = (1, 1) would not do for t != 0: there delta = gamma,
     # and the breather moves rigidly, even about the window centre
     p = cf.BreatherParams(5, 1.2, 0.8)
-    w = sp.spectral_window(p, 0.0, 512)
+    w = _coarse(p, 0.0)
     sizes = {name: tuple(len(A) for _, A in opr.blocks)
              for name, opr in (
                  ("centred", sp.build_operator(p, 0.0, w)),
                  ("t=0.45", sp.build_operator(p, 0.45)),
                  ("off-centre", sp.build_operator(
-                     p, 0.0, Window(0.37, w.half_width, 512))),
+                     p, 0.0, replace(w, center=0.37))),
                  ("zero", sp.build_operator(p, 0.0, w,
                                             background=zero_field(w))))}
     assert sizes == {"centred": (257, 255), "t=0.45": (1024,),
@@ -667,9 +671,9 @@ def _counting_dpotrf(monkeypatch):
 @pytest.mark.parametrize("t,center", [(0.45, None), (0.0, 0.37)])
 def test_spectrum_without_symmetry_takes_one_block(t, center, monkeypatch):
     p = cf.BreatherParams(5, 1.2, 0.8)
-    w = sp.spectral_window(p, t, 512)
+    w = _coarse(p, t)
     if center is not None:
-        w = Window(center, w.half_width, 512)
+        w = replace(w, center=center)
     opr = sp.build_operator(p, t, w)
     vals, vecs = scipy.linalg.eigh(_physical_matrix(p, t, w))
     calls = _counting_eigh(monkeypatch)
@@ -812,7 +816,7 @@ def test_lowest_vector_is_the_spectrums(alpha, beta, t, monkeypatch):
     # eigenvalue: it gets spectrum's solve, and the sin block one
     # factorization.  Without the symmetry the one block is solved
     p = cf.BreatherParams(5, alpha, beta)
-    opr = sp.build_operator(p, t, sp.spectral_window(p, t, 512))
+    opr = sp.build_operator(p, t, _coarse(p, t))
     want = sp.spectrum(opr).lowest_vector
     calls = _counting_eigh(monkeypatch)
     potrfs = _counting_dpotrf(monkeypatch)
